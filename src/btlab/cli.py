@@ -21,23 +21,20 @@ for _var in (
 ):
     os.environ.setdefault(_var, "1")
 
-import json  # noqa: E402
 import sys  # noqa: E402
+from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
+from typing import Callable  # noqa: E402
 
 import click  # noqa: E402
 import numpy as np  # noqa: E402
 
+from . import __version__  # noqa: E402
 from .bargmann import GaussianTestFn, egorov_guillemin_check  # noqa: E402
 from .basis import enumerate_multiindices, gram_matrix  # noqa: E402
-from .config import (  # noqa: E402
-    complex_vector,
-    gaussian_from_config,
-    load_config,
-    phase_from_config,
-    symbol_from_config,
-)
-from .errors import BtlabError, InvalidConfig  # noqa: E402
+from .config import ConfigReader, load_config, vector_text  # noqa: E402
+from .errors import BtlabError  # noqa: E402
 from .geometry import (  # noqa: E402
     build_context,
     kappa_T,
@@ -64,26 +61,28 @@ from .symbols import (  # noqa: E402
     sine_symbol,
 )
 
-__version__ = "0.1.0"
 
-_SUITES = ("gram", "weyl", "bound", "diag", "deformation", "egorov", "sw")
+class Report:
+    """Check lines and CSV rows of one run."""
 
-
-class CheckList:
     def __init__(self):
         self.lines = []
+        self.rows = []
         self.ok = True
 
-    def add(self, name: str, passed: bool, detail: str = "") -> bool:
+    def add(self, name: str, passed: bool, detail: str = ""):
         self.ok = self.ok and passed
         tag = "PASS" if passed else "FAIL"
         self.lines.append(
             f"[{tag}] {name}" + (f": {detail}" if detail else "")
         )
-        return passed
 
-    def le(self, name: str, value: float, threshold: float) -> bool:
-        return self.add(
+    def le(self, name: str, value: float, threshold: float, row=None):
+        """Check value <= threshold; with `row`, also append the CSV row
+        [*row, value, threshold, passed]."""
+        if row is not None:
+            self.rows.append([*row, value, threshold, value <= threshold])
+        self.add(
             name, bool(value <= threshold), f"{value:.3e} <= {threshold:.3e}"
         )
 
@@ -103,170 +102,91 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(outdir: str, name: str, header, rows) -> Path:
+def _write_csv(outdir: str, name: str, header: str, rows) -> Path:
     path = Path(outdir) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(c) for c in row) + "\n")
     return path
 
 
-def _echo_report(suite: str, eff: dict, checks: CheckList, csv_path=None):
-    click.echo(f"suite: {suite}")
-    click.echo("config:")
-    for key in sorted(eff):
-        click.echo(f"  {key} = {eff[key]}")
-    for line in checks.lines:
-        click.echo(line)
-    if csv_path is not None:
-        click.echo(f"csv: {csv_path}")
-    click.echo("result: " + ("PASS" if checks.ok else "FAIL"))
+_TOL_RESIDUAL = 1e-10
 
 
-def _phase_block(cfg: dict):
-    if "phase" not in cfg:
-        raise InvalidConfig("config needs a 'phase' block")
-    return cfg["phase"]
+def _e1(n: int, z=1.0) -> np.ndarray:
+    """z times the first coordinate vector of C^n."""
+    lam = np.zeros(n, dtype=complex)
+    lam[0] = z
+    return lam
 
 
-def _get_h(cfg: dict) -> float:
-    h = cfg.get("h", 1.0)
-    if not isinstance(h, (int, float)) or not 0.0 < h <= 1.0:
-        raise InvalidConfig(f"h must lie in (0, 1], got {h!r}")
-    return float(h)
+def _wave(n: int, z=1.0) -> PlaneWaveSum:
+    """The plane wave exp(i Re<X, z e_1>) on C^n."""
+    return PlaneWaveSum(n=n, terms=((1.0, _e1(n, z)),))
 
 
-def _get_order(cfg: dict, override, n: int, default=None) -> int:
-    if override is not None:
-        return int(override)
-    order = cfg.get("order", default if default else (60 if n == 1 else 30))
-    if not isinstance(order, int):
-        raise InvalidConfig("order must be an integer")
-    return order
+def _space_info(ctx, rule, p, threads, out):
+    tol = _TOL_RESIDUAL
+    dev_r = float(np.max(np.abs(
+        ctx.R.conj().T @ ctx.R - ctx.PhiXXbar.conj()
+    )))
+    alt = ((2 * np.pi) ** (-ctx.n) * abs(np.linalg.det(ctx.phase.B)) ** 2
+           / np.linalg.det(ctx.CI))
+    dev_c = abs(ctx.CPhi - alt) / abs(alt)
+    rng = np.random.default_rng(20240811)
+    X = rng.standard_normal((12, ctx.n)) + 1j * rng.standard_normal(
+        (12, ctx.n)
+    )
+    dev_phi = float(np.max(np.abs(
+        psi(ctx, X, np.conj(X)) - phi_weight(ctx, X)
+    )))
+    x = rng.standard_normal((6, ctx.n))
+    xi = rng.standard_normal((6, ctx.n))
+    Xk, Theta = kappa_T(ctx, x, xi)
+    dev_k = float(np.max(np.abs(Theta - theta_on_lambda(ctx, Xk))))
 
+    out.le("R*R matches mixed Hessian", dev_r, tol)
+    out.le("normalization constant consistency", dev_c, tol)
+    out.le("weight equals polarization on the diagonal", dev_phi, tol)
+    out.le("canonical image satisfies the graph relation", dev_k, tol)
 
-def _get_pos_int(cfg: dict, key: str, default: int) -> int:
-    v = cfg.get(key, default)
-    if not isinstance(v, int) or v < 0:
-        raise InvalidConfig(f"{key} must be a nonnegative integer")
-    return v
-
-
-def _grid3(cfg: dict, key: str, default: tuple) -> tuple:
-    spec = cfg.get(key)
-    if spec is None:
-        return default
-    if not isinstance(spec, dict):
-        raise InvalidConfig(f"{key} must be an object with lo/hi/step")
-    try:
-        lo = float(spec.get("lo", default[0]))
-        hi = float(spec.get("hi", default[1]))
-        step = float(spec.get("step", default[2]))
-    except (TypeError, ValueError) as exc:
-        raise InvalidConfig(f"{key}: lo/hi/step must be numbers") from exc
-    if not (hi > lo and step > 0):
-        raise InvalidConfig(f"{key}: need hi > lo and step > 0")
-    return lo, hi, step
-
-
-def _symbols_from(cfg: dict, key: str, n: int, defaults) -> list:
-    if key in cfg:
-        spec = cfg[key]
-        if not isinstance(spec, list) or not spec:
-            raise InvalidConfig(f"{key} must be a nonempty list of symbols")
-        return [
-            symbol_from_config(s, n, f"{key}[{k}]")
-            for k, s in enumerate(spec)
-        ]
-    return list(defaults)
-
-
-def _sym_echo(b: PlaneWaveSum) -> str:
-    parts = []
-    for c, lam in b.terms:
-        lam_s = ";".join(f"{z.real:g}{z.imag:+g}j" for z in lam)
-        parts.append(f"({c.real:g}{c.imag:+g}j)*e[{lam_s}]")
-    return " + ".join(parts) if parts else "0"
-
-
-def _cvec_echo(lam) -> str:
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    return ";".join(f"{z.real:.11e}{z.imag:+.11e}j" for z in lam)
-
-
-def _lambda_list(cfg: dict, n: int):
-    spec = cfg.get("lambda_list")
-    if spec is None:
-        if n != 1:
-            raise InvalidConfig("lambda_list is required when n > 1")
-        return [np.array([v]) for v in (0.25, 0.5, 1.0, 0.6 + 0.8j)]
-    if not isinstance(spec, list) or not spec:
-        raise InvalidConfig("lambda_list must be a nonempty list")
-    out = []
-    for k, item in enumerate(spec):
-        if (
-            isinstance(item, (list, tuple))
-            and len(item) == 2
-            and all(isinstance(v, (int, float)) for v in item)
-        ):
-            if n != 1:
-                raise InvalidConfig(
-                    f"lambda_list[{k}]: flat [re, im] form needs n = 1"
+    rows = out.rows
+    rows.extend([
+        ["n", float(ctx.n), 0.0],
+        ["h", ctx.h, 0.0],
+        ["C_phi", ctx.Cphi, 0.0],
+        ["C_Phi", ctx.CPhi, 0.0],
+        ["abs_det_B", abs(np.linalg.det(ctx.phase.B)), 0.0],
+        ["min_eig_CI", float(np.min(np.linalg.eigvalsh(ctx.CI))), 0.0],
+    ])
+    for name, M in (("PhiXXbar", ctx.PhiXXbar), ("PhiXX", ctx.PhiXX),
+                    ("R", ctx.R)):
+        for i in range(ctx.n):
+            for j in range(ctx.n):
+                rows.append(
+                    [f"{name}[{i}][{j}]", M[i, j].real, M[i, j].imag]
                 )
-            out.append(np.array([complex(item[0], item[1])]))
-        else:
-            out.append(complex_vector(item, n, f"lambda_list[{k}]"))
-    return out
+    e1, zero = np.eye(ctx.n)[0], np.zeros(ctx.n)
+    for at, (xk, tk) in (("e1,0", kappa_T(ctx, e1, zero)),
+                         ("0,e1", kappa_T(ctx, zero, e1))):
+        rows.append([f"kappa({at}).X[0]", xk[0].real, xk[0].imag])
+        rows.append([f"kappa({at}).Theta[0]", tk[0].real, tk[0].imag])
 
 
-def _run_gram(cfg, order_override, threads):
-    phase = phase_from_config(_phase_block(cfg))
-    h = _get_h(cfg)
-    ctx = build_context(phase, h)
-    N = _get_pos_int(cfg, "N", 10)
-    order = _get_order(cfg, order_override, ctx.n)
-    tol = float(cfg.get("tol_gram", 1e-8 if ctx.n == 1 else 1e-6))
-    rule = gauss_hermite_rule(order)
-    trunc = enumerate_multiindices(ctx.n, N)
+def _gram(ctx, rule, p, threads, out):
+    trunc = enumerate_multiindices(ctx.n, p.N)
     G = gram_matrix(ctx, trunc, rule, threads=threads)
     dev = float(np.max(np.abs(G - np.eye(len(trunc)))))
-    checks = CheckList()
-    checks.le("gram max|G - I|", dev, tol)
-    eff = {
-        "suite": "gram", "phase": json.dumps(_phase_block(cfg)),
-        "n": ctx.n, "h": h, "N": N, "order": order, "tol_gram": tol,
-        "threads": threads,
-    }
-    header = ["n", "N", "order", "max_abs_dev", "threshold", "passed"]
-    rows = [[ctx.n, N, order, dev, tol, dev <= tol]]
-    return eff, checks, header, rows
+    out.le("gram max|G - I|", dev, p.tol_gram, row=[ctx.n, p.N, rule.order])
 
 
-def _run_weyl(cfg, order_override, threads):
-    phase = phase_from_config(_phase_block(cfg))
-    h = _get_h(cfg)
-    ctx = build_context(phase, h)
-    N = _get_pos_int(cfg, "N", 16)
-    order = _get_order(cfg, order_override, ctx.n, default=60)
-    inner = _get_pos_int(cfg, "inner_degree", 4)
-    tol = float(cfg.get("tol_weyl", 1e-5))
-    lams = _lambda_list(cfg, ctx.n)
-    if "symbol_b" in cfg:
-        b = symbol_from_config(cfg["symbol_b"], ctx.n, "symbol_b")
-    else:
-        lam1 = np.zeros(ctx.n, dtype=complex)
-        lam1[0] = 1.0
-        b = PlaneWaveSum(n=ctx.n, terms=((1.0, lam1),))
-    rule = gauss_hermite_rule(order)
-    trunc = enumerate_multiindices(ctx.n, N)
+def _weyl(ctx, rule, p, threads, out):
+    trunc = enumerate_multiindices(ctx.n, p.N)
+    inner, tol = p.inner_degree, p.tol_weyl
     eye = np.eye(trunc.count_through_degree(inner))
-    checks = CheckList()
-    header = ["lambda", "unitarity_dev", "adjoint_dev", "conjugation_dev",
-              "threshold", "passed"]
-    rows = []
-    for lam in lams:
+    for lam in p.lambda_list:
         Wp = weyl_unitary_matrix(ctx, lam, trunc, rule, threads=threads)
         Wm = weyl_unitary_matrix(ctx, -lam, trunc, rule, threads=threads)
         unit = float(np.max(np.abs(
@@ -276,301 +196,249 @@ def _run_weyl(cfg, order_override, threads):
             Wp.entries.conj().T - Wm.entries, trunc, inner
         ))))
         conj = weyl_conjugation_check(
-            ctx, b, lam, trunc, rule, threads=threads, drop=trunc.N - inner
+            ctx, p.symbol_b, lam, trunc, rule, threads=threads,
+            drop=trunc.N - inner
         )
-        ok = max(unit, adj, conj) <= tol
-        lam_s = _cvec_echo(lam)
-        checks.le(f"unitarity lambda={lam_s}", unit, tol)
-        checks.le(f"adjoint lambda={lam_s}", adj, tol)
-        checks.le(f"conjugation lambda={lam_s}", conj, tol)
-        rows.append([lam_s, unit, adj, conj, tol, ok])
-    eff = {
-        "suite": "weyl", "phase": json.dumps(_phase_block(cfg)),
-        "n": ctx.n, "h": h, "N": N, "order": order,
-        "inner_degree": inner, "tol_weyl": tol,
-        "symbol_b": _sym_echo(b),
-        "lambda_list": "[" + ", ".join(_cvec_echo(v) for v in lams) + "]",
-        "threads": threads,
-    }
-    return eff, checks, header, rows
+        lam_s = vector_text(lam)
+        out.le(f"unitarity lambda={lam_s}", unit, tol)
+        out.le(f"adjoint lambda={lam_s}", adj, tol)
+        out.le(f"conjugation lambda={lam_s}", conj, tol)
+        out.rows.append([lam_s, unit, adj, conj, tol,
+                         max(unit, adj, conj) <= tol])
 
 
-def _default_bound_symbols(n: int):
-    lam1 = np.zeros(n, dtype=complex)
-    lam1[0] = 1.0
-    lam2 = np.zeros(n, dtype=complex)
-    lam2[0] = -0.7 + 0.2j
-    two = PlaneWaveSum(n=n, terms=((0.8, lam1), (0.5 - 0.3j, lam2)))
-    cos = cosine_symbol(lam1, n)
-    one_sin = PlaneWaveSum(
-        n=n,
-        terms=((1.0, np.zeros(n)),)
-        + tuple((0.5 * c, lam) for c, lam in sine_symbol(lam1, n).terms),
-    )
-    return [cos, one_sin, two]
-
-
-def _run_bound(cfg, order_override, threads):
-    phase = phase_from_config(_phase_block(cfg))
-    h = _get_h(cfg)
-    ctx = build_context(phase, h)
-    order = _get_order(cfg, order_override, ctx.n, default=60)
-    slack = float(cfg.get("slack", 0.02))
-    t_grid = cfg.get("t_grid", [0.6, 0.75, 0.9, 1.0])
-    if not isinstance(t_grid, list) or not t_grid:
-        raise InvalidConfig("t_grid must be a nonempty list")
-    schedule = cfg.get("n_schedule", list(range(8, 26, 2)))
-    if not isinstance(schedule, list) or not schedule:
-        raise InvalidConfig("n_schedule must be a nonempty list")
-    lo, hi, step = _grid3(cfg, "X_grid", (-6.0, 6.0, 0.3))
-    X_grid = complex_box(lo, hi, step, ctx.n)
-    symbols = _symbols_from(cfg, "symbols", ctx.n,
-                            _default_bound_symbols(ctx.n))
-    rule = gauss_hermite_rule(order)
-    checks = CheckList()
-    header = ["symbol", "t", "lhs_sup", "rhs_bound", "margin", "m_norm",
-              "converged", "passed", "note"]
-    rows = []
-    for k, b in enumerate(symbols):
-        rep = bound_report(ctx, b, t_grid, X_grid, schedule, rule,
-                           slack=slack, threads=threads)
+def _bound(ctx, rule, p, threads, out):
+    X_grid = complex_box(*p.X_grid, ctx.n)
+    for k, b in enumerate(p.symbols):
+        rep = bound_report(ctx, b, p.t_grid, X_grid, p.n_schedule, rule,
+                           slack=p.slack, threads=threads)
         label = f"b{k}"
         for t, lhs, rhs, margin, passed in rep.rows:
-            checks.add(
+            out.add(
                 f"bound {label} t={t:g}", passed,
                 f"sup|b_t| {lhs:.6e} <= {rhs:.6e}",
             )
-            rows.append([label, t, lhs, rhs, margin,
-                         rep.norm_table.m_norm, rep.norm_table.converged,
-                         passed, ""])
+            out.rows.append([label, t, lhs, rhs, margin,
+                             rep.norm_table.m_norm, rep.norm_table.converged,
+                             passed, ""])
         if not rep.norm_table.converged:
-            checks.warn(f"{label}: norm schedule not Cauchy-converged")
-            rows.append([label, float("nan"), float("nan"), float("nan"),
-                         float("nan"), rep.norm_table.m_norm, False, False,
-                         "NotConverged"])
-    eff = {
-        "suite": "bound", "phase": json.dumps(_phase_block(cfg)),
-        "n": ctx.n, "h": h, "order": order, "slack": slack,
-        "t_grid": t_grid, "n_schedule": schedule,
-        "X_grid": f"lo={lo:g} hi={hi:g} step={step:g}",
-        "symbols": "; ".join(_sym_echo(b) for b in symbols),
-        "threads": threads,
-    }
-    return eff, checks, header, rows
+            out.warn(f"{label}: norm schedule not Cauchy-converged")
+            out.rows.append([label, float("nan"), float("nan"), float("nan"),
+                             float("nan"), rep.norm_table.m_norm, False,
+                             False, "NotConverged"])
 
 
-def _default_diag_symbols(n: int):
-    out = []
-    for lam0 in (2.0, 1.0, 0.5 + 0.3j):
-        lam = np.zeros(n, dtype=complex)
-        lam[0] = lam0
-        out.append(PlaneWaveSum(n=n, terms=((1.0, lam),)))
-    return out
-
-
-def _run_diag(cfg, order_override, threads):
-    phase = phase_from_config(_phase_block(cfg))
-    h = _get_h(cfg)
-    ctx = build_context(phase, h)
-    N = _get_pos_int(cfg, "N", 10)
-    order = _get_order(cfg, order_override, ctx.n, default=60)
-    tol = float(cfg.get("tol_diag", 1e-8))
-    k_max = _get_pos_int(cfg, "k_max", 2)
-    symbols = _symbols_from(cfg, "symbols", ctx.n,
-                            _default_diag_symbols(ctx.n))
-    rule = gauss_hermite_rule(order)
-    trunc = enumerate_multiindices(ctx.n, N)
-    checks = CheckList()
-    header = ["check", "symbol", "k", "deviation", "threshold", "passed"]
-    rows = []
-
+def _diag(ctx, rule, p, threads, out):
+    trunc = enumerate_multiindices(ctx.n, p.N)
+    tol = p.tol_diag
     one = toeplitz_matrix(ctx, constant_symbol(1.0, ctx.n), trunc, rule,
                           threads=threads)
     dev = float(np.max(np.abs(one.entries - np.eye(len(trunc)))))
-    checks.le("toeplitz identity max|T_1 - I|", dev, tol)
-    rows.append(["identity", "1", "", dev, tol, dev <= tol])
-
-    for j, b in enumerate(symbols):
+    out.le("toeplitz identity max|T_1 - I|", dev, tol,
+           row=["identity", "1", ""])
+    for j, b in enumerate(p.symbols):
         label = f"b{j}"
         M = toeplitz_matrix(ctx, b, trunc, rule, threads=threads)
         b1 = complex(eval_symbol(heat_flow(ctx, b, 1.0),
                                  np.zeros(ctx.n, dtype=complex)))
         dev0 = abs(complex(M.entries[0, 0]) - b1)
-        checks.le(f"entry00 {label} |M00 - b_1(0)|", dev0, tol)
-        rows.append(["entry00", label, "", dev0, tol, dev0 <= tol])
-        for k in range(k_max + 1):
+        out.le(f"entry00 {label} |M00 - b_1(0)|", dev0, tol,
+               row=["entry00", label, ""])
+        for k in range(p.k_max + 1):
             lhs, rhs = diagonal_sum_check(ctx, b, k, trunc, rule,
                                           threads=threads)
-            d = abs(lhs - rhs)
-            checks.le(f"diagsum {label} k={k}", d, tol)
-            rows.append(["diagsum", label, k, d, tol, d <= tol])
-    eff = {
-        "suite": "diag", "phase": json.dumps(_phase_block(cfg)),
-        "n": ctx.n, "h": h, "N": N, "order": order, "k_max": k_max,
-        "tol_diag": tol,
-        "symbols": "; ".join(_sym_echo(b) for b in symbols),
-        "threads": threads,
-    }
-    return eff, checks, header, rows
+            out.le(f"diagsum {label} k={k}", abs(lhs - rhs), tol,
+                   row=["diagsum", label, k])
 
 
-def _run_deformation(cfg, order_override, threads):
-    phase = phase_from_config(_phase_block(cfg))
-    n = phase.n
-    N = _get_pos_int(cfg, "N", 20)
-    order = _get_order(cfg, order_override, n, default=60)
-    drop = _get_pos_int(cfg, "drop", 4)
-    slope_min = float(cfg.get("slope_min", 1.8))
-    h_list = cfg.get("h_list", [0.4, 0.28, 0.2, 0.14, 0.1])
-    if not isinstance(h_list, list):
-        raise InvalidConfig("h_list must be a list")
-    for h in h_list:
-        if not isinstance(h, (int, float)) or not 0.0 < h <= 1.0:
-            raise InvalidConfig(f"h values must lie in (0, 1], got {h!r}")
-    lam1 = np.zeros(n, dtype=complex)
-    lam1[0] = 1.0
-    a = (symbol_from_config(cfg["a"], n, "a") if "a" in cfg
-         else cosine_symbol(lam1, n))
-    b = (symbol_from_config(cfg["b"], n, "b") if "b" in cfg
-         else sine_symbol(lam1, n))
-    rule = gauss_hermite_rule(order)
-    res = deformation_sweep(phase, a, b, h_list, N, rule, threads=threads,
-                            drop=drop)
-    checks = CheckList()
+def _deformation(phase, rule, p, threads, out):
+    res = deformation_sweep(phase, p.a, p.b, p.h_list, p.N, rule,
+                            threads=threads, drop=p.drop)
     for name, slope in (("r1", res.slope1), ("r2", res.slope2)):
         if np.isnan(slope):
-            checks.add(f"slope {name}", True,
-                       "residuals at floor, fit undefined (degenerate)")
+            out.add(f"slope {name}", True,
+                    "residuals at floor, fit undefined (degenerate)")
         else:
-            checks.add(f"slope {name} >= {slope_min:g}",
-                       bool(slope >= slope_min), f"fitted {slope:.4f}")
-    header = ["h", "r1", "r2", "slope1", "slope2"]
-    rows = [[h, r1, r2, res.slope1, res.slope2] for h, r1, r2 in res.rows]
-    eff = {
-        "suite": "deformation", "phase": json.dumps(_phase_block(cfg)),
-        "n": n, "N": N, "order": order, "drop": drop,
-        "slope_min": slope_min, "h_list": h_list,
-        "a": _sym_echo(a), "b": _sym_echo(b), "threads": threads,
-    }
-    return eff, checks, header, rows
+            out.add(f"slope {name} >= {p.slope_min:g}",
+                    bool(slope >= p.slope_min), f"fitted {slope:.4f}")
+    out.rows += [[h, r1, r2, res.slope1, res.slope2]
+                 for h, r1, r2 in res.rows]
 
 
-def _default_egorov_symbols(n: int):
-    lam = np.zeros(n, dtype=complex)
-    lam[0] = 1.0
-    lam2 = np.zeros(n, dtype=complex)
-    lam2[0] = 0.5 + 0.3j
-    return [
-        PlaneWaveSum(n=n, terms=((1.0, lam.copy()),)),
-        PlaneWaveSum(n=n, terms=((1.0, lam2),)),
-        PlaneWaveSum(n=n, terms=((0.7, lam.copy()), (0.3, -lam.copy()))),
-    ]
-
-
-def _default_gaussians(n: int):
-    zero = np.zeros(n)
-    return [
-        GaussianTestFn(y0=zero, sigma=1.0, p0=zero, amp=1.0),
-        GaussianTestFn(y0=np.full(n, 0.4), sigma=0.8, p0=np.full(n, 0.6),
-                       amp=0.9 + 0.4j),
-    ]
-
-
-def _run_egorov(cfg, order_override, threads):
-    phase = phase_from_config(_phase_block(cfg))
-    h = _get_h(cfg)
-    ctx = build_context(phase, h)
-    order = _get_order(cfg, order_override, ctx.n, default=80)
-    tol = float(cfg.get("tol_egorov", 1e-6))
-    lo, hi, step = _grid3(cfg, "X_grid", (-1.0, 1.0, 1.0))
-    X_grid = complex_box(lo, hi, step, ctx.n)
-    symbols = _symbols_from(cfg, "symbols", ctx.n,
-                            _default_egorov_symbols(ctx.n))
-    if "gaussians" in cfg:
-        spec = cfg["gaussians"]
-        if not isinstance(spec, list) or not spec:
-            raise InvalidConfig("gaussians must be a nonempty list")
-        gaussians = [
-            gaussian_from_config(g, ctx.n, f"gaussians[{k}]")
-            for k, g in enumerate(spec)
-        ]
-    else:
-        gaussians = _default_gaussians(ctx.n)
-    rule = gauss_hermite_rule(order)
-    checks = CheckList()
-    header = ["symbol", "gaussian", "max_rel_err", "threshold", "passed"]
-    rows = []
-    for j, b in enumerate(symbols):
-        for g, u in enumerate(gaussians):
+def _egorov(ctx, rule, p, threads, out):
+    X_grid = complex_box(*p.X_grid, ctx.n)
+    for j, b in enumerate(p.symbols):
+        for g, u in enumerate(p.gaussians):
             err = egorov_guillemin_check(ctx, b, u, X_grid, rule)
-            checks.le(f"egorov b{j} g{g}", err, tol)
-            rows.append([f"b{j}", f"g{g}", err, tol, err <= tol])
-    eff = {
-        "suite": "egorov", "phase": json.dumps(_phase_block(cfg)),
-        "n": ctx.n, "h": h, "order": order, "tol_egorov": tol,
-        "X_grid": f"lo={lo:g} hi={hi:g} step={step:g}",
-        "symbols": "; ".join(_sym_echo(b) for b in symbols),
-        "gaussians": len(gaussians), "threads": threads,
-    }
-    return eff, checks, header, rows
+            out.le(f"egorov b{j} g{g}", err, p.tol_egorov,
+                   row=[f"b{j}", f"g{g}"])
 
 
-def _run_sw(cfg, order_override, threads):
-    phase = phase_from_config(_phase_block(cfg))
-    h = _get_h(cfg)
-    ctx = build_context(phase, h)
-    rel_tol = float(cfg.get("rel_tol", 0.01))
-    spec = cfg.get("lambda_grid", {})
-    if not isinstance(spec, dict):
-        raise InvalidConfig("lambda_grid must be an object")
-    lo = float(spec.get("lo", -8.0))
-    hi = float(spec.get("hi", 8.0))
-    steps = spec.get("steps", [1.0, 0.5, 0.25])
-    if not isinstance(steps, list) or not steps:
-        raise InvalidConfig("lambda_grid.steps must be a nonempty list")
-    xlo, xhi, xstep = _grid3(cfg, "X_grid", (-6.0, 6.0, 0.5))
-    X_grid = complex_box(xlo, xhi, xstep, ctx.n)
-    b = (symbol_from_config(cfg["b"], ctx.n, "b") if "b" in cfg
-         else constant_symbol(1.0, ctx.n))
-    checks = CheckList()
-    header = ["step", "l1_estimate", "rel_delta", "passed"]
-    rows = []
+def _sw(ctx, rule, p, threads, out):
+    lo, hi, steps = p.lambda_grid
+    X_grid = complex_box(*p.X_grid, ctx.n)
     prev = None
     delta = float("nan")
     for step in steps:
         lam_grid = complex_box(lo, hi, float(step), ctx.n)
-        g = sw_diagnostic(ctx, b, lam_grid, X_grid)
+        g = sw_diagnostic(ctx, p.b, lam_grid, X_grid)
         l1 = sw_l1(g, float(step), ctx.n)
         delta = (abs(l1 - prev) / abs(l1)) if prev is not None else float(
             "nan"
         )
-        rows.append([float(step), l1, delta, True])
+        out.rows.append([float(step), l1, delta, True])
         prev = l1
-    converged = bool(len(steps) < 2 or delta <= rel_tol)
-    rows[-1][-1] = converged
-    checks.add(
-        f"sw refinement rel_delta <= {rel_tol:g}", converged,
+    converged = bool(len(steps) < 2 or delta <= p.rel_tol)
+    out.rows[-1][-1] = converged
+    out.add(
+        f"sw refinement rel_delta <= {p.rel_tol:g}", converged,
         f"final estimate {prev:.6e}, last delta {delta:.3e}",
     )
-    eff = {
-        "suite": "sw", "phase": json.dumps(_phase_block(cfg)),
-        "n": ctx.n, "h": h, "rel_tol": rel_tol,
-        "lambda_grid": f"lo={lo:g} hi={hi:g} steps={steps}",
-        "X_grid": f"lo={xlo:g} hi={xhi:g} step={xstep:g}",
-        "b": _sym_echo(b), "threads": threads,
-    }
-    return eff, checks, header, rows
 
 
-_RUNNERS = {
-    "gram": _run_gram,
-    "weyl": _run_weyl,
-    "bound": _run_bound,
-    "diag": _run_diag,
-    "deformation": _run_deformation,
-    "egorov": _run_egorov,
-    "sw": _run_sw,
+@dataclass(frozen=True)
+class Suite:
+    """One report: its CSV header line, its default quadrature order for
+    n = 1 and for n > 1 (None: no rule), and whether it reads the top-level
+    h (then `body` gets the space context, otherwise the phase).  `params`
+    reads the suite's own keys from a ConfigReader; `body(ctx, rule, p,
+    threads, out)` gets them as attributes of `p` and fills the Report
+    `out` with checks and CSV rows."""
+
+    header: str
+    order: tuple | None
+    body: Callable
+    params: Callable = lambda k: {}
+    h: bool = True
+
+
+_SPACE_INFO = Suite("quantity,re,im", None, _space_info)
+
+SUITES = {
+    "gram": Suite(
+        "n,N,order,max_abs_dev,threshold,passed", (60, 30), _gram,
+        lambda k: {
+            "N": k.count("N", 10),
+            "tol_gram": k.number("tol_gram", 1e-8 if k.n == 1 else 1e-6,
+                                 lo=0),
+        }),
+    "weyl": Suite(
+        "lambda,unitarity_dev,adjoint_dev,conjugation_dev,threshold,passed",
+        (60, 60), _weyl,
+        lambda k: {
+            "N": k.count("N", 16),
+            "inner_degree": k.count("inner_degree", 4),
+            "tol_weyl": k.number("tol_weyl", 1e-5, lo=0),
+            "lambda_list": k.vectors("lambda_list", [
+                np.array([v]) for v in (0.25, 0.5, 1.0, 0.6 + 0.8j)
+            ] if k.n == 1 else None),
+            "symbol_b": k.symbol("symbol_b", _wave(k.n)),
+        }),
+    "bound": Suite(
+        "symbol,t,lhs_sup,rhs_bound,margin,m_norm,converged,passed,note",
+        (60, 60), _bound,
+        lambda k: {
+            "slack": k.number("slack", 0.02, lo=0),
+            "t_grid": k.numbers("t_grid", [0.6, 0.75, 0.9, 1.0]),
+            "n_schedule": k.numbers("n_schedule", list(range(8, 26, 2)),
+                                    integer=True),
+            "X_grid": k.grid("X_grid", -6.0, 6.0, 0.3),
+            "symbols": k.symbols("symbols", [  # cos, 1 + sin / 2, two waves
+                cosine_symbol(_e1(k.n), k.n),
+                PlaneWaveSum(n=k.n, terms=((1.0, np.zeros(k.n)),) + tuple(
+                    (0.5 * c, lam)
+                    for c, lam in sine_symbol(_e1(k.n), k.n).terms)),
+                PlaneWaveSum(n=k.n, terms=(
+                    (0.8, _e1(k.n)), (0.5 - 0.3j, _e1(k.n, -0.7 + 0.2j)))),
+            ]),
+        }),
+    "diag": Suite(
+        "check,symbol,k,deviation,threshold,passed", (60, 60), _diag,
+        lambda k: {
+            "N": k.count("N", 10),
+            "k_max": k.count("k_max", 2),
+            "tol_diag": k.number("tol_diag", 1e-8, lo=0),
+            "symbols": k.symbols("symbols", [
+                _wave(k.n, z) for z in (2.0, 1.0, 0.5 + 0.3j)]),
+        }),
+    "deformation": Suite(
+        "h,r1,r2,slope1,slope2", (60, 60), _deformation,
+        lambda k: {
+            "N": k.count("N", 20),
+            "drop": k.count("drop", 4),
+            "slope_min": k.number("slope_min", 1.8),
+            "h_list": k.numbers("h_list", [0.4, 0.28, 0.2, 0.14, 0.1]),
+            "a": k.symbol("a", cosine_symbol(_e1(k.n), k.n)),
+            "b": k.symbol("b", sine_symbol(_e1(k.n), k.n)),
+        },
+        h=False),
+    "egorov": Suite(
+        "symbol,gaussian,max_rel_err,threshold,passed", (80, 80), _egorov,
+        lambda k: {
+            "tol_egorov": k.number("tol_egorov", 1e-6, lo=0),
+            "X_grid": k.grid("X_grid", -1.0, 1.0, 1.0),
+            "symbols": k.symbols("symbols", [
+                _wave(k.n), _wave(k.n, 0.5 + 0.3j),
+                PlaneWaveSum(n=k.n, terms=((0.7, _e1(k.n)), (0.3, -_e1(k.n)))),
+            ]),
+            "gaussians": k.gaussians("gaussians", [
+                GaussianTestFn(y0=np.zeros(k.n), sigma=1.0, p0=np.zeros(k.n),
+                               amp=1.0),
+                GaussianTestFn(y0=np.full(k.n, 0.4), sigma=0.8,
+                               p0=np.full(k.n, 0.6), amp=0.9 + 0.4j),
+            ]),
+        }),
+    "sw": Suite(
+        "step,l1_estimate,rel_delta,passed", None, _sw,
+        lambda k: {
+            "rel_tol": k.number("rel_tol", 0.01, lo=0),
+            "lambda_grid": k.grid("lambda_grid", -8.0, 8.0,
+                                  [1.0, 0.5, 0.25]),
+            "X_grid": k.grid("X_grid", -6.0, 6.0, 0.5),
+            "b": k.symbol("b", constant_symbol(1.0, k.n)),
+        }),
 }
+
+
+def _run(name: str, suite: Suite, config_path, outdir, echo: dict,
+         order=None, threads: int = 1):
+    """Read the config, build the phase, context and rule, run the suite
+    body, write `<name>.csv` into `outdir` (skipped when None) and print
+    the report with the effective config.  Exits 2 on unusable input, else
+    0 when every check passes and 1 otherwise."""
+    try:
+        keys = ConfigReader(load_config(config_path))
+        phase = keys.phase()
+        ctx = phase
+        if suite.h:
+            ctx = build_context(phase, keys.number("h", 1.0))
+        rule = None
+        if suite.order is not None:
+            if order is None:
+                order = keys.count("order", suite.order[phase.n > 1])
+            keys.echo["order"] = order
+            rule = gauss_hermite_rule(order)
+        out = Report()
+        suite.body(ctx, rule, SimpleNamespace(**suite.params(keys)),
+                   threads, out)
+        csv_path = None
+        if outdir is not None:
+            csv_path = _write_csv(outdir, name.replace("-", "_") + ".csv",
+                                  suite.header, out.rows)
+    except (BtlabError, ValueError) as exc:
+        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(2)
+    eff = {**echo, "n": phase.n, **keys.echo}
+    click.echo(f"suite: {name}")
+    click.echo("config:")
+    for key in sorted(eff):
+        click.echo(f"  {key} = {eff[key]}")
+    for line in out.lines:
+        click.echo(line)
+    if csv_path is not None:
+        click.echo(f"csv: {csv_path}")
+    click.echo("result: " + ("PASS" if out.ok else "FAIL"))
+    sys.exit(0 if out.ok else 1)
 
 
 @click.group()
@@ -586,76 +454,12 @@ def main():
               type=click.Path(file_okay=False), help="CSV output directory.")
 def space_info(config_path, outdir):
     """Derived geometry, constants and internal-identity residuals."""
-    try:
-        cfg = load_config(config_path)
-        phase = phase_from_config(_phase_block(cfg))
-        h = _get_h(cfg)
-        ctx = build_context(phase, h)
-    except (BtlabError, ValueError) as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(2)
-
-    checks = CheckList()
-    tol = 1e-10
-    dev_r = float(np.max(np.abs(
-        ctx.R.conj().T @ ctx.R - ctx.PhiXXbar.conj()
-    )))
-    alt = ((2 * np.pi) ** (-ctx.n) * abs(np.linalg.det(phase.B)) ** 2
-           / np.linalg.det(ctx.CI))
-    dev_c = abs(ctx.CPhi - alt) / abs(alt)
-    rng = np.random.default_rng(20240811)
-    X = rng.standard_normal((12, ctx.n)) + 1j * rng.standard_normal(
-        (12, ctx.n)
-    )
-    dev_phi = float(np.max(np.abs(
-        psi(ctx, X, np.conj(X)) - phi_weight(ctx, X)
-    )))
-    x = rng.standard_normal((6, ctx.n))
-    xi = rng.standard_normal((6, ctx.n))
-    Xk, Theta = kappa_T(ctx, x, xi)
-    dev_k = float(np.max(np.abs(Theta - theta_on_lambda(ctx, Xk))))
-
-    checks.le("R*R matches mixed Hessian", dev_r, tol)
-    checks.le("normalization constant consistency", dev_c, tol)
-    checks.le("weight equals polarization on the diagonal", dev_phi, tol)
-    checks.le("canonical image satisfies the graph relation", dev_k, tol)
-
-    rows = [
-        ["n", float(ctx.n), 0.0],
-        ["h", ctx.h, 0.0],
-        ["C_phi", ctx.Cphi, 0.0],
-        ["C_Phi", ctx.CPhi, 0.0],
-        ["abs_det_B", abs(np.linalg.det(phase.B)), 0.0],
-        ["min_eig_CI", float(np.min(np.linalg.eigvalsh(ctx.CI))), 0.0],
-    ]
-    for name, M in (("PhiXXbar", ctx.PhiXXbar), ("PhiXX", ctx.PhiXX),
-                    ("R", ctx.R)):
-        for i in range(ctx.n):
-            for j in range(ctx.n):
-                rows.append(
-                    [f"{name}[{i}][{j}]", M[i, j].real, M[i, j].imag]
-                )
-    x1, t1 = kappa_T(ctx, np.eye(ctx.n)[0], np.zeros(ctx.n))
-    x2, t2 = kappa_T(ctx, np.zeros(ctx.n), np.eye(ctx.n)[0])
-    rows.append(["kappa(e1,0).X[0]", x1[0].real, x1[0].imag])
-    rows.append(["kappa(e1,0).Theta[0]", t1[0].real, t1[0].imag])
-    rows.append(["kappa(0,e1).X[0]", x2[0].real, x2[0].imag])
-    rows.append(["kappa(0,e1).Theta[0]", t2[0].real, t2[0].imag])
-
-    eff = {
-        "phase": json.dumps(_phase_block(cfg)), "n": ctx.n, "h": h,
-        "tol_residual": tol,
-    }
-    csv_path = None
-    if outdir is not None:
-        csv_path = _write_csv(outdir, "space_info.csv",
-                              ["quantity", "re", "im"], rows)
-    _echo_report("space-info", eff, checks, csv_path)
-    sys.exit(0 if checks.ok else 1)
+    _run("space-info", _SPACE_INFO, config_path, outdir,
+         {"tol_residual": _TOL_RESIDUAL})
 
 
 @main.command()
-@click.argument("suite", type=click.Choice(_SUITES))
+@click.argument("suite", type=click.Choice(tuple(SUITES)))
 @click.option("--config", "config_path", required=True,
               type=click.Path(), help="JSON config file.")
 @click.option("--out", "outdir", default=".",
@@ -669,17 +473,8 @@ def verify(suite, config_path, outdir, order_override, threads):
     if threads < 1:
         click.echo("error: InvalidConfig: threads must be >= 1", err=True)
         sys.exit(2)
-    try:
-        cfg = load_config(config_path)
-        eff, checks, header, rows = _RUNNERS[suite](
-            cfg, order_override, threads
-        )
-        csv_path = _write_csv(outdir, f"{suite}.csv", header, rows)
-    except (BtlabError, ValueError) as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
-        sys.exit(2)
-    _echo_report(suite, eff, checks, csv_path)
-    sys.exit(0 if checks.ok else 1)
+    _run(suite, SUITES[suite], config_path, outdir,
+         {"suite": suite, "threads": threads}, order_override, threads)
 
 
 if __name__ == "__main__":

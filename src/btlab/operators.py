@@ -19,7 +19,7 @@ the truncation boundary, and the outer shells carry pure edge error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
 
@@ -64,7 +64,6 @@ class OperatorMatrix:
     ctx: SpaceContext
     trunc: MultiIndexSet
     entries: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def block(self, keep_degree: int) -> np.ndarray:
         return inner_block(self.entries, self.trunc, keep_degree)
@@ -95,11 +94,7 @@ def toeplitz_matrix(ctx: SpaceContext, b, trunc: MultiIndexSet,
     bv = eval_symbol(b, (ctx.Rinv @ W).T)
     out = weighted_pair_sum(trunc, ctx.h, W, W, wt * bv, threads=threads)
     entries = out * (2.0 / (np.pi * ctx.h)) ** ctx.n
-    return OperatorMatrix(
-        ctx=ctx, trunc=trunc, entries=entries,
-        provenance={"kind": "toeplitz", "order": rule.order,
-                    "symbol": _describe(b)},
-    )
+    return OperatorMatrix(ctx=ctx, trunc=trunc, entries=entries)
 
 
 def weyl_unitary_matrix(ctx: SpaceContext, lam, trunc: MultiIndexSet,
@@ -117,17 +112,7 @@ def weyl_unitary_matrix(ctx: SpaceContext, lam, trunc: MultiIndexSet,
     pref = (2.0 / (np.pi * ctx.h)) ** ctx.n * np.exp(
         -np.sum(np.abs(c) ** 2) / ctx.h
     )
-    return OperatorMatrix(
-        ctx=ctx, trunc=trunc, entries=pref * out,
-        provenance={"kind": "weyl", "order": rule.order,
-                    "lambda": lam.tolist()},
-    )
-
-
-def _describe(b) -> str:
-    if isinstance(b, PlaneWaveSum):
-        return f"plane-wave sum, {len(b.terms)} terms"
-    return "callable"
+    return OperatorMatrix(ctx=ctx, trunc=trunc, entries=pref * out)
 
 
 def operator_norm(M) -> float:
@@ -288,9 +273,10 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
         raise InvalidConfig(
             "h sweep needs a strictly decreasing list of length >= 4"
         )
+    # build every context first, so an h outside (0, 1] fails before any work
+    ctxs = [build_context(phase, h) for h in hs]
     rows = []
-    for h in hs:
-        ctx = build_context(phase, h)
+    for h, ctx in zip(hs, ctxs):
         trunc = enumerate_multiindices(ctx.n, N)
         r1, r2 = deformation_residuals(ctx, a, b, trunc, rule,
                                        threads=threads, drop=drop)

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,11 @@ from btlab.geometry import build_context, fock_phase
 
 
 FOCK = {"phase": {"preset": "fock", "beta": 1.0}, "h": 1.0}
+# Every suite at a small size, along the lines of the benchmark smoke run.
+SMALL = dict(FOCK, order=10, N=4, n_schedule=[4, 6], t_grid=[1.0],
+             h_list=[0.4, 0.3, 0.2, 0.1],
+             lambda_grid={"lo": -2.0, "hi": 2.0, "steps": [1.0, 0.5]},
+             X_grid={"lo": -1.0, "hi": 1.0, "step": 1.0})
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -46,6 +53,8 @@ def test_complex_parsers():
         complex_entry(3, "z")
     with pytest.raises(InvalidConfig):
         complex_entry("nope", "z")
+    with pytest.raises(InvalidConfig):
+        complex_entry([True, 0.0], "z")
     v = complex_vector([[1.0, 0.0], [0.0, 1.0]], 2, "v")
     assert np.allclose(v, [1.0, 1.0j])
     with pytest.raises(InvalidConfig):
@@ -66,6 +75,8 @@ def test_phase_presets():
         phase_from_config({"preset": "fock", "beta": -1.0})
     with pytest.raises(InvalidConfig):
         phase_from_config({"preset": "unknown"})
+    with pytest.raises(InvalidConfig):
+        phase_from_config({"seed": 7.5, "n": 1})
 
 
 def test_phase_explicit_matrices():
@@ -87,12 +98,16 @@ def test_symbol_and_gaussian_parsing():
     assert len(b.terms) == 2
     with pytest.raises(InvalidConfig):
         symbol_from_config([[0.5, 0.0, 1.0]], 1)  # bad flat length
+    with pytest.raises(InvalidConfig):
+        symbol_from_config([[0.5, 0.0, "1", 0.0]], 1)
     g = gaussian_from_config(
         {"y0": [0.4], "sigma": 0.8, "p0": [0.6], "amp": [0.9, 0.4]}, 1
     )
     assert abs(g.amp - (0.9 + 0.4j)) < 1e-15
     with pytest.raises(InvalidConfig):
         gaussian_from_config({"y0": [0.0], "sigma": -1.0, "p0": [0.0]}, 1)
+    with pytest.raises(InvalidConfig):
+        gaussian_from_config({"y0": ["0.4"]}, 1)
 
 
 def test_space_info_command(tmp_path):
@@ -105,6 +120,9 @@ def test_space_info_command(tmp_path):
     csv = (tmp_path / "reports" / "space_info.csv").read_text()
     assert csv.splitlines()[0] == "quantity,re,im"
     assert "C_phi" in csv
+    res = runner.invoke(main, ["--version"])
+    assert res.exit_code == 0
+    assert res.output.strip().endswith("version 0.1.0")
 
 
 def test_verify_gram_passes(tmp_path):
@@ -163,6 +181,59 @@ def test_verify_rejects_bad_inputs(tmp_path):
          "--threads", "0"],
     )
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("suite, extra", [
+    ("gram", {"tol_gram": [1]}),
+    ("sw", {"lambda_grid": {"lo": [1]}}),
+    ("bound", {"t_grid": [[0.7]]}),
+    ("bound", {"phase": {"seed": [1], "n": 1}}),
+    ("sw", {"lambda_grid": {"steps": [0]}}),
+    ("gram", {"N": True}),
+    ("gram", {"h": True}),
+    ("gram", {"tol_gram": "1e-3"}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_verify_rejects_malformed_values(tmp_path, suite, extra):
+    cfg = _write(tmp_path, {**FOCK, **extra})
+    res = CliRunner().invoke(
+        main, ["verify", suite, "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 2, res.output
+    assert "InvalidConfig" in res.output
+
+
+def _readme_csv_columns():
+    """{csv stem: header line} from the README's list of CSV columns."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return {
+        stem: ",".join(col.strip() for col in cols.split(","))
+        for stem, cols in re.findall(r"`(\w+)\.csv`\s*\(([^)]*)\)", text)
+    }
+
+
+# Common echo keys a command does not print: space-info has no suite name,
+# rule or threads, deformation sweeps its own h_list, sw uses no rule.
+_UNECHOED = {"space-info": {"suite", "order", "threads"},
+             "deformation": {"h"}, "sw": {"order"}}
+
+
+@pytest.mark.parametrize("command", [
+    "space-info", "gram", "weyl", "bound", "diag", "deformation", "egorov",
+    "sw",
+])
+def test_every_command_reports_and_writes_documented_csv(tmp_path, command):
+    cfg = _write(tmp_path, SMALL)
+    argv = ["space-info"] if command == "space-info" else ["verify", command]
+    res = CliRunner().invoke(
+        main, [*argv, "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code in (0, 1), res.output
+    stem = command.replace("-", "_")
+    header = (tmp_path / f"{stem}.csv").read_text().splitlines()[0]
+    assert header == _readme_csv_columns()[stem]
+    for key in ("suite", "phase", "n", "h", "order", "threads"):
+        echoed = key not in _UNECHOED.get(command, ())
+        assert (f"\n  {key} = " in res.output) == echoed, key
 
 
 def test_verify_h_domain(tmp_path):
