@@ -27,7 +27,7 @@ from .basis import HSpaceVector, MultiIndexSet, monomial_table
 from .errors import UnsupportedSymbol
 from .geometry import SpaceContext, _as_points, phase_phi, phi_weight, psi
 from .heat import heat_flow
-from .quadrature import QuadratureRule, complex_grid
+from .quadrature import QuadratureRule, _tensor_grid, complex_grid
 from .symbols import PlaneWaveSum, eval_symbol, guillemin_symbol, polarize
 
 __all__ = [
@@ -89,12 +89,8 @@ def _y_nodes(ctx: SpaceContext, X: np.ndarray, rule: QuadratureRule):
     """Real integration path y(s) = y_c(X) + sqrt(2h) C_I^{-1/2} s and the
     matching volume factor; y_c completes the square of Re{i phi - Phi}."""
     yc = -np.imag(X @ ctx.phase.B) @ ctx.CIinv.T
-    mesh = np.meshgrid(*([rule.nodes] * ctx.n), indexing="ij")
-    S = np.stack([m.ravel() for m in mesh], axis=-1)  # (npts, n)
-    wmesh = np.meshgrid(*([rule.weights] * ctx.n), indexing="ij")
-    wt = np.ones(S.shape[0])
-    for m in wmesh:
-        wt = wt * m.ravel()
+    S, wt = _tensor_grid(rule, ctx.n)
+    S = np.ascontiguousarray(S.T)  # (npts, n)
     step = np.sqrt(2.0 * ctx.h) * (S @ ctx.CIinvsqrt.T)
     y = yc[..., np.newaxis, :] + step
     vol = (2.0 * ctx.h) ** (ctx.n / 2.0) / np.sqrt(
@@ -131,6 +127,16 @@ def bargmann_transform(ctx: SpaceContext, u, X,
     return w * np.exp(phi_weight(ctx, X) / ctx.h)
 
 
+def _h_grid(ctx: SpaceContext, rule: QuadratureRule):
+    """The sigma^2 = h grid in W = RX with its weights, the matching points
+    X = R^-1 W, <X, Phi''_XX X> and |W|^2 there, and |det R|."""
+    W, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h))
+    Xp = (ctx.Rinv @ W).T
+    quad = np.einsum("...i,ij,...j->...", Xp, ctx.PhiXX, Xp)
+    w2 = np.sum(np.abs(W.T) ** 2, axis=-1)
+    return W, wt, Xp, quad, w2, abs(np.linalg.det(ctx.R))
+
+
 def project_coeffs(ctx: SpaceContext, fw, trunc: MultiIndexSet,
                    rule: QuadratureRule) -> HSpaceVector:
     """Basis coefficients <f, u_beta> from the weighted evaluator fw.
@@ -140,15 +146,10 @@ def project_coeffs(ctx: SpaceContext, fw, trunc: MultiIndexSet,
     (the weight identity Phi = |RX|^2 + Re<X, Phi''_XX X> makes the real
     parts cancel), so coefficients inherit the accuracy of fw itself.
     """
-    W, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h))
-    Xp = (ctx.Rinv @ W).T
-    quad = np.einsum("...i,ij,...j->...", Xp, ctx.PhiXX, Xp)
-    expo = (
-        np.conj(quad) - phi_weight(ctx, Xp) + np.sum(np.abs(W.T) ** 2, axis=-1)
-    ) / ctx.h
+    W, wt, Xp, quad, w2, detR = _h_grid(ctx, rule)
+    expo = (np.conj(quad) - phi_weight(ctx, Xp) + w2) / ctx.h
     base = np.asarray(fw(Xp), dtype=complex) * np.exp(expo)
     V = monomial_table(W, trunc, ctx.h)
-    detR = abs(np.linalg.det(ctx.R))
     pref = (2.0 / (np.pi * ctx.h)) ** (ctx.n / 2.0) / detR
     coeffs = pref * (np.conj(V) @ (wt * base))
     return HSpaceVector(ctx=ctx, trunc=trunc, coeffs=coeffs)
@@ -171,19 +172,13 @@ def bargmann_adjoint_apply(ctx: SpaceContext, vec: HSpaceVector, y,
     far field harmless.
     """
     y = _as_points(np.asarray(y, dtype=float), ctx.n)
-    W, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h))
-    Xp = (ctx.Rinv @ W).T
-    quad = np.einsum("...i,ij,...j->...", Xp, ctx.PhiXX, Xp)
+    W, wt, Xp, quad, w2, detR = _h_grid(ctx, rule)
     phi = phase_phi(ctx, Xp, y[..., np.newaxis, :])
     expo = (
-        np.conj(1j * phi)
-        + quad
-        - 2.0 * phi_weight(ctx, Xp)
-        + np.sum(np.abs(W.T) ** 2, axis=-1)
+        np.conj(1j * phi) + quad - 2.0 * phi_weight(ctx, Xp) + w2
     ) / ctx.h
     V = monomial_table(W, vec.trunc, ctx.h)
     series = vec.coeffs @ V
-    detR = abs(np.linalg.det(ctx.R))
     pref = (
         ctx.Cphi
         * ctx.h ** (-0.75 * ctx.n)

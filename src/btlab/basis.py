@@ -14,12 +14,17 @@ collapse to scaled monomials
 against the weight e^{-2|W|^2/h}; all quadrature in this package samples
 v_alpha through a per-axis recurrence, which keeps every sampled value O(1)
 for any truncation degree.
+
+The weight, the monomials, plane waves and phase-space translations all
+factor over the coordinates of W, so Gram, plane-wave Toeplitz and Weyl
+compressions are assembled axis by axis (`separable_pair_sum`) from
+(N+1) x (N+1) one-axis pair sums; only a callable symbol needs the full
+order^(2n) tensor grid.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +38,13 @@ __all__ = [
     "u_alpha_eval",
     "monomial_table",
     "weighted_pair_sum",
+    "separable_pair_sum",
     "gram_matrix",
     "HSpaceVector",
 ]
 
-# Fixed node-axis chunk for assembly; never depends on the thread count, so
-# partial sums (combined serially in chunk order) are bit-identical.
+# Fixed node-axis chunk for the pair sum; partial sums are added in chunk
+# order, so results are bit-identical from run to run.
 _CHUNK = 16384
 
 
@@ -137,48 +143,68 @@ def weighted_pair_sum(
     W_bra: np.ndarray,
     W_ket: np.ndarray,
     wt: np.ndarray,
-    threads: int = 1,
 ) -> np.ndarray:
     """OUT[b, a] = sum_k wt[k] conj(v_b(W_bra[:,k])) v_a(W_ket[:,k]).
 
-    The workhorse behind Gram/Toeplitz/Weyl assembly.  The node axis is
-    processed in fixed chunks; `threads` only parallelizes independent
-    chunks and partial results are combined serially in chunk order, so the
-    output is bit-identical for any thread count.
+    The contraction behind every compression.  The node axis is processed
+    serially in fixed chunks, so a large grid never holds more than _CHUNK
+    nodes of monomial tables at once.
     """
-    npts = wt.shape[0]
-    chunks = range(0, npts, _CHUNK)
-
-    def one(start):
-        sl = slice(start, min(start + _CHUNK, npts))
+    out = 0
+    for start in range(0, wt.shape[0], _CHUNK):
+        sl = slice(start, start + _CHUNK)
         Vb = monomial_table(W_bra[:, sl], mset, h)
-        if W_ket is W_bra:
-            Vk = Vb
-        else:
-            Vk = monomial_table(W_ket[:, sl], mset, h)
-        return (Vb.conj() * wt[sl]) @ Vk.T
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one, chunks))
-    else:
-        parts = [one(s) for s in chunks]
-    out = parts[0]
-    for p in parts[1:]:
-        out = out + p
+        Vk = Vb if W_ket is W_bra else monomial_table(W_ket[:, sl], mset, h)
+        out = out + (Vb.conj() * wt[sl]) @ Vk.T
     return out
 
 
-def gram_matrix(
-    ctx: SpaceContext,
-    trunc: MultiIndexSet,
-    rule: QuadratureRule,
-    threads: int = 1,
-) -> np.ndarray:
+def separable_pair_sum(trunc: MultiIndexSet, h: float, rule: QuadratureRule,
+                       terms) -> np.ndarray:
+    """OUT[b, a] = sum_t c_t prod_d A_{t,d}[b_d, a_d] for (c_t, axes_t) in
+    `terms`, with one factor (shift, mu, nu) per coordinate in axes_t.
+
+    A_{t,d} is `weighted_pair_sum` over the one-variable degrees 0..N on
+    the one-axis grid w of complex_grid(rule, 1, sqrt(h/2)), with the ket
+    sampled at w - shift and the extra weight exp(i Re(w mu) + nu w).  In
+    W = RX the Gaussian weight, the monomials and every such factor split
+    coordinate by coordinate, so this is the pair sum over the order^(2n)
+    tensor grid with the product weight, at the cost of n one-axis sums.
+    Terms that share every factor except the last are folded into one
+    last-axis weight first; at n = 1 that is a single contraction.
+    """
+    w, wt = complex_grid(rule, 1, np.sqrt(h / 2.0))
+    axis = enumerate_multiindices(1, trunc.N)
+    idx = np.array(trunc.indices).T
+
+    def pair(d, shift, weight):
+        ket = w if shift == 0 else w - shift
+        A = weighted_pair_sum(axis, h, w, ket, wt * weight)
+        return A[np.ix_(idx[d], idx[d])]
+
+    def axis_weight(mu, nu):
+        return np.exp(1j * np.real(w[0] * mu) + nu * w[0])
+
+    groups = {}
+    for c, axes in terms:
+        *head, (shift, mu, nu) = axes
+        groups.setdefault((tuple(head), shift), []).append((c, mu, nu))
+    out = np.zeros((len(trunc), len(trunc)), dtype=complex)
+    for (head, shift), last in groups.items():
+        weight = sum(c * axis_weight(mu, nu) for c, mu, nu in last)
+        block = pair(-1, shift, weight)
+        for d, (s, mu, nu) in enumerate(head):
+            block = block * pair(d, s, axis_weight(mu, nu))
+        out = out + block
+    return out
+
+
+def gram_matrix(ctx: SpaceContext, trunc: MultiIndexSet,
+                rule: QuadratureRule) -> np.ndarray:
     """G[a, b] = <u_a, u_b> over H_Phi; identity for admissible phases."""
-    W, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h / 2))
     pref = (2 / (np.pi * ctx.h)) ** ctx.n
-    out = weighted_pair_sum(trunc, ctx.h, W, W, wt, threads=threads)
+    out = separable_pair_sum(trunc, ctx.h, rule,
+                             [(1.0, ((0.0, 0.0, 0.0),) * ctx.n)])
     # out[b, a] carries the conjugate on the first slot; <u_a, u_b>
     # conjugates the second, so transpose without conjugation.
     return pref * out.T

@@ -1,11 +1,12 @@
 """Configuration-driven verification harness.
 
-Determinism contract: identical config means byte-identical CSV, whatever
-``--threads`` says.  Three ingredients make that hold: BLAS/OpenMP pools are
-pinned to one thread before numpy is first imported (the package __init__ is
-lazy so this module really does run first under the console entry point),
-all quadrature grids are enumerated in a fixed order, and threaded assembly
-only splits work into fixed chunks whose partial sums are combined serially.
+Determinism contract: identical config means byte-identical CSV.  Two
+ingredients make that hold: BLAS/OpenMP pools are pinned to one thread
+before numpy is first imported (the package __init__ is lazy so this module
+really does run first under the console entry point), and all assembly is
+serial over quadrature grids enumerated in a fixed order.  ``--threads`` is
+accepted, validated and echoed, but reaches nothing below this module, so it
+cannot change the work or a single output bit.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 invalid input.
 """
@@ -127,7 +128,7 @@ def _wave(n: int, z=1.0) -> PlaneWaveSum:
     return PlaneWaveSum(n=n, terms=((1.0, _e1(n, z)),))
 
 
-def _space_info(ctx, rule, p, threads, out):
+def _space_info(ctx, rule, p, out):
     tol = _TOL_RESIDUAL
     dev_r = float(np.max(np.abs(
         ctx.R.conj().T @ ctx.R - ctx.PhiXXbar.conj()
@@ -175,30 +176,28 @@ def _space_info(ctx, rule, p, threads, out):
         rows.append([f"kappa({at}).Theta[0]", tk[0].real, tk[0].imag])
 
 
-def _gram(ctx, rule, p, threads, out):
+def _gram(ctx, rule, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
-    G = gram_matrix(ctx, trunc, rule, threads=threads)
+    G = gram_matrix(ctx, trunc, rule)
     dev = float(np.max(np.abs(G - np.eye(len(trunc)))))
     out.le("gram max|G - I|", dev, p.tol_gram, row=[ctx.n, p.N, rule.order])
 
 
-def _weyl(ctx, rule, p, threads, out):
+def _weyl(ctx, rule, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     inner, tol = p.inner_degree, p.tol_weyl
     eye = np.eye(trunc.count_through_degree(inner))
     for lam in p.lambda_list:
-        Wp = weyl_unitary_matrix(ctx, lam, trunc, rule, threads=threads)
-        Wm = weyl_unitary_matrix(ctx, -lam, trunc, rule, threads=threads)
+        Wp = weyl_unitary_matrix(ctx, lam, trunc, rule)
+        Wm = weyl_unitary_matrix(ctx, -lam, trunc, rule)
         unit = float(np.max(np.abs(
             inner_block(Wp.entries.conj().T @ Wp.entries, trunc, inner) - eye
         )))
         adj = float(np.max(np.abs(inner_block(
             Wp.entries.conj().T - Wm.entries, trunc, inner
         ))))
-        conj = weyl_conjugation_check(
-            ctx, p.symbol_b, lam, trunc, rule, threads=threads,
-            drop=trunc.N - inner
-        )
+        conj = weyl_conjugation_check(ctx, p.symbol_b, lam, trunc, rule,
+                                      drop=trunc.N - inner)
         lam_s = vector_text(lam)
         out.le(f"unitarity lambda={lam_s}", unit, tol)
         out.le(f"adjoint lambda={lam_s}", adj, tol)
@@ -207,11 +206,11 @@ def _weyl(ctx, rule, p, threads, out):
                          max(unit, adj, conj) <= tol])
 
 
-def _bound(ctx, rule, p, threads, out):
+def _bound(ctx, rule, p, out):
     X_grid = complex_box(*p.X_grid, ctx.n)
     for k, b in enumerate(p.symbols):
         rep = bound_report(ctx, b, p.t_grid, X_grid, p.n_schedule, rule,
-                           slack=p.slack, threads=threads)
+                           slack=p.slack)
         label = f"b{k}"
         for t, lhs, rhs, margin, passed in rep.rows:
             out.add(
@@ -228,32 +227,29 @@ def _bound(ctx, rule, p, threads, out):
                              False, "NotConverged"])
 
 
-def _diag(ctx, rule, p, threads, out):
+def _diag(ctx, rule, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     tol = p.tol_diag
-    one = toeplitz_matrix(ctx, constant_symbol(1.0, ctx.n), trunc, rule,
-                          threads=threads)
+    one = toeplitz_matrix(ctx, constant_symbol(1.0, ctx.n), trunc, rule)
     dev = float(np.max(np.abs(one.entries - np.eye(len(trunc)))))
     out.le("toeplitz identity max|T_1 - I|", dev, tol,
            row=["identity", "1", ""])
     for j, b in enumerate(p.symbols):
         label = f"b{j}"
-        M = toeplitz_matrix(ctx, b, trunc, rule, threads=threads)
+        M = toeplitz_matrix(ctx, b, trunc, rule)
         b1 = complex(eval_symbol(heat_flow(ctx, b, 1.0),
                                  np.zeros(ctx.n, dtype=complex)))
         dev0 = abs(complex(M.entries[0, 0]) - b1)
         out.le(f"entry00 {label} |M00 - b_1(0)|", dev0, tol,
                row=["entry00", label, ""])
         for k in range(p.k_max + 1):
-            lhs, rhs = diagonal_sum_check(ctx, b, k, trunc, rule,
-                                          threads=threads)
+            lhs, rhs = diagonal_sum_check(ctx, b, k, trunc, rule)
             out.le(f"diagsum {label} k={k}", abs(lhs - rhs), tol,
                    row=["diagsum", label, k])
 
 
-def _deformation(phase, rule, p, threads, out):
-    res = deformation_sweep(phase, p.a, p.b, p.h_list, p.N, rule,
-                            threads=threads, drop=p.drop)
+def _deformation(phase, rule, p, out):
+    res = deformation_sweep(phase, p.a, p.b, p.h_list, p.N, rule, drop=p.drop)
     for name, slope in (("r1", res.slope1), ("r2", res.slope2)):
         if np.isnan(slope):
             out.add(f"slope {name}", True,
@@ -265,7 +261,7 @@ def _deformation(phase, rule, p, threads, out):
                  for h, r1, r2 in res.rows]
 
 
-def _egorov(ctx, rule, p, threads, out):
+def _egorov(ctx, rule, p, out):
     X_grid = complex_box(*p.X_grid, ctx.n)
     for j, b in enumerate(p.symbols):
         for g, u in enumerate(p.gaussians):
@@ -274,7 +270,7 @@ def _egorov(ctx, rule, p, threads, out):
                    row=[f"b{j}", f"g{g}"])
 
 
-def _sw(ctx, rule, p, threads, out):
+def _sw(ctx, rule, p, out):
     lo, hi, steps = p.lambda_grid
     X_grid = complex_box(*p.X_grid, ctx.n)
     prev = None
@@ -302,8 +298,8 @@ class Suite:
     n = 1 and for n > 1 (None: no rule), and whether it reads the top-level
     h (then `body` gets the space context, otherwise the phase).  `params`
     reads the suite's own keys from a ConfigReader; `body(ctx, rule, p,
-    threads, out)` gets them as attributes of `p` and fills the Report
-    `out` with checks and CSV rows."""
+    out)` gets them as attributes of `p` and fills the Report `out` with
+    checks and CSV rows."""
 
     header: str
     order: tuple | None
@@ -326,7 +322,9 @@ SUITES = {
         "lambda,unitarity_dev,adjoint_dev,conjugation_dev,threshold,passed",
         (60, 60), _weyl,
         lambda k: {
-            "N": k.count("N", 16),
+            # n >= 2 translations leak ~4.5e-4 into the inner block at
+            # N = 16 whatever the order; N = 24 brings it to ~6e-10
+            "N": k.count("N", 16 if k.n == 1 else 24),
             "inner_degree": k.count("inner_degree", 4),
             "tol_weyl": k.number("tol_weyl", 1e-5, lo=0),
             "lambda_list": k.vectors("lambda_list", [
@@ -401,7 +399,7 @@ SUITES = {
 
 
 def _run(name: str, suite: Suite, config_path, outdir, echo: dict,
-         order=None, threads: int = 1):
+         order=None):
     """Read the config, build the phase, context and rule, run the suite
     body, write `<name>.csv` into `outdir` (skipped when None) and print
     the report with the effective config.  Exits 2 on unusable input, else
@@ -419,8 +417,7 @@ def _run(name: str, suite: Suite, config_path, outdir, echo: dict,
             keys.echo["order"] = order
             rule = gauss_hermite_rule(order)
         out = Report()
-        suite.body(ctx, rule, SimpleNamespace(**suite.params(keys)),
-                   threads, out)
+        suite.body(ctx, rule, SimpleNamespace(**suite.params(keys)), out)
         csv_path = None
         if outdir is not None:
             csv_path = _write_csv(outdir, name.replace("-", "_") + ".csv",
@@ -467,14 +464,15 @@ def space_info(config_path, outdir):
 @click.option("--order", "order_override", default=None, type=int,
               help="Quadrature order override.")
 @click.option("--threads", default=1, type=int, show_default=True,
-              help="Worker threads for matrix assembly.")
+              help="Accepted and echoed; assembly is serial, so it changes "
+                   "no output bit.")
 def verify(suite, config_path, outdir, order_override, threads):
     """Run one verification suite and emit a CSV alongside the report."""
     if threads < 1:
         click.echo("error: InvalidConfig: threads must be >= 1", err=True)
         sys.exit(2)
     _run(suite, SUITES[suite], config_path, outdir,
-         {"suite": suite, "threads": threads}, order_override, threads)
+         {"suite": suite, "threads": threads}, order_override)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,11 @@ e^{-2|W|^2/h} is exactly the quadrature Gaussian:
     weyl       M[beta, alpha] = (2/pi h)^n e^{-|c|^2/h} int e^{(2/h)<W, cbar>}
                                 v_a(W - c) conj(v_b(W)),   c = R lambda,
 
-both against e^{-2|W|^2/h} L(dW).
+both against e^{-2|W|^2/h} L(dW).  For plane-wave symbols and for Weyl
+unitaries every factor splits over the coordinates of W, so both are
+assembled axis by axis (`basis.separable_pair_sum`).  Only a callable symbol
+is sampled on the full order^(2n) tensor grid; that path and the right-hand
+side of `diagonal_sum_check` are the full-grid references.
 
 Identity checks (conjugation, deformation residuals) are read off an inner
 sub-truncation: a plane-wave Toeplitz matrix couples only a band of degrees,
@@ -25,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import MultiIndexSet, enumerate_multiindices, weighted_pair_sum
+from .basis import (MultiIndexSet, enumerate_multiindices,
+                    separable_pair_sum, weighted_pair_sum)
 from .errors import InvalidConfig, UnsupportedSymbol
 from .geometry import PhaseMatrices, SpaceContext, build_context
 from .heat import heat_flow
@@ -86,29 +91,40 @@ def _require_symbol_class(b) -> None:
 
 
 def toeplitz_matrix(ctx: SpaceContext, b, trunc: MultiIndexSet,
-                    rule: QuadratureRule, threads: int = 1) -> OperatorMatrix:
-    """Matrix of the multiplication-then-project operator for symbol b."""
+                    rule: QuadratureRule) -> OperatorMatrix:
+    """Matrix of the multiplication-then-project operator for symbol b.
+
+    A plane-wave term c e^{i Re<X, lam>} is c prod_d e^{i Re(W_d mu_d)}
+    with mu = R^-T lam, so plane-wave sums are assembled axis by axis; a
+    callable symbol is sampled on the full tensor grid.
+    """
     _require_symbol_class(b)
-    sigma = np.sqrt(ctx.h / 2.0)
-    W, wt = complex_grid(rule, ctx.n, sigma)
-    bv = eval_symbol(b, (ctx.Rinv @ W).T)
-    out = weighted_pair_sum(trunc, ctx.h, W, W, wt * bv, threads=threads)
+    if isinstance(b, PlaneWaveSum):
+        out = separable_pair_sum(trunc, ctx.h, rule, [
+            (c, tuple((0.0, complex(m), 0.0) for m in ctx.Rinv.T @ lam))
+            for c, lam in b.terms
+        ])
+    else:
+        W, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h / 2.0))
+        bv = eval_symbol(b, (ctx.Rinv @ W).T)
+        out = weighted_pair_sum(trunc, ctx.h, W, W, wt * bv)
     entries = out * (2.0 / (np.pi * ctx.h)) ** ctx.n
     return OperatorMatrix(ctx=ctx, trunc=trunc, entries=entries)
 
 
 def weyl_unitary_matrix(ctx: SpaceContext, lam, trunc: MultiIndexSet,
-                        rule: QuadratureRule,
-                        threads: int = 1) -> OperatorMatrix:
-    """Matrix of the phase-space translation unitary for displacement lam."""
+                        rule: QuadratureRule) -> OperatorMatrix:
+    """Matrix of the phase-space translation unitary for displacement lam.
+
+    Both the shift W - c and the weight e^{(2/h)<W, cbar>} factor over the
+    coordinates, so the matrix is assembled axis by axis.
+    """
     lam = np.asarray(lam, dtype=complex).reshape(ctx.n)
     c = ctx.R @ lam
-    sigma = np.sqrt(ctx.h / 2.0)
-    W, wt = complex_grid(rule, ctx.n, sigma)
-    osc = np.exp((2.0 / ctx.h) * (W.T @ np.conj(c)))
-    out = weighted_pair_sum(
-        trunc, ctx.h, W, W - c[:, np.newaxis], wt * osc, threads=threads
-    )
+    out = separable_pair_sum(trunc, ctx.h, rule, [
+        (1.0, tuple((complex(cd), 0.0, (2.0 / ctx.h) * complex(np.conj(cd)))
+                    for cd in c))
+    ])
     pref = (2.0 / (np.pi * ctx.h)) ** ctx.n * np.exp(
         -np.sum(np.abs(c) ** 2) / ctx.h
     )
@@ -131,8 +147,7 @@ class NormTable:
 
 
 def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
-                   rule: QuadratureRule, threads: int = 1,
-                   rel_tol: float = 1e-3) -> NormTable:
+                   rule: QuadratureRule, rel_tol: float = 1e-3) -> NormTable:
     """Compression norms along an increasing truncation schedule.
 
     Nesting means one assembly at max(N) suffices; smaller N are leading
@@ -142,7 +157,7 @@ def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise InvalidConfig("truncation schedule must be strictly increasing")
     top = enumerate_multiindices(ctx.n, ns[-1])
-    M = toeplitz_matrix(ctx, b, top, rule, threads=threads)
+    M = toeplitz_matrix(ctx, b, top, rule)
     rows = []
     for N in ns:
         rows.append((N, operator_norm(inner_block(M.entries, top, N))))
@@ -155,15 +170,12 @@ def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
 
 
 def weyl_conjugation_check(ctx: SpaceContext, b, lam, trunc: MultiIndexSet,
-                           rule: QuadratureRule, threads: int = 1,
-                           drop: int = 4) -> float:
+                           rule: QuadratureRule, drop: int = 4) -> float:
     """Max entry deviation of W* T_b W against the translated-symbol matrix,
     on the block of degrees <= N - drop."""
-    Wm = weyl_unitary_matrix(ctx, lam, trunc, rule, threads=threads).entries
-    Tb = toeplitz_matrix(ctx, b, trunc, rule, threads=threads).entries
-    Ts = toeplitz_matrix(
-        ctx, translate(b, lam), trunc, rule, threads=threads
-    ).entries
+    Wm = weyl_unitary_matrix(ctx, lam, trunc, rule).entries
+    Tb = toeplitz_matrix(ctx, b, trunc, rule).entries
+    Ts = toeplitz_matrix(ctx, translate(b, lam), trunc, rule).entries
     dev = Wm.conj().T @ Tb @ Wm - Ts
     keep = max(trunc.N - drop, 0)
     return float(np.max(np.abs(inner_block(dev, trunc, keep))))
@@ -179,7 +191,7 @@ class BoundReport:
 
 def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float], X_grid,
                  n_schedule: Sequence[int], rule: QuadratureRule,
-                 slack: float = 0.02, threads: int = 1) -> BoundReport:
+                 slack: float = 0.02) -> BoundReport:
     """Check sup |b_t| <= (1+slack) M / (2t-1)^n on a time grid in (1/2, 1].
 
     The compression norm M under-estimates the true operator norm, hence
@@ -190,7 +202,7 @@ def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float], X_grid,
             raise InvalidConfig(
                 f"bound check needs t in (1/2, 1], got {t}"
             )
-    table = norm_converged(ctx, b, n_schedule, rule, threads=threads)
+    table = norm_converged(ctx, b, n_schedule, rule)
     rows = []
     ok = True
     for t in t_grid:
@@ -206,13 +218,13 @@ def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float], X_grid,
 
 
 def diagonal_sum_check(ctx: SpaceContext, b, k: int, trunc: MultiIndexSet,
-                       rule: QuadratureRule, threads: int = 1):
+                       rule: QuadratureRule):
     """Both sides of the degree-k diagonal-sum identity.
 
     lhs sums the Toeplitz diagonal over |alpha| = k; rhs is an independent
     radial-moment quadrature of b, pi^-n sum w (2|W|^2/h)^k / k! b(R^-1 W).
     """
-    M = toeplitz_matrix(ctx, b, trunc, rule, threads=threads)
+    M = toeplitz_matrix(ctx, b, trunc, rule)
     deg = M.trunc.degrees
     lhs = complex(np.sum(np.diag(M.entries)[deg == k]))
     sigma = np.sqrt(ctx.h / 2.0)
@@ -226,18 +238,14 @@ def diagonal_sum_check(ctx: SpaceContext, b, k: int, trunc: MultiIndexSet,
 
 
 def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
-                          rule: QuadratureRule, threads: int = 1,
-                          drop: int = 4):
+                          rule: QuadratureRule, drop: int = 4):
     """Spectral norms of the two second-order deformation defects,
     read on the block of degrees <= N - drop."""
-    Ta = toeplitz_matrix(ctx, a, trunc, rule, threads=threads).entries
-    Tb = toeplitz_matrix(ctx, b, trunc, rule, threads=threads).entries
-    Tab = toeplitz_matrix(ctx, multiply(a, b), trunc, rule,
-                          threads=threads).entries
-    Tq = toeplitz_matrix(ctx, q_form(ctx, a, b), trunc, rule,
-                         threads=threads).entries
-    Tpb = toeplitz_matrix(ctx, poisson(ctx, a, b), trunc, rule,
-                          threads=threads).entries
+    Ta = toeplitz_matrix(ctx, a, trunc, rule).entries
+    Tb = toeplitz_matrix(ctx, b, trunc, rule).entries
+    Tab = toeplitz_matrix(ctx, multiply(a, b), trunc, rule).entries
+    Tq = toeplitz_matrix(ctx, q_form(ctx, a, b), trunc, rule).entries
+    Tpb = toeplitz_matrix(ctx, poisson(ctx, a, b), trunc, rule).entries
     keep = max(trunc.N - drop, 0)
     d1 = Ta @ Tb - Tab + (ctx.h / 2.0) * Tq
     d2 = Ta @ Tb - Tb @ Ta - (0.5j * ctx.h) * Tpb
@@ -261,7 +269,7 @@ def _fit_slope(hs: np.ndarray, rs: np.ndarray) -> float:
 
 
 def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
-                      N: int, rule: QuadratureRule, threads: int = 1,
+                      N: int, rule: QuadratureRule,
                       drop: int = 4) -> SweepResult:
     """Deformation residuals across h, with log-log slope fits.
 
@@ -278,8 +286,7 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
     rows = []
     for h, ctx in zip(hs, ctxs):
         trunc = enumerate_multiindices(ctx.n, N)
-        r1, r2 = deformation_residuals(ctx, a, b, trunc, rule,
-                                       threads=threads, drop=drop)
+        r1, r2 = deformation_residuals(ctx, a, b, trunc, rule, drop=drop)
         rows.append((h, r1, r2))
     arr = np.asarray(rows, dtype=float)
     return SweepResult(

@@ -43,7 +43,6 @@ __all__ = [
     "q_form",
     "poisson",
     "laplace",
-    "q1_form",
     "polarize",
     "guillemin_symbol",
     "wirtinger_fd",
@@ -333,46 +332,6 @@ def laplace(ctx: SpaceContext, b):
             dX_of_that, _ = wirtinger_fd(dXbar_d, X, step)
             total += 0.5 * (G[:, d] @ dX_of_that)
         return total
-
-    return CallableSymbol(n=ctx.n, func=val, fd_step=step)
-
-
-def q1_form(ctx: SpaceContext, a, b):
-    """Second-order form pairing the X-Hessian of a with the Xbar-Hessian
-    of b, each preconditioned by the matching inverse of the mixed Hessian
-    of the weight.  Plane waves have rank-one Hessians, so the pair
-    (c, lam), (d, mu) contributes
-    (1/16) <lam, mubar> <G1 lam, G2 mubar> c d exp(i Re<X, lam+mu>)."""
-    G1 = np.linalg.inv(ctx.PhiXXbar)
-    G2 = np.linalg.inv(ctx.PhiXXbar.conj())
-    if isinstance(a, PlaneWaveSum) and isinstance(b, PlaneWaveSum):
-        terms = []
-        for ca, la in a.terms:
-            for cb, lb in b.terms:
-                mb = np.conj(lb)
-                coef = (la @ mb) * ((G1 @ la) @ (G2 @ mb)) / 16.0
-                terms.append((coef * ca * cb, la + lb))
-        return PlaneWaveSum(n=ctx.n, terms=tuple(terms))
-    step = _require_fd(a, b)
-    fa, fb = _point_eval(a), _point_eval(b)
-
-    def val(X):
-        X = np.asarray(X, complex).reshape(-1)
-        n = ctx.n
-        Ha = np.empty((n, n), dtype=complex)
-        Hb = np.empty((n, n), dtype=complex)
-        for d in range(n):
-            def dX_d(Y, d=d):
-                g, _ = wirtinger_fd(fa, Y, step)
-                return g[d]
-
-            def dXb_d(Y, d=d):
-                _, g = wirtinger_fd(fb, Y, step)
-                return g[d]
-
-            Ha[:, d], _ = wirtinger_fd(dX_d, X, step)
-            _, Hb[:, d] = wirtinger_fd(dXb_d, X, step)
-        return np.sum((G1 @ Ha) * (G2 @ Hb))
 
     return CallableSymbol(n=ctx.n, func=val, fd_step=step)
 

@@ -76,16 +76,6 @@ def test_gram_identity_node_dim_two(rule30):
     assert np.max(np.abs(G - np.eye(len(trunc)))) < 1e-10
 
 
-def test_gram_thread_count_is_invisible(rule60):
-    """Chunked assembly combines partials serially, so the thread count
-    must not move a single bit."""
-    ctx = build_context(random_phase(1, 2), 0.8)
-    trunc = enumerate_multiindices(1, 8)
-    G1 = gram_matrix(ctx, trunc, rule60, threads=1)
-    G3 = gram_matrix(ctx, trunc, rule60, threads=3)
-    assert np.array_equal(G1, G3)
-
-
 def test_hspace_vector_basics(ex1):
     trunc = enumerate_multiindices(1, 5)
     coeffs = np.zeros(len(trunc), dtype=complex)

@@ -255,6 +255,20 @@ def test_verify_diag_suite(tmp_path):
     assert (tmp_path / "diag.csv").exists()
 
 
+def test_verify_weyl_two_variables_passes_at_default_N(tmp_path):
+    """At N = 16 the n = 2 translations leak ~4.5e-4 into the inner block
+    whatever the order; the n >= 2 default N = 24 makes the suite pass."""
+    runner = CliRunner()
+    cfg = _write(tmp_path, {
+        "phase": {"seed": 7, "n": 2}, "h": 1.0,
+        "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]],
+    })
+    res = runner.invoke(main, ["verify", "weyl", "--config", cfg, "--out",
+                               str(tmp_path), "--order", "16"])
+    assert res.exit_code == 0, res.output
+    assert "  N = 24" in res.output
+
+
 def test_csv_bytes_independent_of_threads(tmp_path):
     """Identical configs at different thread counts must serialize to the
     same CSV bytes."""

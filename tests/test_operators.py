@@ -12,12 +12,14 @@ tests below for the composition-law oracle itself.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rel_dev
 
-from btlab.basis import enumerate_multiindices
+from btlab.basis import enumerate_multiindices, weighted_pair_sum
 from btlab.errors import InvalidConfig, UnsupportedSymbol
-from btlab.geometry import build_context, fock_phase, heat_phase
+from btlab.geometry import build_context, fock_phase, heat_phase, random_phase
 from btlab.heat import complex_box, heat_flow
 from btlab.operators import (
     bound_report,
@@ -31,7 +33,7 @@ from btlab.operators import (
     weyl_conjugation_check,
     weyl_unitary_matrix,
 )
-from btlab.quadrature import gauss_hermite_rule
+from btlab.quadrature import complex_grid, gauss_hermite_rule
 from btlab.symbols import (
     CallableSymbol,
     PlaneWaveSum,
@@ -270,3 +272,38 @@ def test_sweep_schedule_guard(rule60):
     with pytest.raises(InvalidConfig):
         deformation_sweep(fock_phase(1, 1.0), a, a, [0.1, 0.2, 0.3, 0.4], 10,
                           rule60)
+
+
+_z = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(n=st.sampled_from([1, 2]), seed=st.integers(0, 40),
+       h=st.sampled_from([0.5, 1.0]), N=st.integers(1, 6),
+       order=st.integers(6, 14), data=st.data())
+def test_axis_assembly_matches_tensor_grid(n, seed, h, N, order, data):
+    """Plane-wave Toeplitz and Weyl matrices assembled axis by axis equal
+    the same sums over the order^(2n) tensor grid."""
+    ctx = build_context(random_phase(n, seed), h)
+    rule = gauss_hermite_rule(order)
+    trunc = enumerate_multiindices(n, N)
+    vec = st.lists(_z, min_size=n, max_size=n).map(np.array)
+    terms = data.draw(st.lists(st.tuples(_z, vec.map(lambda v: 2.0 * v)),
+                               min_size=1, max_size=4))
+    b = PlaneWaveSum(n=n, terms=tuple(terms))
+
+    def close(got, ref):
+        return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    full = CallableSymbol(n=n, func=lambda X: eval_symbol(b, X),
+                          declared_in_T=True)
+    assert close(toeplitz_matrix(ctx, b, trunc, rule).entries,
+                 toeplitz_matrix(ctx, full, trunc, rule).entries)
+
+    lam = 0.5 * data.draw(vec)
+    c = ctx.R @ lam
+    W, wt = complex_grid(rule, n, np.sqrt(h / 2.0))
+    osc = np.exp((2.0 / h) * (W.T @ np.conj(c)))
+    ref = weighted_pair_sum(trunc, h, W, W - c[:, np.newaxis], wt * osc)
+    ref *= (2.0 / (np.pi * h)) ** n * np.exp(-np.sum(np.abs(c) ** 2) / h)
+    assert close(weyl_unitary_matrix(ctx, lam, trunc, rule).entries, ref)

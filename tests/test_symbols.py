@@ -34,7 +34,6 @@ from btlab.symbols import (
     plane_wave_sum,
     poisson,
     polarize,
-    q1_form,
     q_form,
     sine_symbol,
     translate,
@@ -130,16 +129,6 @@ def test_q_form_against_finite_differences():
     exact = complex(eval_symbol(q_form(ctx, a, b), X0))
     assert abs(exact - (-0.367707147381422 + 0.180795620442811j)) < 1e-12
     fd = complex(q_form(ctx, ac, bc).func(X0))
-    assert abs(exact - fd) < 1e-6
-
-
-def test_q1_form_against_finite_differences():
-    ctx, a, b = _pair()
-    ac = CallableSymbol(n=2, func=lambda X: eval_symbol(a, X), fd_step=1e-4)
-    bc = CallableSymbol(n=2, func=lambda X: eval_symbol(b, X), fd_step=1e-4)
-    exact = complex(eval_symbol(q1_form(ctx, a, b), X0))
-    assert abs(exact - (-0.197369655088054 - 0.187665805053819j)) < 1e-12
-    fd = complex(q1_form(ctx, ac, bc).func(X0))
     assert abs(exact - fd) < 1e-6
 
 
