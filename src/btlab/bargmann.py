@@ -15,6 +15,12 @@ Parseval sum.  A direct quadrature of <f, g> e^{-2 Phi/h} in reweighted
 coordinates looks plausible but multiplies samples by e^{+|W|^2/sigma^2},
 which amplifies far-node evaluation error without bound; that route is
 deliberately absent from this module.
+
+Each kernel has one builder, `_transform_kernel` and `_projector_kernel`,
+and every evaluator applies what it builds to as many functions as it can:
+the Egorov check builds the projector and transform kernels once per X
+point for all its (symbol, Gaussian) pairs, and the adjoint applies one
+kernel to a whole set of coefficient vectors.
 """
 
 from __future__ import annotations
@@ -85,9 +91,14 @@ class GaussianTestFn:
         )
 
 
-def _y_nodes(ctx: SpaceContext, X: np.ndarray, rule: QuadratureRule):
-    """Real integration path y(s) = y_c(X) + sqrt(2h) C_I^{-1/2} s and the
-    matching volume factor; y_c completes the square of Re{i phi - Phi}."""
+def _transform_kernel(ctx: SpaceContext, X: np.ndarray, rule: QuadratureRule):
+    """Nodes y, kernel, weights and prefactor of the weighted transform at
+    the points X: e^{-Phi(X)/h} (Tu)(X) = pref * (kernel * u(y)) @ wt.
+
+    The real path is y(s) = y_c(X) + sqrt(2h) C_I^{-1/2} s, with y_c
+    completing the square of Re{i phi - Phi}; the kernel is exp of
+    [i phi(X, y) - Phi(X)]/h + |s|^2, whose real part is exactly zero.
+    """
     yc = -np.imag(X @ ctx.phase.B) @ ctx.CIinv.T
     S, wt = _tensor_grid(rule, ctx.n)
     S = np.ascontiguousarray(S.T)  # (npts, n)
@@ -97,7 +108,19 @@ def _y_nodes(ctx: SpaceContext, X: np.ndarray, rule: QuadratureRule):
         np.linalg.det(ctx.CI)
     )
     s2 = np.sum(S * S, axis=-1)
-    return y, wt, vol, s2
+    expo = (
+        1j * phase_phi(ctx, X[..., np.newaxis, :], y)
+        - phi_weight(ctx, X)[..., np.newaxis]
+    ) / ctx.h + s2
+    pref = ctx.Cphi * ctx.h ** (-0.75 * ctx.n) * vol
+    return y, np.exp(expo), wt, pref
+
+
+def _times(a, b):
+    """a * b for a complex a of the product's shape, with a the first factor:
+    written a * f(...), numpy may reuse the temporary f(...) as the output
+    and swap the factors, which moves the last bits of a complex product."""
+    return np.multiply(a, b, out=np.empty_like(a))
 
 
 def bargmann_transform_weighted(ctx: SpaceContext, u, X,
@@ -109,14 +132,8 @@ def bargmann_transform_weighted(ctx: SpaceContext, u, X,
     sup |u| for every X in C^n.
     """
     X = _as_points(np.asarray(X, dtype=complex), ctx.n)
-    y, wt, vol, s2 = _y_nodes(ctx, X, rule)
-    expo = (
-        1j * phase_phi(ctx, X[..., np.newaxis, :], y)
-        - phi_weight(ctx, X)[..., np.newaxis]
-    ) / ctx.h + s2
-    vals = np.exp(expo) * u(y)
-    pref = ctx.Cphi * ctx.h ** (-0.75 * ctx.n) * vol
-    return pref * (vals @ wt)
+    y, K, wt, pref = _transform_kernel(ctx, X, rule)
+    return pref * (_times(K, u(y)) @ wt)
 
 
 def bargmann_transform(ctx: SpaceContext, u, X,
@@ -163,42 +180,51 @@ def hspace_inner(ctx: SpaceContext, fw, gw, trunc: MultiIndexSet,
     return complex(np.sum(cf * np.conj(cg)))
 
 
-def bargmann_adjoint_apply(ctx: SpaceContext, vec: HSpaceVector, y,
+# Kernel entries (y points x grid nodes) held at once by the adjoint.
+_ADJOINT_BLOCK = 1 << 20
+
+
+def bargmann_adjoint_apply(ctx: SpaceContext, vecs, y,
                            rule: QuadratureRule) -> np.ndarray:
-    """(T* v)(y) for v given by basis coefficients, at real points y.
+    """(T* v)(y) at real points y for each v in `vecs`, HSpaceVectors over
+    one truncation; the result has shape (len(vecs),) + y.shape[:-1].
 
     Integrand assembled in W = RX coordinates on the sigma^2 = h grid;
     the explicit factor is bounded by one, the Gaussian in y keeping the
-    far field harmless.
+    far field harmless.  The kernel is built once for all vectors, in
+    blocks of y points holding at most _ADJOINT_BLOCK entries.
     """
+    vecs = tuple(vecs)
+    trunc = vecs[0].trunc
+    if any(v.trunc.indices != trunc.indices for v in vecs):
+        raise ValueError("vectors must share one truncation")
     y = _as_points(np.asarray(y, dtype=float), ctx.n)
     W, wt, Xp, quad, w2, detR = _h_grid(ctx, rule)
-    phi = phase_phi(ctx, Xp, y[..., np.newaxis, :])
-    expo = (
-        np.conj(1j * phi) + quad - 2.0 * phi_weight(ctx, Xp) + w2
-    ) / ctx.h
-    V = monomial_table(W, vec.trunc, ctx.h)
-    series = vec.coeffs @ V
+    expo_X = quad - 2.0 * phi_weight(ctx, Xp) + w2
+    V = monomial_table(W, trunc, ctx.h)
+    series = np.stack([v.coeffs for v in vecs]) @ V
+    weighted = (series * wt).T
+    pts = y.reshape(-1, ctx.n)
+    out = np.empty((pts.shape[0], len(vecs)), dtype=complex)
+    step = max(1, _ADJOINT_BLOCK // wt.shape[0])
+    for start in range(0, pts.shape[0], step):
+        sl = slice(start, start + step)
+        phi = phase_phi(ctx, Xp, pts[sl, np.newaxis, :])
+        out[sl] = np.exp((np.conj(1j * phi) + expo_X) / ctx.h) @ weighted
     pref = (
         ctx.Cphi
         * ctx.h ** (-0.75 * ctx.n)
         * (2.0 / (np.pi * ctx.h)) ** (ctx.n / 2.0)
         / detR
     )
-    return pref * (np.exp(expo) * series) @ wt
+    return pref * out.T.reshape((len(vecs),) + y.shape[:-1])
 
 
-def projector_apply_weighted(ctx: SpaceContext, fw, X,
-                             rule: QuadratureRule, symbol=None) -> np.ndarray:
-    """e^{-Phi(X)/h} Pi(b f)(X) with Pi the reproducing projector.
-
-    With V = R(Y - X) on the sigma^2 = h grid the weighted kernel
-    exp([2 Psi(X, Ybar) - Phi(X) - Phi(Y)]/h + |s|^2) has unit modulus,
-    so the application is as stable as fw itself.  `symbol` multiplies
-    under the integral and turns the projector into the compression of
-    multiplication by it.
-    """
-    X = _as_points(np.asarray(X, dtype=complex), ctx.n)
+def _projector_kernel(ctx: SpaceContext, X: np.ndarray,
+                      rule: QuadratureRule):
+    """Nodes Y = X + R^-1 V on the sigma^2 = h grid, the weighted kernel
+    exp([2 Psi(X, Ybar) - Phi(X) - Phi(Y)]/h + |V|^2/h) there, which has
+    unit modulus, and the weights."""
     V, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h))
     Y = X[..., np.newaxis, :] + (ctx.Rinv @ V).T
     expo = (
@@ -206,9 +232,23 @@ def projector_apply_weighted(ctx: SpaceContext, fw, X,
         - phi_weight(ctx, X)[..., np.newaxis]
         - phi_weight(ctx, Y)
     ) / ctx.h + np.sum(np.abs(V.T) ** 2, axis=-1) / ctx.h
-    vals = np.exp(expo) * np.asarray(fw(Y), dtype=complex)
+    return Y, np.exp(expo), wt
+
+
+def projector_apply_weighted(ctx: SpaceContext, fw, X,
+                             rule: QuadratureRule, symbol=None) -> np.ndarray:
+    """e^{-Phi(X)/h} Pi(b f)(X) with Pi the reproducing projector.
+
+    With V = R(Y - X) on the sigma^2 = h grid the weighted kernel has unit
+    modulus, so the application is as stable as fw itself.  `symbol`
+    multiplies under the integral and turns the projector into the
+    compression of multiplication by it.
+    """
+    X = _as_points(np.asarray(X, dtype=complex), ctx.n)
+    Y, K, wt = _projector_kernel(ctx, X, rule)
+    vals = _times(K, np.asarray(fw(Y), dtype=complex))
     if symbol is not None:
-        vals = vals * eval_symbol(symbol, Y)
+        vals = _times(vals, eval_symbol(symbol, Y))
     return (2.0 / (np.pi * ctx.h)) ** ctx.n * (vals @ wt)
 
 
@@ -226,39 +266,53 @@ def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:
     return phase * u(x + h * q)
 
 
-def egorov_guillemin_check(ctx: SpaceContext, b: PlaneWaveSum,
-                           u: GaussianTestFn, X_grid,
-                           rule: QuadratureRule) -> float:
-    """Max relative deviation between the two routes from (b, u) to a
-    function on C^n: compressing multiplication after transforming, versus
-    transforming after applying the matching real-side Weyl operator.
+def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians, X_grid,
+                           rule: QuadratureRule) -> np.ndarray:
+    """Max relative deviation over X_grid, for every symbol b and Gaussian u,
+    between the two routes from (b, u) to a function on C^n: compressing
+    multiplication after transforming, versus transforming after applying
+    the matching real-side Weyl operator.  Returns an array of shape
+    (len(symbols), len(gaussians)).
 
     The real-side symbol comes from the half-time-regularized polarization
     of b pushed through the canonical frame change; each term is a
     plane wave in (x, xi) with complex frequencies, applied in closed form.
+    The left side transforms u on the projector nodes, which depend on
+    neither b nor u, so each X point builds its kernels once for all pairs.
     """
-    if not isinstance(b, PlaneWaveSum):
+    symbols, gaussians = tuple(symbols), tuple(gaussians)
+    if not all(isinstance(b, PlaneWaveSum) for b in symbols):
         raise UnsupportedSymbol("the identity needs exact plane-wave terms")
     X_grid = _as_points(np.asarray(X_grid, dtype=complex), ctx.n)
 
-    def tu_w(X):
-        return bargmann_transform_weighted(ctx, u, X, rule)
+    def weyl_image(b, u):
+        freqs = guillemin_symbol(
+            ctx, polarize(heat_flow(ctx, b, 0.5))
+        ).cotangent_frequencies()
 
-    gs = guillemin_symbol(ctx, polarize(heat_flow(ctx, b, 0.5)))
-    freqs = gs.cotangent_frequencies()
+        def gu(y):
+            out = np.zeros(np.asarray(y).shape[:-1], dtype=complex)
+            for c, p, q in freqs:
+                out = out + c * real_weyl_planewave_apply(ctx.h, p, q, u, y)
+            return out
+        return gu
 
-    def gu(y):
-        out = np.zeros(np.asarray(y).shape[:-1], dtype=complex)
-        for c, p, q in freqs:
-            out = out + c * real_weyl_planewave_apply(ctx.h, p, q, u, y)
-        return out
-
+    images = [[weyl_image(b, u) for u in gaussians] for b in symbols]
+    norm = (2.0 / (np.pi * ctx.h)) ** ctx.n
+    worst = np.zeros((len(symbols), len(gaussians)))
     # one grid point at a time: the left side nests two quadratures and
-    # full-grid batching would hold (npts_X * npts_V * npts_y) temporaries
-    worst = 0.0
+    # batching X would hold one (npts_V * npts_y) kernel per point
     for Xp in X_grid.reshape(-1, ctx.n):
-        lhs = complex(projector_apply_weighted(ctx, tu_w, Xp, rule,
-                                               symbol=b))
-        rhs = complex(bargmann_transform_weighted(ctx, gu, Xp, rule))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return float(worst)
+        Y, KY, wY = _projector_kernel(ctx, Xp, rule)
+        y, Ky, wy, pref = _transform_kernel(ctx, Y, rule)
+        fY = [_times(KY, pref * (_times(Ky, u(y)) @ wy)) for u in gaussians]
+        del y, Ky
+        for j, b in enumerate(symbols):
+            bY = eval_symbol(b, Y)
+            for g in range(len(gaussians)):
+                lhs = complex(norm * (_times(fY[g], bY) @ wY))
+                rhs = complex(bargmann_transform_weighted(
+                    ctx, images[j][g], Xp, rule))
+                worst[j, g] = max(worst[j, g],
+                                  abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return worst

@@ -242,8 +242,8 @@ def _diag(ctx, rule, p, out):
         dev0 = abs(complex(M.entries[0, 0]) - b1)
         out.le(f"entry00 {label} |M00 - b_1(0)|", dev0, tol,
                row=["entry00", label, ""])
-        for k in range(p.k_max + 1):
-            lhs, rhs = diagonal_sum_check(ctx, b, k, trunc, rule)
+        sides = diagonal_sum_check(ctx, b, M, range(p.k_max + 1), rule)
+        for k, (lhs, rhs) in enumerate(sides):
             out.le(f"diagsum {label} k={k}", abs(lhs - rhs), tol,
                    row=["diagsum", label, k])
 
@@ -263,11 +263,10 @@ def _deformation(phase, rule, p, out):
 
 def _egorov(ctx, rule, p, out):
     X_grid = complex_box(*p.X_grid, ctx.n)
-    for j, b in enumerate(p.symbols):
-        for g, u in enumerate(p.gaussians):
-            err = egorov_guillemin_check(ctx, b, u, X_grid, rule)
-            out.le(f"egorov b{j} g{g}", err, p.tol_egorov,
-                   row=[f"b{j}", f"g{g}"])
+    errs = egorov_guillemin_check(ctx, p.symbols, p.gaussians, X_grid, rule)
+    for (j, g), err in np.ndenumerate(errs):
+        out.le(f"egorov b{j} g{g}", float(err), p.tol_egorov,
+               row=[f"b{j}", f"g{g}"])
 
 
 def _sw(ctx, rule, p, out):

@@ -217,24 +217,27 @@ def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float], X_grid,
                        passed=ok)
 
 
-def diagonal_sum_check(ctx: SpaceContext, b, k: int, trunc: MultiIndexSet,
+def diagonal_sum_check(ctx: SpaceContext, b, M: OperatorMatrix, ks,
                        rule: QuadratureRule):
-    """Both sides of the degree-k diagonal-sum identity.
+    """Both sides of the degree-k diagonal-sum identity, for each k in ks.
 
-    lhs sums the Toeplitz diagonal over |alpha| = k; rhs is an independent
-    radial-moment quadrature of b, pi^-n sum w (2|W|^2/h)^k / k! b(R^-1 W).
+    M is the Toeplitz compression of b.  lhs sums its diagonal over
+    |alpha| = k; rhs is an independent radial-moment quadrature of b,
+    pi^-n sum w (2|W|^2/h)^k / k! b(R^-1 W).  Returns [(lhs, rhs), ...].
     """
-    M = toeplitz_matrix(ctx, b, trunc, rule)
     deg = M.trunc.degrees
-    lhs = complex(np.sum(np.diag(M.entries)[deg == k]))
     sigma = np.sqrt(ctx.h / 2.0)
     W, wt = complex_grid(rule, ctx.n, sigma)
     radial = np.sum(np.abs(W) ** 2, axis=0) * 2.0 / ctx.h
     bv = eval_symbol(b, (ctx.Rinv @ W).T)
-    rhs = (2.0 / (np.pi * ctx.h)) ** ctx.n * np.sum(
-        wt * radial ** k * bv
-    ) / factorial(k)
-    return lhs, complex(rhs)
+    sides = []
+    for k in ks:
+        lhs = complex(np.sum(np.diag(M.entries)[deg == k]))
+        rhs = (2.0 / (np.pi * ctx.h)) ** ctx.n * np.sum(
+            wt * radial ** k * bv
+        ) / factorial(k)
+        sides.append((lhs, complex(rhs)))
+    return sides
 
 
 def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,

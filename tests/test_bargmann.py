@@ -10,6 +10,7 @@ import pytest
 
 from conftest import rel_dev
 
+import btlab.bargmann
 from btlab.bargmann import (
     GaussianTestFn,
     bargmann_adjoint_apply,
@@ -23,9 +24,16 @@ from btlab.bargmann import (
 )
 from btlab.basis import HSpaceVector, enumerate_multiindices, u_alpha_eval
 from btlab.errors import UnsupportedSymbol
-from btlab.geometry import build_context, fock_phase, phi_weight
-from btlab.heat import complex_box
-from btlab.symbols import CallableSymbol, plane_wave_sum, wirtinger_fd
+from btlab.geometry import build_context, fock_phase, phi_weight, random_phase
+from btlab.heat import complex_box, heat_flow
+from btlab.quadrature import gauss_hermite_rule
+from btlab.symbols import (
+    CallableSymbol,
+    guillemin_symbol,
+    plane_wave_sum,
+    polarize,
+    wirtinger_fd,
+)
 
 
 def _gauss():
@@ -75,11 +83,10 @@ def test_transform_adjoint_pairing(rule60):
     coeffs = project_coeffs(ctx, uw, trunc, rule60).coeffs
     y = np.linspace(-12.0, 12.0, 4001)
     uy = u(y[:, None])
-    for k in range(4):
-        e = np.zeros(len(trunc), dtype=complex)
-        e[k] = 1.0
-        vec = HSpaceVector(ctx=ctx, trunc=trunc, coeffs=e)
-        star = bargmann_adjoint_apply(ctx, vec, y[:, None], rule60)
+    vecs = [HSpaceVector(ctx=ctx, trunc=trunc, coeffs=e)
+            for e in np.eye(len(trunc), dtype=complex)[:4]]
+    stars = bargmann_adjoint_apply(ctx, vecs, y[:, None], rule60)
+    for k, star in enumerate(stars):
         ref = np.trapezoid(uy * np.conj(star), y)
         assert abs(coeffs[k] - ref) < 1e-8
 
@@ -91,12 +98,12 @@ def test_adjoint_images_orthonormal(rule60):
     ctx = build_context(fock_phase(1, 1.0), 1.0)
     trunc = enumerate_multiindices(1, 5)
     y = np.linspace(-12.0, 12.0, 4001)
-    imgs = []
-    for k in range(len(trunc)):
-        e = np.zeros(len(trunc), dtype=complex)
-        e[k] = 1.0
-        vec = HSpaceVector(ctx=ctx, trunc=trunc, coeffs=e)
-        imgs.append(bargmann_adjoint_apply(ctx, vec, y[:, None], rule60))
+    imgs = bargmann_adjoint_apply(
+        ctx,
+        [HSpaceVector(ctx=ctx, trunc=trunc, coeffs=e)
+         for e in np.eye(len(trunc), dtype=complex)],
+        y[:, None], rule60,
+    )
     for a in range(len(trunc)):
         for b in range(len(trunc)):
             val = np.trapezoid(imgs[a] * np.conj(imgs[b]), y)
@@ -191,9 +198,74 @@ def test_egorov_identity_single_combination(rule60):
         y0=np.array([0.4]), sigma=0.8, p0=np.array([0.6]), amp=0.9 + 0.4j
     )
     X = complex_box(-1.0, 1.0, 1.0, 1)
-    worst = egorov_guillemin_check(ctx, b, u, X, rule60)
-    assert worst < 1e-6
+    worst = egorov_guillemin_check(ctx, [b], [u], X, rule60)
+    assert worst.shape == (1, 1)
+    assert worst[0, 0] < 1e-6
     with pytest.raises(UnsupportedSymbol):
         egorov_guillemin_check(
-            ctx, CallableSymbol(n=1, func=lambda X: X[..., 0]), u, X, rule60
+            ctx, [CallableSymbol(n=1, func=lambda X: X[..., 0])], [u], X,
+            rule60
         )
+
+
+def _egorov_per_pair(ctx, b, u, X, rule):
+    """One (symbol, Gaussian) pair the unbatched way: the projector with the
+    symbol under the integral, applied to the transform on its own nodes."""
+    freqs = guillemin_symbol(
+        ctx, polarize(heat_flow(ctx, b, 0.5))
+    ).cotangent_frequencies()
+
+    def gu(y):
+        out = np.zeros(np.asarray(y).shape[:-1], dtype=complex)
+        for c, p, q in freqs:
+            out = out + c * real_weyl_planewave_apply(ctx.h, p, q, u, y)
+        return out
+
+    worst = 0.0
+    for Xp in X.reshape(-1, ctx.n):
+        lhs = complex(projector_apply_weighted(
+            ctx, lambda Y: bargmann_transform_weighted(ctx, u, Y, rule), Xp,
+            rule, symbol=b))
+        rhs = complex(bargmann_transform_weighted(ctx, gu, Xp, rule))
+        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    return worst
+
+
+def test_egorov_batched_equals_per_pair_bits():
+    """Sharing the kernels across pairs must not move a single bit.  At
+    order 28 the transform arrays are large enough for numpy to reuse
+    temporaries, so a swapped complex product would show here."""
+    ctx = build_context(random_phase(1, 3), 0.5)
+    rule = gauss_hermite_rule(28)
+    X = np.array([[0.0], [0.5 + 0.2j], [-0.7 + 0.4j], [0.3 - 0.9j]])
+    symbols = (
+        plane_wave_sum([(1.0, np.array([1.0]))], n=1),
+        plane_wave_sum([(0.6 - 0.2j, np.array([0.5 + 0.3j]))], n=1),
+        plane_wave_sum(
+            [(0.7, np.array([1.0])), (0.3, np.array([-0.8 + 0.1j]))], n=1
+        ),
+    )
+    gaussians = (
+        _gauss(),
+        GaussianTestFn(y0=np.array([-0.4]), sigma=0.8, p0=np.array([0.6]),
+                       amp=0.9 + 0.4j),
+    )
+    got = egorov_guillemin_check(ctx, symbols, gaussians, X, rule)
+    ref = np.array([[_egorov_per_pair(ctx, b, u, X, rule) for u in gaussians]
+                    for b in symbols])
+    assert got.shape == (3, 2)
+    assert np.array_equal(got, ref)
+
+
+def test_egorov_refuses_any_callable_before_quadrature(rule60, monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran before the symbol check")
+
+    monkeypatch.setattr(btlab.bargmann, "_projector_kernel", no_quadrature)
+    monkeypatch.setattr(btlab.bargmann, "_transform_kernel", no_quadrature)
+    ctx = build_context(fock_phase(1, 1.0), 1.0)
+    wave = plane_wave_sum([(1.0, np.array([1.0]))], n=1)
+    bad = CallableSymbol(n=1, func=lambda X: X[..., 0])
+    X = complex_box(-1.0, 1.0, 1.0, 1)
+    with pytest.raises(UnsupportedSymbol):
+        egorov_guillemin_check(ctx, [wave, wave, bad], [_gauss()], X, rule60)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import btlab.cli
+import btlab.operators
 from btlab.cli import main
 from btlab.config import (
     complex_entry,
@@ -253,6 +255,26 @@ def test_verify_diag_suite(tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert (tmp_path / "diag.csv").exists()
+
+
+def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
+    """One compression for the identity and one per default symbol: the
+    diagonal sums read the matrix the entry00 check already built."""
+    calls = []
+    real = btlab.operators.toeplitz_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in (btlab.cli, btlab.operators):
+        monkeypatch.setattr(mod, "toeplitz_matrix", counted)
+    cfg = _write(tmp_path, FOCK)
+    res = CliRunner().invoke(
+        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 4
 
 
 def test_verify_weyl_two_variables_passes_at_default_N(tmp_path):

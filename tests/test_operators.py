@@ -71,8 +71,8 @@ def test_diagonal_sums(rule60, ex1):
     b = plane_wave_sum(
         [(0.5, np.array([1.0])), (0.3 - 0.2j, np.array([0.4 + 0.6j]))], n=1
     )
-    for k in (0, 1, 2):
-        lhs, rhs = diagonal_sum_check(ex1, b, k, trunc, rule60)
+    M = toeplitz_matrix(ex1, b, trunc, rule60)
+    for lhs, rhs in diagonal_sum_check(ex1, b, M, (0, 1, 2), rule60):
         assert abs(lhs - rhs) < 1e-12
 
 
