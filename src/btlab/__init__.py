@@ -38,7 +38,6 @@ _EXPORTS = {
     # quadrature
     "QuadratureRule": "quadrature",
     "gauss_hermite_rule": "quadrature",
-    "integrate_gaussian": "quadrature",
     "complex_grid": "quadrature",
     # basis
     "MultiIndexSet": "basis",
@@ -56,7 +55,6 @@ _EXPORTS = {
     "eval_symbol": "symbols",
     "q_form": "symbols",
     "poisson": "symbols",
-    "laplace": "symbols",
     "polarize": "symbols",
     "guillemin_symbol": "symbols",
     # heat
@@ -76,10 +74,8 @@ _EXPORTS = {
     "deformation_sweep": "operators",
     # bargmann
     "GaussianTestFn": "bargmann",
-    "bargmann_transform": "bargmann",
     "bargmann_adjoint_apply": "bargmann",
     "project_coeffs": "bargmann",
-    "hspace_inner": "bargmann",
     "real_weyl_planewave_apply": "bargmann",
     "egorov_guillemin_check": "bargmann",
 }

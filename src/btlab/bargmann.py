@@ -9,18 +9,21 @@ coefficient projection), so samples never exceed the size of the data and
 quadrature is uniformly accurate in X.  The three exponent identities that
 make this work are checked in the test suite.
 
-Inner products of numerically evaluated functions are always taken through
-coefficient projection onto the orthonormal basis followed by a finite
-Parseval sum.  A direct quadrature of <f, g> e^{-2 Phi/h} in reweighted
-coordinates looks plausible but multiplies samples by e^{+|W|^2/sigma^2},
-which amplifies far-node evaluation error without bound; that route is
-deliberately absent from this module.
+Inner products of numerically evaluated functions are taken through
+coefficient projection onto the orthonormal basis (`project_coeffs`)
+followed by a finite Parseval sum.  A direct quadrature of
+<f, g> e^{-2 Phi/h} in reweighted coordinates looks plausible but
+multiplies samples by e^{+|W|^2/sigma^2}, which amplifies far-node
+evaluation error without bound; that route is deliberately absent from
+this module.
 
 Each kernel has one builder, `_transform_kernel` and `_projector_kernel`,
 and every evaluator applies what it builds to as many functions as it can:
 the Egorov check builds the projector and transform kernels once per X
 point for all its (symbol, Gaussian) pairs, and the adjoint applies one
-kernel to a whole set of coefficient vectors.
+kernel to a whole set of coefficient vectors.  The Egorov kernel grows like
+order^(3n) per X point, so orders past _EGOROV_KERNEL entries are refused
+before any quadrature.
 """
 
 from __future__ import annotations
@@ -30,19 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import HSpaceVector, MultiIndexSet, monomial_table
-from .errors import UnsupportedSymbol
+from .errors import InvalidConfig, UnsupportedSymbol
 from .geometry import SpaceContext, _as_points, phase_phi, phi_weight, psi
 from .heat import heat_flow
 from .quadrature import QuadratureRule, _tensor_grid, complex_grid
-from .symbols import PlaneWaveSum, eval_symbol, guillemin_symbol, polarize
+from .symbols import _require_plane_waves, eval_symbol, guillemin_symbol
 
 __all__ = [
     "GaussianTestFn",
-    "bargmann_transform",
     "bargmann_transform_weighted",
     "bargmann_adjoint_apply",
     "project_coeffs",
-    "hspace_inner",
     "projector_apply_weighted",
     "real_weyl_planewave_apply",
     "egorov_guillemin_check",
@@ -136,14 +137,6 @@ def bargmann_transform_weighted(ctx: SpaceContext, u, X,
     return pref * (_times(K, u(y)) @ wt)
 
 
-def bargmann_transform(ctx: SpaceContext, u, X,
-                       rule: QuadratureRule) -> np.ndarray:
-    """(Tu)(X); unweighted, so it grows like e^{Phi(X)/h} at large X."""
-    X = _as_points(np.asarray(X, dtype=complex), ctx.n)
-    w = bargmann_transform_weighted(ctx, u, X, rule)
-    return w * np.exp(phi_weight(ctx, X) / ctx.h)
-
-
 def _h_grid(ctx: SpaceContext, rule: QuadratureRule):
     """The sigma^2 = h grid in W = RX with its weights, the matching points
     X = R^-1 W, <X, Phi''_XX X> and |W|^2 there, and |det R|."""
@@ -172,16 +165,11 @@ def project_coeffs(ctx: SpaceContext, fw, trunc: MultiIndexSet,
     return HSpaceVector(ctx=ctx, trunc=trunc, coeffs=coeffs)
 
 
-def hspace_inner(ctx: SpaceContext, fw, gw, trunc: MultiIndexSet,
-                 rule: QuadratureRule) -> complex:
-    """<f, g> in the weighted space via coefficients and a Parseval sum."""
-    cf = project_coeffs(ctx, fw, trunc, rule).coeffs
-    cg = project_coeffs(ctx, gw, trunc, rule).coeffs
-    return complex(np.sum(cf * np.conj(cg)))
-
-
 # Kernel entries (y points x grid nodes) held at once by the adjoint.
 _ADJOINT_BLOCK = 1 << 20
+# Largest Egorov kernel per X point: order^(2n) projector nodes times
+# order^n transform nodes.  Every n = 1 order fits (256^3 = 2^24).
+_EGOROV_KERNEL = 1 << 24
 
 
 def bargmann_adjoint_apply(ctx: SpaceContext, vecs, y,
@@ -281,13 +269,19 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians, X_grid,
     neither b nor u, so each X point builds its kernels once for all pairs.
     """
     symbols, gaussians = tuple(symbols), tuple(gaussians)
-    if not all(isinstance(b, PlaneWaveSum) for b in symbols):
-        raise UnsupportedSymbol("the identity needs exact plane-wave terms")
+    _require_plane_waves("the Egorov identity", *symbols)
+    entries = rule.order ** (3 * ctx.n)
+    if entries > _EGOROV_KERNEL:
+        raise InvalidConfig(
+            f"egorov at order {rule.order} needs a kernel of order^(3n) ="
+            f" {entries} entries per X point, over the cap of"
+            f" {_EGOROV_KERNEL}; lower the order"
+        )
     X_grid = _as_points(np.asarray(X_grid, dtype=complex), ctx.n)
 
     def weyl_image(b, u):
         freqs = guillemin_symbol(
-            ctx, polarize(heat_flow(ctx, b, 0.5))
+            ctx, heat_flow(ctx, b, 0.5)
         ).cotangent_frequencies()
 
         def gu(y):

@@ -222,16 +222,3 @@ class HSpaceVector:
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (len(self.trunc),):
             raise ValueError("coefficient vector does not match truncation")
-
-    def norm(self) -> float:
-        """H_Phi norm; the basis is orthonormal so this is the l2 norm."""
-        return float(np.linalg.norm(self.coeffs))
-
-    def eval(self, X):
-        """Pointwise value sum_a c_a u_a(X); moderate |X| only."""
-        X = _as_points(X, self.ctx.n)
-        out = np.zeros(X.shape[:-1], dtype=complex)
-        for c, alpha in zip(self.coeffs, self.trunc.indices):
-            if c != 0:
-                out = out + c * u_alpha_eval(self.ctx, alpha, X)
-        return out

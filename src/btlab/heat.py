@@ -3,10 +3,13 @@
 The generator is Delta = (1/2) <d_X, (Phi''_XbarX)^-1 d_Xbar>, so a plane
 wave exp(i Re<X, lam>) is an eigenfunction and the flow at time t multiplies
 its coefficient by exp(-t h |mu|^2 / 8) with mu = R^-T lam the frequency in
-the reduced frame.  For black-box symbols the same flow is a Gaussian
-average, evaluated by Gauss-Hermite quadrature:
+the reduced frame.  The same flow written as a Gaussian average and
+evaluated by Gauss-Hermite quadrature,
 
-    b_t(X) = pi^-n sum_k w_k b(X - R^-1 V_k),   V = sqrt(t h / 2)(s1 + i s2).
+    b_t(X) = pi^-n sum_k w_k b(X - R^-1 V_k),   V = sqrt(t h / 2)(s1 + i s2),
+
+is kept as `heat_flow_quadrature`, the independent reference the closed
+form is checked against; it accepts callable symbols too.
 
 Times outside [0, 1] are rejected: the estimates downstream are stated on
 that interval and nothing here extrapolates beyond it.
@@ -21,6 +24,7 @@ from .quadrature import complex_grid, gauss_hermite_rule
 from .symbols import (
     CallableSymbol,
     PlaneWaveSum,
+    _require_plane_waves,
     eval_symbol,
     modulate,
 )
@@ -49,15 +53,14 @@ def heat_damping(ctx: SpaceContext, lam, t: float) -> np.ndarray:
     return np.exp(-t * ctx.h * np.sum(np.abs(mu) ** 2, axis=-1) / 8.0)
 
 
-def heat_flow(ctx: SpaceContext, b, t: float, order: int | None = None):
-    """Flow b -> b_t; exact on plane-wave sums, quadrature otherwise."""
+def heat_flow(ctx: SpaceContext, b, t: float) -> PlaneWaveSum:
+    """Flow b -> b_t, term by term on a plane-wave sum."""
+    _require_plane_waves("heat_flow", b)
     t = _check_time(t)
-    if isinstance(b, PlaneWaveSum):
-        terms = tuple(
-            (c * complex(heat_damping(ctx, lam, t)), lam) for c, lam in b.terms
-        )
-        return PlaneWaveSum(n=b.n, terms=terms)
-    return heat_flow_quadrature(ctx, b, t, order=order or 40)
+    terms = tuple(
+        (c * complex(heat_damping(ctx, lam, t)), lam) for c, lam in b.terms
+    )
+    return PlaneWaveSum(n=b.n, terms=terms)
 
 
 def heat_flow_quadrature(ctx: SpaceContext, b, t: float, order: int = 40):
@@ -83,11 +86,7 @@ def heat_flow_quadrature(ctx: SpaceContext, b, t: float, order: int = 40):
         return pref * (vals @ wt)
 
     return CallableSymbol(
-        n=ctx.n,
-        func=val,
-        declared_bounded=getattr(b, "declared_bounded", True),
-        declared_in_T=getattr(b, "declared_in_T", True),
-        fd_step=getattr(b, "fd_step", None),
+        n=ctx.n, func=val, declared_in_T=getattr(b, "declared_in_T", True)
     )
 
 

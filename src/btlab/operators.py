@@ -82,9 +82,7 @@ def inner_block(entries: np.ndarray, trunc: MultiIndexSet,
 
 
 def _require_symbol_class(b) -> None:
-    if isinstance(b, PlaneWaveSum):
-        return
-    if not getattr(b, "declared_in_T", False):
+    if not (isinstance(b, PlaneWaveSum) or b.declared_in_T):
         raise UnsupportedSymbol(
             "callable symbol not declared to lie in the Toeplitz class"
         )

@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .errors import NonFiniteSample, OrderOutOfRange
+from .errors import OrderOutOfRange
 
 __all__ = [
     "QuadratureRule",
     "gauss_hermite_rule",
-    "integrate_gaussian",
     "complex_grid",
 ]
 
@@ -58,28 +57,6 @@ def _tensor_grid(rule: QuadratureRule, m: int):
     for ax in wmesh[1:]:
         wt *= ax.ravel()
     return S, wt
-
-
-def integrate_gaussian(f, m: int, sigma: float, rule: QuadratureRule):
-    """Approximate the weighted integral of f over R^m.
-
-    Computes int_{R^m} f(s) exp(-|s|^2 / sigma^2) ds; the Gaussian weight is
-    part of the rule, so `f` is passed without it.  `f` receives an array of
-    shape (m, npts) and must return (npts,) values.
-
-    Raises NonFiniteSample when f returns a NaN or Inf at any node.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    S, wt = _tensor_grid(rule, m)
-    vals = np.asarray(f(sigma * S), dtype=complex)
-    if vals.shape != (S.shape[1],):
-        raise ValueError(
-            f"integrand returned shape {vals.shape}, expected ({S.shape[1]},)"
-        )
-    if not np.all(np.isfinite(vals.view(float))):
-        raise NonFiniteSample("integrand returned NaN/Inf at a quadrature node")
-    return sigma**m * np.sum(wt * vals)
 
 
 def complex_grid(rule: QuadratureRule, n: int, sigma: float):

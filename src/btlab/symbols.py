@@ -4,21 +4,25 @@ Two symbol variants exist.  Finite plane-wave sums
 
     b(X) = sum_j c_j exp(i Re<X, lambda_j>),   lambda_j in C^n,
 
-are first-class: they are closed under products, the sesquilinear form Q,
-the bracket, the Laplacian, modulation, translation, heat flow and
-polarization, so every operation the theorems need stays exact.  The pairing
-<X, lambda> = sum X_d lambda_d is bilinear (no conjugation); Re<X, lambda>
-is real even for complex frequencies, so plane waves always have modulus one.
+are the only symbols the calculus accepts: products, the bilinear form Q,
+the bracket, modulation, translation, heat flow and polarization all act on
+the terms in closed form, so every operation the theorems need stays exact.
+The pairing <X, lambda> = sum X_d lambda_d is bilinear (no conjugation);
+Re<X, lambda> is real even for complex frequencies, so plane waves always
+have modulus one.  These sums are the building blocks of Sjostrand's
+Wiener-type symbol algebra, the class the paper's estimates are stated in.
 
-Callable symbols are second-class black boxes: calculus on them falls back
-to Wirtinger finite differences when a step is declared, and polarization is
-refused (it needs analytic structure a closure cannot supply).
+Callable symbols are references only: they can be evaluated, compressed on
+the full quadrature grid and heat-flowed by quadrature, which gives the
+closed forms an independent check, and every operation of the calculus
+refuses them.  `wirtinger_fd` differentiates any function numerically, for
+tests of the closed forms of Q and the bracket.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,13 +40,10 @@ __all__ = [
     "sine_symbol",
     "eval_symbol",
     "multiply",
-    "conjugate_symbol",
-    "is_real_valued",
     "modulate",
     "translate",
     "q_form",
     "poisson",
-    "laplace",
     "polarize",
     "guillemin_symbol",
     "wirtinger_fd",
@@ -92,14 +93,21 @@ class PlaneWaveSum:
 
 @dataclass(frozen=True)
 class CallableSymbol:
-    """Black-box symbol; membership in the symbol classes is declared by the
-    caller, calculus needs `fd_step` to be set."""
+    """Black-box reference symbol.  `func` maps points of shape (..., n) to
+    values of shape (...); membership in the Toeplitz class is declared by
+    the caller."""
 
     n: int
     func: Callable
-    declared_bounded: bool = False
     declared_in_T: bool = False
-    fd_step: Optional[float] = None
+
+
+def _require_plane_waves(what: str, *symbols) -> None:
+    if not all(isinstance(b, PlaneWaveSum) for b in symbols):
+        raise UnsupportedSymbol(
+            f"{what} needs plane-wave sums; callable symbols are references"
+            " only"
+        )
 
 
 def plane_wave_sum(terms, n: int = 1) -> PlaneWaveSum:
@@ -134,101 +142,41 @@ def eval_symbol(b, X):
     X = _as_points(X, b.n)
     if isinstance(b, PlaneWaveSum):
         return _pw_eval(b, X)
-    try:
-        vals = np.asarray(b.func(X), dtype=complex)
-        ok = vals.shape == X.shape[:-1]
-    except Exception:
-        ok = False
-    if not ok:
-        # non-vectorized callable: sample one point at a time
-        flat = X.reshape(-1, b.n)
-        vals = np.array([complex(b.func(p)) for p in flat], dtype=complex)
-        vals = vals.reshape(X.shape[:-1])
-    if not (np.all(np.isfinite(vals.real)) and np.all(np.isfinite(vals.imag))):
+    vals = np.asarray(b.func(X), dtype=complex)
+    if vals.shape != X.shape[:-1]:
+        raise ValueError(
+            f"callable symbol returned shape {vals.shape} for points of shape"
+            f" {X.shape}; expected {X.shape[:-1]}"
+        )
+    if not np.all(np.isfinite(vals)):
         raise NonFiniteSample("callable symbol returned NaN/Inf")
     return vals
 
 
 def multiply(a, b):
-    """Pointwise product; exact for plane-wave sums."""
-    if isinstance(a, PlaneWaveSum) and isinstance(b, PlaneWaveSum):
-        terms = [
-            (ca * cb, la + lb) for ca, la in a.terms for cb, lb in b.terms
-        ]
-        return PlaneWaveSum(n=a.n, terms=tuple(terms))
-    n = a.n
-    return CallableSymbol(
-        n=n,
-        func=lambda X: eval_symbol(a, X) * eval_symbol(b, X),
-        declared_bounded=_bounded(a) and _bounded(b),
-        declared_in_T=_in_T(a) and _in_T(b),
-        fd_step=_fd_step(a) or _fd_step(b),
-    )
-
-
-def _bounded(b) -> bool:
-    return isinstance(b, PlaneWaveSum) or b.declared_bounded
-
-
-def _in_T(b) -> bool:
-    return isinstance(b, PlaneWaveSum) or b.declared_in_T
-
-
-def _fd_step(b) -> Optional[float]:
-    return None if isinstance(b, PlaneWaveSum) else b.fd_step
-
-
-def conjugate_symbol(b: PlaneWaveSum) -> PlaneWaveSum:
-    if not isinstance(b, PlaneWaveSum):
-        raise UnsupportedSymbol("conjugation is closed-form only")
-    return PlaneWaveSum(
-        n=b.n, terms=tuple((np.conj(c), -lam) for c, lam in b.terms)
-    )
-
-
-def is_real_valued(b: PlaneWaveSum) -> bool:
-    """True when the term list is conjugation-closed (so b maps to R)."""
-    want = dict(
-        (tuple(zip(lam.real.tolist(), lam.imag.tolist())), c)
-        for c, lam in conjugate_symbol(b).terms
-    )
-    have = dict(
-        (tuple(zip(lam.real.tolist(), lam.imag.tolist())), c)
-        for c, lam in b.terms
-    )
-    if set(want) != set(have):
-        return False
-    return all(abs(want[k] - have[k]) <= 1e-14 for k in want)
+    """Pointwise product."""
+    _require_plane_waves("multiply", a, b)
+    terms = [(ca * cb, la + lb) for ca, la in a.terms for cb, lb in b.terms]
+    return PlaneWaveSum(n=a.n, terms=tuple(terms))
 
 
 def modulate(b, lam):
     """b^lam(X) = exp(i Re<X, lam>) b(X)."""
-    if isinstance(b, PlaneWaveSum):
-        lam = _freq(lam, b.n)
-        return PlaneWaveSum(
-            n=b.n, terms=tuple((c, mu + lam) for c, mu in b.terms)
-        )
-    lamv = _freq(lam, b.n)
-    return replace(
-        b,
-        func=lambda X, f=b.func: np.exp(
-            1j * np.real(_as_points(X, b.n) @ lamv)
-        ) * f(X),
-    )
+    _require_plane_waves("modulate", b)
+    lam = _freq(lam, b.n)
+    return PlaneWaveSum(n=b.n, terms=tuple((c, mu + lam) for c, mu in b.terms))
 
 
 def translate(b, lam):
     """b(. + lam)."""
-    if isinstance(b, PlaneWaveSum):
-        lam = _freq(lam, b.n)
-        return PlaneWaveSum(
-            n=b.n,
-            terms=tuple(
-                (c * np.exp(1j * np.real(lam @ mu)), mu) for c, mu in b.terms
-            ),
-        )
-    lamv = _freq(lam, b.n)
-    return replace(b, func=lambda X, f=b.func: f(_as_points(X, b.n) + lamv))
+    _require_plane_waves("translate", b)
+    lam = _freq(lam, b.n)
+    return PlaneWaveSum(
+        n=b.n,
+        terms=tuple(
+            (c * np.exp(1j * np.real(lam @ mu)), mu) for c, mu in b.terms
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,87 +201,31 @@ def wirtinger_fd(f, X: np.ndarray, step: float):
     return dX, dXb
 
 
-def _require_fd(*symbols) -> float:
-    steps = [s.fd_step for s in symbols if isinstance(s, CallableSymbol)]
-    if any(s is None for s in steps):
-        raise UnsupportedSymbol(
-            "callable symbol has no finite-difference step declared"
-        )
-    return min(steps)
-
-
-def _point_eval(b):
-    return lambda X: complex(eval_symbol(b, X))
-
-
 def q_form(ctx: SpaceContext, a, b):
     """Q(a, b) = <d_X a, (Phi''_XbarX)^-1 d_Xbar b> (bilinear pairing).
 
     Exact for plane-wave sums: the pair (c, lam), (d, mu) contributes
     -1/4 <lam, G mubar> c d exp(i Re<X, lam+mu>) with G = (Phi''_XbarX)^-1.
     """
+    _require_plane_waves("q_form", a, b)
     G = np.linalg.inv(ctx.PhiXXbar.conj())
-    if isinstance(a, PlaneWaveSum) and isinstance(b, PlaneWaveSum):
-        terms = []
-        for ca, la in a.terms:
-            for cb, lb in b.terms:
-                coef = -0.25 * (la @ G @ np.conj(lb)) * ca * cb
-                terms.append((coef, la + lb))
-        return PlaneWaveSum(n=ctx.n, terms=tuple(terms))
-    step = _require_fd(a, b)
-    fa, fb = _point_eval(a), _point_eval(b)
-
-    def val(X):
-        da, _ = wirtinger_fd(fa, np.asarray(X, complex).reshape(-1), step)
-        _, dbb = wirtinger_fd(fb, np.asarray(X, complex).reshape(-1), step)
-        return da @ G @ dbb
-
-    return CallableSymbol(n=ctx.n, func=val, fd_step=step)
+    terms = []
+    for ca, la in a.terms:
+        for cb, lb in b.terms:
+            coef = -0.25 * (la @ G @ np.conj(lb)) * ca * cb
+            terms.append((coef, la + lb))
+    return PlaneWaveSum(n=ctx.n, terms=tuple(terms))
 
 
 def poisson(ctx: SpaceContext, a, b):
     """Bracket {a, b} = i Q(a, b) - i Q(b, a)."""
+    _require_plane_waves("poisson", a, b)
     qab = q_form(ctx, a, b)
     qba = q_form(ctx, b, a)
-    if isinstance(qab, PlaneWaveSum):
-        terms = tuple((1j * c, lam) for c, lam in qab.terms) + tuple(
-            (-1j * c, lam) for c, lam in qba.terms
-        )
-        return PlaneWaveSum(n=ctx.n, terms=terms)
-    return CallableSymbol(
-        n=ctx.n,
-        func=lambda X: 1j * qab.func(X) - 1j * qba.func(X),
-        fd_step=qab.fd_step,
+    terms = tuple((1j * c, lam) for c, lam in qab.terms) + tuple(
+        (-1j * c, lam) for c, lam in qba.terms
     )
-
-
-def laplace(ctx: SpaceContext, b):
-    """Delta b with Delta = (1/2) <d_X, (Phi''_XbarX)^-1 d_Xbar>.
-
-    Plane-wave eigenvalue: -(1/8)<lam, G lambar> = -(1/8)|R^-T lam|^2.
-    """
-    G = np.linalg.inv(ctx.PhiXXbar.conj())
-    if isinstance(b, PlaneWaveSum):
-        terms = tuple(
-            (-0.125 * (lam @ G @ np.conj(lam)) * c, lam) for c, lam in b.terms
-        )
-        return PlaneWaveSum(n=ctx.n, terms=terms)
-    step = _require_fd(b)
-    fb = _point_eval(b)
-
-    def val(X):
-        X = np.asarray(X, complex).reshape(-1)
-        total = 0.0 + 0.0j
-        for d in range(ctx.n):
-            def dXbar_d(Y, d=d):
-                _, g = wirtinger_fd(fb, Y, step)
-                return g[d]
-
-            dX_of_that, _ = wirtinger_fd(dXbar_d, X, step)
-            total += 0.5 * (G[:, d] @ dX_of_that)
-        return total
-
-    return CallableSymbol(n=ctx.n, func=val, fd_step=step)
+    return PlaneWaveSum(n=ctx.n, terms=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +253,7 @@ class PolarizedPlaneWave:
 
 def polarize(b) -> PolarizedPlaneWave:
     """Holomorphic-in-(X, Ybar) extension; refuses black-box symbols."""
-    if not isinstance(b, PlaneWaveSum):
-        raise UnsupportedSymbol(
-            "polarization needs the exact plane-wave structure"
-        )
+    _require_plane_waves("polarize", b)
     return PolarizedPlaneWave(n=b.n, terms=b.terms)
 
 
@@ -379,7 +268,7 @@ class GuilleminSymbol:
     theta = Theta(X) the value reduces to b(X)."""
 
     ctx: SpaceContext
-    terms: tuple
+    pol: PolarizedPlaneWave
 
     def y_point(self, X, theta):
         X = _as_points(X, self.ctx.n)
@@ -388,13 +277,7 @@ class GuilleminSymbol:
         return (0.5j * theta - X @ self.ctx.PhiXX.T) @ G.T
 
     def __call__(self, X, theta):
-        X = _as_points(X, self.ctx.n)
-        Y = self.y_point(X, theta)
-        out = np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]),
-                       dtype=complex)
-        for c, lam in self.terms:
-            out = out + c * np.exp(0.5j * (X @ lam + Y @ np.conj(lam)))
-        return out
+        return self.pol(X, self.y_point(X, theta))
 
     def cotangent_frequencies(self):
         """Rewrite each term as exp(i(<x, p> + <xi, q>)) on T*R^n via the
@@ -409,7 +292,7 @@ class GuilleminSymbol:
         Mx = G @ (0.5j * (B + A @ P) - ctx.PhiXX @ P)
         Mxi = G @ (0.5j * (A @ Q) - ctx.PhiXX @ Q)
         out = []
-        for c, lam in self.terms:
+        for c, lam in self.pol.terms:
             lb = np.conj(lam)
             p = 0.5 * (P.T @ lam + Mx.T @ lb)
             q = 0.5 * (Q.T @ lam + Mxi.T @ lb)
@@ -418,5 +301,4 @@ class GuilleminSymbol:
 
 
 def guillemin_symbol(ctx: SpaceContext, b) -> GuilleminSymbol:
-    pol = b if isinstance(b, PolarizedPlaneWave) else polarize(b)
-    return GuilleminSymbol(ctx=ctx, terms=pol.terms)
+    return GuilleminSymbol(ctx=ctx, pol=polarize(b))

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,9 @@ from btlab.geometry import build_context, fock_phase
 
 
 FOCK = {"phase": {"preset": "fock", "beta": 1.0}, "h": 1.0}
-# Every suite at a small size, along the lines of the benchmark smoke run.
-SMALL = dict(FOCK, order=10, N=4, n_schedule=[4, 6], t_grid=[1.0],
+# Every suite at a small size, along the lines of the benchmark smoke run;
+# order 40 keeps egorov accurate (it fails every pair at order 10).
+SMALL = dict(FOCK, order=40, N=4, n_schedule=[4, 6], t_grid=[1.0],
              h_list=[0.4, 0.3, 0.2, 0.1],
              lambda_grid={"lo": -2.0, "hi": 2.0, "steps": [1.0, 0.5]},
              X_grid={"lo": -1.0, "hi": 1.0, "step": 1.0})
@@ -217,6 +219,10 @@ def _readme_csv_columns():
 # rule or threads, deformation sweeps its own h_list, sw uses no rule.
 _UNECHOED = {"space-info": {"suite", "order", "threads"},
              "deformation": {"h"}, "sw": {"order"}}
+# SMALL is too coarse for two suites to pass: weyl truncates at N = 4, and
+# sw refines its lambda grid only from step 1 to 0.5.  Every other command
+# must pass on it.
+_MAY_FAIL = {"weyl", "sw"}
 
 
 @pytest.mark.parametrize("command", [
@@ -229,7 +235,8 @@ def test_every_command_reports_and_writes_documented_csv(tmp_path, command):
     res = CliRunner().invoke(
         main, [*argv, "--config", cfg, "--out", str(tmp_path)]
     )
-    assert res.exit_code in (0, 1), res.output
+    assert res.exit_code in ((0, 1) if command in _MAY_FAIL else (0,)), \
+        res.output
     stem = command.replace("-", "_")
     header = (tmp_path / f"{stem}.csv").read_text().splitlines()[0]
     assert header == _readme_csv_columns()[stem]
@@ -275,6 +282,19 @@ def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
     )
     assert res.exit_code == 0, res.output
     assert len(calls) == 4
+
+
+def test_verify_egorov_refuses_infeasible_kernel(tmp_path):
+    """At n = 2 the default order 80 would need an 80^6-entry kernel per X
+    point; the suite refuses it with exit 2 before any quadrature."""
+    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 2}, "h": 1.0})
+    t0 = time.perf_counter()
+    res = CliRunner().invoke(
+        main, ["verify", "egorov", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert time.perf_counter() - t0 < 10.0
+    assert res.exit_code == 2, res.output
+    assert "InvalidConfig" in res.stderr
 
 
 def test_verify_weyl_two_variables_passes_at_default_N(tmp_path):

@@ -101,16 +101,12 @@ def test_semigroup_quadrature_path(ex1):
 
 
 def test_flow_preserves_declared_flags(ex1):
-    b = CallableSymbol(
-        n=1,
-        func=lambda X: np.cos(np.real(X[..., 0])),
-        declared_bounded=True,
-        declared_in_T=True,
-        fd_step=1e-4,
-    )
-    bt = heat_flow(ex1, b, 0.5)
-    assert bt.declared_bounded
-    assert bt.declared_in_T
+    f = lambda X: np.cos(np.real(X[..., 0]))
+    for declared in (True, False):
+        b = CallableSymbol(n=1, func=f, declared_in_T=declared)
+        assert heat_flow_quadrature(ex1, b, 0.5).declared_in_T is declared
+    # a plane-wave sum lies in the class, and so does its smoothing
+    assert heat_flow_quadrature(ex1, cosine_symbol(1.0), 0.5).declared_in_T
 
 
 def test_box_grid_lexicographic():

@@ -105,7 +105,7 @@ def test_callable_symbol_needs_declaration(rule60, ex1):
     f = lambda X: np.cos(np.real(X[..., 0]))
     with pytest.raises(UnsupportedSymbol):
         toeplitz_matrix(ex1, CallableSymbol(n=1, func=f), trunc, rule60)
-    ok = CallableSymbol(n=1, func=f, declared_bounded=True, declared_in_T=True)
+    ok = CallableSymbol(n=1, func=f, declared_in_T=True)
     Mc = toeplitz_matrix(ex1, ok, trunc, rule60).entries
     Me = toeplitz_matrix(ex1, cosine_symbol(1.0), trunc, rule60).entries
     assert np.max(np.abs(Mc - Me)) < 1e-12

@@ -1,8 +1,9 @@
 """Plane-wave algebra and the bilinear differential forms.
 
-The exact plane-wave formulas are cross-checked against the generic
-finite-difference fallback at an asymmetric random phase in two complex
-variables; the two code paths share nothing but the context object.
+The closed forms of Q and the bracket are cross-checked against Wirtinger
+finite differences of the symbols' values at an asymmetric random phase in
+two complex variables; the two computations share nothing but the context
+object.
 """
 
 import numpy as np
@@ -11,10 +12,9 @@ import pytest
 from conftest import rel_dev
 
 from btlab.errors import NonFiniteSample, UnsupportedSymbol
+from btlab.heat import heat_flow
 from btlab.geometry import (
     build_context,
-    fock_phase,
-    freq_image,
     kappa_T,
     random_phase,
     theta_on_lambda,
@@ -22,13 +22,10 @@ from btlab.geometry import (
 from btlab.symbols import (
     CallableSymbol,
     PlaneWaveSum,
-    conjugate_symbol,
     constant_symbol,
     cosine_symbol,
     eval_symbol,
     guillemin_symbol,
-    is_real_valued,
-    laplace,
     modulate,
     multiply,
     plane_wave_sum,
@@ -89,17 +86,6 @@ def test_multiply_is_pointwise():
     ) < 1e-14
 
 
-def test_conjugate_and_reality():
-    ctx, a, _ = _pair()
-    rng = np.random.default_rng(2)
-    X = rng.standard_normal((20, 2)) + 1j * rng.standard_normal((20, 2))
-    ac = conjugate_symbol(a)
-    assert rel_dev(eval_symbol(ac, X), np.conj(eval_symbol(a, X))) < 1e-14
-    assert is_real_valued(cosine_symbol(0.7))
-    assert is_real_valued(multiply(a, conjugate_symbol(a)))
-    assert not is_real_valued(a)
-
-
 def test_modulate_translate_laws():
     _, a, _ = _pair()
     lam = np.array([0.4 - 0.9j, 0.2 + 0.3j])
@@ -120,34 +106,29 @@ def test_wirtinger_fd_on_polynomial():
     assert abs(dXb[0] - 3.0) < 1e-9
 
 
+def _fd_gradients(ctx, a, b, step=1e-4):
+    """Wirtinger gradients of a and b at X0, and G = (Phi''_XbarX)^-1."""
+    da, dab = wirtinger_fd(lambda X: eval_symbol(a, X), X0, step)
+    db, dbb = wirtinger_fd(lambda X: eval_symbol(b, X), X0, step)
+    G = np.linalg.inv(ctx.PhiXXbar.conj())
+    return da, dab, db, dbb, G
+
+
 def test_q_form_against_finite_differences():
     ctx, a, b = _pair()
-    fa = lambda X: eval_symbol(a, X)
-    fb = lambda X: eval_symbol(b, X)
-    ac = CallableSymbol(n=2, func=fa, fd_step=1e-4)
-    bc = CallableSymbol(n=2, func=fb, fd_step=1e-4)
     exact = complex(eval_symbol(q_form(ctx, a, b), X0))
     assert abs(exact - (-0.367707147381422 + 0.180795620442811j)) < 1e-12
-    fd = complex(q_form(ctx, ac, bc).func(X0))
-    assert abs(exact - fd) < 1e-6
-
-
-def test_laplace_against_finite_differences():
-    ctx, _, b = _pair()
-    bc = CallableSymbol(n=2, func=lambda X: eval_symbol(b, X), fd_step=1e-4)
-    exact = complex(eval_symbol(laplace(ctx, b), X0))
-    assert abs(exact - (-0.160888779460396 - 0.25211585825775j)) < 1e-12
-    fd = complex(laplace(ctx, bc).func(X0))
+    da, _, _, dbb, G = _fd_gradients(ctx, a, b)
+    fd = da @ G @ dbb
     assert abs(exact - fd) < 1e-6
 
 
 def test_poisson_against_finite_differences():
     ctx, a, b = _pair()
-    ac = CallableSymbol(n=2, func=lambda X: eval_symbol(a, X), fd_step=1e-4)
-    bc = CallableSymbol(n=2, func=lambda X: eval_symbol(b, X), fd_step=1e-4)
     exact = complex(eval_symbol(poisson(ctx, a, b), X0))
     assert abs(exact - (-0.260742477588457 - 0.769582877725041j)) < 1e-12
-    fd = complex(poisson(ctx, ac, bc).func(X0))
+    da, dab, db, dbb, G = _fd_gradients(ctx, a, b)
+    fd = 1j * (da @ G @ dbb) - 1j * (db @ G @ dab)
     assert abs(exact - fd) < 1e-6
 
 
@@ -160,30 +141,38 @@ def test_poisson_antisymmetry():
     assert rel_dev(lhs, -rhs) < 1e-13
 
 
-def test_laplace_eigenvalue_on_plane_wave(ex1):
-    lam = np.array([0.6 + 0.8j])
-    b = PlaneWaveSum(n=1, terms=((1.0, lam),))
-    lb = laplace(ex1, b)
-    ev = -0.125 * np.sum(np.abs(freq_image(ex1, lam)) ** 2)
-    assert len(lb.terms) == 1
-    c, mu = lb.terms[0]
-    assert np.allclose(mu, lam)
-    assert abs(c - ev) < 1e-14
-
-
-def test_fd_requires_step():
-    ctx, a, _ = _pair()
-    bare = CallableSymbol(n=2, func=lambda X: eval_symbol(a, X))
-    with pytest.raises(UnsupportedSymbol):
-        q_form(ctx, bare, bare)
-    with pytest.raises(UnsupportedSymbol):
-        laplace(ctx, bare)
-
-
 def test_nonfinite_callable_rejected():
     bad = CallableSymbol(n=1, func=lambda X: np.full(X.shape[:-1], np.inf))
     with pytest.raises(NonFiniteSample):
         eval_symbol(bad, np.array([[0.1 + 0.2j]]))
+
+
+_REF = CallableSymbol(n=2, func=lambda X: np.cos(np.real(X[..., 0])),
+                      declared_in_T=True)
+_LAM = np.array([0.4 - 0.9j, 0.2 + 0.3j])
+
+
+@pytest.mark.parametrize("op", [
+    lambda ctx, a: multiply(a, _REF),
+    lambda ctx, a: modulate(_REF, _LAM),
+    lambda ctx, a: translate(_REF, _LAM),
+    lambda ctx, a: q_form(ctx, a, _REF),
+    lambda ctx, a: poisson(ctx, _REF, a),
+    lambda ctx, a: heat_flow(ctx, _REF, 0.5),
+], ids=["multiply", "modulate", "translate", "q_form", "poisson",
+        "heat_flow"])
+def test_calculus_refuses_callables(op):
+    """Callable symbols are references only: every operation of the
+    calculus refuses them instead of building a black-box result."""
+    ctx, a, _ = _pair()
+    with pytest.raises(UnsupportedSymbol, match="plane-wave sums"):
+        op(ctx, a)
+
+
+def test_callable_must_return_one_value_per_point():
+    scalar = CallableSymbol(n=2, func=lambda X: 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        eval_symbol(scalar, np.zeros((4, 2), dtype=complex))
 
 
 def test_polarize_diagonal_restriction():
