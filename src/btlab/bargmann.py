@@ -19,10 +19,12 @@ this module.
 
 Each kernel has one builder, `_transform_kernel` and `_projector_kernel`,
 and every evaluator applies what it builds to as many functions as it can:
-the Egorov check builds the projector and transform kernels once per X
-point for all its (symbol, Gaussian) pairs, and the adjoint applies one
-kernel to a whole set of coefficient vectors.  The Egorov kernel grows like
-order^(3n) per X point, so orders past _EGOROV_KERNEL entries are refused
+the Egorov check builds the projector kernel once per X point for all its
+(symbol, Gaussian) pairs, and the adjoint applies one kernel to a whole set
+of coefficient vectors.  A Gaussian's transform has a closed form
+(`gaussian_transform_weighted`), which the Egorov check samples on the
+projector nodes; the check's largest array is that order^(2n) projector
+kernel per X point, so orders past _EGOROV_KERNEL entries are refused
 before any quadrature.
 """
 
@@ -34,7 +36,9 @@ import numpy as np
 
 from .basis import HSpaceVector, MultiIndexSet, monomial_table
 from .errors import InvalidConfig, UnsupportedSymbol
-from .geometry import SpaceContext, _as_points, phase_phi, phi_weight, psi
+from .geometry import (
+    SpaceContext, _as_points, _qform, phase_phi, phi_weight, psi,
+)
 from .heat import heat_flow
 from .quadrature import QuadratureRule, _tensor_grid, complex_grid
 from .symbols import _require_plane_waves, eval_symbol, guillemin_symbol
@@ -42,6 +46,7 @@ from .symbols import _require_plane_waves, eval_symbol, guillemin_symbol
 __all__ = [
     "GaussianTestFn",
     "bargmann_transform_weighted",
+    "gaussian_transform_weighted",
     "bargmann_adjoint_apply",
     "project_coeffs",
     "projector_apply_weighted",
@@ -137,6 +142,32 @@ def bargmann_transform_weighted(ctx: SpaceContext, u, X,
     return pref * (_times(K, u(y)) @ wt)
 
 
+def gaussian_transform_weighted(ctx: SpaceContext, u: GaussianTestFn,
+                                X) -> np.ndarray:
+    """e^{-Phi(X)/h} (Tu)(X) for a Gaussian u, in closed form.
+
+    The integrand exp([i phi(X, y) - Phi(X)]/h) u(y) is the Gaussian
+    exp(-y.My/2 + J.y + c0) in y, with M = I/sigma^2 - (i/h) C (complex
+    symmetric, Re M > 0) and J = (i/h) B^T X + i p0 + y0/sigma^2, so the
+    integral is (2 pi)^(n/2) det(M)^(-1/2) exp(c0 + J.M^-1 J/2).  The root
+    det(M)^(-1/2) is the product of the principal roots over the eigenvalues
+    of M, the branch continuous from the real case.
+    """
+    X = _as_points(np.asarray(X, dtype=complex), ctx.n)
+    ph, h, s2 = ctx.phase, ctx.h, u.sigma ** 2
+    M = np.eye(ctx.n) / s2 - (1j / h) * ph.C
+    J = (1j / h) * (X @ ph.B) + (1j * u.p0 + u.y0 / s2)
+    expo = (
+        (0.5j * _qform(X, ph.A, X) - phi_weight(ctx, X)) / h
+        - (u.y0 @ u.y0) / (2.0 * s2)
+        + 0.5 * _qform(J, np.linalg.inv(M), J)
+    )
+    root = np.prod(np.sqrt(np.linalg.eigvals(M)))
+    pref = (u.amp * ctx.Cphi * h ** (-0.75 * ctx.n)
+            * (2.0 * np.pi) ** (ctx.n / 2.0) / root)
+    return pref * np.exp(expo)
+
+
 def _h_grid(ctx: SpaceContext, rule: QuadratureRule):
     """The sigma^2 = h grid in W = RX with its weights, the matching points
     X = R^-1 W, <X, Phi''_XX X> and |W|^2 there, and |det R|."""
@@ -167,9 +198,9 @@ def project_coeffs(ctx: SpaceContext, fw, trunc: MultiIndexSet,
 
 # Kernel entries (y points x grid nodes) held at once by the adjoint.
 _ADJOINT_BLOCK = 1 << 20
-# Largest Egorov kernel per X point: order^(2n) projector nodes times
-# order^n transform nodes.  Every n = 1 order fits (256^3 = 2^24).
-_EGOROV_KERNEL = 1 << 24
+# Largest Egorov kernel per X point: the order^(2n) projector nodes.  Every
+# n = 1 order fits; n = 2 admits order <= 32.
+_EGOROV_KERNEL = 1 << 20
 
 
 def bargmann_adjoint_apply(ctx: SpaceContext, vecs, y,
@@ -265,16 +296,22 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians, X_grid,
     The real-side symbol comes from the half-time-regularized polarization
     of b pushed through the canonical frame change; each term is a
     plane wave in (x, xi) with complex frequencies, applied in closed form.
-    The left side transforms u on the projector nodes, which depend on
-    neither b nor u, so each X point builds its kernels once for all pairs.
+    The left side samples the closed-form transform of u on the projector
+    nodes; the right side transforms the Weyl image by quadrature, so the
+    two routes share no transform.  The projector nodes depend on neither
+    b nor u, so each X point builds its kernel once for all pairs.
     """
     symbols, gaussians = tuple(symbols), tuple(gaussians)
     _require_plane_waves("the Egorov identity", *symbols)
-    entries = rule.order ** (3 * ctx.n)
+    if not all(isinstance(u, GaussianTestFn) for u in gaussians):
+        raise UnsupportedSymbol(
+            "the Egorov identity is closed-form only for Gaussian probes"
+        )
+    entries = rule.order ** (2 * ctx.n)
     if entries > _EGOROV_KERNEL:
         raise InvalidConfig(
-            f"egorov at order {rule.order} needs a kernel of order^(3n) ="
-            f" {entries} entries per X point, over the cap of"
+            f"egorov at order {rule.order} needs a projector kernel of"
+            f" order^(2n) = {entries} entries per X point, over the cap of"
             f" {_EGOROV_KERNEL}; lower the order"
         )
     X_grid = _as_points(np.asarray(X_grid, dtype=complex), ctx.n)
@@ -294,13 +331,11 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians, X_grid,
     images = [[weyl_image(b, u) for u in gaussians] for b in symbols]
     norm = (2.0 / (np.pi * ctx.h)) ** ctx.n
     worst = np.zeros((len(symbols), len(gaussians)))
-    # one grid point at a time: the left side nests two quadratures and
-    # batching X would hold one (npts_V * npts_y) kernel per point
+    # one grid point at a time, so only one projector kernel is held
     for Xp in X_grid.reshape(-1, ctx.n):
         Y, KY, wY = _projector_kernel(ctx, Xp, rule)
-        y, Ky, wy, pref = _transform_kernel(ctx, Y, rule)
-        fY = [_times(KY, pref * (_times(Ky, u(y)) @ wy)) for u in gaussians]
-        del y, Ky
+        fY = [_times(KY, gaussian_transform_weighted(ctx, u, Y))
+              for u in gaussians]
         for j, b in enumerate(symbols):
             bY = eval_symbol(b, Y)
             for g in range(len(gaussians)):

@@ -16,15 +16,22 @@ from btlab.bargmann import (
     bargmann_adjoint_apply,
     bargmann_transform_weighted,
     egorov_guillemin_check,
+    gaussian_transform_weighted,
     project_coeffs,
     projector_apply_weighted,
     real_weyl_planewave_apply,
 )
 from btlab.basis import HSpaceVector, enumerate_multiindices, u_alpha_eval
-from btlab.errors import UnsupportedSymbol
-from btlab.geometry import build_context, fock_phase, phi_weight, random_phase
+from btlab.errors import InvalidConfig, UnsupportedSymbol
+from btlab.geometry import (
+    build_context,
+    fock_phase,
+    heat_phase,
+    phi_weight,
+    random_phase,
+)
 from btlab.heat import complex_box, heat_flow
-from btlab.quadrature import gauss_hermite_rule
+from btlab.quadrature import QuadratureRule, gauss_hermite_rule
 from btlab.symbols import (
     CallableSymbol,
     guillemin_symbol,
@@ -123,6 +130,35 @@ def test_weighted_transform_bounded_by_l1(rule60):
     assert 0.95 < np.max(vals) < 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("phase,h", [
+    (fock_phase, 1.0),
+    (heat_phase, 0.5),
+    (lambda n: random_phase(n, 7), 0.5),
+    (lambda n: random_phase(n, 7), 1.0),
+], ids=["fock", "heat", "seed7-h0.5", "seed7-h1"])
+def test_gaussian_transform_closed_form_matches_quadrature(rule80, n, phase,
+                                                           h):
+    ctx = build_context(phase(n), h)
+    X = complex_box(-1.0, 1.0, 0.5 if n == 1 else 1.0, n)
+    probes = (
+        GaussianTestFn(y0=np.zeros(n), sigma=1.0, p0=np.zeros(n)),
+        GaussianTestFn(y0=np.full(n, 0.4), sigma=0.8, p0=np.full(n, 0.6),
+                       amp=0.9 + 0.4j),
+        GaussianTestFn(y0=np.linspace(-0.5, 0.3, n), sigma=1.3,
+                       p0=np.linspace(0.7, -0.2, n), amp=-0.3 + 1.1j),
+    )
+    for u in probes:
+        got = gaussian_transform_weighted(ctx, u, X)
+        ref = bargmann_transform_weighted(ctx, u, X, rule80)
+        assert got.shape == X.shape[:-1]
+        assert np.max(np.abs(got - ref)) < 1e-12
+    grid = np.stack([X, np.conj(X)])
+    batched = gaussian_transform_weighted(ctx, probes[2], grid)
+    assert batched.shape == grid.shape[:-1]
+    assert np.max(np.abs(batched[0] - got)) < 1e-14
+
+
 def test_transform_image_is_holomorphic(rule60):
     ctx = build_context(fock_phase(1, 1.0), 0.5)
     u = _gauss()
@@ -203,7 +239,8 @@ def test_egorov_identity_single_combination(rule60):
 
 def _egorov_per_pair(ctx, b, u, X, rule):
     """One (symbol, Gaussian) pair the unbatched way: the projector with the
-    symbol under the integral, applied to the transform on its own nodes."""
+    symbol under the integral, applied to the closed-form transform on its
+    own nodes."""
     freqs = guillemin_symbol(
         ctx, heat_flow(ctx, b, 0.5)
     ).cotangent_frequencies()
@@ -217,17 +254,17 @@ def _egorov_per_pair(ctx, b, u, X, rule):
     worst = 0.0
     for Xp in X.reshape(-1, ctx.n):
         lhs = complex(projector_apply_weighted(
-            ctx, lambda Y: bargmann_transform_weighted(ctx, u, Y, rule), Xp,
-            rule, symbol=b))
+            ctx, lambda Y: gaussian_transform_weighted(ctx, u, Y), Xp, rule,
+            symbol=b))
         rhs = complex(bargmann_transform_weighted(ctx, gu, Xp, rule))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     return worst
 
 
 def test_egorov_batched_equals_per_pair_bits():
-    """Sharing the kernels across pairs must not move a single bit.  At
-    order 28 the transform arrays are large enough for numpy to reuse
-    temporaries, so a swapped complex product would show here."""
+    """Sharing the projector kernel across pairs must not move a single
+    bit: the reference builds it again for every pair and applies it with
+    the symbol under the integral."""
     ctx = build_context(random_phase(1, 3), 0.5)
     rule = gauss_hermite_rule(28)
     X = np.array([[0.0], [0.5 + 0.2j], [-0.7 + 0.4j], [0.3 - 0.9j]])
@@ -262,3 +299,40 @@ def test_egorov_refuses_any_callable_before_quadrature(rule60, monkeypatch):
     X = complex_box(-1.0, 1.0, 1.0, 1)
     with pytest.raises(UnsupportedSymbol):
         egorov_guillemin_check(ctx, [wave, wave, bad], [_gauss()], X, rule60)
+
+
+def test_egorov_refuses_non_gaussian_probe_before_quadrature(rule60,
+                                                             monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran before the probe check")
+
+    monkeypatch.setattr(btlab.bargmann, "_projector_kernel", no_quadrature)
+    monkeypatch.setattr(btlab.bargmann, "_transform_kernel", no_quadrature)
+    ctx = build_context(fock_phase(1, 1.0), 1.0)
+    wave = plane_wave_sum([(1.0, np.array([1.0]))], n=1)
+    X = complex_box(-1.0, 1.0, 1.0, 1)
+    with pytest.raises(UnsupportedSymbol):
+        egorov_guillemin_check(ctx, [wave], [_gauss(), _gauss().__call__],
+                               X, rule60)
+
+
+class _KernelReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n,order,admitted", [
+    (1, 1024, True), (1, 1025, False), (2, 32, True), (2, 33, False),
+])
+def test_egorov_kernel_cap(monkeypatch, n, order, admitted):
+    """The cap counts the order^(2n) projector kernel per X point; the rule
+    is a bare order, since nothing below the cap is computed here."""
+    def reached(*args):
+        raise _KernelReached
+
+    monkeypatch.setattr(btlab.bargmann, "_projector_kernel", reached)
+    ctx = build_context(fock_phase(n, 1.0), 1.0)
+    rule = QuadratureRule(order=order, nodes=np.empty(0), weights=np.empty(0))
+    wave = plane_wave_sum([(1.0, np.ones(n))], n=n)
+    u = GaussianTestFn(y0=np.zeros(n), sigma=1.0, p0=np.zeros(n))
+    with pytest.raises(_KernelReached if admitted else InvalidConfig):
+        egorov_guillemin_check(ctx, [wave], [u], np.zeros((1, n)), rule)
