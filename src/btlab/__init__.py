@@ -53,6 +53,7 @@ _EXPORTS = {
     "cosine_symbol": "symbols",
     "sine_symbol": "symbols",
     "eval_symbol": "symbols",
+    "sup_norm": "symbols",
     "q_form": "symbols",
     "poisson": "symbols",
     "polarize": "symbols",

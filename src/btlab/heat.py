@@ -26,7 +26,6 @@ from .symbols import (
     PlaneWaveSum,
     _require_plane_waves,
     eval_symbol,
-    modulate,
 )
 
 __all__ = [
@@ -104,28 +103,38 @@ def complex_box(lo: float, hi: float, step: float, n: int = 1) -> np.ndarray:
     return pts[:, :n] + 1j * pts[:, n:]
 
 
-def sw_diagnostic(ctx: SpaceContext, b, lam_grid, X_grid=None) -> np.ndarray:
-    """g(lam) = max_X |(b^lam)_1(X)| * exp(-h |R^-T lam|^2 / 8).
+def sw_diagnostic(ctx: SpaceContext, b, lam_grid) -> np.ndarray:
+    """g(lam) = sup_X |(b^lam)_1(X)| * exp(-h |mu|^2 / 8), mu = R^-T lam.
 
     The modulated symbol b^lam = e^{i Re<., lam>} b is heat-regularized at
-    t = 1 and the same full-time decay factor multiplies the sup norm, so
-    the frequency weight appears twice.  Summability of g over the
-    frequency plane is the membership diagnostic for the symbol class
-    behind the norm bounds.
+    t = 1 and the same full-time decay factor multiplies its sup norm, so
+    the frequency weight appears twice.  Modulation shifts every frequency
+    by lam and the flow damps each coefficient, so by `sup_norm`
+
+        g(lam) = sum_j |c_j| exp(-h |mu_j + mu|^2 / 8) exp(-h |mu|^2 / 8),
+
+    with mu_j = R^-T lam_j: the exact sup when `sup_norm(b)` is attained,
+    an upper bound otherwise.  Summability of g over the frequency plane is
+    the membership diagnostic for the symbol class behind the norm bounds.
     """
-    lam_grid = _as_points(np.asarray(lam_grid, dtype=complex), ctx.n)
-    if X_grid is None:
-        X_grid = complex_box(-6.0, 6.0, 0.3, ctx.n)
-    X_grid = _as_points(X_grid, ctx.n)
-    out = np.empty(lam_grid.shape[:-1], dtype=float)
-    flat = lam_grid.reshape(-1, ctx.n)
-    res = np.empty(flat.shape[0], dtype=float)
-    for k, lam in enumerate(flat):
-        bt = heat_flow(ctx, modulate(b, lam), 1.0)
-        sup = float(np.max(np.abs(eval_symbol(bt, X_grid))))
-        res[k] = sup * float(heat_damping(ctx, lam, 1.0))
-    out[...] = res.reshape(lam_grid.shape[:-1])
-    return out
+    _require_plane_waves("sw_diagnostic", b)
+    lam = np.asarray(lam_grid, dtype=complex)
+
+    def re_pair(w):
+        """Re<lam, w> at every grid point, from real parts only."""
+        return lam.real @ w.real - lam.imag @ w.imag
+
+    # One real value per point at a time, no (..., n) complex temporary:
+    # mu_d = <lam, r_d> over the rows r_d of R^-T, and
+    # |mu + mu_j|^2 = |mu|^2 + 2 Re<lam, R^-1 conj(mu_j)> + |mu_j|^2.
+    mu2 = sum(re_pair(r) ** 2 + re_pair(-1j * r) ** 2 for r in ctx.RTinv)
+    g = np.zeros(lam.shape[:-1])
+    for c, lam_j in b.terms:
+        mu_j = ctx.RTinv @ lam_j
+        shift = (2.0 * re_pair(ctx.Rinv @ np.conj(mu_j))
+                 + np.sum(np.abs(mu_j) ** 2))
+        g += abs(c) * np.exp(-ctx.h * (mu2 + shift) / 8.0)
+    return g * np.exp(-ctx.h * mu2 / 8.0)
 
 
 def sw_l1(g: np.ndarray, step: float, n: int = 1) -> float:

@@ -41,6 +41,7 @@ from .symbols import (
     multiply,
     poisson,
     q_form,
+    sup_norm,
     translate,
 )
 
@@ -185,15 +186,18 @@ class BoundReport:
     norm_table: NormTable
     slack: float
     passed: bool
+    sup_attained: bool  # False: every lhs is the upper bound sum |c_j|
 
 
-def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float], X_grid,
+def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float],
                  n_schedule: Sequence[int], rule: QuadratureRule,
                  slack: float = 0.02) -> BoundReport:
     """Check sup |b_t| <= (1+slack) M / (2t-1)^n on a time grid in (1/2, 1].
 
-    The compression norm M under-estimates the true operator norm, hence
-    the slack on the right-hand side.
+    The left side is `sup_norm` of the flowed symbol, sum |c_j|: the sup
+    over all of C^n when attained, an upper bound otherwise
+    (`sup_attained`).  The compression norm M under-estimates the true
+    operator norm, hence the slack on the right-hand side.
     """
     for t in t_grid:
         if not 0.5 < float(t) <= 1.0:
@@ -203,16 +207,17 @@ def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float], X_grid,
     table = norm_converged(ctx, b, n_schedule, rule)
     rows = []
     ok = True
+    attained = True
     for t in t_grid:
         t = float(t)
-        bt = heat_flow(ctx, b, t)
-        lhs = float(np.max(np.abs(eval_symbol(bt, X_grid))))
+        lhs, exact = sup_norm(heat_flow(ctx, b, t))
+        attained = attained and exact
         rhs = table.m_norm * (1.0 + slack) / (2.0 * t - 1.0) ** ctx.n
         passed = lhs <= rhs
         ok = ok and passed
         rows.append((t, lhs, rhs, rhs - lhs, passed))
     return BoundReport(rows=tuple(rows), norm_table=table, slack=slack,
-                       passed=ok)
+                       passed=ok, sup_attained=attained)
 
 
 def diagonal_sum_check(ctx: SpaceContext, b, M: OperatorMatrix, ks,
@@ -260,6 +265,20 @@ class SweepResult:
     rows: tuple  # of (h, r1, r2)
     slope1: float
     slope2: float
+    commuting: bool  # T_a T_b = T_b T_a exactly; r2 is truncation leakage
+
+
+def _commute_exactly(ctx: SpaceContext, a, b) -> bool:
+    """Whether the composition-law factor exp((h/8) lam^T G conj(mu)),
+    G = (Phi''_XbarX)^-1, is symmetric for every term pair: then
+    T_a T_b - T_b T_a vanishes identically and so does {a, b}."""
+    G = np.linalg.inv(ctx.PhiXXbar.conj())
+    scale = 1e-12 * np.linalg.norm(G, 2)
+    return all(
+        abs(la @ G @ np.conj(lb) - lb @ G @ np.conj(la))
+        <= scale * np.linalg.norm(la) * np.linalg.norm(lb)
+        for _, la in a.terms for _, lb in b.terms
+    )
 
 
 def _fit_slope(hs: np.ndarray, rs: np.ndarray) -> float:
@@ -275,7 +294,8 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
     """Deformation residuals across h, with log-log slope fits.
 
     Contexts are rebuilt per h so every normalization constant tracks the
-    semiclassical parameter.
+    semiclassical parameter.  `commuting` names the pairs whose commutator
+    residual has no h^2 term to fit (see `_commute_exactly`).
     """
     hs = [float(h) for h in h_list]
     if len(hs) < 4 or any(x <= y for x, y in zip(hs, hs[1:])):
@@ -294,4 +314,5 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
         rows=tuple(rows),
         slope1=_fit_slope(arr[:, 0], arr[:, 1]),
         slope2=_fit_slope(arr[:, 0], arr[:, 2]),
+        commuting=_commute_exactly(ctxs[0], a, b),
     )

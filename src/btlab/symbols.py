@@ -5,8 +5,9 @@ Two symbol variants exist.  Finite plane-wave sums
     b(X) = sum_j c_j exp(i Re<X, lambda_j>),   lambda_j in C^n,
 
 are the only symbols the calculus accepts: products, the bilinear form Q,
-the bracket, modulation, translation, heat flow and polarization all act on
-the terms in closed form, so every operation the theorems need stays exact.
+the bracket, translation, heat flow, polarization and the sup norm all act
+on the terms in closed form, so every operation the theorems need stays
+exact.
 The pairing <X, lambda> = sum X_d lambda_d is bilinear (no conjugation);
 Re<X, lambda> is real even for complex frequencies, so plane waves always
 have modulus one.  These sums are the building blocks of Sjostrand's
@@ -40,8 +41,8 @@ __all__ = [
     "sine_symbol",
     "eval_symbol",
     "multiply",
-    "modulate",
     "translate",
+    "sup_norm",
     "q_form",
     "poisson",
     "polarize",
@@ -160,13 +161,6 @@ def multiply(a, b):
     return PlaneWaveSum(n=a.n, terms=tuple(terms))
 
 
-def modulate(b, lam):
-    """b^lam(X) = exp(i Re<X, lam>) b(X)."""
-    _require_plane_waves("modulate", b)
-    lam = _freq(lam, b.n)
-    return PlaneWaveSum(n=b.n, terms=tuple((c, mu + lam) for c, mu in b.terms))
-
-
 def translate(b, lam):
     """b(. + lam)."""
     _require_plane_waves("translate", b)
@@ -177,6 +171,40 @@ def translate(b, lam):
             (c * np.exp(1j * np.real(lam @ mu)), mu) for c, mu in b.terms
         ),
     )
+
+
+def _witness(b: PlaneWaveSum) -> np.ndarray:
+    """Least-squares phase-alignment point X* in C^n.
+
+    Every term has the phase of the first at X* when
+    Re<X*, lam_j - lam_1> = arg c_1 - arg c_j for all j.  Re<X, lam> is the
+    real functional (Re lam, -Im lam) on (Re X, Im X) in R^{2n}, so this is
+    one real linear system; without an exact solution the least-squares
+    point is only a candidate.
+    """
+    if len(b.terms) < 2:
+        return np.zeros(b.n, dtype=complex)
+    c1, l1 = b.terms[0]
+    dl = np.array([lam - l1 for _, lam in b.terms[1:]])
+    rows = np.concatenate([dl.real, -dl.imag], axis=1)
+    rhs = np.array([np.angle(c1) - np.angle(c) for c, _ in b.terms[1:]])
+    x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
+    return x[:b.n] + 1j * x[b.n:]
+
+
+def sup_norm(b) -> tuple:
+    """(value, attained): value = sum_j |c_j| bounds |b| on all of C^n.
+
+    attained is True when the phase-alignment point X* reaches the value
+    to 1e-12 relative, so the bound is the exact sup; otherwise it is only
+    an upper bound.  Positive factors on the c_j (heat damping) and a
+    common shift of the lam_j (modulation) change neither the phases nor
+    the differences lam_j - lam_1, so they keep X* a witness.
+    """
+    _require_plane_waves("sup_norm", b)
+    value = float(sum(abs(c) for c, _ in b.terms))
+    reached = abs(complex(eval_symbol(b, _witness(b))))
+    return value, bool(abs(reached - value) <= 1e-12 * value)
 
 
 # ---------------------------------------------------------------------------

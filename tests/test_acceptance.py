@@ -197,7 +197,6 @@ def test_criterion_05_symbol_norm_bound():
     t0 = time.perf_counter()
     ctx = build_context(fock_phase(1, 1.0), 1.0)
     rule = gauss_hermite_rule(60)
-    X = complex_box(-6.0, 6.0, 0.3, 1)
     symbols = (
         cosine_symbol(1.0),
         plane_wave_sum(
@@ -212,7 +211,7 @@ def test_criterion_05_symbol_norm_bound():
     ok = True
     details = []
     for b in symbols:
-        rep = bound_report(ctx, b, [0.6, 0.75, 0.9, 1.0], X,
+        rep = bound_report(ctx, b, [0.6, 0.75, 0.9, 1.0],
                            range(8, 26, 2), rule, slack=0.02)
         ok = ok and rep.passed and rep.norm_table.converged
         details.append(f"M={rep.norm_table.m_norm:.4f}")
@@ -283,12 +282,11 @@ def test_criterion_07_l1_diagnostic_converges():
     t0 = time.perf_counter()
     ctx = build_context(fock_phase(1, 1.0), 1.0)
     b = constant_symbol(1.0)
-    X = complex_box(-6.0, 6.0, 0.5, 1)
     target = 2.0 * np.pi
     devs = []
     for step in (1.0, 0.5, 0.25):
         lam = complex_box(-8.0, 8.0, step, 1)
-        est = sw_l1(sw_diagnostic(ctx, b, lam, X_grid=X), step, 1)
+        est = sw_l1(sw_diagnostic(ctx, b, lam), step, 1)
         devs.append(abs(est - target) / target)
     dt = time.perf_counter() - t0
     ok = devs[-1] < 0.01 and all(

@@ -284,9 +284,50 @@ def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
+def test_verify_deformation_names_commuting_pair(tmp_path):
+    """The default cosine/sine pair commutes exactly, so its commutator
+    residual is named, not checked against slope_min."""
+    cfg = _write(tmp_path, FOCK)
+    res = CliRunner().invoke(
+        main, ["verify", "deformation", "--config", cfg, "--out",
+               str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert ("[PASS] slope r2: a and b commute exactly; residual is "
+            "truncation leakage\n") in res.output
+    assert "slope r2 >=" not in res.output
+    assert "[PASS] slope r1 >= 1.8" in res.output
+
+
+def test_sup_not_attained_is_flagged(tmp_path):
+    """sin(Re X) + sin(2 Re X) peaks below sum |c_j| = 2: bound marks its
+    rows upper_bound and sw warns that its profile is an upper bound."""
+    sym = [[0.0, -0.5, 1.0, 0.0], [0.0, 0.5, -1.0, 0.0],
+           [0.0, -0.5, 2.0, 0.0], [0.0, 0.5, -2.0, 0.0]]
+    cfg = _write(tmp_path, dict(SMALL, symbols=[sym], b=sym))
+    res = CliRunner().invoke(
+        main, ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert "[WARN] b0: sup not attained" in res.output
+    row = (tmp_path / "bound.csv").read_text().splitlines()[1].split(",")
+    # at t = 1 on Fock the terms damp by exp(-|lam|^2 / 4)
+    assert abs(float(row[2]) - np.exp(-0.25) - np.exp(-1.0)) < 1e-10
+    assert row[-1] == "upper_bound"
+    res = CliRunner().invoke(
+        main, ["verify", "sw", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert "[WARN] sup of b not attained" in res.output
+    res = CliRunner().invoke(
+        main, ["verify", "sw", "--config", _write(tmp_path, SMALL),
+               "--out", str(tmp_path)]
+    )
+    assert "[WARN]" not in res.output
+
+
 def test_verify_egorov_refuses_infeasible_kernel(tmp_path):
-    """At n = 2 the default order 80 would need an 80^6-entry kernel per X
-    point; the suite refuses it with exit 2 before any quadrature."""
+    """At n = 2 the default order 80 would need an 80^4-entry projector
+    kernel per X point; the suite refuses it with exit 2 before any
+    quadrature."""
     cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 2}, "h": 1.0})
     t0 = time.perf_counter()
     res = CliRunner().invoke(

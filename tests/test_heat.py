@@ -20,6 +20,8 @@ from btlab.symbols import (
     cosine_symbol,
     eval_symbol,
     plane_wave_sum,
+    sine_symbol,
+    sup_norm,
 )
 
 
@@ -132,3 +134,66 @@ def test_sw_diagnostic_gaussian_profile(ex1):
         assert rel_dev(g, ref) < 1e-12
         est = sw_l1(g, step, 1)
         assert abs(est - 2.0 * np.pi) < 1e-6 * 2.0 * np.pi
+
+
+_ONE_PLUS_HALF_SIN = plane_wave_sum(
+    [(1.0, np.zeros(1)), *((0.5 * c, lam) for c, lam in
+                           sine_symbol(1.0).terms)])
+
+
+@pytest.mark.parametrize("phase, h", [
+    (fock_phase(1, 1.0), 1.0), (random_phase(1, 7), 0.5),
+], ids=["fock", "seed7"])
+@pytest.mark.parametrize("b", [constant_symbol(1.0), _ONE_PLUS_HALF_SIN],
+                         ids=["one", "one_plus_half_sin"])
+def test_sw_riemann_sums_approach_closed_form_l1(phase, h, b):
+    """With mu = R^-T lam, the profile integrates in closed form:
+    sum_j |c_j| |det R|^2 (4 pi / h)^n exp(-h |mu_j|^2 / 16)."""
+    ctx = build_context(phase, h)
+    assert sup_norm(b)[1]
+    jac = abs(np.linalg.det(ctx.R)) ** 2 * (4.0 * np.pi / h) ** ctx.n
+    ref = sum(
+        abs(c) * jac * np.exp(-h * np.sum(np.abs(freq_image(ctx, lam)) ** 2)
+                              / 16.0)
+        for c, lam in b.terms
+    )
+    devs = []
+    for step in (1.0, 0.5, 0.25):
+        lam = complex_box(-8.0, 8.0, step, 1)
+        devs.append(abs(sw_l1(sw_diagnostic(ctx, b, lam), step, 1) - ref)
+                    / ref)
+    assert devs[0] < 1e-7
+    assert max(devs[1:]) < 1e-13
+
+
+@pytest.mark.parametrize("b", [
+    constant_symbol(1.0), _ONE_PLUS_HALF_SIN,
+    plane_wave_sum([*sine_symbol(1.0).terms, *sine_symbol(2.0).terms]),
+], ids=["one", "one_plus_half_sin", "sin_plus_sin2"])
+def test_sw_profile_dominates_box_samples(b):
+    """The closed-form profile is never below the box-sampled one: the
+    modulated symbol flowed to t = 1 and sampled on an X box."""
+    ctx = build_context(random_phase(1, 7), 0.5)
+    lam = complex_box(-4.0, 4.0, 1.0, 1)
+    X = complex_box(-6.0, 6.0, 0.5, 1)
+    g = sw_diagnostic(ctx, b, lam)
+    for k, shift in enumerate(lam):
+        moved = PlaneWaveSum(n=1, terms=tuple((c, mu + shift)
+                                              for c, mu in b.terms))
+        old = np.max(np.abs(eval_symbol(heat_flow(ctx, moved, 1.0), X)))
+        assert old * float(heat_damping(ctx, shift, 1.0)) <= g[k] * (
+            1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_sw_profile_is_damped_term_sum(seed):
+    """At n = 2, where R mixes the coordinates, the profile equals
+    sum_j |c_j| damping(lam + lam_j) damping(lam) term by term."""
+    ctx = build_context(random_phase(2, seed), 0.7)
+    b = plane_wave_sum([(0.6, np.array([0.5, -0.2])),
+                        (0.3 - 0.2j, np.array([-0.4 + 0.3j, 0.1j])),
+                        (0.25j, np.zeros(2))], n=2)
+    lam = complex_box(-2.0, 2.0, 1.0, 2)
+    ref = sum(abs(c) * heat_damping(ctx, lam + lj, 1.0) for c, lj in b.terms)
+    ref = ref * heat_damping(ctx, lam, 1.0)
+    assert np.max(np.abs(sw_diagnostic(ctx, b, lam) - ref)) < 1e-14

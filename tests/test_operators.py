@@ -20,7 +20,7 @@ from conftest import rel_dev
 from btlab.basis import enumerate_multiindices, weighted_pair_sum
 from btlab.errors import InvalidConfig, UnsupportedSymbol
 from btlab.geometry import build_context, fock_phase, heat_phase, random_phase
-from btlab.heat import complex_box, heat_flow
+from btlab.heat import heat_flow
 from btlab.operators import (
     bound_report,
     deformation_residuals,
@@ -196,15 +196,13 @@ def test_norm_schedule(rule60, ex1):
 
 
 def test_bound_report_time_domain(rule60, ex1):
-    X = complex_box(-6.0, 6.0, 0.3, 1)
     with pytest.raises(InvalidConfig):
-        bound_report(ex1, cosine_symbol(1.0), [0.5, 1.0], X,
+        bound_report(ex1, cosine_symbol(1.0), [0.5, 1.0],
                      range(8, 26, 2), rule60)
 
 
 def test_bound_report_passes_for_cosine(rule60, ex1):
-    X = complex_box(-6.0, 6.0, 0.3, 1)
-    rep = bound_report(ex1, cosine_symbol(1.0), [0.6, 0.75, 0.9, 1.0], X,
+    rep = bound_report(ex1, cosine_symbol(1.0), [0.6, 0.75, 0.9, 1.0],
                        range(8, 26, 2), rule60)
     assert rep.passed
     assert rep.norm_table.converged
@@ -254,6 +252,30 @@ def test_sweep_generic_complex_pair_is_quadratic(rule60):
     )
     assert 1.8 < res.slope1 < 2.3
     assert 1.8 < res.slope2 < 2.3
+
+
+def _cos_sin(n):
+    e1 = np.eye(n)[0]
+    return cosine_symbol(e1, n), sine_symbol(e1, n)
+
+
+@pytest.mark.parametrize("phase, pair, commuting", [
+    (fock_phase(1, 1.0), _cos_sin(1), True),
+    (random_phase(1, 7), _cos_sin(1), True),
+    (random_phase(2, 7), _cos_sin(2), True),
+    (fock_phase(1, 1.0), (
+        plane_wave_sum([(0.7, np.array([1.0 + 0.4j]))], n=1),
+        plane_wave_sum([(0.5 - 0.2j, np.array([-0.6 + 0.8j]))], n=1),
+    ), False),
+], ids=["fock", "seed7-n1", "seed7-n2", "generic-complex"])
+def test_sweep_flags_exactly_commuting_pairs(phase, pair, commuting):
+    """Real frequencies make the composition-law factor symmetric, so the
+    cosine/sine pair commutes exactly; the generic complex pair of
+    test_sweep_generic_complex_pair_is_quadratic does not.  The flag
+    reads no residual, so a small truncation and order do."""
+    res = deformation_sweep(phase, *pair, [0.4, 0.3, 0.2, 0.1], 4,
+                            gauss_hermite_rule(12))
+    assert res.commuting is commuting
 
 
 def test_sweep_degenerate_slope_is_nan(rule60):

@@ -8,11 +8,13 @@ object.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rel_dev
 
 from btlab.errors import NonFiniteSample, UnsupportedSymbol
-from btlab.heat import heat_flow
+from btlab.heat import complex_box, heat_flow
 from btlab.geometry import (
     build_context,
     kappa_T,
@@ -22,17 +24,18 @@ from btlab.geometry import (
 from btlab.symbols import (
     CallableSymbol,
     PlaneWaveSum,
+    _witness,
     constant_symbol,
     cosine_symbol,
     eval_symbol,
     guillemin_symbol,
-    modulate,
     multiply,
     plane_wave_sum,
     poisson,
     polarize,
     q_form,
     sine_symbol,
+    sup_norm,
     translate,
     wirtinger_fd,
 )
@@ -86,14 +89,11 @@ def test_multiply_is_pointwise():
     ) < 1e-14
 
 
-def test_modulate_translate_laws():
+def test_translate_law():
     _, a, _ = _pair()
     lam = np.array([0.4 - 0.9j, 0.2 + 0.3j])
     rng = np.random.default_rng(3)
     X = rng.standard_normal((15, 2)) + 1j * rng.standard_normal((15, 2))
-    got = eval_symbol(modulate(a, lam), X)
-    ref = np.exp(1j * np.real(X @ lam)) * eval_symbol(a, X)
-    assert rel_dev(got, ref) < 1e-14
     got = eval_symbol(translate(a, lam), X)
     assert rel_dev(got, eval_symbol(a, X + lam)) < 1e-14
 
@@ -154,13 +154,13 @@ _LAM = np.array([0.4 - 0.9j, 0.2 + 0.3j])
 
 @pytest.mark.parametrize("op", [
     lambda ctx, a: multiply(a, _REF),
-    lambda ctx, a: modulate(_REF, _LAM),
     lambda ctx, a: translate(_REF, _LAM),
     lambda ctx, a: q_form(ctx, a, _REF),
     lambda ctx, a: poisson(ctx, _REF, a),
     lambda ctx, a: heat_flow(ctx, _REF, 0.5),
-], ids=["multiply", "modulate", "translate", "q_form", "poisson",
-        "heat_flow"])
+    lambda ctx, a: sup_norm(_REF),
+], ids=["multiply", "translate", "q_form", "poisson", "heat_flow",
+        "sup_norm"])
 def test_calculus_refuses_callables(op):
     """Callable symbols are references only: every operation of the
     calculus refuses them instead of building a black-box result."""
@@ -213,3 +213,45 @@ def test_cotangent_frequencies_reconstruct_symbol():
         for c, p, q in freqs:
             got = got + c * np.exp(1j * (x @ p + xi @ q))
         assert rel_dev(got, ref) < 1e-12
+
+
+_z = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.sampled_from([1, 2]), seed=st.integers(0, 40),
+       h=st.sampled_from([0.5, 1.0]),
+       t=st.floats(0.5, 1.0, exclude_min=True), data=st.data())
+def test_sup_norm_bounds_every_sample(n, seed, h, t, data):
+    """sum |c_j| bounds the flowed symbol on a box of C^n, and when it is
+    attained the witness of the unflowed symbol reaches it: heat damping
+    only rescales the coefficients by positive factors."""
+    ctx = build_context(random_phase(n, seed), h)
+    vec = st.lists(_z, min_size=n, max_size=n).map(np.array)
+    terms = data.draw(st.lists(st.tuples(_z, vec.map(lambda v: 2.0 * v)),
+                               min_size=1, max_size=4))
+    b = PlaneWaveSum(n=n, terms=tuple(terms))
+    bt = heat_flow(ctx, b, t)
+    value, attained = sup_norm(bt)
+    X = complex_box(-3.0, 3.0, 0.25 if n == 1 else 0.5, n)
+    assert np.max(np.abs(eval_symbol(bt, X))) <= value * (1.0 + 1e-12)
+    if attained:
+        reached = abs(complex(eval_symbol(bt, _witness(b))))
+        assert abs(reached - value) <= 1e-12 * value
+
+
+def test_sup_norm_not_attained():
+    """sin(Re X) + sin(2 Re X) peaks at 1.7602 (where 4 cos^2 + cos = 2),
+    below sum |c_j| = 2: the value is then only an upper bound."""
+    b = plane_wave_sum([*sine_symbol(1.0).terms, *sine_symbol(2.0).terms])
+    value, attained = sup_norm(b)
+    assert value == 2.0
+    assert not attained
+    grid = np.max(np.abs(eval_symbol(b, complex_box(-3.0, 3.0, 0.01, 1))))
+    assert 1.7601 < grid < 1.7603
+    # the defaults' symbols all attain their bound
+    for sym in (cosine_symbol(1.0), plane_wave_sum(
+            [(1.0, np.zeros(1)), *((0.5 * c, lam) for c, lam
+                                   in sine_symbol(1.0).terms)])):
+        assert sup_norm(sym) == (float(sum(abs(c) for c, _ in sym.terms)),
+                                 True)
