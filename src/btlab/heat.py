@@ -34,7 +34,7 @@ __all__ = [
     "heat_damping",
     "sw_diagnostic",
     "sw_l1",
-    "box_grid",
+    "sw_l1_exact",
     "complex_box",
 ]
 
@@ -89,18 +89,18 @@ def heat_flow_quadrature(ctx: SpaceContext, b, t: float, order: int = 40):
     )
 
 
-def box_grid(lo: float, hi: float, step: float, dims: int) -> np.ndarray:
-    """Lexicographic real grid over [lo, hi]^dims with spacing `step`."""
-    axis = np.arange(lo, hi + step / 2, step)
-    mesh = np.meshgrid(*([axis] * dims), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def complex_box(lo: float, hi: float, step: float, n: int = 1) -> np.ndarray:
-    """Complex points of C^n from the real box [lo, hi]^(2n); coordinate d
-    is column d + i column n+d."""
-    pts = box_grid(lo, hi, step, 2 * n)
-    return pts[:, :n] + 1j * pts[:, n:]
+    """Complex points of C^n from the real box [lo, hi]^(2n) with spacing
+    `step`, lexicographic over (Re z_1, ..., Re z_n, Im z_1, ..., Im z_n).
+
+    The array is allocated once and each coordinate is filled by
+    broadcasting one axis, so its size is the only memory it takes."""
+    axis = np.arange(lo, hi + step / 2, step)
+    pts = np.empty((axis.size,) * (2 * n) + (n,), dtype=complex)
+    for d in range(n):
+        pts.real[..., d] = axis.reshape((-1,) + (1,) * (2 * n - 1 - d))
+        pts.imag[..., d] = axis.reshape((-1,) + (1,) * (n - 1 - d))
+    return pts.reshape(-1, n)
 
 
 def sw_diagnostic(ctx: SpaceContext, b, lam_grid) -> np.ndarray:
@@ -140,3 +140,13 @@ def sw_diagnostic(ctx: SpaceContext, b, lam_grid) -> np.ndarray:
 def sw_l1(g: np.ndarray, step: float, n: int = 1) -> float:
     """Riemann sum of g over the frequency grid it was sampled on."""
     return float(np.sum(g) * step ** (2 * n))
+
+
+def sw_l1_exact(ctx: SpaceContext, b) -> float:
+    """Integral of the `sw_diagnostic` profile over all of C^n,
+    sum_j |c_j| |det R|^2 (4 pi / h)^n exp(-h |mu_j|^2 / 16); the last
+    factor is the heat damping at t = 1/2."""
+    _require_plane_waves("sw_l1_exact", b)
+    jac = abs(np.linalg.det(ctx.R)) ** 2 * (4.0 * np.pi / ctx.h) ** ctx.n
+    return jac * float(sum(abs(c) * heat_damping(ctx, lam, 0.5)
+                           for c, lam in b.terms))

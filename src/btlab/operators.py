@@ -12,8 +12,8 @@ e^{-2|W|^2/h} is exactly the quadrature Gaussian:
 both against e^{-2|W|^2/h} L(dW).  For plane-wave symbols and for Weyl
 unitaries every factor splits over the coordinates of W, so both are
 assembled axis by axis (`basis.separable_pair_sum`).  Only a callable symbol
-is sampled on the full order^(2n) tensor grid; that path and the right-hand
-side of `diagonal_sum_check` are the full-grid references.
+is sampled on the full order^(2n) tensor grid; that path is the full-grid
+reference.  The right-hand side of `diagonal_sum_check` is closed form.
 
 Identity checks (conjugation, deformation residuals) are read off an inner
 sub-truncation: a plane-wave Toeplitz matrix couples only a band of degrees,
@@ -24,7 +24,6 @@ the truncation boundary, and the outer shells carry pure edge error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +31,7 @@ import numpy as np
 from .basis import (MultiIndexSet, enumerate_multiindices,
                     separable_pair_sum, weighted_pair_sum)
 from .errors import InvalidConfig, UnsupportedSymbol
-from .geometry import PhaseMatrices, SpaceContext, build_context
+from .geometry import PhaseMatrices, SpaceContext, build_context, freq_image
 from .heat import heat_flow
 from .quadrature import QuadratureRule, complex_grid
 from .symbols import (
@@ -220,27 +219,27 @@ def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float],
                        passed=ok, sup_attained=attained)
 
 
-def diagonal_sum_check(ctx: SpaceContext, b, M: OperatorMatrix, ks,
-                       rule: QuadratureRule):
+def diagonal_sum_check(ctx: SpaceContext, b, M: OperatorMatrix, ks):
     """Both sides of the degree-k diagonal-sum identity, for each k in ks.
 
-    M is the Toeplitz compression of b.  lhs sums its diagonal over
-    |alpha| = k; rhs is an independent radial-moment quadrature of b,
-    pi^-n sum w (2|W|^2/h)^k / k! b(R^-1 W).  Returns [(lhs, rhs), ...].
+    M is the Toeplitz compression of b; lhs sums its diagonal over
+    |alpha| = k.  rhs is sum_j c_j(1) L_k^(n-1)(x_j), x_j = h|R^-T lam_j|^2/8,
+    with c_j(1) the coefficients of `heat_flow(ctx, b, 1)`: per axis the
+    diagonal is e^{-x_d} L_{alpha_d}(x_d), summed over |alpha| = k by the
+    Laguerre addition formula.  At k = 0 rhs is b_1(0).  Returns
+    [(lhs, rhs), ...].
     """
-    deg = M.trunc.degrees
-    sigma = np.sqrt(ctx.h / 2.0)
-    W, wt = complex_grid(rule, ctx.n, sigma)
-    radial = np.sum(np.abs(W) ** 2, axis=0) * 2.0 / ctx.h
-    bv = eval_symbol(b, (ctx.Rinv @ W).T)
-    sides = []
-    for k in ks:
-        lhs = complex(np.sum(np.diag(M.entries)[deg == k]))
-        rhs = (2.0 / (np.pi * ctx.h)) ** ctx.n * np.sum(
-            wt * radial ** k * bv
-        ) / factorial(k)
-        sides.append((lhs, complex(rhs)))
-    return sides
+    c1 = [c for c, _ in heat_flow(ctx, b, 1.0).terms]
+    x = np.array([ctx.h * np.sum(np.abs(freq_image(ctx, lam)) ** 2) / 8.0
+                  for _, lam in b.terms])
+    a = ctx.n - 1
+    lag = [np.ones_like(x), 1.0 + a - x]  # L_k^(a)(x) by the recurrence
+    for j in range(1, max(ks)):
+        lag.append(((2 * j + 1 + a - x) * lag[j] - (j + a) * lag[j - 1])
+                   / (j + 1))
+    diag = np.diag(M.entries)
+    return [(complex(np.sum(diag[M.trunc.degrees == k])),
+             complex(sum(c * L for c, L in zip(c1, lag[k])))) for k in ks]
 
 
 def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,

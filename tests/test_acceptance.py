@@ -146,7 +146,7 @@ def test_criterion_03_projector_toeplitz_consistency():
         [(1.0, np.array([1.0])), (0.3 - 0.2j, np.array([0.5 + 0.3j]))], n=1
     )
     M = toeplitz_matrix(ctx, b, trunc, rule)
-    for lhs, rhs in diagonal_sum_check(ctx, b, M, (0, 1, 2), rule):
+    for lhs, rhs in diagonal_sum_check(ctx, b, M, (0, 1, 2)):
         dev_diag = max(dev_diag, abs(lhs - rhs))
     dt = time.perf_counter() - t0
     ok = max(dev_id, dev_corner, dev_diag) < 1e-8 and dt < 120.0

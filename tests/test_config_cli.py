@@ -265,8 +265,8 @@ def test_verify_diag_suite(tmp_path):
 
 
 def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
-    """One compression for the identity and one per default symbol: the
-    diagonal sums read the matrix the entry00 check already built."""
+    """One compression for the identity and one per default symbol: every
+    diagonal sum of a symbol reads the same matrix."""
     calls = []
     real = btlab.operators.toeplitz_matrix
 
@@ -282,6 +282,50 @@ def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
     )
     assert res.exit_code == 0, res.output
     assert len(calls) == 4
+
+
+def test_verify_diag_two_variables_samples_no_grid(tmp_path, monkeypatch):
+    """At n = 2 the diagonal sums need no order^(2n) reference grid: the
+    suite passes at defaults with the full-grid sampler disabled."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("full tensor grid sampled")
+
+    monkeypatch.setattr(btlab.operators, "complex_grid", refuse)
+    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 2}, "h": 1.0})
+    res = CliRunner().invoke(
+        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert "[FAIL]" not in res.output
+
+
+def test_verify_sw_checks_closed_form_l1(tmp_path):
+    """A truncated lambda box whose refinements agree to 1.1e-3 still
+    misses the exact L1 integral 2 pi by 8.8%: the closed-form check
+    fails it."""
+    cfg = _write(tmp_path, dict(FOCK, lambda_grid={
+        "lo": -2.0, "hi": 2.0, "steps": [0.02, 0.01]}))
+    res = CliRunner().invoke(
+        main, ["verify", "sw", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 1, res.output
+    assert "[PASS] sw refinement rel_delta" in res.output
+    assert "[FAIL] sw closed-form L1" in res.output
+    assert f"exact {2.0 * np.pi:.6e}" in res.output
+
+
+def test_verify_bound_csv_agrees_with_report(tmp_path):
+    """A norm schedule that is not Cauchy-converged is only warned about:
+    the CSV then holds no row that failed, as the report has no FAIL."""
+    cfg = _write(tmp_path, {"phase": {"seed": 3, "n": 1}, "h": 0.5})
+    res = CliRunner().invoke(
+        main, ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert "[WARN] b0: norm schedule not Cauchy-converged" in res.output
+    rows = (tmp_path / "bound.csv").read_text().splitlines()
+    assert len(rows) == 13
+    assert all(r.split(",")[7] == "true" for r in rows[1:])
 
 
 def test_verify_deformation_names_commuting_pair(tmp_path):

@@ -5,13 +5,13 @@ from conftest import rel_dev
 
 from btlab.geometry import build_context, fock_phase, freq_image, random_phase
 from btlab.heat import (
-    box_grid,
     complex_box,
     heat_damping,
     heat_flow,
     heat_flow_quadrature,
     sw_diagnostic,
     sw_l1,
+    sw_l1_exact,
 )
 from btlab.symbols import (
     CallableSymbol,
@@ -112,15 +112,17 @@ def test_flow_preserves_declared_flags(ex1):
 
 
 def test_box_grid_lexicographic():
-    g = box_grid(-1.0, 1.0, 1.0, 2)
-    assert g.shape == (9, 2)
-    assert np.allclose(g[0], [-1.0, -1.0])
-    assert np.allclose(g[1], [-1.0, 0.0])
-    assert np.allclose(g[-1], [1.0, 1.0])
+    """The real box is walked lexicographically over (Re z, Im z), last
+    coordinate fastest."""
     cb = complex_box(-1.0, 1.0, 1.0, 1)
     assert cb.shape == (9, 1)
-    assert np.allclose(cb[:, 0].real, g[:, 0])
-    assert np.allclose(cb[:, 0].imag, g[:, 1])
+    assert np.array_equal(cb[:3, 0], [-1.0 - 1.0j, -1.0, -1.0 + 1.0j])
+    assert cb[-1, 0] == 1.0 + 1.0j
+    axis = np.arange(-1.0, 1.25, 0.5)
+    mesh = np.meshgrid(*([axis] * 4), indexing="ij")
+    cb = complex_box(-1.0, 1.0, 0.5, 2)
+    assert np.array_equal(cb.real, np.stack([m.ravel() for m in mesh[:2]], -1))
+    assert np.array_equal(cb.imag, np.stack([m.ravel() for m in mesh[2:]], -1))
 
 
 def test_sw_diagnostic_gaussian_profile(ex1):
@@ -157,6 +159,7 @@ def test_sw_riemann_sums_approach_closed_form_l1(phase, h, b):
                               / 16.0)
         for c, lam in b.terms
     )
+    assert abs(sw_l1_exact(ctx, b) - ref) <= 1e-14 * ref
     devs = []
     for step in (1.0, 0.5, 0.25):
         lam = complex_box(-8.0, 8.0, step, 1)

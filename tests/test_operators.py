@@ -10,6 +10,8 @@ residual is pure leakage with a steep artificial slope).  See the module
 tests below for the composition-law oracle itself.
 """
 
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,7 +74,7 @@ def test_diagonal_sums(rule60, ex1):
         [(0.5, np.array([1.0])), (0.3 - 0.2j, np.array([0.4 + 0.6j]))], n=1
     )
     M = toeplitz_matrix(ex1, b, trunc, rule60)
-    for lhs, rhs in diagonal_sum_check(ex1, b, M, (0, 1, 2), rule60):
+    for lhs, rhs in diagonal_sum_check(ex1, b, M, (0, 1, 2)):
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -329,3 +331,27 @@ def test_axis_assembly_matches_tensor_grid(n, seed, h, N, order, data):
     ref = weighted_pair_sum(trunc, h, W, W - c[:, np.newaxis], wt * osc)
     ref *= (2.0 / (np.pi * h)) ** n * np.exp(-np.sum(np.abs(c) ** 2) / h)
     assert close(weyl_unitary_matrix(ctx, lam, trunc, rule).entries, ref)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(n=st.sampled_from([1, 2]), seed=st.integers(0, 40),
+       h=st.sampled_from([0.5, 1.0]), data=st.data())
+def test_diagonal_sums_match_radial_moment_quadrature(n, seed, h, data):
+    """The closed-form Laguerre right side equals the radial-moment
+    quadrature (2/pi h)^n sum w (2|W|^2/h)^k / k! b(R^-1 W) on the
+    order^(2n) grid, and both equal the diagonal sums of the compression."""
+    ctx = build_context(random_phase(n, seed), h)
+    rule = gauss_hermite_rule(30)
+    vec = st.lists(_z, min_size=n, max_size=n).map(np.array)
+    terms = data.draw(st.lists(st.tuples(_z, vec.map(lambda v: 2.0 * v)),
+                               min_size=1, max_size=3))
+    b = PlaneWaveSum(n=n, terms=tuple(terms))
+    M = toeplitz_matrix(ctx, b, enumerate_multiindices(n, 3), rule)
+    W, wt = complex_grid(rule, n, np.sqrt(h / 2.0))
+    radial = np.sum(np.abs(W) ** 2, axis=0) * 2.0 / h
+    bv = eval_symbol(b, (ctx.Rinv @ W).T)
+    for k, (lhs, rhs) in enumerate(diagonal_sum_check(ctx, b, M, range(4))):
+        ref = (2.0 / (np.pi * h)) ** n * np.sum(
+            wt * radial ** k * bv) / factorial(k)
+        assert abs(rhs - ref) < 1e-12
+        assert abs(lhs - rhs) < 1e-12
