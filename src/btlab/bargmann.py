@@ -17,15 +17,13 @@ multiplies samples by e^{+|W|^2/sigma^2}, which amplifies far-node
 evaluation error without bound; that route is deliberately absent from
 this module.
 
-Each kernel has one builder, `_transform_kernel` and `_projector_kernel`,
-and every evaluator applies what it builds to as many functions as it can:
-the Egorov check builds the projector kernel once per X point for all its
-(symbol, Gaussian) pairs, and the adjoint applies one kernel to a whole set
-of coefficient vectors.  A Gaussian's transform has a closed form
-(`gaussian_transform_weighted`), which the Egorov check samples on the
-projector nodes; the check's largest array is that order^(2n) projector
-kernel per X point, so orders past _EGOROV_KERNEL entries are refused
-before any quadrature.
+Plane-wave Toeplitz operators need no kernel: the reproducing kernel turns
+the antiholomorphic half of a plane wave into a shift of the point
+(`toeplitz_apply_weighted`, checked against the projector quadrature).  The
+Egorov check applies that to each Gaussian's closed-form transform on the
+whole X grid; its right side transforms the Weyl image by quadrature one X
+point at a time, and orders past _EGOROV_KERNEL transform nodes (order^n)
+are refused before any quadrature.
 """
 
 from __future__ import annotations
@@ -50,6 +48,7 @@ __all__ = [
     "bargmann_adjoint_apply",
     "project_coeffs",
     "projector_apply_weighted",
+    "toeplitz_apply_weighted",
     "real_weyl_planewave_apply",
     "egorov_guillemin_check",
 ]
@@ -122,13 +121,6 @@ def _transform_kernel(ctx: SpaceContext, X: np.ndarray, rule: QuadratureRule):
     return y, np.exp(expo), wt, pref
 
 
-def _times(a, b):
-    """a * b for a complex a of the product's shape, with a the first factor:
-    written a * f(...), numpy may reuse the temporary f(...) as the output
-    and swap the factors, which moves the last bits of a complex product."""
-    return np.multiply(a, b, out=np.empty_like(a))
-
-
 def bargmann_transform_weighted(ctx: SpaceContext, u, X,
                                 rule: QuadratureRule) -> np.ndarray:
     """e^{-Phi(X)/h} (Tu)(X) for a callable u sampled on real points.
@@ -139,7 +131,7 @@ def bargmann_transform_weighted(ctx: SpaceContext, u, X,
     """
     X = _as_points(np.asarray(X, dtype=complex), ctx.n)
     y, K, wt, pref = _transform_kernel(ctx, X, rule)
-    return pref * (_times(K, u(y)) @ wt)
+    return pref * ((K * u(y)) @ wt)
 
 
 def gaussian_transform_weighted(ctx: SpaceContext, u: GaussianTestFn,
@@ -198,8 +190,8 @@ def project_coeffs(ctx: SpaceContext, fw, trunc: MultiIndexSet,
 
 # Kernel entries (y points x grid nodes) held at once by the adjoint.
 _ADJOINT_BLOCK = 1 << 20
-# Largest Egorov kernel per X point: the order^(2n) projector nodes.  Every
-# n = 1 order fits; n = 2 admits order <= 32.
+# Largest Egorov kernel per X point: the order^n transform nodes of the right
+# side.  Every n = 1 and n = 2 order fits; n = 3 admits order <= 101.
 _EGOROV_KERNEL = 1 << 20
 
 
@@ -239,36 +231,55 @@ def bargmann_adjoint_apply(ctx: SpaceContext, vecs, y,
     return pref * out.T.reshape((len(vecs),) + y.shape[:-1])
 
 
-def _projector_kernel(ctx: SpaceContext, X: np.ndarray,
-                      rule: QuadratureRule):
-    """Nodes Y = X + R^-1 V on the sigma^2 = h grid, the weighted kernel
-    exp([2 Psi(X, Ybar) - Phi(X) - Phi(Y)]/h + |V|^2/h) there, which has
-    unit modulus, and the weights."""
-    V, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h))
-    Y = X[..., np.newaxis, :] + (ctx.Rinv @ V).T
-    expo = (
-        2.0 * psi(ctx, X[..., np.newaxis, :], np.conj(Y))
-        - phi_weight(ctx, X)[..., np.newaxis]
-        - phi_weight(ctx, Y)
-    ) / ctx.h + np.sum(np.abs(V.T) ** 2, axis=-1) / ctx.h
-    return Y, np.exp(expo), wt
-
-
 def projector_apply_weighted(ctx: SpaceContext, fw, X,
                              rule: QuadratureRule, symbol=None) -> np.ndarray:
     """e^{-Phi(X)/h} Pi(b f)(X) with Pi the reproducing projector.
 
-    With V = R(Y - X) on the sigma^2 = h grid the weighted kernel has unit
+    On the nodes Y = X + R^-1 V of the sigma^2 = h grid the weighted
+    kernel exp([2 Psi(X, Ybar) - Phi(X) - Phi(Y)]/h + |V|^2/h) has unit
     modulus, so the application is as stable as fw itself.  `symbol`
     multiplies under the integral and turns the projector into the
     compression of multiplication by it.
     """
     X = _as_points(np.asarray(X, dtype=complex), ctx.n)
-    Y, K, wt = _projector_kernel(ctx, X, rule)
-    vals = _times(K, np.asarray(fw(Y), dtype=complex))
+    V, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h))
+    Y = X[..., np.newaxis, :] + (ctx.Rinv @ V).T
+    expo = (2.0 * psi(ctx, X[..., np.newaxis, :], np.conj(Y))
+            - phi_weight(ctx, X)[..., np.newaxis] - phi_weight(ctx, Y)
+            + np.sum(np.abs(V.T) ** 2, axis=-1)) / ctx.h
+    vals = np.exp(expo) * np.asarray(fw(Y), dtype=complex)
     if symbol is not None:
-        vals = _times(vals, eval_symbol(symbol, Y))
+        vals = vals * eval_symbol(symbol, Y)
     return (2.0 / (np.pi * ctx.h)) ** ctx.n * (vals @ wt)
+
+
+def toeplitz_apply_weighted(ctx: SpaceContext, b, fw, X) -> np.ndarray:
+    """e^{-Phi(X)/h} Pi(b f)(X) for a plane-wave sum b, in closed form.
+
+    fw is X -> e^{-Phi(X)/h} f(X) for f in the weighted space.  A term
+    e^{i Re<Y, lam>} is e^{(i/2)<Y, lam>} e^{(i/2)<Ybar, conj(lam)>}; with
+    a = (ih/4) (Phi''_XXbar)^-T conj(lam) the second half moves the kernel,
+    2 Psi(X, Ybar)/h + (i/2)<Ybar, conj(lam)> = 2 Psi(X + a, Ybar)/h
+    - (2<a, Phi''_XX X> + <a, Phi''_XX a>)/h, and Pi fixes the holomorphic
+    e^{(i/2)<Y, lam>} f.  So each term is c exp(E) fw(X + a) with
+    E = (i/2)<X + a, lam> - (2<a, Phi''_XX X> + <a, Phi''_XX a>)/h
+    + (Phi(X + a) - Phi(X))/h: the Toeplitz composition law (Berger-Coburn,
+    Trans. AMS 301, 1987) for the weight Phi, with no quadrature.
+    """
+    _require_plane_waves("the closed-form Toeplitz action", b)
+    X = _as_points(np.asarray(X, dtype=complex), ctx.n)
+    to_shift = (0.25j * ctx.h) * np.linalg.inv(ctx.PhiXXbar.T)
+    phi = phi_weight(ctx, X)
+    out = np.zeros(X.shape[:-1], dtype=complex)
+    for c, lam in b.terms:
+        a = to_shift @ np.conj(lam)
+        Xa = X + a
+        expo = 0.5j * (Xa @ lam) + (
+            phi_weight(ctx, Xa) - phi
+            - 2.0 * (X @ (ctx.PhiXX @ a)) - a @ ctx.PhiXX @ a
+        ) / ctx.h
+        out = out + c * np.exp(expo) * fw(Xa)
+    return out
 
 
 def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:
@@ -296,10 +307,9 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians, X_grid,
     The real-side symbol comes from the half-time-regularized polarization
     of b pushed through the canonical frame change; each term is a
     plane wave in (x, xi) with complex frequencies, applied in closed form.
-    The left side samples the closed-form transform of u on the projector
-    nodes; the right side transforms the Weyl image by quadrature, so the
-    two routes share no transform.  The projector nodes depend on neither
-    b nor u, so each X point builds its kernel once for all pairs.
+    The left side is `toeplitz_apply_weighted` of the closed-form transform
+    of u; the right side transforms the Weyl image by quadrature, so the
+    routes share no transform and `rule` serves the right side only.
     """
     symbols, gaussians = tuple(symbols), tuple(gaussians)
     _require_plane_waves("the Egorov identity", *symbols)
@@ -307,41 +317,27 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians, X_grid,
         raise UnsupportedSymbol(
             "the Egorov identity is closed-form only for Gaussian probes"
         )
-    entries = rule.order ** (2 * ctx.n)
-    if entries > _EGOROV_KERNEL:
+    nodes = rule.order ** ctx.n
+    if nodes > _EGOROV_KERNEL:
         raise InvalidConfig(
-            f"egorov at order {rule.order} needs a projector kernel of"
-            f" order^(2n) = {entries} entries per X point, over the cap of"
+            f"egorov at order {rule.order} needs a transform kernel of"
+            f" order^n = {nodes} nodes per X point, over the cap of"
             f" {_EGOROV_KERNEL}; lower the order"
         )
-    X_grid = _as_points(np.asarray(X_grid, dtype=complex), ctx.n)
-
-    def weyl_image(b, u):
+    pts = _as_points(np.asarray(X_grid, dtype=complex), ctx.n)
+    pts = pts.reshape(-1, ctx.n)
+    worst = np.zeros((len(symbols), len(gaussians)))
+    for j, b in enumerate(symbols):
         freqs = guillemin_symbol(
             ctx, heat_flow(ctx, b, 0.5)
         ).cotangent_frequencies()
-
-        def gu(y):
-            out = np.zeros(np.asarray(y).shape[:-1], dtype=complex)
-            for c, p, q in freqs:
-                out = out + c * real_weyl_planewave_apply(ctx.h, p, q, u, y)
-            return out
-        return gu
-
-    images = [[weyl_image(b, u) for u in gaussians] for b in symbols]
-    norm = (2.0 / (np.pi * ctx.h)) ** ctx.n
-    worst = np.zeros((len(symbols), len(gaussians)))
-    # one grid point at a time, so only one projector kernel is held
-    for Xp in X_grid.reshape(-1, ctx.n):
-        Y, KY, wY = _projector_kernel(ctx, Xp, rule)
-        fY = [_times(KY, gaussian_transform_weighted(ctx, u, Y))
-              for u in gaussians]
-        for j, b in enumerate(symbols):
-            bY = eval_symbol(b, Y)
-            for g in range(len(gaussians)):
-                lhs = complex(norm * (_times(fY[g], bY) @ wY))
-                rhs = complex(bargmann_transform_weighted(
-                    ctx, images[j][g], Xp, rule))
-                worst[j, g] = max(worst[j, g],
-                                  abs(lhs - rhs) / (1.0 + abs(lhs)))
+        for g, u in enumerate(gaussians):
+            gu = lambda y: sum(c * real_weyl_planewave_apply(ctx.h, p, q, u, y)
+                               for c, p, q in freqs)
+            lhs = toeplitz_apply_weighted(
+                ctx, b, lambda Y: gaussian_transform_weighted(ctx, u, Y), pts)
+            rhs = np.array([complex(bargmann_transform_weighted(
+                ctx, gu, Xp, rule)) for Xp in pts])
+            worst[j, g] = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)),
+                                 initial=0.0)
     return worst

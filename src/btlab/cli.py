@@ -187,6 +187,7 @@ def _weyl(ctx, rule, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     inner, tol = p.inner_degree, p.tol_weyl
     eye = np.eye(trunc.count_through_degree(inner))
+    Tb = toeplitz_matrix(ctx, p.symbol_b, trunc, rule)
     for lam in p.lambda_list:
         Wp = weyl_unitary_matrix(ctx, lam, trunc, rule)
         Wm = weyl_unitary_matrix(ctx, -lam, trunc, rule)
@@ -196,7 +197,7 @@ def _weyl(ctx, rule, p, out):
         adj = float(np.max(np.abs(inner_block(
             Wp.entries.conj().T - Wm.entries, trunc, inner
         ))))
-        conj = weyl_conjugation_check(ctx, p.symbol_b, lam, trunc, rule,
+        conj = weyl_conjugation_check(ctx, p.symbol_b, lam, Wp, Tb, rule,
                                       drop=trunc.N - inner)
         lam_s = vector_text(lam)
         out.le(f"unitarity lambda={lam_s}", unit, tol)
@@ -277,9 +278,8 @@ def _sw(ctx, rule, p, out):
         lam_grid = complex_box(lo, hi, float(step), ctx.n)
         g = sw_diagnostic(ctx, p.b, lam_grid)
         l1 = sw_l1(g, float(step), ctx.n)
-        delta = (abs(l1 - prev) / abs(l1)) if prev is not None else float(
-            "nan"
-        )
+        if prev is not None:  # equal estimates (a zero symbol) agree exactly
+            delta = abs(l1 - prev) / abs(l1) if l1 != prev else 0.0
         out.rows.append([float(step), l1, delta, True])
         prev = l1
     converged = bool(len(steps) < 2 or delta <= p.rel_tol)

@@ -117,7 +117,6 @@ class SpaceContext:
     phase: PhaseMatrices
     h: float
     CI: np.ndarray
-    CR: np.ndarray
     CIinv: np.ndarray
     CIsqrt: np.ndarray
     CIinvsqrt: np.ndarray
@@ -126,7 +125,6 @@ class SpaceContext:
     R: np.ndarray
     Rinv: np.ndarray
     RTinv: np.ndarray
-    Binv: np.ndarray
     Cphi: float
     CPhi: float
     n: int = field(init=False)
@@ -157,8 +155,7 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     if not 0.0 < h <= 1.0:
         raise ValueError(f"h must lie in (0, 1], got {h}")
     CI = validate_phase(phase)
-    A, B, C, n = phase.A, phase.B, phase.C, phase.n
-    CR = ((C + C.conj()) / 2).real
+    A, B, n = phase.A, phase.B, phase.n
     _check_cond("B", B)
     _check_cond("C_I", CI)
     CIsqrt, CIinvsqrt = _sym_sqrt(CI)
@@ -169,16 +166,15 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     _check_cond("R", R)
     Rinv = np.linalg.inv(R)
     RTinv = np.linalg.inv(R.T)
-    Binv = np.linalg.inv(B)
     detB = np.linalg.det(B)
     detCI = np.linalg.det(CI)
     Cphi = float(2 ** (-n / 2) * np.pi ** (-3 * n / 4)
                  * abs(detB) * detCI ** (-0.25))
     CPhi = float((2 / np.pi) ** n * np.linalg.det(PhiXXbar).real)
     ctx = SpaceContext(
-        phase=phase, h=float(h), CI=CI, CR=CR, CIinv=CIinv, CIsqrt=CIsqrt,
+        phase=phase, h=float(h), CI=CI, CIinv=CIinv, CIsqrt=CIsqrt,
         CIinvsqrt=CIinvsqrt, PhiXXbar=PhiXXbar, PhiXX=PhiXX, R=R, Rinv=Rinv,
-        RTinv=RTinv, Binv=Binv, Cphi=Cphi, CPhi=CPhi,
+        RTinv=RTinv, Cphi=Cphi, CPhi=CPhi,
     )
     _verify_context(ctx)
     return ctx

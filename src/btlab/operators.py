@@ -167,14 +167,16 @@ def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
                      converged=converged)
 
 
-def weyl_conjugation_check(ctx: SpaceContext, b, lam, trunc: MultiIndexSet,
-                           rule: QuadratureRule, drop: int = 4) -> float:
+def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: OperatorMatrix,
+                           Tb: OperatorMatrix, rule: QuadratureRule,
+                           drop: int = 4) -> float:
     """Max entry deviation of W* T_b W against the translated-symbol matrix,
-    on the block of degrees <= N - drop."""
-    Wm = weyl_unitary_matrix(ctx, lam, trunc, rule).entries
-    Tb = toeplitz_matrix(ctx, b, trunc, rule).entries
+    on the block of degrees <= N - drop.  W is the translation by lam and Tb
+    the compression of b, both over one truncation; only the translated
+    symbol's compression is assembled here."""
+    trunc = W.trunc
     Ts = toeplitz_matrix(ctx, translate(b, lam), trunc, rule).entries
-    dev = Wm.conj().T @ Tb @ Wm - Ts
+    dev = W.entries.conj().T @ Tb.entries @ W.entries - Ts
     keep = max(trunc.N - drop, 0)
     return float(np.max(np.abs(inner_block(dev, trunc, keep))))
 

@@ -169,9 +169,11 @@ def test_criterion_04_weyl_suite():
     worst_u = worst_a = worst_c = 0.0
     for phase in (fock_phase(1, 1.0), heat_phase(1)):
         ctx = build_context(phase, 1.0)
+        Tb = toeplitz_matrix(ctx, b, trunc, rule)
         for lam in lams:
             lv = np.array([lam])
-            W = weyl_unitary_matrix(ctx, lv, trunc, rule).entries
+            Wp = weyl_unitary_matrix(ctx, lv, trunc, rule)
+            W = Wp.entries
             Wm = weyl_unitary_matrix(ctx, -lv, trunc, rule).entries
             worst_u = max(worst_u, float(np.max(np.abs(
                 (W.conj().T @ W - np.eye(len(trunc)))[:keep, :keep]
@@ -180,7 +182,7 @@ def test_criterion_04_weyl_suite():
                 (W.conj().T - Wm)[:keep, :keep]
             ))))
             worst_c = max(worst_c, weyl_conjugation_check(
-                ctx, b, lv, trunc, rule, drop=trunc.N - 4
+                ctx, b, lv, Wp, Tb, rule, drop=trunc.N - 4
             ))
     dt = time.perf_counter() - t0
     ok = max(worst_u, worst_a, worst_c) < 1e-5 and dt < 180.0

@@ -7,6 +7,8 @@ the asserted tolerances.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rel_dev
 
@@ -20,6 +22,7 @@ from btlab.bargmann import (
     project_coeffs,
     projector_apply_weighted,
     real_weyl_planewave_apply,
+    toeplitz_apply_weighted,
 )
 from btlab.basis import HSpaceVector, enumerate_multiindices, u_alpha_eval
 from btlab.errors import InvalidConfig, UnsupportedSymbol
@@ -30,14 +33,9 @@ from btlab.geometry import (
     phi_weight,
     random_phase,
 )
-from btlab.heat import complex_box, heat_flow
+from btlab.heat import complex_box
 from btlab.quadrature import QuadratureRule, gauss_hermite_rule
-from btlab.symbols import (
-    CallableSymbol,
-    guillemin_symbol,
-    plane_wave_sum,
-    wirtinger_fd,
-)
+from btlab.symbols import CallableSymbol, plane_wave_sum, wirtinger_fd
 
 
 def _gauss():
@@ -237,36 +235,21 @@ def test_egorov_identity_single_combination(rule60):
         )
 
 
-def _egorov_per_pair(ctx, b, u, X, rule):
-    """One (symbol, Gaussian) pair the unbatched way: the projector with the
-    symbol under the integral, applied to the closed-form transform on its
-    own nodes."""
-    freqs = guillemin_symbol(
-        ctx, heat_flow(ctx, b, 0.5)
-    ).cotangent_frequencies()
-
-    def gu(y):
-        out = np.zeros(np.asarray(y).shape[:-1], dtype=complex)
-        for c, p, q in freqs:
-            out = out + c * real_weyl_planewave_apply(ctx.h, p, q, u, y)
-        return out
-
-    worst = 0.0
-    for Xp in X.reshape(-1, ctx.n):
-        lhs = complex(projector_apply_weighted(
-            ctx, lambda Y: gaussian_transform_weighted(ctx, u, Y), Xp, rule,
-            symbol=b))
-        rhs = complex(bargmann_transform_weighted(ctx, gu, Xp, rule))
-        worst = max(worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return worst
+def _toeplitz_gap(ctx, b, u, X, rule):
+    """Largest deviation of the closed-form Toeplitz action on the weighted
+    transform of u from the projector quadrature with b under the
+    integral."""
+    fw = lambda Y: gaussian_transform_weighted(ctx, u, Y)
+    got = toeplitz_apply_weighted(ctx, b, fw, X)
+    ref = projector_apply_weighted(ctx, fw, X, rule, symbol=b)
+    assert got.shape == X.shape[:-1]
+    return rel_dev(got, ref)
 
 
-def test_egorov_batched_equals_per_pair_bits():
-    """Sharing the projector kernel across pairs must not move a single
-    bit: the reference builds it again for every pair and applies it with
-    the symbol under the integral."""
-    ctx = build_context(random_phase(1, 3), 0.5)
-    rule = gauss_hermite_rule(28)
+def test_toeplitz_apply_matches_projector(rule80):
+    """The composition law shifts the kernel's point instead of integrating:
+    at n = 1 it agrees with the order-80 projector to rounding, and at
+    n = 2 with the order-28 projector to that rule's own error."""
     X = np.array([[0.0], [0.5 + 0.2j], [-0.7 + 0.4j], [0.3 - 0.9j]])
     symbols = (
         plane_wave_sum([(1.0, np.array([1.0]))], n=1),
@@ -280,19 +263,49 @@ def test_egorov_batched_equals_per_pair_bits():
         GaussianTestFn(y0=np.array([-0.4]), sigma=0.8, p0=np.array([0.6]),
                        amp=0.9 + 0.4j),
     )
-    got = egorov_guillemin_check(ctx, symbols, gaussians, X, rule)
-    ref = np.array([[_egorov_per_pair(ctx, b, u, X, rule) for u in gaussians]
-                    for b in symbols])
-    assert got.shape == (3, 2)
-    assert np.array_equal(got, ref)
+    for phase, h in ((fock_phase(1, 1.0), 1.0), (heat_phase(1), 1.0),
+                     (random_phase(1, 3), 0.5), (random_phase(1, 7), 1.0)):
+        ctx = build_context(phase, h)
+        for b in symbols:
+            for u in gaussians:
+                assert _toeplitz_gap(ctx, b, u, X, rule80) <= 1e-13
+    ctx = build_context(random_phase(2, 7), 1.0)
+    b = plane_wave_sum([(0.7, np.array([1.0, 0.0])),
+                        (0.3, np.array([-1.0, 0.5 + 0.3j]))], n=2)
+    u = GaussianTestFn(y0=np.full(2, 0.4), sigma=0.8, p0=np.full(2, 0.6),
+                       amp=0.9 + 0.4j)
+    X2 = np.array([[0.3 - 0.2j, -0.5 + 0.1j]])
+    assert _toeplitz_gap(ctx, b, u, X2, gauss_hermite_rule(28)) <= 1e-8
+
+
+_z = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 40), h=st.sampled_from([0.5, 1.0]),
+       lam=_z.map(lambda z: 2.0 * z), c=_z,
+       y0=st.floats(-1.0, 1.0), sigma=st.floats(0.6, 1.5),
+       p0=st.floats(-1.0, 1.0), amp=_z)
+def test_toeplitz_composition_law_property(rule60, seed, h, lam, c, y0,
+                                           sigma, p0, amp):
+    """On random admissible phases the closed-form Toeplitz action of a
+    plane wave with a random complex frequency equals the order-60
+    projector quadrature on a Gaussian's transform."""
+    ctx = build_context(random_phase(1, seed), h)
+    b = plane_wave_sum([(1.0 + c, np.array([lam]))], n=1)
+    u = GaussianTestFn(y0=np.array([y0]), sigma=sigma, p0=np.array([p0]),
+                       amp=1.0 + amp)
+    X = np.array([[0.0], [0.6 + 0.3j], [-0.4 - 0.8j]])
+    assert _toeplitz_gap(ctx, b, u, X, rule60) <= 1e-13
 
 
 def test_egorov_refuses_any_callable_before_quadrature(rule60, monkeypatch):
     def no_quadrature(*args):
         raise AssertionError("quadrature ran before the symbol check")
 
-    monkeypatch.setattr(btlab.bargmann, "_projector_kernel", no_quadrature)
     monkeypatch.setattr(btlab.bargmann, "_transform_kernel", no_quadrature)
+    monkeypatch.setattr(btlab.bargmann, "gaussian_transform_weighted",
+                        no_quadrature)
     ctx = build_context(fock_phase(1, 1.0), 1.0)
     wave = plane_wave_sum([(1.0, np.array([1.0]))], n=1)
     bad = CallableSymbol(n=1, func=lambda X: X[..., 0])
@@ -306,8 +319,9 @@ def test_egorov_refuses_non_gaussian_probe_before_quadrature(rule60,
     def no_quadrature(*args):
         raise AssertionError("quadrature ran before the probe check")
 
-    monkeypatch.setattr(btlab.bargmann, "_projector_kernel", no_quadrature)
     monkeypatch.setattr(btlab.bargmann, "_transform_kernel", no_quadrature)
+    monkeypatch.setattr(btlab.bargmann, "gaussian_transform_weighted",
+                        no_quadrature)
     ctx = build_context(fock_phase(1, 1.0), 1.0)
     wave = plane_wave_sum([(1.0, np.array([1.0]))], n=1)
     X = complex_box(-1.0, 1.0, 1.0, 1)
@@ -321,15 +335,16 @@ class _KernelReached(Exception):
 
 
 @pytest.mark.parametrize("n,order,admitted", [
-    (1, 1024, True), (1, 1025, False), (2, 32, True), (2, 33, False),
+    (1, 1024, True), (2, 32, True), (3, 101, True), (3, 102, False),
 ])
 def test_egorov_kernel_cap(monkeypatch, n, order, admitted):
-    """The cap counts the order^(2n) projector kernel per X point; the rule
-    is a bare order, since nothing below the cap is computed here."""
+    """The cap counts the order^n transform nodes of the right side per X
+    point (101^3 fits under 2^20, 102^3 does not); the rule is a bare
+    order, since no quadrature below the cap is computed here."""
     def reached(*args):
         raise _KernelReached
 
-    monkeypatch.setattr(btlab.bargmann, "_projector_kernel", reached)
+    monkeypatch.setattr(btlab.bargmann, "_transform_kernel", reached)
     ctx = build_context(fock_phase(n, 1.0), 1.0)
     rule = QuadratureRule(order=order, nodes=np.empty(0), weights=np.empty(0))
     wave = plane_wave_sum([(1.0, np.ones(n))], n=n)

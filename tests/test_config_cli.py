@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import btlab.bargmann
 import btlab.cli
 import btlab.operators
 from btlab.cli import main
@@ -284,6 +285,27 @@ def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
+def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
+    """Per lambda the suite builds W(lambda), W(-lambda) and the translated
+    symbol's compression; T_b is built once per run."""
+    calls = {"weyl_unitary_matrix": 0, "toeplitz_matrix": 0}
+    for name in calls:
+        real = getattr(btlab.operators, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for mod in (btlab.cli, btlab.operators):
+            monkeypatch.setattr(mod, name, counted)
+    cfg = _write(tmp_path, FOCK)
+    res = CliRunner().invoke(
+        main, ["verify", "weyl", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert calls == {"weyl_unitary_matrix": 8, "toeplitz_matrix": 5}
+
+
 def test_verify_diag_two_variables_samples_no_grid(tmp_path, monkeypatch):
     """At n = 2 the diagonal sums need no order^(2n) reference grid: the
     suite passes at defaults with the full-grid sampler disabled."""
@@ -312,6 +334,20 @@ def test_verify_sw_checks_closed_form_l1(tmp_path):
     assert "[PASS] sw refinement rel_delta" in res.output
     assert "[FAIL] sw closed-form L1" in res.output
     assert f"exact {2.0 * np.pi:.6e}" in res.output
+
+
+def test_verify_sw_zero_symbol(tmp_path):
+    """A zero symbol has a zero profile: equal refinements give rel_delta
+    0 and the exact L1 is 0, so the run passes cleanly."""
+    cfg = _write(tmp_path, {"phase": {"preset": "fock"}, "b": [[0, 0, 0, 0]]})
+    res = CliRunner().invoke(
+        main, ["verify", "sw", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert res.exception is None
+    rows = (tmp_path / "sw.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[2] for r in rows] == [
+        "nan", "0.00000000000e+00", "0.00000000000e+00"]
 
 
 def test_verify_bound_csv_agrees_with_report(tmp_path):
@@ -369,17 +405,40 @@ def test_sup_not_attained_is_flagged(tmp_path):
 
 
 def test_verify_egorov_refuses_infeasible_kernel(tmp_path):
-    """At n = 2 the default order 80 would need an 80^4-entry projector
-    kernel per X point; the suite refuses it with exit 2 before any
+    """At n = 3 order 102 would need 102^3 transform nodes per X point,
+    over the 2^20 cap; the suite refuses it with exit 2 before any
     quadrature."""
-    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 2}, "h": 1.0})
+    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 3}, "h": 1.0})
     t0 = time.perf_counter()
     res = CliRunner().invoke(
-        main, ["verify", "egorov", "--config", cfg, "--out", str(tmp_path)]
+        main, ["verify", "egorov", "--config", cfg, "--out", str(tmp_path),
+               "--order", "102"]
     )
     assert time.perf_counter() - t0 < 10.0
     assert res.exit_code == 2, res.output
     assert "InvalidConfig" in res.stderr
+
+
+def test_verify_egorov_two_variables_passes_at_defaults(tmp_path,
+                                                        monkeypatch):
+    """The left side is closed form, so n = 2 passes at the default order
+    in seconds with no order^(2n) grid; at order 16 the right side's
+    quadrature error shows and the suite fails."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("order^(2n) grid built")
+
+    monkeypatch.setattr(btlab.bargmann, "complex_grid", refuse)
+    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 2}, "h": 1.0})
+    argv = ["verify", "egorov", "--config", cfg, "--out", str(tmp_path)]
+    t0 = time.perf_counter()
+    res = CliRunner().invoke(main, argv)
+    assert time.perf_counter() - t0 < 10.0
+    assert res.exit_code == 0, res.output
+    errs = [float(row.split(",")[2]) for row in
+            (tmp_path / "egorov.csv").read_text().splitlines()[1:]]
+    assert len(errs) == 6 and max(errs) <= 1e-12
+    res = CliRunner().invoke(main, [*argv, "--order", "16"])
+    assert res.exit_code == 1, res.output
 
 
 def test_verify_weyl_two_variables_passes_at_default_N(tmp_path):

@@ -141,9 +141,11 @@ def test_weyl_adjoint_is_negated_frequency(rule60, ex1):
 def test_weyl_conjugation_deep_block(rule60, ex1):
     trunc = enumerate_multiindices(1, 16)
     b = plane_wave_sum([(1.0, np.array([1.0]))], n=1)
+    lam = np.array([0.5])
+    W = weyl_unitary_matrix(ex1, lam, trunc, rule60)
+    Tb = toeplitz_matrix(ex1, b, trunc, rule60)
     # keep degrees <= 4, i.e. drop the top twelve shells
-    dev = weyl_conjugation_check(ex1, b, np.array([0.5]), trunc, rule60,
-                                 drop=12)
+    dev = weyl_conjugation_check(ex1, b, lam, W, Tb, rule60, drop=12)
     assert dev < 1e-11
 
 
@@ -153,9 +155,11 @@ def test_weyl_conjugation_shallow_buffer_leaks(rule60, ex1, ex2):
     are not tolerances anyone should tighten."""
     trunc = enumerate_multiindices(1, 16)
     b = plane_wave_sum([(1.0, np.array([1.0]))], n=1)
-    dev1 = weyl_conjugation_check(ex1, b, np.array([0.5]), trunc, rule60)
+    lam = np.array([0.5])
+    dev1, dev2 = (weyl_conjugation_check(
+        ctx, b, lam, weyl_unitary_matrix(ctx, lam, trunc, rule60),
+        toeplitz_matrix(ctx, b, trunc, rule60), rule60) for ctx in (ex1, ex2))
     assert 0.05 < dev1 < 0.10
-    dev2 = weyl_conjugation_check(ex2, b, np.array([0.5]), trunc, rule60)
     assert 0.01 < dev2 < 0.03
 
 
