@@ -20,10 +20,9 @@ this module.
 Plane-wave Toeplitz operators need no kernel: the reproducing kernel turns
 the antiholomorphic half of a plane wave into a shift of the point
 (`toeplitz_apply_weighted`, checked against the projector quadrature).  The
-Egorov check applies that to each Gaussian's closed-form transform on the
-whole X grid; its right side transforms the Weyl image by quadrature one X
-point at a time, and orders past _EGOROV_KERNEL transform nodes (order^n)
-are refused before any quadrature.
+Egorov check applies that to each Gaussian's closed-form transform; its
+right side is a sum of closed-form transforms too, since each real-side
+Weyl image of a Gaussian is a Gaussian (with complex dtype parameters).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import HSpaceVector, MultiIndexSet, monomial_table
-from .errors import InvalidConfig, UnsupportedSymbol
+from .errors import UnsupportedSymbol
 from .geometry import (
     SpaceContext, _as_points, _qform, phase_phi, phi_weight, psi,
 )
@@ -136,7 +135,13 @@ def bargmann_transform_weighted(ctx: SpaceContext, u, X,
 
 def gaussian_transform_weighted(ctx: SpaceContext, u: GaussianTestFn,
                                 X) -> np.ndarray:
-    """e^{-Phi(X)/h} (Tu)(X) for a Gaussian u, in closed form.
+    """e^{-Phi(X)/h} (Tu)(X) for a Gaussian u, in closed form."""
+    return _gaussian_transform(ctx, X, u.y0, u.sigma, u.p0, u.amp)
+
+
+def _gaussian_transform(ctx: SpaceContext, X, y0, sigma, p0, amp):
+    """e^{-Phi(X)/h} (Tu)(X) for u = amp exp(i<p0, y> - <y - y0, y - y0> /
+    (2 sigma^2)), in closed form and analytic in y0 and p0, so complex too.
 
     The integrand exp([i phi(X, y) - Phi(X)]/h) u(y) is the Gaussian
     exp(-y.My/2 + J.y + c0) in y, with M = I/sigma^2 - (i/h) C (complex
@@ -146,16 +151,16 @@ def gaussian_transform_weighted(ctx: SpaceContext, u: GaussianTestFn,
     of M, the branch continuous from the real case.
     """
     X = _as_points(np.asarray(X, dtype=complex), ctx.n)
-    ph, h, s2 = ctx.phase, ctx.h, u.sigma ** 2
+    ph, h, s2 = ctx.phase, ctx.h, sigma ** 2
     M = np.eye(ctx.n) / s2 - (1j / h) * ph.C
-    J = (1j / h) * (X @ ph.B) + (1j * u.p0 + u.y0 / s2)
+    J = (1j / h) * (X @ ph.B) + (1j * p0 + y0 / s2)
     expo = (
         (0.5j * _qform(X, ph.A, X) - phi_weight(ctx, X)) / h
-        - (u.y0 @ u.y0) / (2.0 * s2)
+        - (y0 @ y0) / (2.0 * s2)
         + 0.5 * _qform(J, np.linalg.inv(M), J)
     )
     root = np.prod(np.sqrt(np.linalg.eigvals(M)))
-    pref = (u.amp * ctx.Cphi * h ** (-0.75 * ctx.n)
+    pref = (amp * ctx.Cphi * h ** (-0.75 * ctx.n)
             * (2.0 * np.pi) ** (ctx.n / 2.0) / root)
     return pref * np.exp(expo)
 
@@ -190,9 +195,6 @@ def project_coeffs(ctx: SpaceContext, fw, trunc: MultiIndexSet,
 
 # Kernel entries (y points x grid nodes) held at once by the adjoint.
 _ADJOINT_BLOCK = 1 << 20
-# Largest Egorov kernel per X point: the order^n transform nodes of the right
-# side.  Every n = 1 and n = 2 order fits; n = 3 admits order <= 101.
-_EGOROV_KERNEL = 1 << 20
 
 
 def bargmann_adjoint_apply(ctx: SpaceContext, vecs, y,
@@ -296,8 +298,15 @@ def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:
     return phase * u(x + h * q)
 
 
-def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians, X_grid,
-                           rule: QuadratureRule) -> np.ndarray:
+def _weyl_gaussian(h: float, c, p, q, u: GaussianTestFn) -> tuple:
+    """(y0, sigma, p0, amp) of c `real_weyl_planewave_apply(h, p, q, u)`,
+    the Gaussian c e^{i<x,p> + ih<q,p>/2} u(x + hq), complex with p, q."""
+    return (u.y0 - h * q, u.sigma, u.p0 + p,
+            c * u.amp * np.exp(0.5j * h * (q @ p) + 1j * h * (u.p0 @ q)))
+
+
+def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians,
+                           X_grid) -> np.ndarray:
     """Max relative deviation over X_grid, for every symbol b and Gaussian u,
     between the two routes from (b, u) to a function on C^n: compressing
     multiplication after transforming, versus transforming after applying
@@ -306,10 +315,9 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians, X_grid,
 
     The real-side symbol comes from the half-time-regularized polarization
     of b pushed through the canonical frame change; each term is a
-    plane wave in (x, xi) with complex frequencies, applied in closed form.
+    plane wave in (x, xi) that maps u to a Gaussian (`_weyl_gaussian`).
     The left side is `toeplitz_apply_weighted` of the closed-form transform
-    of u; the right side transforms the Weyl image by quadrature, so the
-    routes share no transform and `rule` serves the right side only.
+    of u, the right side the sum of the terms' closed-form transforms.
     """
     symbols, gaussians = tuple(symbols), tuple(gaussians)
     _require_plane_waves("the Egorov identity", *symbols)
@@ -317,27 +325,15 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians, X_grid,
         raise UnsupportedSymbol(
             "the Egorov identity is closed-form only for Gaussian probes"
         )
-    nodes = rule.order ** ctx.n
-    if nodes > _EGOROV_KERNEL:
-        raise InvalidConfig(
-            f"egorov at order {rule.order} needs a transform kernel of"
-            f" order^n = {nodes} nodes per X point, over the cap of"
-            f" {_EGOROV_KERNEL}; lower the order"
-        )
-    pts = _as_points(np.asarray(X_grid, dtype=complex), ctx.n)
-    pts = pts.reshape(-1, ctx.n)
     worst = np.zeros((len(symbols), len(gaussians)))
     for j, b in enumerate(symbols):
-        freqs = guillemin_symbol(
-            ctx, heat_flow(ctx, b, 0.5)
-        ).cotangent_frequencies()
+        pol = guillemin_symbol(ctx, heat_flow(ctx, b, 0.5))
+        freqs = pol.cotangent_frequencies()
         for g, u in enumerate(gaussians):
-            gu = lambda y: sum(c * real_weyl_planewave_apply(ctx.h, p, q, u, y)
-                               for c, p, q in freqs)
-            lhs = toeplitz_apply_weighted(
-                ctx, b, lambda Y: gaussian_transform_weighted(ctx, u, Y), pts)
-            rhs = np.array([complex(bargmann_transform_weighted(
-                ctx, gu, Xp, rule)) for Xp in pts])
+            fw = lambda Y: gaussian_transform_weighted(ctx, u, Y)
+            lhs = toeplitz_apply_weighted(ctx, b, fw, X_grid)
+            rhs = sum(_gaussian_transform(ctx, X_grid, *_weyl_gaussian(
+                ctx.h, c, p, q, u)) for c, p, q in freqs)
             worst[j, g] = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)),
                                  initial=0.0)
     return worst

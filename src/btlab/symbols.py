@@ -173,37 +173,40 @@ def translate(b, lam):
     )
 
 
-def _witness(b: PlaneWaveSum) -> np.ndarray:
-    """Least-squares phase-alignment point X* in C^n.
+def _witnesses(b: PlaneWaveSum) -> np.ndarray:
+    """Candidate phase-alignment points X* in C^n, shape (m, n).
 
-    Every term has the phase of the first at X* when
-    Re<X*, lam_j - lam_1> = arg c_1 - arg c_j for all j.  Re<X, lam> is the
-    real functional (Re lam, -Im lam) on (Re X, Im X) in R^{2n}, so this is
-    one real linear system; without an exact solution the least-squares
-    point is only a candidate.
+    Every term has the phase of the first at X* when Re<X*, lam_j - lam_1>
+    = arg c_1 - arg c_j + 2 pi k_j with k_j integer.  Re<X, lam> is the real
+    functional (Re lam, -Im lam) on (Re X, Im X) in R^{2n}: a real linear
+    system.  Rows that depend on earlier ones hold wherever those do if any
+    k aligns them, so X* solves the others, for k in {-2, ..., 2} on each.
     """
     if len(b.terms) < 2:
-        return np.zeros(b.n, dtype=complex)
+        return np.zeros((1, b.n), dtype=complex)
     c1, l1 = b.terms[0]
     dl = np.array([lam - l1 for _, lam in b.terms[1:]])
     rows = np.concatenate([dl.real, -dl.imag], axis=1)
     rhs = np.array([np.angle(c1) - np.angle(c) for c, _ in b.terms[1:]])
-    x = np.linalg.lstsq(rows, rhs, rcond=None)[0]
-    return x[:b.n] + 1j * x[b.n:]
+    ranks = [np.linalg.matrix_rank(rows[:i + 1]) for i in range(len(rows))]
+    keep = np.flatnonzero(np.diff(ranks, prepend=0))
+    k = np.indices((5,) * len(keep)).reshape(len(keep), -1) - 2
+    x = np.linalg.pinv(rows[keep]) @ (rhs[keep, np.newaxis] + 2 * np.pi * k)
+    return (x[:b.n] + 1j * x[b.n:]).T
 
 
 def sup_norm(b) -> tuple:
     """(value, attained): value = sum_j |c_j| bounds |b| on all of C^n.
 
-    attained is True when the phase-alignment point X* reaches the value
-    to 1e-12 relative, so the bound is the exact sup; otherwise it is only
-    an upper bound.  Positive factors on the c_j (heat damping) and a
-    common shift of the lam_j (modulation) change neither the phases nor
-    the differences lam_j - lam_1, so they keep X* a witness.
+    attained is True when b at one of the phase-alignment candidates X*
+    reaches the value to 1e-12 relative, so the bound is the exact sup;
+    otherwise it is only an upper bound.  Positive factors on the c_j (heat
+    damping) and a common shift of the lam_j (modulation) change neither
+    the phases nor the differences lam_j - lam_1, so they keep X* a witness.
     """
     _require_plane_waves("sup_norm", b)
     value = float(sum(abs(c) for c, _ in b.terms))
-    reached = abs(complex(eval_symbol(b, _witness(b))))
+    reached = np.max(np.abs(eval_symbol(b, _witnesses(b))))
     return value, bool(abs(reached - value) <= 1e-12 * value)
 
 

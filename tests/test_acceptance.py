@@ -341,7 +341,6 @@ def test_criterion_08_deformation_scaling():
 
 def test_criterion_09_egorov_identity():
     t0 = time.perf_counter()
-    rule = gauss_hermite_rule(80)
     X = complex_box(-1.0, 1.0, 1.0, 1)
     symbols = (
         plane_wave_sum([(1.0, np.array([1.0]))], n=1),
@@ -359,7 +358,7 @@ def test_criterion_09_egorov_identity():
     for phase in (fock_phase(1, 1.0), heat_phase(1)):
         ctx = build_context(phase, 1.0)
         worst = max(worst, float(np.max(
-            egorov_guillemin_check(ctx, symbols, gaussians, X, rule)
+            egorov_guillemin_check(ctx, symbols, gaussians, X)
         )))
     dt = time.perf_counter() - t0
     ok = worst < 1e-6 and dt < 300.0

@@ -24,7 +24,7 @@ from btlab.geometry import (
 from btlab.symbols import (
     CallableSymbol,
     PlaneWaveSum,
-    _witness,
+    _witnesses,
     constant_symbol,
     cosine_symbol,
     eval_symbol,
@@ -224,8 +224,8 @@ _z = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
        t=st.floats(0.5, 1.0, exclude_min=True), data=st.data())
 def test_sup_norm_bounds_every_sample(n, seed, h, t, data):
     """sum |c_j| bounds the flowed symbol on a box of C^n, and when it is
-    attained the witness of the unflowed symbol reaches it: heat damping
-    only rescales the coefficients by positive factors."""
+    attained a candidate witness of the unflowed symbol reaches it: heat
+    damping only rescales the coefficients by positive factors."""
     ctx = build_context(random_phase(n, seed), h)
     vec = st.lists(_z, min_size=n, max_size=n).map(np.array)
     terms = data.draw(st.lists(st.tuples(_z, vec.map(lambda v: 2.0 * v)),
@@ -236,7 +236,7 @@ def test_sup_norm_bounds_every_sample(n, seed, h, t, data):
     X = complex_box(-3.0, 3.0, 0.25 if n == 1 else 0.5, n)
     assert np.max(np.abs(eval_symbol(bt, X))) <= value * (1.0 + 1e-12)
     if attained:
-        reached = abs(complex(eval_symbol(bt, _witness(b))))
+        reached = np.max(np.abs(eval_symbol(bt, _witnesses(b))))
         assert abs(reached - value) <= 1e-12 * value
 
 
@@ -255,3 +255,18 @@ def test_sup_norm_not_attained():
                                    in sine_symbol(1.0).terms)])):
         assert sup_norm(sym) == (float(sum(abs(c) for c, _ in sym.terms)),
                                  True)
+
+
+def test_sup_norm_attained_modulo_2pi():
+    """1 - e^{i Re X} + e^{2i Re X} and 1 + e^{2i Re X} - e^{3i Re X}
+    reach 3 at Re X = pi, where the phases align only modulo 2 pi (the
+    second needs an odd multiple of pi from the e^{2i Re X} row);
+    1 + i e^{2i Re X} + i e^{3i Re X} never aligns (Re X = 0 mod 2 pi
+    would force 2 Re X = pi/2 mod 2 pi)."""
+    zero, one, two, three = (np.array([v]) for v in (0.0, 1.0, 2.0, 3.0))
+    for b in (plane_wave_sum([(1.0, zero), (-1.0, one), (1.0, two)]),
+              plane_wave_sum([(1.0, zero), (1.0, two), (-1.0, three)])):
+        assert sup_norm(b) == (3.0, True)
+        assert np.max(np.abs(eval_symbol(b, _witnesses(b)))) > 3.0 - 1e-12
+    assert sup_norm(plane_wave_sum(
+        [(1.0, zero), (1j, two), (1j, three)])) == (3.0, False)
