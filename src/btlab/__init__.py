@@ -44,7 +44,6 @@ _EXPORTS = {
     "enumerate_multiindices": "basis",
     "u_alpha_eval": "basis",
     "gram_matrix": "basis",
-    "HSpaceVector": "basis",
     # symbols
     "PlaneWaveSum": "symbols",
     "CallableSymbol": "symbols",
@@ -56,15 +55,13 @@ _EXPORTS = {
     "sup_norm": "symbols",
     "q_form": "symbols",
     "poisson": "symbols",
-    "polarize": "symbols",
-    "guillemin_symbol": "symbols",
+    "cotangent_frequencies": "symbols",
     # heat
     "heat_flow": "heat",
     "heat_flow_quadrature": "heat",
     "sw_diagnostic": "heat",
     "sw_l1": "heat",
     # operators
-    "OperatorMatrix": "operators",
     "toeplitz_matrix": "operators",
     "weyl_unitary_matrix": "operators",
     "operator_norm": "operators",

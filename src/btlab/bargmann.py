@@ -31,14 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HSpaceVector, MultiIndexSet, monomial_table
+from .basis import MultiIndexSet, monomial_table
 from .errors import UnsupportedSymbol
 from .geometry import (
     SpaceContext, _as_points, _qform, phase_phi, phi_weight, psi,
 )
 from .heat import heat_flow
 from .quadrature import QuadratureRule, _tensor_grid, complex_grid
-from .symbols import _require_plane_waves, eval_symbol, guillemin_symbol
+from .symbols import _require_plane_waves, cotangent_frequencies, eval_symbol
 
 __all__ = [
     "GaussianTestFn",
@@ -67,14 +67,15 @@ class GaussianTestFn:
     amp: complex = 1.0
 
     def __post_init__(self):
-        y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
-        p0 = np.atleast_1d(np.asarray(self.p0, dtype=float))
-        if y0.shape != p0.shape or y0.ndim != 1:
+        y0, p0 = (np.atleast_1d(np.asarray(v, dtype=complex))
+                  for v in (self.y0, self.p0))
+        if (y0.shape != p0.shape or y0.ndim != 1 or np.any(y0.imag)
+                or np.any(p0.imag)):
             raise ValueError("center and modulation must be real n-vectors")
         if not self.sigma > 0:
             raise ValueError("width must be positive")
-        object.__setattr__(self, "y0", y0)
-        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "y0", y0.real.copy())
+        object.__setattr__(self, "p0", p0.real.copy())
         object.__setattr__(self, "amp", complex(self.amp))
 
     @property
@@ -176,8 +177,9 @@ def _h_grid(ctx: SpaceContext, rule: QuadratureRule):
 
 
 def project_coeffs(ctx: SpaceContext, fw, trunc: MultiIndexSet,
-                   rule: QuadratureRule) -> HSpaceVector:
-    """Basis coefficients <f, u_beta> from the weighted evaluator fw.
+                   rule: QuadratureRule) -> np.ndarray:
+    """Basis coefficients <f, u_beta>, beta in trunc, from the weighted
+    evaluator fw.
 
     fw must be X -> e^{-Phi(X)/h} f(X) on batched points.  On the
     sigma^2 = h grid the explicit factor multiplying fw has unit modulus
@@ -189,36 +191,38 @@ def project_coeffs(ctx: SpaceContext, fw, trunc: MultiIndexSet,
     base = np.asarray(fw(Xp), dtype=complex) * np.exp(expo)
     V = monomial_table(W, trunc, ctx.h)
     pref = (2.0 / (np.pi * ctx.h)) ** (ctx.n / 2.0) / detR
-    coeffs = pref * (np.conj(V) @ (wt * base))
-    return HSpaceVector(ctx=ctx, trunc=trunc, coeffs=coeffs)
+    return pref * (np.conj(V) @ (wt * base))
 
 
 # Kernel entries (y points x grid nodes) held at once by the adjoint.
 _ADJOINT_BLOCK = 1 << 20
 
 
-def bargmann_adjoint_apply(ctx: SpaceContext, vecs, y,
-                           rule: QuadratureRule) -> np.ndarray:
-    """(T* v)(y) at real points y for each v in `vecs`, HSpaceVectors over
-    one truncation; the result has shape (len(vecs),) + y.shape[:-1].
+def bargmann_adjoint_apply(ctx: SpaceContext, coeffs, trunc: MultiIndexSet,
+                           y, rule: QuadratureRule) -> np.ndarray:
+    """(T* v)(y) at real points y for each row v of `coeffs`, coefficient
+    vectors over `trunc` of shape (k, len(trunc)); the result has shape
+    (k,) + y.shape[:-1].
 
     Integrand assembled in W = RX coordinates on the sigma^2 = h grid;
     the explicit factor is bounded by one, the Gaussian in y keeping the
     far field harmless.  The kernel is built once for all vectors, in
     blocks of y points holding at most _ADJOINT_BLOCK entries.
     """
-    vecs = tuple(vecs)
-    trunc = vecs[0].trunc
-    if any(v.trunc.indices != trunc.indices for v in vecs):
-        raise ValueError("vectors must share one truncation")
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim != 2 or coeffs.shape[1] != len(trunc):
+        raise ValueError(
+            f"coefficients must have shape (k, {len(trunc)}), got"
+            f" {coeffs.shape}"
+        )
     y = _as_points(np.asarray(y, dtype=float), ctx.n)
     W, wt, Xp, quad, w2, detR = _h_grid(ctx, rule)
     expo_X = quad - 2.0 * phi_weight(ctx, Xp) + w2
     V = monomial_table(W, trunc, ctx.h)
-    series = np.stack([v.coeffs for v in vecs]) @ V
+    series = coeffs @ V
     weighted = (series * wt).T
     pts = y.reshape(-1, ctx.n)
-    out = np.empty((pts.shape[0], len(vecs)), dtype=complex)
+    out = np.empty((pts.shape[0], coeffs.shape[0]), dtype=complex)
     step = max(1, _ADJOINT_BLOCK // wt.shape[0])
     for start in range(0, pts.shape[0], step):
         sl = slice(start, start + step)
@@ -230,7 +234,7 @@ def bargmann_adjoint_apply(ctx: SpaceContext, vecs, y,
         * (2.0 / (np.pi * ctx.h)) ** (ctx.n / 2.0)
         / detR
     )
-    return pref * out.T.reshape((len(vecs),) + y.shape[:-1])
+    return pref * out.T.reshape(coeffs.shape[:1] + y.shape[:-1])
 
 
 def projector_apply_weighted(ctx: SpaceContext, fw, X,
@@ -313,9 +317,9 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians,
     the matching real-side Weyl operator.  Returns an array of shape
     (len(symbols), len(gaussians)).
 
-    The real-side symbol comes from the half-time-regularized polarization
-    of b pushed through the canonical frame change; each term is a
-    plane wave in (x, xi) that maps u to a Gaussian (`_weyl_gaussian`).
+    The real-side symbol is the pull-back to T*R^n of the half-time heat
+    flow of b (`cotangent_frequencies`); each term is a plane wave in
+    (x, xi) that maps u to a Gaussian (`_weyl_gaussian`).
     The left side is `toeplitz_apply_weighted` of the closed-form transform
     of u, the right side the sum of the terms' closed-form transforms.
     """
@@ -327,8 +331,7 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians,
         )
     worst = np.zeros((len(symbols), len(gaussians)))
     for j, b in enumerate(symbols):
-        pol = guillemin_symbol(ctx, heat_flow(ctx, b, 0.5))
-        freqs = pol.cotangent_frequencies()
+        freqs = cotangent_frequencies(ctx, heat_flow(ctx, b, 0.5))
         for g, u in enumerate(gaussians):
             fw = lambda Y: gaussian_transform_weighted(ctx, u, Y)
             lhs = toeplitz_apply_weighted(ctx, b, fw, X_grid)

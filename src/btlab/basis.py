@@ -40,7 +40,6 @@ __all__ = [
     "weighted_pair_sum",
     "separable_pair_sum",
     "gram_matrix",
-    "HSpaceVector",
 ]
 
 # Fixed node-axis chunk for the pair sum; partial sums are added in chunk
@@ -201,24 +200,16 @@ def separable_pair_sum(trunc: MultiIndexSet, h: float, rule: QuadratureRule,
 
 def gram_matrix(ctx: SpaceContext, trunc: MultiIndexSet,
                 rule: QuadratureRule) -> np.ndarray:
-    """G[a, b] = <u_a, u_b> over H_Phi; identity for admissible phases."""
-    pref = (2 / (np.pi * ctx.h)) ** ctx.n
+    """G[a, b] = <u_a, u_b> over H_Phi; identity for admissible phases.
+
+    The prefactor C_Phi / (h^n |det R|^2) is the squared normalization of
+    the u_alpha times the Jacobian of W = RX.  It equals (2/pi h)^n exactly
+    when C_Phi and R belong to the phase, so the check sees both.
+    """
+    pref = ctx.CPhi / (ctx.h ** ctx.n * abs(np.linalg.det(ctx.R)) ** 2)
     out = separable_pair_sum(trunc, ctx.h, rule,
                              [(1.0, ((0.0, 0.0, 0.0),) * ctx.n)])
     # out[b, a] carries the conjugate on the first slot; <u_a, u_b>
     # conjugates the second, so transpose without conjugation.
     return pref * out.T
 
-
-@dataclass
-class HSpaceVector:
-    """Element of the truncated space in u_alpha coordinates."""
-
-    ctx: SpaceContext
-    trunc: MultiIndexSet
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (len(self.trunc),):
-            raise ValueError("coefficient vector does not match truncation")

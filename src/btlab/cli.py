@@ -192,13 +192,13 @@ def _weyl(ctx, rule, p, out):
         Wp = weyl_unitary_matrix(ctx, lam, trunc, rule)
         Wm = weyl_unitary_matrix(ctx, -lam, trunc, rule)
         unit = float(np.max(np.abs(
-            inner_block(Wp.entries.conj().T @ Wp.entries, trunc, inner) - eye
+            inner_block(Wp.conj().T @ Wp, trunc, inner) - eye
         )))
         adj = float(np.max(np.abs(inner_block(
-            Wp.entries.conj().T - Wm.entries, trunc, inner
+            Wp.conj().T - Wm, trunc, inner
         ))))
-        conj = weyl_conjugation_check(ctx, p.symbol_b, lam, Wp, Tb, rule,
-                                      drop=trunc.N - inner)
+        conj = weyl_conjugation_check(ctx, p.symbol_b, lam, Wp, Tb, trunc,
+                                      rule, drop=trunc.N - inner)
         lam_s = vector_text(lam)
         out.le(f"unitarity lambda={lam_s}", unit, tol)
         out.le(f"adjoint lambda={lam_s}", adj, tol)
@@ -232,13 +232,13 @@ def _diag(ctx, rule, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     tol = p.tol_diag
     one = toeplitz_matrix(ctx, constant_symbol(1.0, ctx.n), trunc, rule)
-    dev = float(np.max(np.abs(one.entries - np.eye(len(trunc)))))
+    dev = float(np.max(np.abs(one - np.eye(len(trunc)))))
     out.le("toeplitz identity max|T_1 - I|", dev, tol,
            row=["identity", "1", ""])
     for j, b in enumerate(p.symbols):
         label = f"b{j}"
         M = toeplitz_matrix(ctx, b, trunc, rule)
-        sides = diagonal_sum_check(ctx, b, M, range(p.k_max + 1))
+        sides = diagonal_sum_check(ctx, b, M, trunc, range(p.k_max + 1))
         for k, (lhs, rhs) in enumerate(sides):
             out.le(f"diagsum {label} k={k}", abs(lhs - rhs), tol,
                    row=["diagsum", label, k])

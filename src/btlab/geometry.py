@@ -118,7 +118,6 @@ class SpaceContext:
     h: float
     CI: np.ndarray
     CIinv: np.ndarray
-    CIsqrt: np.ndarray
     CIinvsqrt: np.ndarray
     PhiXXbar: np.ndarray
     PhiXX: np.ndarray
@@ -133,10 +132,10 @@ class SpaceContext:
         object.__setattr__(self, "n", self.phase.n)
 
 
-def _sym_sqrt(M: np.ndarray):
-    """Principal square root and inverse square root of a real SPD matrix."""
+def _inv_sqrt(M: np.ndarray) -> np.ndarray:
+    """Principal inverse square root of a real SPD matrix."""
     ew, ev = np.linalg.eigh(M)
-    return (ev * np.sqrt(ew)) @ ev.T, (ev / np.sqrt(ew)) @ ev.T
+    return (ev / np.sqrt(ew)) @ ev.T
 
 
 def _check_cond(name: str, M: np.ndarray):
@@ -158,7 +157,7 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     A, B, n = phase.A, phase.B, phase.n
     _check_cond("B", B)
     _check_cond("C_I", CI)
-    CIsqrt, CIinvsqrt = _sym_sqrt(CI)
+    CIinvsqrt = _inv_sqrt(CI)
     CIinv = CIinvsqrt @ CIinvsqrt
     PhiXXbar = B @ CIinv @ B.conj().T / 4
     PhiXX = -B @ CIinv @ B.T / 4 - A / 2j
@@ -172,9 +171,9 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
                  * abs(detB) * detCI ** (-0.25))
     CPhi = float((2 / np.pi) ** n * np.linalg.det(PhiXXbar).real)
     ctx = SpaceContext(
-        phase=phase, h=float(h), CI=CI, CIinv=CIinv, CIsqrt=CIsqrt,
-        CIinvsqrt=CIinvsqrt, PhiXXbar=PhiXXbar, PhiXX=PhiXX, R=R, Rinv=Rinv,
-        RTinv=RTinv, Cphi=Cphi, CPhi=CPhi,
+        phase=phase, h=float(h), CI=CI, CIinv=CIinv, CIinvsqrt=CIinvsqrt,
+        PhiXXbar=PhiXXbar, PhiXX=PhiXX, R=R, Rinv=Rinv, RTinv=RTinv,
+        Cphi=Cphi, CPhi=CPhi,
     )
     _verify_context(ctx)
     return ctx
@@ -305,7 +304,7 @@ def random_phase(n: int, seed: int) -> PhaseMatrices:
             continue
         if abs(np.linalg.det(B)) < 0.3 or np.linalg.cond(B) > 8:
             continue
-        _, CIinvsqrt = _sym_sqrt(CI)
+        CIinvsqrt = _inv_sqrt(CI)
         PhiXXbar = B @ (CIinvsqrt @ CIinvsqrt) @ B.conj().T / 4
         ew = np.linalg.eigvalsh(PhiXXbar)
         if ew.min() < 0.2 or ew.max() > 3.0:

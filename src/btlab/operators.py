@@ -1,9 +1,10 @@
 """Galerkin compressions of Toeplitz operators and Weyl unitaries.
 
-All matrices live over the graded monomial basis, so a sub-truncation is
-always the leading principal block.  Everything is assembled in the reduced
-frame W = RX on a sigma = sqrt(h/2) Gauss-Hermite grid, where the weight
-e^{-2|W|^2/h} is exactly the quadrature Gaussian:
+All matrices are plain arrays over the graded monomial basis of a
+`MultiIndexSet` the caller holds, so a sub-truncation is always the leading
+principal block.  Everything is assembled in the reduced frame W = RX on a
+sigma = sqrt(h/2) Gauss-Hermite grid, where the weight e^{-2|W|^2/h} is
+exactly the quadrature Gaussian:
 
     toeplitz   M[beta, alpha] = (2/pi h)^n int b(R^-1 W) v_a(W) conj(v_b(W))
     weyl       M[beta, alpha] = (2/pi h)^n e^{-|c|^2/h} int e^{(2/h)<W, cbar>}
@@ -45,7 +46,6 @@ from .symbols import (
 )
 
 __all__ = [
-    "OperatorMatrix",
     "NormTable",
     "BoundReport",
     "SweepResult",
@@ -60,18 +60,6 @@ __all__ = [
     "deformation_residuals",
     "deformation_sweep",
 ]
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Compression of an operator onto span{u_alpha : |alpha| <= N}."""
-
-    ctx: SpaceContext
-    trunc: MultiIndexSet
-    entries: np.ndarray
-
-    def block(self, keep_degree: int) -> np.ndarray:
-        return inner_block(self.entries, self.trunc, keep_degree)
 
 
 def inner_block(entries: np.ndarray, trunc: MultiIndexSet,
@@ -89,7 +77,7 @@ def _require_symbol_class(b) -> None:
 
 
 def toeplitz_matrix(ctx: SpaceContext, b, trunc: MultiIndexSet,
-                    rule: QuadratureRule) -> OperatorMatrix:
+                    rule: QuadratureRule) -> np.ndarray:
     """Matrix of the multiplication-then-project operator for symbol b.
 
     A plane-wave term c e^{i Re<X, lam>} is c prod_d e^{i Re(W_d mu_d)}
@@ -106,12 +94,11 @@ def toeplitz_matrix(ctx: SpaceContext, b, trunc: MultiIndexSet,
         W, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h / 2.0))
         bv = eval_symbol(b, (ctx.Rinv @ W).T)
         out = weighted_pair_sum(trunc, ctx.h, W, W, wt * bv)
-    entries = out * (2.0 / (np.pi * ctx.h)) ** ctx.n
-    return OperatorMatrix(ctx=ctx, trunc=trunc, entries=entries)
+    return out * (2.0 / (np.pi * ctx.h)) ** ctx.n
 
 
 def weyl_unitary_matrix(ctx: SpaceContext, lam, trunc: MultiIndexSet,
-                        rule: QuadratureRule) -> OperatorMatrix:
+                        rule: QuadratureRule) -> np.ndarray:
     """Matrix of the phase-space translation unitary for displacement lam.
 
     Both the shift W - c and the weight e^{(2/h)<W, cbar>} factor over the
@@ -126,57 +113,52 @@ def weyl_unitary_matrix(ctx: SpaceContext, lam, trunc: MultiIndexSet,
     pref = (2.0 / (np.pi * ctx.h)) ** ctx.n * np.exp(
         -np.sum(np.abs(c) ** 2) / ctx.h
     )
-    return OperatorMatrix(ctx=ctx, trunc=trunc, entries=pref * out)
+    return pref * out
 
 
-def operator_norm(M) -> float:
+def operator_norm(M: np.ndarray) -> float:
     """Largest singular value of the compression."""
-    entries = M.entries if isinstance(M, OperatorMatrix) else np.asarray(M)
-    if entries.size == 0:
+    if M.size == 0:
         return 0.0
-    return float(np.linalg.norm(entries, 2))
+    return float(np.linalg.norm(M, 2))
 
 
 @dataclass(frozen=True)
 class NormTable:
     m_norm: float
-    rows: tuple  # of (N, norm)
     converged: bool
 
 
 def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
                    rule: QuadratureRule, rel_tol: float = 1e-3) -> NormTable:
-    """Compression norms along an increasing truncation schedule.
+    """Compression norm at the largest N of a strictly increasing schedule,
+    and whether it is within rel_tol of the norm at the N before it.
 
-    Nesting means one assembly at max(N) suffices; smaller N are leading
-    principal blocks of the same matrix.
+    Nesting means one assembly at max(N) suffices; the smaller N is a
+    leading principal block of the same matrix.  Earlier N are validated
+    but not computed: no verdict reads them.
     """
     ns = [int(N) for N in n_schedule]
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise InvalidConfig("truncation schedule must be strictly increasing")
     top = enumerate_multiindices(ctx.n, ns[-1])
     M = toeplitz_matrix(ctx, b, top, rule)
-    rows = []
-    for N in ns:
-        rows.append((N, operator_norm(inner_block(M.entries, top, N))))
-    converged = False
-    if len(rows) >= 2:
-        prev, last = rows[-2][1], rows[-1][1]
-        converged = abs(last - prev) <= rel_tol * max(abs(last), 1e-300)
-    return NormTable(m_norm=rows[-1][1], rows=tuple(rows),
-                     converged=converged)
+    norms = [operator_norm(inner_block(M, top, N)) for N in ns[-2:]]
+    last = norms[-1]
+    converged = (len(norms) == 2 and abs(last - norms[0])
+                 <= rel_tol * max(abs(last), 1e-300))
+    return NormTable(m_norm=last, converged=converged)
 
 
-def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: OperatorMatrix,
-                           Tb: OperatorMatrix, rule: QuadratureRule,
-                           drop: int = 4) -> float:
+def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: np.ndarray,
+                           Tb: np.ndarray, trunc: MultiIndexSet,
+                           rule: QuadratureRule, drop: int = 4) -> float:
     """Max entry deviation of W* T_b W against the translated-symbol matrix,
     on the block of degrees <= N - drop.  W is the translation by lam and Tb
-    the compression of b, both over one truncation; only the translated
-    symbol's compression is assembled here."""
-    trunc = W.trunc
-    Ts = toeplitz_matrix(ctx, translate(b, lam), trunc, rule).entries
-    dev = W.entries.conj().T @ Tb.entries @ W.entries - Ts
+    the compression of b, both over `trunc`; only the translated symbol's
+    compression is assembled here."""
+    Ts = toeplitz_matrix(ctx, translate(b, lam), trunc, rule)
+    dev = W.conj().T @ Tb @ W - Ts
     keep = max(trunc.N - drop, 0)
     return float(np.max(np.abs(inner_block(dev, trunc, keep))))
 
@@ -221,15 +203,16 @@ def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float],
                        passed=ok, sup_attained=attained)
 
 
-def diagonal_sum_check(ctx: SpaceContext, b, M: OperatorMatrix, ks):
+def diagonal_sum_check(ctx: SpaceContext, b, M: np.ndarray,
+                       trunc: MultiIndexSet, ks):
     """Both sides of the degree-k diagonal-sum identity, for each k in ks.
 
-    M is the Toeplitz compression of b; lhs sums its diagonal over
-    |alpha| = k.  rhs is sum_j c_j(1) L_k^(n-1)(x_j), x_j = h|R^-T lam_j|^2/8,
-    with c_j(1) the coefficients of `heat_flow(ctx, b, 1)`: per axis the
-    diagonal is e^{-x_d} L_{alpha_d}(x_d), summed over |alpha| = k by the
-    Laguerre addition formula.  At k = 0 rhs is b_1(0).  Returns
-    [(lhs, rhs), ...].
+    M is the Toeplitz compression of b over `trunc`; lhs sums its diagonal
+    over |alpha| = k.  rhs is sum_j c_j(1) L_k^(n-1)(x_j), with
+    x_j = h|R^-T lam_j|^2/8 and c_j(1) the coefficients of
+    `heat_flow(ctx, b, 1)`: per axis the diagonal is
+    e^{-x_d} L_{alpha_d}(x_d), summed over |alpha| = k by the Laguerre
+    addition formula.  At k = 0 rhs is b_1(0).  Returns [(lhs, rhs), ...].
     """
     c1 = [c for c, _ in heat_flow(ctx, b, 1.0).terms]
     x = np.array([ctx.h * np.sum(np.abs(freq_image(ctx, lam)) ** 2) / 8.0
@@ -239,8 +222,8 @@ def diagonal_sum_check(ctx: SpaceContext, b, M: OperatorMatrix, ks):
     for j in range(1, max(ks)):
         lag.append(((2 * j + 1 + a - x) * lag[j] - (j + a) * lag[j - 1])
                    / (j + 1))
-    diag = np.diag(M.entries)
-    return [(complex(np.sum(diag[M.trunc.degrees == k])),
+    diag = np.diag(M)
+    return [(complex(np.sum(diag[trunc.degrees == k])),
              complex(sum(c * L for c, L in zip(c1, lag[k])))) for k in ks]
 
 
@@ -248,11 +231,11 @@ def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
                           rule: QuadratureRule, drop: int = 4):
     """Spectral norms of the two second-order deformation defects,
     read on the block of degrees <= N - drop."""
-    Ta = toeplitz_matrix(ctx, a, trunc, rule).entries
-    Tb = toeplitz_matrix(ctx, b, trunc, rule).entries
-    Tab = toeplitz_matrix(ctx, multiply(a, b), trunc, rule).entries
-    Tq = toeplitz_matrix(ctx, q_form(ctx, a, b), trunc, rule).entries
-    Tpb = toeplitz_matrix(ctx, poisson(ctx, a, b), trunc, rule).entries
+    Ta = toeplitz_matrix(ctx, a, trunc, rule)
+    Tb = toeplitz_matrix(ctx, b, trunc, rule)
+    Tab = toeplitz_matrix(ctx, multiply(a, b), trunc, rule)
+    Tq = toeplitz_matrix(ctx, q_form(ctx, a, b), trunc, rule)
+    Tpb = toeplitz_matrix(ctx, poisson(ctx, a, b), trunc, rule)
     keep = max(trunc.N - drop, 0)
     d1 = Ta @ Tb - Tab + (ctx.h / 2.0) * Tq
     d2 = Ta @ Tb - Tb @ Ta - (0.5j * ctx.h) * Tpb

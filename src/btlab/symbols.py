@@ -5,9 +5,9 @@ Two symbol variants exist.  Finite plane-wave sums
     b(X) = sum_j c_j exp(i Re<X, lambda_j>),   lambda_j in C^n,
 
 are the only symbols the calculus accepts: products, the bilinear form Q,
-the bracket, translation, heat flow, polarization and the sup norm all act
-on the terms in closed form, so every operation the theorems need stays
-exact.
+the bracket, translation, heat flow, the sup norm and the pull-back to
+T*R^n (`cotangent_frequencies`) all act on the terms in closed form, so
+every operation the theorems need stays exact.
 The pairing <X, lambda> = sum X_d lambda_d is bilinear (no conjugation);
 Re<X, lambda> is real even for complex frequencies, so plane waves always
 have modulus one.  These sums are the building blocks of Sjostrand's
@@ -33,8 +33,6 @@ from .geometry import SpaceContext, _as_points, kappa_affine
 __all__ = [
     "PlaneWaveSum",
     "CallableSymbol",
-    "PolarizedPlaneWave",
-    "GuilleminSymbol",
     "plane_wave_sum",
     "constant_symbol",
     "cosine_symbol",
@@ -45,8 +43,7 @@ __all__ = [
     "sup_norm",
     "q_form",
     "poisson",
-    "polarize",
-    "guillemin_symbol",
+    "cotangent_frequencies",
     "wirtinger_fd",
 ]
 
@@ -260,76 +257,31 @@ def poisson(ctx: SpaceContext, a, b):
 
 
 # ---------------------------------------------------------------------------
-# polarization
+# pull-back to the real cotangent bundle
 
 
-@dataclass(frozen=True)
-class PolarizedPlaneWave:
-    """Holomorphic extension b(X, Y) of a plane-wave sum, with b(X, Xbar)
-    recovering the original symbol.  Term (c, lam) stands for
-    c exp((i/2)(<X, lam> + <Y, lambar>))."""
+def cotangent_frequencies(ctx: SpaceContext, b) -> list:
+    """Pull b back to T*R^n: (c, p, q) per term, with
+    b(X(x, xi)) = sum c exp(i(<x, p> + <xi, q>)) at real (x, xi).
 
-    n: int
-    terms: tuple
-
-    def __call__(self, X, Y):
-        X = _as_points(X, self.n)
-        Y = _as_points(Y, self.n)
-        out = np.zeros(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]),
-                       dtype=complex)
-        for c, lam in self.terms:
-            out = out + c * np.exp(0.5j * (X @ lam + Y @ np.conj(lam)))
-        return out
-
-
-def polarize(b) -> PolarizedPlaneWave:
-    """Holomorphic-in-(X, Ybar) extension; refuses black-box symbols."""
-    _require_plane_waves("polarize", b)
-    return PolarizedPlaneWave(n=b.n, terms=b.terms)
-
-
-# ---------------------------------------------------------------------------
-# substitution of the polarized symbol along the graph of the weight
-
-
-@dataclass(frozen=True)
-class GuilleminSymbol:
-    """Polarized symbol evaluated along Y(X, theta), the unique point with
-    theta = (2/i)(Phi''_XXbar Y + Phi''_XX X).  On the real graph
-    theta = Theta(X) the value reduces to b(X)."""
-
-    ctx: SpaceContext
-    pol: PolarizedPlaneWave
-
-    def y_point(self, X, theta):
-        X = _as_points(X, self.ctx.n)
-        theta = _as_points(theta, self.ctx.n)
-        G = np.linalg.inv(self.ctx.PhiXXbar)
-        return (0.5j * theta - X @ self.ctx.PhiXX.T) @ G.T
-
-    def __call__(self, X, theta):
-        return self.pol(X, self.y_point(X, theta))
-
-    def cotangent_frequencies(self):
-        """Rewrite each term as exp(i(<x, p> + <xi, q>)) on T*R^n via the
-        linear change of frame (x, xi) -> (X(x, xi), Y(x, xi)).
-
-        Returns a list of (coefficient, p, q) with p, q length-n vectors.
-        """
-        ctx = self.ctx
-        A, B = ctx.phase.A, ctx.phase.B
-        P, Q = kappa_affine(ctx)
-        G = np.linalg.inv(ctx.PhiXXbar)
-        Mx = G @ (0.5j * (B + A @ P) - ctx.PhiXX @ P)
-        Mxi = G @ (0.5j * (A @ Q) - ctx.PhiXX @ Q)
-        out = []
-        for c, lam in self.pol.terms:
-            lb = np.conj(lam)
-            p = 0.5 * (P.T @ lam + Mx.T @ lb)
-            q = 0.5 * (Q.T @ lam + Mxi.T @ lb)
-            out.append((c, p, q))
-        return out
-
-
-def guillemin_symbol(ctx: SpaceContext, b) -> GuilleminSymbol:
-    return GuilleminSymbol(ctx=ctx, pol=polarize(b))
+    The term (c, lam) polarizes to c exp((i/2)(<X, lam> + <Y, lambar>)),
+    holomorphic in (X, Y) and equal to b at Y = Xbar.  Y(X, theta) is the
+    unique point with theta = (2/i)(Phi''_XXbar Y + Phi''_XX X); on the
+    graph theta = Theta(X) of the weight it is Xbar.  The canonical map
+    kappa_T (x, xi) -> (X, Theta) = (P x + Q xi, B x + A X) lands on that
+    graph, so Y = Mx x + Mxi xi is linear too, and the polarized exponent
+    is i(<x, p> + <xi, q>).  Refuses callable symbols.
+    """
+    _require_plane_waves("the cotangent pull-back", b)
+    A, B = ctx.phase.A, ctx.phase.B
+    P, Q = kappa_affine(ctx)
+    G = np.linalg.inv(ctx.PhiXXbar)
+    Mx = G @ (0.5j * (B + A @ P) - ctx.PhiXX @ P)
+    Mxi = G @ (0.5j * (A @ Q) - ctx.PhiXX @ Q)
+    out = []
+    for c, lam in b.terms:
+        lb = np.conj(lam)
+        p = 0.5 * (P.T @ lam + Mx.T @ lb)
+        q = 0.5 * (Q.T @ lam + Mxi.T @ lb)
+        out.append((c, p, q))
+    return out

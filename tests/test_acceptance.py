@@ -131,7 +131,7 @@ def test_criterion_03_projector_toeplitz_consistency():
     rule = gauss_hermite_rule(60)
     trunc = enumerate_multiindices(1, 10)
     dev_id = float(np.max(np.abs(
-        toeplitz_matrix(ctx, constant_symbol(1.0), trunc, rule).entries
+        toeplitz_matrix(ctx, constant_symbol(1.0), trunc, rule)
         - np.eye(len(trunc))
     )))
     dev_corner = 0.0
@@ -140,13 +140,13 @@ def test_criterion_03_projector_toeplitz_consistency():
         b = plane_wave_sum([(1.0, np.array([lam]))], n=1)
         M = toeplitz_matrix(ctx, b, trunc, rule)
         ref = complex(eval_symbol(heat_flow(ctx, b, 1.0), zero)[0])
-        dev_corner = max(dev_corner, abs(M.entries[0, 0] - ref))
+        dev_corner = max(dev_corner, abs(M[0, 0] - ref))
     dev_diag = 0.0
     b = plane_wave_sum(
         [(1.0, np.array([1.0])), (0.3 - 0.2j, np.array([0.5 + 0.3j]))], n=1
     )
     M = toeplitz_matrix(ctx, b, trunc, rule)
-    for lhs, rhs in diagonal_sum_check(ctx, b, M, (0, 1, 2)):
+    for lhs, rhs in diagonal_sum_check(ctx, b, M, trunc, (0, 1, 2)):
         dev_diag = max(dev_diag, abs(lhs - rhs))
     dt = time.perf_counter() - t0
     ok = max(dev_id, dev_corner, dev_diag) < 1e-8 and dt < 120.0
@@ -172,9 +172,8 @@ def test_criterion_04_weyl_suite():
         Tb = toeplitz_matrix(ctx, b, trunc, rule)
         for lam in lams:
             lv = np.array([lam])
-            Wp = weyl_unitary_matrix(ctx, lv, trunc, rule)
-            W = Wp.entries
-            Wm = weyl_unitary_matrix(ctx, -lv, trunc, rule).entries
+            W = weyl_unitary_matrix(ctx, lv, trunc, rule)
+            Wm = weyl_unitary_matrix(ctx, -lv, trunc, rule)
             worst_u = max(worst_u, float(np.max(np.abs(
                 (W.conj().T @ W - np.eye(len(trunc)))[:keep, :keep]
             ))))
@@ -182,7 +181,7 @@ def test_criterion_04_weyl_suite():
                 (W.conj().T - Wm)[:keep, :keep]
             ))))
             worst_c = max(worst_c, weyl_conjugation_check(
-                ctx, b, lv, Wp, Tb, rule, drop=trunc.N - 4
+                ctx, b, lv, W, Tb, trunc, rule, drop=trunc.N - 4
             ))
     dt = time.perf_counter() - t0
     ok = max(worst_u, worst_a, worst_c) < 1e-5 and dt < 180.0

@@ -26,7 +26,7 @@ from btlab.bargmann import (
     real_weyl_planewave_apply,
     toeplitz_apply_weighted,
 )
-from btlab.basis import HSpaceVector, enumerate_multiindices, u_alpha_eval
+from btlab.basis import enumerate_multiindices, u_alpha_eval
 from btlab.errors import UnsupportedSymbol
 from btlab.geometry import (
     build_context,
@@ -39,7 +39,7 @@ from btlab.heat import complex_box, heat_flow
 from btlab.quadrature import gauss_hermite_rule
 from btlab.symbols import (
     CallableSymbol,
-    guillemin_symbol,
+    cotangent_frequencies,
     plane_wave_sum,
     wirtinger_fd,
 )
@@ -68,6 +68,20 @@ def test_gaussian_test_fn_basics():
         GaussianTestFn(y0=np.array([0.0, 1.0]), sigma=1.0, p0=np.array([0.0]))
 
 
+@pytest.mark.parametrize("y0,p0", [([1.0 + 1.0j], [0.0]),
+                                   ([1.0], [0.5 - 1e-3j])],
+                         ids=["complex-y0", "complex-p0"])
+def test_gaussian_test_fn_refuses_complex_parameters(y0, p0):
+    """A nonzero imaginary part is refused, not dropped; a complex dtype
+    with zero imaginary part is cast (a ComplexWarning fails the suite)."""
+    with pytest.raises(ValueError, match="real n-vectors"):
+        GaussianTestFn(y0=np.array(y0), sigma=1.0, p0=np.array(p0))
+    u = GaussianTestFn(y0=np.array(y0).real + 0j, sigma=1.0,
+                       p0=np.array(p0).real + 0j)
+    assert u.y0.dtype == u.p0.dtype == float
+    assert u.y0[0] == np.real(y0[0]) and u.p0[0] == np.real(p0[0])
+
+
 def test_transform_isometry(rule60):
     ctx = build_context(fock_phase(1, 1.0), 1.0)
     u = _gauss()
@@ -83,8 +97,8 @@ def test_transform_isometry(rule60):
     ref_uu = np.trapezoid(uy * np.conj(uy), y)
     ref_uv = np.trapezoid(uy * np.conj(vy), y)
     # Parseval: inner products from the basis coefficients
-    cu = project_coeffs(ctx, uw, trunc, rule60).coeffs
-    cv = project_coeffs(ctx, vw, trunc, rule60).coeffs
+    cu = project_coeffs(ctx, uw, trunc, rule60)
+    cv = project_coeffs(ctx, vw, trunc, rule60)
     got_uu = np.sum(cu * np.conj(cu))
     got_uv = np.sum(cu * np.conj(cv))
     assert abs(got_uu - ref_uu) < 1e-8
@@ -98,12 +112,11 @@ def test_transform_adjoint_pairing(rule60):
     u = _gauss()
     trunc = enumerate_multiindices(1, 8)
     uw = lambda X: bargmann_transform_weighted(ctx, u, X, rule60)
-    coeffs = project_coeffs(ctx, uw, trunc, rule60).coeffs
+    coeffs = project_coeffs(ctx, uw, trunc, rule60)
     y = np.linspace(-12.0, 12.0, 4001)
     uy = u(y[:, None])
-    vecs = [HSpaceVector(ctx=ctx, trunc=trunc, coeffs=e)
-            for e in np.eye(len(trunc), dtype=complex)[:4]]
-    stars = bargmann_adjoint_apply(ctx, vecs, y[:, None], rule60)
+    stars = bargmann_adjoint_apply(ctx, np.eye(len(trunc))[:4], trunc,
+                                   y[:, None], rule60)
     for k, star in enumerate(stars):
         ref = np.trapezoid(uy * np.conj(star), y)
         assert abs(coeffs[k] - ref) < 1e-8
@@ -116,17 +129,16 @@ def test_adjoint_images_orthonormal(rule60):
     ctx = build_context(fock_phase(1, 1.0), 1.0)
     trunc = enumerate_multiindices(1, 5)
     y = np.linspace(-12.0, 12.0, 4001)
-    imgs = bargmann_adjoint_apply(
-        ctx,
-        [HSpaceVector(ctx=ctx, trunc=trunc, coeffs=e)
-         for e in np.eye(len(trunc), dtype=complex)],
-        y[:, None], rule60,
-    )
+    imgs = bargmann_adjoint_apply(ctx, np.eye(len(trunc)), trunc, y[:, None],
+                                  rule60)
     for a in range(len(trunc)):
         for b in range(len(trunc)):
             val = np.trapezoid(imgs[a] * np.conj(imgs[b]), y)
             ref = 1.0 if a == b else 0.0
             assert abs(val - ref) < 1e-8
+    for bad in (np.eye(3), np.ones(len(trunc))):
+        with pytest.raises(ValueError, match="shape"):
+            bargmann_adjoint_apply(ctx, bad, trunc, y[:, None], rule60)
 
 
 def test_weighted_transform_bounded_by_l1(rule60):
@@ -174,8 +186,7 @@ def test_gaussian_transform_closed_form_matches_quadrature(rule80, n, phase,
     # real plane wave on phase space), and a truly complex (p, q)
     b = plane_wave_sum([(0.7, _e1(n)), (0.3 - 0.2j, _e1(n, -0.8 + 0.1j))],
                        n=n)
-    freqs = guillemin_symbol(ctx, heat_flow(ctx, b, 0.5)
-                             ).cotangent_frequencies()
+    freqs = cotangent_frequencies(ctx, heat_flow(ctx, b, 0.5))
     freqs.append((0.6 + 0.2j, np.full(n, 0.5 - 0.3j),
                   np.linspace(-0.4 + 0.2j, 0.3 - 0.1j, n)))
     for c, p, q in freqs:

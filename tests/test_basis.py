@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from btlab.basis import (
-    HSpaceVector,
     enumerate_multiindices,
     gram_matrix,
     monomial_table,
@@ -76,9 +76,14 @@ def test_gram_identity_node_dim_two(rule30):
     assert np.max(np.abs(G - np.eye(len(trunc)))) < 1e-10
 
 
-def test_hspace_vector_basics(ex1):
-    trunc = enumerate_multiindices(1, 5)
-    v = HSpaceVector(ctx=ex1, trunc=trunc, coeffs=np.ones(len(trunc)))
-    assert v.coeffs.dtype == complex
-    with pytest.raises(ValueError):
-        HSpaceVector(ctx=ex1, trunc=trunc, coeffs=np.ones(3))
+@pytest.mark.parametrize("n", [1, 2])
+def test_gram_sees_normalization_and_reduction(rule30, n):
+    """A context whose C_Phi and R do not belong to its phase fails the
+    Gram check: C_Phi doubled and R tripled scale G by 2 / 9^n."""
+    ctx = build_context(random_phase(n, 7), 1.0)
+    bad = dataclasses.replace(ctx, CPhi=2 * ctx.CPhi, R=3 * ctx.R)
+    trunc = enumerate_multiindices(n, 4)
+    eye = np.eye(len(trunc))
+    assert np.max(np.abs(gram_matrix(ctx, trunc, rule30) - eye)) < 1e-10
+    dev = np.max(np.abs(gram_matrix(bad, trunc, rule30) - eye))
+    assert abs(dev - (1.0 - 2.0 / 9.0 ** n)) < 1e-10

@@ -108,7 +108,9 @@ def test_exponent_square_completion():
         y = 4.0 * (rng.random((30, n)) - 0.5)
         yc = -np.imag(X @ ctx.phase.B) @ ctx.CIinv.T
         lhs = np.real(1j * phase_phi(ctx, X, y)) - phi_weight(ctx, X)
-        rhs = -0.5 * np.sum(((y - yc) @ ctx.CIsqrt.T) ** 2, axis=-1)
+        ew, ev = np.linalg.eigh(ctx.CI)
+        root = (ev * np.sqrt(ew)) @ ev.T
+        rhs = -0.5 * np.sum(((y - yc) @ root.T) ** 2, axis=-1)
         assert rel_dev(lhs, rhs) < 1e-12
 
 

@@ -15,24 +15,18 @@ from conftest import rel_dev
 
 from btlab.errors import NonFiniteSample, UnsupportedSymbol
 from btlab.heat import complex_box, heat_flow
-from btlab.geometry import (
-    build_context,
-    kappa_T,
-    random_phase,
-    theta_on_lambda,
-)
+from btlab.geometry import build_context, kappa_T, random_phase
 from btlab.symbols import (
     CallableSymbol,
     PlaneWaveSum,
     _witnesses,
     constant_symbol,
     cosine_symbol,
+    cotangent_frequencies,
     eval_symbol,
-    guillemin_symbol,
     multiply,
     plane_wave_sum,
     poisson,
-    polarize,
     q_form,
     sine_symbol,
     sup_norm,
@@ -175,35 +169,14 @@ def test_callable_must_return_one_value_per_point():
         eval_symbol(scalar, np.zeros((4, 2), dtype=complex))
 
 
-def test_polarize_diagonal_restriction():
-    _, a, b = _pair()
-    pol = polarize(b)
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((12, 2)) + 1j * rng.standard_normal((12, 2))
-    assert rel_dev(pol(X, X.conj()), eval_symbol(b, X)) < 1e-14
-    with pytest.raises(UnsupportedSymbol):
-        polarize(CallableSymbol(n=2, func=lambda X: eval_symbol(a, X)))
-
-
-def test_guillemin_graph_restriction():
-    ctx, a, b = _pair()
-    gs = guillemin_symbol(ctx, b)
-    rng = np.random.default_rng(6)
-    X = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
-    theta = theta_on_lambda(ctx, X)
-    assert rel_dev(gs.y_point(X, theta), X.conj()) < 1e-12
-    assert rel_dev(gs(X, theta), eval_symbol(b, X)) < 1e-12
-
-
 def test_cotangent_frequencies_reconstruct_symbol():
-    """The rewritten (p, q) data must reproduce the symbol through the
-    canonical frame change at real phase-space points."""
+    """The (p, q) data must reproduce the symbol through the canonical
+    frame change at real phase-space points; callables are refused."""
     for seed in (3, 11):
         ctx = build_context(random_phase(2, seed), 0.9)
         lam = np.array([0.5 - 0.7j, -0.3 + 0.2j])
         b = PlaneWaveSum(n=2, terms=((1.1 + 0.4j, lam),))
-        gs = guillemin_symbol(ctx, b)
-        freqs = gs.cotangent_frequencies()
+        freqs = cotangent_frequencies(ctx, b)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((25, 2))
         xi = rng.standard_normal((25, 2))
@@ -213,6 +186,9 @@ def test_cotangent_frequencies_reconstruct_symbol():
         for c, p, q in freqs:
             got = got + c * np.exp(1j * (x @ p + xi @ q))
         assert rel_dev(got, ref) < 1e-12
+    with pytest.raises(UnsupportedSymbol):
+        cotangent_frequencies(ctx, CallableSymbol(
+            n=2, func=lambda X: eval_symbol(b, X)))
 
 
 _z = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
