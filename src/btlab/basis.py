@@ -20,6 +20,14 @@ factor over the coordinates of W, so Gram, plane-wave Toeplitz and Weyl
 compressions are assembled axis by axis (`separable_pair_sum`) from
 (N+1) x (N+1) one-axis pair sums; only a callable symbol needs the full
 order^(2n) tensor grid.
+
+The one-axis frame (grid, weights, degrees 0..N and their monomial table)
+depends only on the rule, h and N, so `_axis_frame` keeps the last one
+built and every compression at the same (rule, h, N) reuses it.  One entry
+is enough: each caller assembles all of its compressions at one (rule, h,
+N) before it moves on (a suite's symbols, the Weyl pair and its
+conjugation, the five matrices of a deformation residual at each h), and
+a new rule object never matches an older one.
 """
 
 from __future__ import annotations
@@ -158,6 +166,29 @@ def weighted_pair_sum(
     return out
 
 
+_FRAME = None  # (key, rule, frame) for the last (rule, h, N) seen
+
+
+def _axis_frame(rule: QuadratureRule, h: float, N: int):
+    """(w, wt, axis, V, conj(V)) for one axis: the grid of
+    complex_grid(rule, 1, sqrt(h/2)), the degrees 0..N and their monomial
+    table on it, read-only.  Built once per (rule, h, N) in a row; the
+    entry holds the rule, so its id is not reused while the entry lives."""
+    global _FRAME
+    key = (id(rule), float(h), int(N))
+    entry = _FRAME
+    if entry is None or entry[0] != key:
+        _FRAME = entry = None  # the old tables go before new ones are built
+        w, wt = complex_grid(rule, 1, np.sqrt(h / 2.0))
+        axis = enumerate_multiindices(1, N)
+        V = monomial_table(w, axis, h)
+        Vc = V.conj()
+        for arr in (w, wt, V, Vc):
+            arr.flags.writeable = False
+        _FRAME = entry = (key, rule, (w, wt, axis, V, Vc))
+    return entry[2]
+
+
 def separable_pair_sum(trunc: MultiIndexSet, h: float, rule: QuadratureRule,
                        terms) -> np.ndarray:
     """OUT[b, a] = sum_t c_t prod_d A_{t,d}[b_d, a_d] for (c_t, axes_t) in
@@ -172,13 +203,17 @@ def separable_pair_sum(trunc: MultiIndexSet, h: float, rule: QuadratureRule,
     Terms that share every factor except the last are folded into one
     last-axis weight first; at n = 1 that is a single contraction.
     """
-    w, wt = complex_grid(rule, 1, np.sqrt(h / 2.0))
-    axis = enumerate_multiindices(1, trunc.N)
+    w, wt, axis, V, Vc = _axis_frame(rule, h, trunc.N)
     idx = np.array(trunc.indices).T
 
     def pair(d, shift, weight):
-        ket = w if shift == 0 else w - shift
-        A = weighted_pair_sum(axis, h, w, ket, wt * weight)
+        # weighted_pair_sum on the frame's tables, same chunks and operands
+        Vk = V if shift == 0 else monomial_table(w - shift, axis, h)
+        tw = wt * weight
+        A = 0
+        for start in range(0, tw.shape[0], _CHUNK):
+            sl = slice(start, start + _CHUNK)
+            A = A + (Vc[:, sl] * tw[sl]) @ Vk[:, sl].T
         return A[np.ix_(idx[d], idx[d])]
 
     def axis_weight(mu, nu):

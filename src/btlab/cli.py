@@ -48,7 +48,6 @@ from .operators import (  # noqa: E402
     bound_report,
     deformation_sweep,
     diagonal_sum_check,
-    inner_block,
     toeplitz_matrix,
     weyl_conjugation_check,
     weyl_unitary_matrix,
@@ -186,17 +185,15 @@ def _gram(ctx, rule, p, out):
 def _weyl(ctx, rule, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     inner, tol = p.inner_degree, p.tol_weyl
-    eye = np.eye(trunc.count_through_degree(inner))
+    m = trunc.count_through_degree(inner)
     Tb = toeplitz_matrix(ctx, p.symbol_b, trunc, rule)
     for lam in p.lambda_list:
         Wp = weyl_unitary_matrix(ctx, lam, trunc, rule)
         Wm = weyl_unitary_matrix(ctx, -lam, trunc, rule)
+        # inner columns, every row; no view of Wp outlives this iteration
         unit = float(np.max(np.abs(
-            inner_block(Wp.conj().T @ Wp, trunc, inner) - eye
-        )))
-        adj = float(np.max(np.abs(inner_block(
-            Wp.conj().T - Wm, trunc, inner
-        ))))
+            Wp[:, :m].conj().T @ Wp[:, :m] - np.eye(m))))
+        adj = float(np.max(np.abs(Wp[:m, :m].conj().T - Wm[:m, :m])))
         conj = weyl_conjugation_check(ctx, p.symbol_b, lam, Wp, Tb, trunc,
                                       rule, drop=trunc.N - inner)
         lam_s = vector_text(lam)

@@ -19,7 +19,10 @@ reference.  The right-hand side of `diagonal_sum_check` is closed form.
 Identity checks (conjugation, deformation residuals) are read off an inner
 sub-truncation: a plane-wave Toeplitz matrix couples only a band of degrees,
 so products of compressions agree with compressions of products away from
-the truncation boundary, and the outer shells carry pure edge error.
+the truncation boundary, and the outer shells carry pure edge error.  The
+products are also formed only there: the inner block of A B is
+A[:m] @ B[:, :m], which still sums over every index of the truncation, at
+d m^2 work in place of d^3.
 """
 
 from __future__ import annotations
@@ -154,13 +157,13 @@ def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: np.ndarray,
                            Tb: np.ndarray, trunc: MultiIndexSet,
                            rule: QuadratureRule, drop: int = 4) -> float:
     """Max entry deviation of W* T_b W against the translated-symbol matrix,
-    on the block of degrees <= N - drop.  W is the translation by lam and Tb
-    the compression of b, both over `trunc`; only the translated symbol's
-    compression is assembled here."""
+    formed on the block of degrees <= N - drop.  W is the translation by
+    lam and Tb the compression of b, both over `trunc`; only the translated
+    symbol's compression is assembled here."""
     Ts = toeplitz_matrix(ctx, translate(b, lam), trunc, rule)
-    dev = W.conj().T @ Tb @ W - Ts
-    keep = max(trunc.N - drop, 0)
-    return float(np.max(np.abs(inner_block(dev, trunc, keep))))
+    m = trunc.count_through_degree(max(trunc.N - drop, 0))
+    Wi = W[:, :m]
+    return float(np.max(np.abs(Wi.conj().T @ (Tb @ Wi) - Ts[:m, :m])))
 
 
 @dataclass(frozen=True)
@@ -230,18 +233,17 @@ def diagonal_sum_check(ctx: SpaceContext, b, M: np.ndarray,
 def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
                           rule: QuadratureRule, drop: int = 4):
     """Spectral norms of the two second-order deformation defects,
-    read on the block of degrees <= N - drop."""
+    formed on the block of degrees <= N - drop."""
     Ta = toeplitz_matrix(ctx, a, trunc, rule)
     Tb = toeplitz_matrix(ctx, b, trunc, rule)
     Tab = toeplitz_matrix(ctx, multiply(a, b), trunc, rule)
     Tq = toeplitz_matrix(ctx, q_form(ctx, a, b), trunc, rule)
     Tpb = toeplitz_matrix(ctx, poisson(ctx, a, b), trunc, rule)
-    keep = max(trunc.N - drop, 0)
-    d1 = Ta @ Tb - Tab + (ctx.h / 2.0) * Tq
-    d2 = Ta @ Tb - Tb @ Ta - (0.5j * ctx.h) * Tpb
-    r1 = operator_norm(inner_block(d1, trunc, keep))
-    r2 = operator_norm(inner_block(d2, trunc, keep))
-    return r1, r2
+    m = trunc.count_through_degree(max(trunc.N - drop, 0))
+    ab = Ta[:m] @ Tb[:, :m]
+    d1 = ab - Tab[:m, :m] + (ctx.h / 2.0) * Tq[:m, :m]
+    d2 = ab - Tb[:m] @ Ta[:, :m] - (0.5j * ctx.h) * Tpb[:m, :m]
+    return operator_norm(d1), operator_norm(d2)
 
 
 @dataclass(frozen=True)

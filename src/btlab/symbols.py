@@ -170,6 +170,37 @@ def translate(b, lam):
     )
 
 
+def _denominator(a: float) -> int:
+    """Least q <= 12 with q a an integer to 1e-12, else 0."""
+    for q in range(1, 13):
+        if abs(q * a - round(q * a)) <= 1e-12 * q * max(1.0, abs(a)):
+            return q
+    return 0
+
+
+def _shifts(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The 2 pi shifts k worth trying, one column per candidate.
+
+    When every dependent row is sum_i (p_i/q_i) rows[keep_i] with
+    q_i <= 12 (exact to 1e-12), whether it aligns depends on k_i only
+    modulo q_i, so k_i in range(lcm of the q_i) covers every case.
+    Otherwise, or past 4096 combinations, k_i in {-2, ..., 2}.
+    """
+    q = np.ones(len(keep), dtype=int)
+    basis = rows[keep].T
+    for j in sorted(set(range(len(rows))) - set(keep)):
+        coef = np.linalg.lstsq(basis, rows[j], rcond=None)[0]
+        dens = [_denominator(a) for a in coef]
+        resid = np.max(np.abs(basis @ coef - rows[j]))
+        if resid > 1e-12 * max(1.0, np.max(np.abs(rows[j]))) or 0 in dens:
+            q = None
+            break
+        q = np.lcm(q, dens)
+    if q is None or np.prod(q) > 4096:
+        return np.indices((5,) * len(keep)).reshape(len(keep), -1) - 2
+    return np.indices(tuple(q)).reshape(len(keep), -1)
+
+
 def _witnesses(b: PlaneWaveSum) -> np.ndarray:
     """Candidate phase-alignment points X* in C^n, shape (m, n).
 
@@ -177,7 +208,7 @@ def _witnesses(b: PlaneWaveSum) -> np.ndarray:
     = arg c_1 - arg c_j + 2 pi k_j with k_j integer.  Re<X, lam> is the real
     functional (Re lam, -Im lam) on (Re X, Im X) in R^{2n}: a real linear
     system.  Rows that depend on earlier ones hold wherever those do if any
-    k aligns them, so X* solves the others, for k in {-2, ..., 2} on each.
+    k aligns them, so X* solves the others, for the k of `_shifts`.
     """
     if len(b.terms) < 2:
         return np.zeros((1, b.n), dtype=complex)
@@ -187,7 +218,7 @@ def _witnesses(b: PlaneWaveSum) -> np.ndarray:
     rhs = np.array([np.angle(c1) - np.angle(c) for c, _ in b.terms[1:]])
     ranks = [np.linalg.matrix_rank(rows[:i + 1]) for i in range(len(rows))]
     keep = np.flatnonzero(np.diff(ranks, prepend=0))
-    k = np.indices((5,) * len(keep)).reshape(len(keep), -1) - 2
+    k = _shifts(rows, keep)
     x = np.linalg.pinv(rows[keep]) @ (rhs[keep, np.newaxis] + 2 * np.pi * k)
     return (x[:b.n] + 1j * x[b.n:]).T
 

@@ -4,14 +4,17 @@ import math
 import numpy as np
 import pytest
 
+import btlab.basis
 from btlab.basis import (
     enumerate_multiindices,
     gram_matrix,
     monomial_table,
+    separable_pair_sum,
     u_alpha_eval,
+    weighted_pair_sum,
 )
 from btlab.geometry import build_context, fock_phase, heat_phase, random_phase
-from btlab.quadrature import gauss_hermite_rule
+from btlab.quadrature import complex_grid, gauss_hermite_rule
 
 
 def test_multiindex_enumeration_nested():
@@ -87,3 +90,38 @@ def test_gram_sees_normalization_and_reduction(rule30, n):
     assert np.max(np.abs(gram_matrix(ctx, trunc, rule30) - eye)) < 1e-10
     dev = np.max(np.abs(gram_matrix(bad, trunc, rule30) - eye))
     assert abs(dev - (1.0 - 2.0 / 9.0 ** n)) < 1e-10
+
+
+def test_axis_frame_reuse_is_exact(rule60, monkeypatch):
+    """Compressions interleaved across rule objects, h and N equal the pair
+    sum on a freshly built one-axis grid bit for bit, and the one-axis
+    frame is rebuilt exactly when (rule, h, N) changes."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return complex_grid(*args)
+
+    monkeypatch.setattr(btlab.basis, "complex_grid", counted)
+    rule40, other60 = gauss_hermite_rule(40), gauss_hermite_rule(60)
+    steps = [(rule60, 0.5, 10), (rule60, 0.5, 10), (other60, 0.5, 10),
+             (rule40, 0.5, 10), (other60, 0.5, 10), (other60, 0.5, 12),
+             (other60, 1.0, 12), (rule60, 0.5, 10)]
+    # a plane wave (no shift) and a translation (shifted ket, weight e^{nu w})
+    factors = [(0.8 - 0.1j, 0.0, 0.7 + 0.2j, 0.0),
+               (1.0, 0.3 - 0.2j, 0.0, 1.2 + 0.8j)]
+    for k, (rule, h, N) in enumerate(steps):
+        trunc = enumerate_multiindices(1, N)
+        before = len(built)
+        got = [separable_pair_sum(trunc, h, rule, [(c, ((s, mu, nu),))])
+               for c, s, mu, nu in factors]
+        if k:
+            prev, h0, N0 = steps[k - 1]
+            new_frame = rule is not prev or (h, N) != (h0, N0)
+            assert len(built) - before == new_frame
+        w, wt = complex_grid(rule, 1, np.sqrt(h / 2.0))
+        for A, (c, s, mu, nu) in zip(got, factors):
+            weight = c * np.exp(1j * np.real(w[0] * mu) + nu * w[0])
+            ref = weighted_pair_sum(trunc, h, w, w - s if s else w,
+                                    wt * weight)
+            assert np.array_equal(A, ref)

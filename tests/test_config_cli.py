@@ -478,3 +478,43 @@ def test_csv_bytes_independent_of_threads(tmp_path):
         assert res.exit_code == 0, res.output
         paths.append(out / "gram.csv")
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_csv_bytes_independent_of_invocation_order(tmp_path):
+    """All seven suites on two n = 1 spaces, run twice in one process (the
+    second time in reverse order), write the same CSV bytes: no assembly
+    state carries over from one invocation to the next."""
+    runner = CliRunner()
+    cfgs = {
+        "fock": _write(tmp_path, FOCK, "fock.json"),
+        "seeded": _write(tmp_path, {"phase": {"seed": 7, "n": 1}, "h": 0.5},
+                         "seeded.json"),
+    }
+    runs = [(space, suite) for suite in btlab.cli.SUITES for space in cfgs]
+    for tag, order in (("first", runs), ("second", runs[::-1])):
+        for space, suite in order:
+            res = runner.invoke(main, [
+                "verify", suite, "--config", cfgs[space],
+                "--out", str(tmp_path / tag / space)])
+            assert res.exit_code == 0, res.output
+    for space, suite in runs:
+        name = f"{space}/{suite}.csv"
+        first = (tmp_path / "first" / name).read_bytes()
+        assert first == (tmp_path / "second" / name).read_bytes(), name
+
+
+def test_default_symbols_attain_their_sup(tmp_path):
+    """The default bound and sw symbols attain sum |c_j| at every t of the
+    default grid, so neither suite flags an upper bound."""
+    runner = CliRunner()
+    small = {k: v for k, v in SMALL.items() if k != "t_grid"}
+    for phase in ({"preset": "fock", "beta": 1.0}, {"seed": 7, "n": 1},
+                  {"seed": 7, "n": 2}):
+        cfg = _write(tmp_path, dict(small, phase=phase, h=1.0))
+        for suite in ("bound", "sw"):
+            res = runner.invoke(main, ["verify", suite, "--config", cfg,
+                                       "--out", str(tmp_path)])
+            assert res.exit_code in (0, 1), res.output
+            assert "not attained" not in res.output
+        rows = (tmp_path / "bound.csv").read_text().splitlines()[1:]
+        assert len(rows) == 12 and all(r.endswith(",") for r in rows)

@@ -11,6 +11,7 @@ tests below for the composition-law oracle itself.
 """
 
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from conftest import rel_dev
 
 import btlab.operators
 from btlab.basis import enumerate_multiindices, weighted_pair_sum
+from btlab.cli import Report, _weyl
 from btlab.errors import InvalidConfig, UnsupportedSymbol
 from btlab.geometry import build_context, fock_phase, heat_phase, random_phase
 from btlab.heat import heat_flow
@@ -43,8 +45,12 @@ from btlab.symbols import (
     constant_symbol,
     cosine_symbol,
     eval_symbol,
+    multiply,
     plane_wave_sum,
+    poisson,
+    q_form,
     sine_symbol,
+    translate,
 )
 
 
@@ -393,3 +399,60 @@ def test_diagonal_sums_match_radial_moment_quadrature(n, seed, h, data):
             wt * radial ** k * bv) / factorial(k)
         assert abs(rhs - ref) < 1e-12
         assert abs(lhs - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("n, seed", [(1, 3), (1, 19), (2, 5), (2, 23)])
+def test_inner_block_products_match_full_products(rule30, n, seed):
+    """The weyl verdicts and the deformation residuals, formed on the inner
+    rows and columns only, equal the full products read on the inner block
+    to rounding; a corrupted entry outside that block still moves the
+    conjugation deviation."""
+    ctx = build_context(random_phase(n, seed), 0.7)
+    rng = np.random.default_rng(seed)
+
+    def z(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def wave_sum():
+        return PlaneWaveSum(n=n, terms=tuple(
+            (complex(c), 0.8 * lam) for c, lam in zip(z(2), z(2, n))))
+
+    N, inner = (10, 4) if n == 1 else (8, 4)
+    trunc = enumerate_multiindices(n, N)
+    a, b, lam = wave_sum(), wave_sum(), 0.5 * z(n)
+
+    def block(M):
+        return inner_block(M, trunc, inner)
+
+    Tb = toeplitz_matrix(ctx, b, trunc, rule30)
+    Wp = weyl_unitary_matrix(ctx, lam, trunc, rule30)
+    Wm = weyl_unitary_matrix(ctx, -lam, trunc, rule30)
+    Ts = toeplitz_matrix(ctx, translate(b, lam), trunc, rule30)
+    full = [
+        np.max(np.abs(block(Wp.conj().T @ Wp - np.eye(len(trunc))))),
+        np.max(np.abs(block(Wp.conj().T - Wm))),
+        np.max(np.abs(block(Wp.conj().T @ Tb @ Wp - Ts))),
+    ]
+    out = Report()
+    _weyl(ctx, rule30, SimpleNamespace(
+        N=N, inner_degree=inner, tol_weyl=1.0, lambda_list=[lam],
+        symbol_b=b), out)
+    assert rel_dev(out.rows[0][1:4], full) < 1e-13
+
+    bad = Tb.copy()
+    bad[-1, 0] += 1.0
+    moved = weyl_conjugation_check(ctx, b, lam, Wp, bad, trunc, rule30,
+                                   drop=N - inner)
+    ref = np.max(np.abs(block(Wp.conj().T @ bad @ Wp - Ts)))
+    assert rel_dev(moved, ref) < 1e-13
+    assert abs(moved - full[2]) > 1e-6
+
+    Ta = toeplitz_matrix(ctx, a, trunc, rule30)
+    Tab = toeplitz_matrix(ctx, multiply(a, b), trunc, rule30)
+    Tq = toeplitz_matrix(ctx, q_form(ctx, a, b), trunc, rule30)
+    Tpb = toeplitz_matrix(ctx, poisson(ctx, a, b), trunc, rule30)
+    d1 = Ta @ Tb - Tab + (ctx.h / 2.0) * Tq
+    d2 = Ta @ Tb - Tb @ Ta - (0.5j * ctx.h) * Tpb
+    r = deformation_residuals(ctx, a, b, trunc, rule30, drop=N - inner)
+    assert rel_dev(r, [operator_norm(block(d1)),
+                       operator_norm(block(d2))]) < 1e-13

@@ -246,3 +246,16 @@ def test_sup_norm_attained_modulo_2pi():
         assert np.max(np.abs(eval_symbol(b, _witnesses(b)))) > 3.0 - 1e-12
     assert sup_norm(plane_wave_sum(
         [(1.0, zero), (1j, two), (1j, three)])) == (3.0, False)
+
+
+def test_sup_norm_attained_at_wide_shift():
+    """1 + e^{6i Re X} - e^{7i Re X} reaches 3 at Re X = pi, which needs
+    k = 3 on the e^{6i Re X} row: the 7/6 dependence makes the search try
+    k modulo 6.  The largest denominator searched, 12, works the same."""
+    zero, six, seven, twelve, thirteen = (
+        np.array([v]) for v in (0.0, 6.0, 7.0, 12.0, 13.0))
+    b = plane_wave_sum([(1.0, zero), (1.0, six), (-1.0, seven)])
+    assert sup_norm(b) == (3.0, True)
+    assert len(_witnesses(b)) == 6
+    b = plane_wave_sum([(1.0, zero), (1.0, twelve), (-1.0, thirteen)])
+    assert sup_norm(b) == (3.0, True)
