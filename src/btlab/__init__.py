@@ -72,8 +72,6 @@ _EXPORTS = {
     "deformation_sweep": "operators",
     # bargmann
     "GaussianTestFn": "bargmann",
-    "bargmann_adjoint_apply": "bargmann",
-    "project_coeffs": "bargmann",
     "real_weyl_planewave_apply": "bargmann",
     "egorov_guillemin_check": "bargmann",
 }

@@ -4,18 +4,10 @@ Every evaluator here works in weighted form: the primitive for the
 transform is X -> e^{-Phi(X)/h} (Tu)(X), for the projector it is
 X -> e^{-Phi(X)/h} (Pi f)(X).  The weighting matters: each integral is
 arranged so the explicit exponential factor in the sampled integrand has
-nonpositive real part (transform) or exactly zero real part (projector,
-coefficient projection), so samples never exceed the size of the data and
-quadrature is uniformly accurate in X.  The three exponent identities that
-make this work are checked in the test suite.
-
-Inner products of numerically evaluated functions are taken through
-coefficient projection onto the orthonormal basis (`project_coeffs`)
-followed by a finite Parseval sum.  A direct quadrature of
-<f, g> e^{-2 Phi/h} in reweighted coordinates looks plausible but
-multiplies samples by e^{+|W|^2/sigma^2}, which amplifies far-node
-evaluation error without bound; that route is deliberately absent from
-this module.
+nonpositive real part (transform) or exactly zero real part (projector),
+so samples never exceed the size of the data and quadrature is uniformly
+accurate in X.  The exponent identities that make this work are checked in
+the test suite.
 
 Plane-wave Toeplitz operators need no kernel: the reproducing kernel turns
 the antiholomorphic half of a plane wave into a shift of the point
@@ -31,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MultiIndexSet, monomial_table
 from .errors import UnsupportedSymbol
 from .geometry import (
     SpaceContext, _as_points, _qform, phase_phi, phi_weight, psi,
@@ -44,8 +35,6 @@ __all__ = [
     "GaussianTestFn",
     "bargmann_transform_weighted",
     "gaussian_transform_weighted",
-    "bargmann_adjoint_apply",
-    "project_coeffs",
     "projector_apply_weighted",
     "toeplitz_apply_weighted",
     "real_weyl_planewave_apply",
@@ -164,77 +153,6 @@ def _gaussian_transform(ctx: SpaceContext, X, y0, sigma, p0, amp):
     pref = (amp * ctx.Cphi * h ** (-0.75 * ctx.n)
             * (2.0 * np.pi) ** (ctx.n / 2.0) / root)
     return pref * np.exp(expo)
-
-
-def _h_grid(ctx: SpaceContext, rule: QuadratureRule):
-    """The sigma^2 = h grid in W = RX with its weights, the matching points
-    X = R^-1 W, <X, Phi''_XX X> and |W|^2 there, and |det R|."""
-    W, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h))
-    Xp = (ctx.Rinv @ W).T
-    quad = np.einsum("...i,ij,...j->...", Xp, ctx.PhiXX, Xp)
-    w2 = np.sum(np.abs(W.T) ** 2, axis=-1)
-    return W, wt, Xp, quad, w2, abs(np.linalg.det(ctx.R))
-
-
-def project_coeffs(ctx: SpaceContext, fw, trunc: MultiIndexSet,
-                   rule: QuadratureRule) -> np.ndarray:
-    """Basis coefficients <f, u_beta>, beta in trunc, from the weighted
-    evaluator fw.
-
-    fw must be X -> e^{-Phi(X)/h} f(X) on batched points.  On the
-    sigma^2 = h grid the explicit factor multiplying fw has unit modulus
-    (the weight identity Phi = |RX|^2 + Re<X, Phi''_XX X> makes the real
-    parts cancel), so coefficients inherit the accuracy of fw itself.
-    """
-    W, wt, Xp, quad, w2, detR = _h_grid(ctx, rule)
-    expo = (np.conj(quad) - phi_weight(ctx, Xp) + w2) / ctx.h
-    base = np.asarray(fw(Xp), dtype=complex) * np.exp(expo)
-    V = monomial_table(W, trunc, ctx.h)
-    pref = (2.0 / (np.pi * ctx.h)) ** (ctx.n / 2.0) / detR
-    return pref * (np.conj(V) @ (wt * base))
-
-
-# Kernel entries (y points x grid nodes) held at once by the adjoint.
-_ADJOINT_BLOCK = 1 << 20
-
-
-def bargmann_adjoint_apply(ctx: SpaceContext, coeffs, trunc: MultiIndexSet,
-                           y, rule: QuadratureRule) -> np.ndarray:
-    """(T* v)(y) at real points y for each row v of `coeffs`, coefficient
-    vectors over `trunc` of shape (k, len(trunc)); the result has shape
-    (k,) + y.shape[:-1].
-
-    Integrand assembled in W = RX coordinates on the sigma^2 = h grid;
-    the explicit factor is bounded by one, the Gaussian in y keeping the
-    far field harmless.  The kernel is built once for all vectors, in
-    blocks of y points holding at most _ADJOINT_BLOCK entries.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.ndim != 2 or coeffs.shape[1] != len(trunc):
-        raise ValueError(
-            f"coefficients must have shape (k, {len(trunc)}), got"
-            f" {coeffs.shape}"
-        )
-    y = _as_points(np.asarray(y, dtype=float), ctx.n)
-    W, wt, Xp, quad, w2, detR = _h_grid(ctx, rule)
-    expo_X = quad - 2.0 * phi_weight(ctx, Xp) + w2
-    V = monomial_table(W, trunc, ctx.h)
-    series = coeffs @ V
-    weighted = (series * wt).T
-    pts = y.reshape(-1, ctx.n)
-    out = np.empty((pts.shape[0], coeffs.shape[0]), dtype=complex)
-    step = max(1, _ADJOINT_BLOCK // wt.shape[0])
-    for start in range(0, pts.shape[0], step):
-        sl = slice(start, start + step)
-        phi = phase_phi(ctx, Xp, pts[sl, np.newaxis, :])
-        out[sl] = np.exp((np.conj(1j * phi) + expo_X) / ctx.h) @ weighted
-    pref = (
-        ctx.Cphi
-        * ctx.h ** (-0.75 * ctx.n)
-        * (2.0 / (np.pi * ctx.h)) ** (ctx.n / 2.0)
-        / detR
-    )
-    return pref * out.T.reshape(coeffs.shape[:1] + y.shape[:-1])
 
 
 def projector_apply_weighted(ctx: SpaceContext, fw, X,

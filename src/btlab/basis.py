@@ -18,8 +18,9 @@ for any truncation degree.
 The weight, the monomials, plane waves and phase-space translations all
 factor over the coordinates of W, so Gram, plane-wave Toeplitz and Weyl
 compressions are assembled axis by axis (`separable_pair_sum`) from
-(N+1) x (N+1) one-axis pair sums; only a callable symbol needs the full
-order^(2n) tensor grid.
+(N+1) x (N+1) one-axis pair sums.  No compression samples the full
+order^(2n) tensor grid; `weighted_pair_sum` on that grid is the reference
+the axis-by-axis assembly is tested against.
 
 The one-axis frame (grid, weights, degrees 0..N and their monomial table)
 depends only on the rule, h and N, so `_axis_frame` keeps the last one
@@ -153,7 +154,8 @@ def weighted_pair_sum(
 ) -> np.ndarray:
     """OUT[b, a] = sum_k wt[k] conj(v_b(W_bra[:,k])) v_a(W_ket[:,k]).
 
-    The contraction behind every compression.  The node axis is processed
+    The full-grid reference for `separable_pair_sum`, which repeats this
+    contraction per axis on the one-axis frame.  The node axis is processed
     serially in fixed chunks, so a large grid never holds more than _CHUNK
     nodes of monomial tables at once.
     """

@@ -84,9 +84,7 @@ def heat_flow_quadrature(ctx: SpaceContext, b, t: float, order: int = 40):
         vals = eval_symbol(b, moved)
         return pref * (vals @ wt)
 
-    return CallableSymbol(
-        n=ctx.n, func=val, declared_in_T=getattr(b, "declared_in_T", True)
-    )
+    return CallableSymbol(n=ctx.n, func=val)
 
 
 def complex_box(lo: float, hi: float, step: float, n: int = 1) -> np.ndarray:

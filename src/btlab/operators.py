@@ -10,11 +10,11 @@ exactly the quadrature Gaussian:
     weyl       M[beta, alpha] = (2/pi h)^n e^{-|c|^2/h} int e^{(2/h)<W, cbar>}
                                 v_a(W - c) conj(v_b(W)),   c = R lambda,
 
-both against e^{-2|W|^2/h} L(dW).  For plane-wave symbols and for Weyl
-unitaries every factor splits over the coordinates of W, so both are
-assembled axis by axis (`basis.separable_pair_sum`).  Only a callable symbol
-is sampled on the full order^(2n) tensor grid; that path is the full-grid
-reference.  The right-hand side of `diagonal_sum_check` is closed form.
+both against e^{-2|W|^2/h} L(dW).  Toeplitz symbols are plane-wave sums,
+so for both kinds every factor splits over the coordinates of W and the
+matrix is assembled axis by axis (`basis.separable_pair_sum`); callable
+symbols are refused.  The right-hand side of `diagonal_sum_check` is closed
+form.
 
 Identity checks (conjugation, deformation residuals) are read off an inner
 sub-truncation: a plane-wave Toeplitz matrix couples only a band of degrees,
@@ -32,15 +32,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .basis import (MultiIndexSet, enumerate_multiindices,
-                    separable_pair_sum, weighted_pair_sum)
-from .errors import InvalidConfig, UnsupportedSymbol
+from .basis import MultiIndexSet, enumerate_multiindices, separable_pair_sum
+from .errors import InvalidConfig
 from .geometry import PhaseMatrices, SpaceContext, build_context, freq_image
 from .heat import heat_flow
-from .quadrature import QuadratureRule, complex_grid
+from .quadrature import QuadratureRule
 from .symbols import (
-    PlaneWaveSum,
-    eval_symbol,
+    _require_plane_waves,
     multiply,
     poisson,
     q_form,
@@ -72,31 +70,19 @@ def inner_block(entries: np.ndarray, trunc: MultiIndexSet,
     return entries[:m, :m]
 
 
-def _require_symbol_class(b) -> None:
-    if not (isinstance(b, PlaneWaveSum) or b.declared_in_T):
-        raise UnsupportedSymbol(
-            "callable symbol not declared to lie in the Toeplitz class"
-        )
-
-
 def toeplitz_matrix(ctx: SpaceContext, b, trunc: MultiIndexSet,
                     rule: QuadratureRule) -> np.ndarray:
-    """Matrix of the multiplication-then-project operator for symbol b.
+    """Matrix of the multiplication-then-project operator for the
+    plane-wave sum b.
 
-    A plane-wave term c e^{i Re<X, lam>} is c prod_d e^{i Re(W_d mu_d)}
-    with mu = R^-T lam, so plane-wave sums are assembled axis by axis; a
-    callable symbol is sampled on the full tensor grid.
+    A term c e^{i Re<X, lam>} is c prod_d e^{i Re(W_d mu_d)} with
+    mu = R^-T lam, so the matrix is assembled axis by axis.
     """
-    _require_symbol_class(b)
-    if isinstance(b, PlaneWaveSum):
-        out = separable_pair_sum(trunc, ctx.h, rule, [
-            (c, tuple((0.0, complex(m), 0.0) for m in ctx.Rinv.T @ lam))
-            for c, lam in b.terms
-        ])
-    else:
-        W, wt = complex_grid(rule, ctx.n, np.sqrt(ctx.h / 2.0))
-        bv = eval_symbol(b, (ctx.Rinv @ W).T)
-        out = weighted_pair_sum(trunc, ctx.h, W, W, wt * bv)
+    _require_plane_waves("toeplitz_matrix", b)
+    out = separable_pair_sum(trunc, ctx.h, rule, [
+        (c, tuple((0.0, complex(m), 0.0) for m in ctx.Rinv.T @ lam))
+        for c, lam in b.terms
+    ])
     return out * (2.0 / (np.pi * ctx.h)) ** ctx.n
 
 
@@ -216,7 +202,12 @@ def diagonal_sum_check(ctx: SpaceContext, b, M: np.ndarray,
     `heat_flow(ctx, b, 1)`: per axis the diagonal is
     e^{-x_d} L_{alpha_d}(x_d), summed over |alpha| = k by the Laguerre
     addition formula.  At k = 0 rhs is b_1(0).  Returns [(lhs, rhs), ...].
+    A k above trunc.N has no diagonal in M and is refused.
     """
+    if max(ks) > trunc.N:
+        raise InvalidConfig(
+            f"diagonal sums need k <= N = {trunc.N}, got k = {max(ks)}"
+        )
     c1 = [c for c, _ in heat_flow(ctx, b, 1.0).terms]
     x = np.array([ctx.h * np.sum(np.abs(freq_image(ctx, lam)) ** 2) / 8.0
                   for _, lam in b.terms])

@@ -13,11 +13,11 @@ Re<X, lambda> is real even for complex frequencies, so plane waves always
 have modulus one.  These sums are the building blocks of Sjostrand's
 Wiener-type symbol algebra, the class the paper's estimates are stated in.
 
-Callable symbols are references only: they can be evaluated, compressed on
-the full quadrature grid and heat-flowed by quadrature, which gives the
-closed forms an independent check, and every operation of the calculus
-refuses them.  `wirtinger_fd` differentiates any function numerically, for
-tests of the closed forms of Q and the bracket.
+Callable symbols are references only: they can be evaluated and
+heat-flowed by quadrature, which gives the closed forms an independent
+check, and every operation of the calculus, the Toeplitz compression
+included, refuses them.  `wirtinger_fd` differentiates any function
+numerically, for tests of the closed forms of Q and the bracket.
 """
 
 from __future__ import annotations
@@ -92,12 +92,10 @@ class PlaneWaveSum:
 @dataclass(frozen=True)
 class CallableSymbol:
     """Black-box reference symbol.  `func` maps points of shape (..., n) to
-    values of shape (...); membership in the Toeplitz class is declared by
-    the caller."""
+    values of shape (...)."""
 
     n: int
     func: Callable
-    declared_in_T: bool = False
 
 
 def _require_plane_waves(what: str, *symbols) -> None:

@@ -1,9 +1,11 @@
-"""Transform, adjoint, projector and the translation-operator round trips.
+"""Transform, projector and the translation-operator round trips.
 
 Real-line integrals use plain trapezoid sums on wide fine grids; the
 integrands decay like Gaussians, so those references are good far beyond
 the asserted tolerances.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,16 +19,14 @@ from btlab.bargmann import (
     GaussianTestFn,
     _gaussian_transform,
     _weyl_gaussian,
-    bargmann_adjoint_apply,
     bargmann_transform_weighted,
     egorov_guillemin_check,
     gaussian_transform_weighted,
-    project_coeffs,
     projector_apply_weighted,
     real_weyl_planewave_apply,
     toeplitz_apply_weighted,
 )
-from btlab.basis import enumerate_multiindices, u_alpha_eval
+from btlab.basis import u_alpha_eval
 from btlab.errors import UnsupportedSymbol
 from btlab.geometry import (
     build_context,
@@ -82,63 +82,35 @@ def test_gaussian_test_fn_refuses_complex_parameters(y0, p0):
     assert u.y0[0] == np.real(y0[0]) and u.p0[0] == np.real(p0[0])
 
 
-def test_transform_isometry(rule60):
-    ctx = build_context(fock_phase(1, 1.0), 1.0)
+def test_transform_isometry():
+    """<Tu, Tu> and <Tu, Tv> over the weighted space, as a trapezoid sum of
+    the closed-form weighted transforms over the box [-10, 10]^2 in X,
+    equal the real-line inner products for four phases; a 0.1% error in
+    C_phi is seen."""
     u = _gauss()
     v = GaussianTestFn(
         y0=np.array([-0.5]), sigma=0.9, p0=np.array([-1.1]), amp=0.7 + 0.2j
     )
-    trunc = enumerate_multiindices(1, 24)
-    uw = lambda X: bargmann_transform_weighted(ctx, u, X, rule60)
-    vw = lambda X: bargmann_transform_weighted(ctx, v, X, rule60)
     y = np.linspace(-12.0, 12.0, 4001)
     uy = u(y[:, None])
     vy = v(y[:, None])
     ref_uu = np.trapezoid(uy * np.conj(uy), y)
     ref_uv = np.trapezoid(uy * np.conj(vy), y)
-    # Parseval: inner products from the basis coefficients
-    cu = project_coeffs(ctx, uw, trunc, rule60)
-    cv = project_coeffs(ctx, vw, trunc, rule60)
-    got_uu = np.sum(cu * np.conj(cu))
-    got_uv = np.sum(cu * np.conj(cv))
-    assert abs(got_uu - ref_uu) < 1e-8
-    assert abs(got_uv - ref_uv) < 1e-8
+    grid = np.linspace(-10.0, 10.0, 601)
+    X = (grid[:, None] + 1j * grid[None, :]).ravel()[:, None]
 
+    def inner(ctx, f, g):
+        vals = (gaussian_transform_weighted(ctx, f, X)
+                * np.conj(gaussian_transform_weighted(ctx, g, X)))
+        return np.trapezoid(np.trapezoid(vals.reshape(601, 601), grid), grid)
 
-def test_transform_adjoint_pairing(rule60):
-    """<Tu, u_beta> computed on the complex side equals <u, T* u_beta>
-    computed on the real line."""
-    ctx = build_context(fock_phase(1, 1.0), 1.0)
-    u = _gauss()
-    trunc = enumerate_multiindices(1, 8)
-    uw = lambda X: bargmann_transform_weighted(ctx, u, X, rule60)
-    coeffs = project_coeffs(ctx, uw, trunc, rule60)
-    y = np.linspace(-12.0, 12.0, 4001)
-    uy = u(y[:, None])
-    stars = bargmann_adjoint_apply(ctx, np.eye(len(trunc))[:4], trunc,
-                                   y[:, None], rule60)
-    for k, star in enumerate(stars):
-        ref = np.trapezoid(uy * np.conj(star), y)
-        assert abs(coeffs[k] - ref) < 1e-8
-
-
-def test_adjoint_images_orthonormal(rule60):
-    """Round trip T T* = identity, read as the L2 Gram of the pulled-back
-    basis: <T*u_a, T*u_b> = <u_a, u_b>.  At the model weight these images
-    are Hermite functions, so this doubles as a classical sanity check."""
-    ctx = build_context(fock_phase(1, 1.0), 1.0)
-    trunc = enumerate_multiindices(1, 5)
-    y = np.linspace(-12.0, 12.0, 4001)
-    imgs = bargmann_adjoint_apply(ctx, np.eye(len(trunc)), trunc, y[:, None],
-                                  rule60)
-    for a in range(len(trunc)):
-        for b in range(len(trunc)):
-            val = np.trapezoid(imgs[a] * np.conj(imgs[b]), y)
-            ref = 1.0 if a == b else 0.0
-            assert abs(val - ref) < 1e-8
-    for bad in (np.eye(3), np.ones(len(trunc))):
-        with pytest.raises(ValueError, match="shape"):
-            bargmann_adjoint_apply(ctx, bad, trunc, y[:, None], rule60)
+    for phase, h in ((fock_phase(1, 1.0), 1.0), (heat_phase(1), 0.5),
+                     (random_phase(1, 7), 0.5), (random_phase(1, 7), 1.0)):
+        ctx = build_context(phase, h)
+        assert abs(inner(ctx, u, u) - ref_uu) < 1e-12
+        assert abs(inner(ctx, u, v) - ref_uv) < 1e-12
+        bad = dataclasses.replace(ctx, Cphi=1.001 * ctx.Cphi)
+        assert abs(inner(bad, u, u) - ref_uu) > 1e-3
 
 
 def test_weighted_transform_bounded_by_l1(rule60):

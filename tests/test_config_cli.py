@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import btlab.bargmann
+import btlab.basis
 import btlab.cli
 import btlab.operators
 from btlab.cli import main
@@ -307,17 +308,40 @@ def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
 
 def test_verify_diag_two_variables_samples_no_grid(tmp_path, monkeypatch):
     """At n = 2 the diagonal sums need no order^(2n) reference grid: the
-    suite passes at defaults with the full-grid sampler disabled."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("full tensor grid sampled")
+    suite passes at defaults and every grid it builds is one-axis."""
+    real = btlab.basis.complex_grid
+    dims = []
 
-    monkeypatch.setattr(btlab.operators, "complex_grid", refuse)
+    def one_axis_only(rule, n, sigma):
+        dims.append(n)
+        assert n == 1, "full tensor grid sampled"
+        return real(rule, n, sigma)
+
+    monkeypatch.setattr(btlab.basis, "complex_grid", one_axis_only)
     cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 2}, "h": 1.0})
     res = CliRunner().invoke(
         main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
     assert "[FAIL]" not in res.output
+    assert dims and set(dims) == {1}
+
+
+def test_verify_diag_refuses_k_above_truncation(tmp_path):
+    """A degree k > N has an empty diagonal in the compression: the suite
+    refuses it as unusable input instead of reporting a failed identity."""
+    cfg = _write(tmp_path, dict(FOCK, N=3, k_max=5))
+    res = CliRunner().invoke(
+        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 2, res.output
+    assert "InvalidConfig" in res.output and "k <= N = 3" in res.output
+    assert not (tmp_path / "diag.csv").exists()
+    cfg = _write(tmp_path, dict(FOCK, N=3, k_max=3), "edge.json")
+    res = CliRunner().invoke(
+        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
 
 
 def test_verify_sw_checks_closed_form_l1(tmp_path):

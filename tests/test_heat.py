@@ -14,7 +14,6 @@ from btlab.heat import (
     sw_l1_exact,
 )
 from btlab.symbols import (
-    CallableSymbol,
     PlaneWaveSum,
     constant_symbol,
     cosine_symbol,
@@ -100,15 +99,6 @@ def test_semigroup_quadrature_path(ex1):
     X = np.array([[0.3 + 0.2j], [-0.8 + 0.1j]])
     ref = eval_symbol(heat_flow(ex1, b, 0.5), X)
     assert rel_dev(eval_symbol(again, X), ref) < 1e-8
-
-
-def test_flow_preserves_declared_flags(ex1):
-    f = lambda X: np.cos(np.real(X[..., 0]))
-    for declared in (True, False):
-        b = CallableSymbol(n=1, func=f, declared_in_T=declared)
-        assert heat_flow_quadrature(ex1, b, 0.5).declared_in_T is declared
-    # a plane-wave sum lies in the class, and so does its smoothing
-    assert heat_flow_quadrature(ex1, cosine_symbol(1.0), 0.5).declared_in_T
 
 
 def test_box_grid_lexicographic():

@@ -83,6 +83,11 @@ def test_diagonal_sums(rule60, ex1):
     M = toeplitz_matrix(ex1, b, trunc, rule60)
     for lhs, rhs in diagonal_sum_check(ex1, b, M, trunc, (0, 1, 2)):
         assert abs(lhs - rhs) < 1e-12
+    # k = N is the last degree with a diagonal; k = N + 1 has none
+    (lhs, rhs), = diagonal_sum_check(ex1, b, M, trunc, (10,))
+    assert abs(lhs - rhs) < 1e-12
+    with pytest.raises(InvalidConfig, match="k <= N = 10"):
+        diagonal_sum_check(ex1, b, M, trunc, range(12))
 
 
 def test_real_symbol_hermitian_compression(rule60, ex1):
@@ -109,14 +114,12 @@ def test_compression_norm_contracts_sup(rule60, ex1):
 
 
 def test_callable_symbol_needs_declaration(rule60, ex1):
+    """Toeplitz compressions take plane-wave sums only; a callable symbol
+    is refused whatever it computes."""
     trunc = enumerate_multiindices(1, 6)
     f = lambda X: np.cos(np.real(X[..., 0]))
-    with pytest.raises(UnsupportedSymbol):
+    with pytest.raises(UnsupportedSymbol, match="plane-wave sums"):
         toeplitz_matrix(ex1, CallableSymbol(n=1, func=f), trunc, rule60)
-    ok = CallableSymbol(n=1, func=f, declared_in_T=True)
-    Mc = toeplitz_matrix(ex1, ok, trunc, rule60)
-    Me = toeplitz_matrix(ex1, cosine_symbol(1.0), trunc, rule60)
-    assert np.max(np.abs(Mc - Me)) < 1e-12
 
 
 def test_weyl_zero_frequency_is_identity(rule60, ex1):
@@ -361,14 +364,14 @@ def test_axis_assembly_matches_tensor_grid(n, seed, h, N, order, data):
     def close(got, ref):
         return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    full = CallableSymbol(n=n, func=lambda X: eval_symbol(b, X),
-                          declared_in_T=True)
-    assert close(toeplitz_matrix(ctx, b, trunc, rule),
-                 toeplitz_matrix(ctx, full, trunc, rule))
+    W, wt = complex_grid(rule, n, np.sqrt(h / 2.0))
+    ref = weighted_pair_sum(trunc, h, W, W,
+                            wt * eval_symbol(b, (ctx.Rinv @ W).T))
+    ref *= (2.0 / (np.pi * h)) ** n
+    assert close(toeplitz_matrix(ctx, b, trunc, rule), ref)
 
     lam = 0.5 * data.draw(vec)
     c = ctx.R @ lam
-    W, wt = complex_grid(rule, n, np.sqrt(h / 2.0))
     osc = np.exp((2.0 / h) * (W.T @ np.conj(c)))
     ref = weighted_pair_sum(trunc, h, W, W - c[:, np.newaxis], wt * osc)
     ref *= (2.0 / (np.pi * h)) ** n * np.exp(-np.sum(np.abs(c) ** 2) / h)

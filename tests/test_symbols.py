@@ -141,8 +141,7 @@ def test_nonfinite_callable_rejected():
         eval_symbol(bad, np.array([[0.1 + 0.2j]]))
 
 
-_REF = CallableSymbol(n=2, func=lambda X: np.cos(np.real(X[..., 0])),
-                      declared_in_T=True)
+_REF = CallableSymbol(n=2, func=lambda X: np.cos(np.real(X[..., 0])))
 _LAM = np.array([0.4 - 0.9j, 0.2 + 0.3j])
 
 
