@@ -6,29 +6,20 @@ The basis elements are
                  * exp(<X, Phi''_XX X>/h)
 
 indexed by multi-indices alpha, ordered graded-lexicographically.  In the
-coordinates W = RX the weighted products u_alpha conj(u_beta) e^{-2 Phi/h}
-collapse to scaled monomials
+coordinates W = RX, z = sqrt(2/h) W, the weighted products
+u_alpha conj(u_beta) e^{-2 Phi/h} collapse to the orthonormal monomials
 
     v_alpha(W) = (sqrt(2/h) W)^alpha / sqrt(alpha!)
 
-against the weight e^{-2|W|^2/h}; all quadrature in this package samples
-v_alpha through a per-axis recurrence, which keeps every sampled value O(1)
-for any truncation degree.
+of the standard Fock space, whose inner product integrates against
+pi^-n e^{-|z|^2} L(dz).
 
 The weight, the monomials, plane waves and phase-space translations all
 factor over the coordinates of W, so Gram, plane-wave Toeplitz and Weyl
-compressions are assembled axis by axis (`separable_pair_sum`) from
-(N+1) x (N+1) one-axis pair sums.  No compression samples the full
-order^(2n) tensor grid; `weighted_pair_sum` on that grid is the reference
-the axis-by-axis assembly is tested against.
-
-The one-axis frame (grid, weights, degrees 0..N and their monomial table)
-depends only on the rule, h and N, so `_axis_frame` keeps the last one
-built and every compression at the same (rule, h, N) reuses it.  One entry
-is enough: each caller assembles all of its compressions at one (rule, h,
-N) before it moves on (a suite's symbols, the Weyl pair and its
-conjugation, the five matrices of a deformation residual at each h), and
-a new rule object never matches an older one.
+compressions are entrywise products (`separable_pair_sum`) of exact
+(N+1) x (N+1) one-axis matrices (`axis_matrix`, from the Berger-Coburn
+composition law): no compression integrates anything.  `weighted_pair_sum`
+on a Gauss-Hermite tensor grid is the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -38,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .geometry import SpaceContext, _as_points, _qform
-from .quadrature import QuadratureRule, complex_grid
 
 __all__ = [
     "MultiIndexSet",
@@ -47,6 +38,7 @@ __all__ = [
     "u_alpha_eval",
     "monomial_table",
     "weighted_pair_sum",
+    "axis_matrix",
     "separable_pair_sum",
     "gram_matrix",
 ]
@@ -54,6 +46,9 @@ __all__ = [
 # Fixed node-axis chunk for the pair sum; partial sums are added in chunk
 # order, so results are bit-identical from run to run.
 _CHUNK = 16384
+
+# Most basis indices of a truncation: a dim^2 complex matrix is <= 256 MiB.
+MAX_BASIS = 4096
 
 
 @dataclass(frozen=True)
@@ -81,8 +76,12 @@ class MultiIndexSet:
 
 
 def enumerate_multiindices(n: int, N: int) -> MultiIndexSet:
+    """All |alpha| <= N; over MAX_BASIS of them are refused unbuilt."""
     if n < 1 or N < 0:
         raise ValueError("need n >= 1 and N >= 0")
+    if math.comb(N + n, n) > MAX_BASIS:
+        raise InvalidConfig(f"N = {N} at n = {n} has {math.comb(N + n, n)} "
+                            f"basis indices; at most {MAX_BASIS} are supported")
     out = []
     for deg in range(N + 1):
         level = []
@@ -154,10 +153,10 @@ def weighted_pair_sum(
 ) -> np.ndarray:
     """OUT[b, a] = sum_k wt[k] conj(v_b(W_bra[:,k])) v_a(W_ket[:,k]).
 
-    The full-grid reference for `separable_pair_sum`, which repeats this
-    contraction per axis on the one-axis frame.  The node axis is processed
-    serially in fixed chunks, so a large grid never holds more than _CHUNK
-    nodes of monomial tables at once.
+    The quadrature reference for `separable_pair_sum`: on a converged
+    tensor grid it gives the same compressions times (pi h/2)^n.  The node
+    axis is processed serially in fixed chunks, so a large grid never holds
+    more than _CHUNK nodes of monomial tables at once.
     """
     out = 0
     for start in range(0, wt.shape[0], _CHUNK):
@@ -168,83 +167,69 @@ def weighted_pair_sum(
     return out
 
 
-_FRAME = None  # (key, rule, frame) for the last (rule, h, N) seen
+def axis_matrix(h: float, N: int, shift: complex, mu: complex,
+                nu: complex) -> np.ndarray:
+    """A[b, a] = <v_b, e^{i Re(w mu) + nu w} v_a(w - shift)> in the Fock
+    inner product, degrees 0..N of one variable w = r z, r = sqrt(h/2).
+
+    With alpha = (i mu/2 + nu) r and beta = (i/2) conj(mu) r the factor is
+    e^{alpha z + beta conj(z)}, and the projection turns e^{beta conj(z)}
+    into translation by beta (Berger-Coburn).  So column 0 is
+    e^{alpha beta} alpha^b / sqrt(b!) and column a+1 is (Z + gamma)
+    A[:, a] / sqrt(a+1), gamma = beta - shift/r, Z v_b = sqrt(b+1) v_{b+1}:
+    exact on the truncation.  That recurrence cancels terms of size about
+    e^{|shift|^2/h}, so A is built along its diagonals instead,
+    A[a+m, a] = e^{alpha beta} alpha^m sqrt(a!/(a+m)!) L_a^(m)(-alpha gamma)
+    and A[a, a+m] the same with gamma for alpha, by the Laguerre recurrence
+    in a rescaled to keep every value O(1).
+    """
+    r = math.sqrt(h / 2.0)
+    alpha = (0.5j * mu + nu) * r
+    beta = 0.5j * np.conj(mu) * r
+    gamma = beta - shift / r
+    m = np.arange(N + 1)
+    # F_0[z][m] = e^{alpha beta} z^m / sqrt(m!) for z = alpha, gamma
+    F = np.exp(alpha * beta) * np.cumprod(np.concatenate(
+        (np.ones((2, 1)), np.array([[alpha], [gamma]]) / np.sqrt(m[1:])),
+        axis=1), axis=1)
+    A = np.empty((N + 1, N + 1), dtype=complex)
+    prev = back = 0.0
+    for a in range(N + 1):
+        A[a:, a] = F[0, :N + 1 - a]  # A[a+m, a]
+        A[a, a:] = F[1, :N + 1 - a]  # A[a, a+m]
+        # Laguerre step a -> a+1 on every diagonal m; back is sqrt(a (a+m))
+        root = np.sqrt((a + 1) * (a + 1 + m))
+        prev, F = F, ((2 * a + 1 + alpha * gamma + m) * F - back * prev) / root
+        back = root
+    return A
 
 
-def _axis_frame(rule: QuadratureRule, h: float, N: int):
-    """(w, wt, axis, V, conj(V)) for one axis: the grid of
-    complex_grid(rule, 1, sqrt(h/2)), the degrees 0..N and their monomial
-    table on it, read-only.  Built once per (rule, h, N) in a row; the
-    entry holds the rule, so its id is not reused while the entry lives."""
-    global _FRAME
-    key = (id(rule), float(h), int(N))
-    entry = _FRAME
-    if entry is None or entry[0] != key:
-        _FRAME = entry = None  # the old tables go before new ones are built
-        w, wt = complex_grid(rule, 1, np.sqrt(h / 2.0))
-        axis = enumerate_multiindices(1, N)
-        V = monomial_table(w, axis, h)
-        Vc = V.conj()
-        for arr in (w, wt, V, Vc):
-            arr.flags.writeable = False
-        _FRAME = entry = (key, rule, (w, wt, axis, V, Vc))
-    return entry[2]
-
-
-def separable_pair_sum(trunc: MultiIndexSet, h: float, rule: QuadratureRule,
+def separable_pair_sum(trunc: MultiIndexSet, h: float,
                        terms) -> np.ndarray:
     """OUT[b, a] = sum_t c_t prod_d A_{t,d}[b_d, a_d] for (c_t, axes_t) in
-    `terms`, with one factor (shift, mu, nu) per coordinate in axes_t.
-
-    A_{t,d} is `weighted_pair_sum` over the one-variable degrees 0..N on
-    the one-axis grid w of complex_grid(rule, 1, sqrt(h/2)), with the ket
-    sampled at w - shift and the extra weight exp(i Re(w mu) + nu w).  In
-    W = RX the Gaussian weight, the monomials and every such factor split
-    coordinate by coordinate, so this is the pair sum over the order^(2n)
-    tensor grid with the product weight, at the cost of n one-axis sums.
-    Terms that share every factor except the last are folded into one
-    last-axis weight first; at n = 1 that is a single contraction.
-    """
-    w, wt, axis, V, Vc = _axis_frame(rule, h, trunc.N)
+    `terms`, with one factor (shift, mu, nu) per coordinate in axes_t and
+    A_{t,d} its `axis_matrix`: the Fock inner product on C^n of v_b and
+    sum_t c_t prod_d e^{i Re(W_d mu_d) + nu_d W_d} v_a(W - shift)."""
     idx = np.array(trunc.indices).T
-
-    def pair(d, shift, weight):
-        # weighted_pair_sum on the frame's tables, same chunks and operands
-        Vk = V if shift == 0 else monomial_table(w - shift, axis, h)
-        tw = wt * weight
-        A = 0
-        for start in range(0, tw.shape[0], _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            A = A + (Vc[:, sl] * tw[sl]) @ Vk[:, sl].T
-        return A[np.ix_(idx[d], idx[d])]
-
-    def axis_weight(mu, nu):
-        return np.exp(1j * np.real(w[0] * mu) + nu * w[0])
-
-    groups = {}
-    for c, axes in terms:
-        *head, (shift, mu, nu) = axes
-        groups.setdefault((tuple(head), shift), []).append((c, mu, nu))
     out = np.zeros((len(trunc), len(trunc)), dtype=complex)
-    for (head, shift), last in groups.items():
-        weight = sum(c * axis_weight(mu, nu) for c, mu, nu in last)
-        block = pair(-1, shift, weight)
-        for d, (s, mu, nu) in enumerate(head):
-            block = block * pair(d, s, axis_weight(mu, nu))
-        out = out + block
+    for c, axes in terms:
+        block = np.full(out.shape, c, dtype=complex)
+        for col, factor in zip(idx, axes):
+            block *= axis_matrix(h, trunc.N, *factor).take(col, 0).take(col, 1)
+        out += block
     return out
 
 
-def gram_matrix(ctx: SpaceContext, trunc: MultiIndexSet,
-                rule: QuadratureRule) -> np.ndarray:
+def gram_matrix(ctx: SpaceContext, trunc: MultiIndexSet) -> np.ndarray:
     """G[a, b] = <u_a, u_b> over H_Phi; identity for admissible phases.
 
-    The prefactor C_Phi / (h^n |det R|^2) is the squared normalization of
-    the u_alpha times the Jacobian of W = RX.  It equals (2/pi h)^n exactly
-    when C_Phi and R belong to the phase, so the check sees both.
+    The prefactor C_Phi (pi/2)^n / |det R|^2 is the squared normalization
+    of the u_alpha times the Jacobian of z = sqrt(2/h) RX and the pi^n of
+    the Fock measure.  It equals 1 exactly when C_Phi and R belong to the
+    phase, so the check sees both.
     """
-    pref = ctx.CPhi / (ctx.h ** ctx.n * abs(np.linalg.det(ctx.R)) ** 2)
-    out = separable_pair_sum(trunc, ctx.h, rule,
+    pref = ctx.CPhi * (np.pi / 2.0) ** ctx.n / abs(np.linalg.det(ctx.R)) ** 2
+    out = separable_pair_sum(trunc, ctx.h,
                              [(1.0, ((0.0, 0.0, 0.0),) * ctx.n)])
     # out[b, a] carries the conjugate on the first slot; <u_a, u_b>
     # conjugates the second, so transpose without conjugation.

@@ -4,9 +4,10 @@ Determinism contract: identical config means byte-identical CSV.  Two
 ingredients make that hold: BLAS/OpenMP pools are pinned to one thread
 before numpy is first imported (the package __init__ is lazy so this module
 really does run first under the console entry point), and all assembly is
-serial over quadrature grids enumerated in a fixed order.  ``--threads`` is
-accepted, validated and echoed, but reaches nothing below this module, so it
-cannot change the work or a single output bit.
+serial, from closed-form one-axis matrices in a fixed order.  ``--threads``
+is accepted, validated and echoed, and ``verify --order`` is still parsed,
+but neither reaches anything below this module (no suite reads a quadrature
+order), so they cannot change the work or a single output bit.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 invalid input.
 """
@@ -52,7 +53,6 @@ from .operators import (  # noqa: E402
     weyl_conjugation_check,
     weyl_unitary_matrix,
 )
-from .quadrature import gauss_hermite_rule  # noqa: E402
 from .symbols import (  # noqa: E402
     PlaneWaveSum,
     constant_symbol,
@@ -127,7 +127,7 @@ def _wave(n: int, z=1.0) -> PlaneWaveSum:
     return PlaneWaveSum(n=n, terms=((1.0, _e1(n, z)),))
 
 
-def _space_info(ctx, rule, p, out):
+def _space_info(ctx, p, out):
     tol = _TOL_RESIDUAL
     dev_r = float(np.max(np.abs(
         ctx.R.conj().T @ ctx.R - ctx.PhiXXbar.conj()
@@ -175,27 +175,27 @@ def _space_info(ctx, rule, p, out):
         rows.append([f"kappa({at}).Theta[0]", tk[0].real, tk[0].imag])
 
 
-def _gram(ctx, rule, p, out):
+def _gram(ctx, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
-    G = gram_matrix(ctx, trunc, rule)
+    G = gram_matrix(ctx, trunc)
     dev = float(np.max(np.abs(G - np.eye(len(trunc)))))
-    out.le("gram max|G - I|", dev, p.tol_gram, row=[ctx.n, p.N, rule.order])
+    out.le("gram max|G - I|", dev, p.tol_gram, row=[ctx.n, p.N])
 
 
-def _weyl(ctx, rule, p, out):
+def _weyl(ctx, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     inner, tol = p.inner_degree, p.tol_weyl
     m = trunc.count_through_degree(inner)
-    Tb = toeplitz_matrix(ctx, p.symbol_b, trunc, rule)
+    Tb = toeplitz_matrix(ctx, p.symbol_b, trunc)
     for lam in p.lambda_list:
-        Wp = weyl_unitary_matrix(ctx, lam, trunc, rule)
-        Wm = weyl_unitary_matrix(ctx, -lam, trunc, rule)
+        Wp = weyl_unitary_matrix(ctx, lam, trunc)
+        Wm = weyl_unitary_matrix(ctx, -lam, trunc)
         # inner columns, every row; no view of Wp outlives this iteration
         unit = float(np.max(np.abs(
             Wp[:, :m].conj().T @ Wp[:, :m] - np.eye(m))))
         adj = float(np.max(np.abs(Wp[:m, :m].conj().T - Wm[:m, :m])))
         conj = weyl_conjugation_check(ctx, p.symbol_b, lam, Wp, Tb, trunc,
-                                      rule, drop=trunc.N - inner)
+                                      drop=trunc.N - inner)
         lam_s = vector_text(lam)
         out.le(f"unitarity lambda={lam_s}", unit, tol)
         out.le(f"adjoint lambda={lam_s}", adj, tol)
@@ -204,10 +204,9 @@ def _weyl(ctx, rule, p, out):
                          max(unit, adj, conj) <= tol])
 
 
-def _bound(ctx, rule, p, out):
+def _bound(ctx, p, out):
     for k, b in enumerate(p.symbols):
-        rep = bound_report(ctx, b, p.t_grid, p.n_schedule, rule,
-                           slack=p.slack)
+        rep = bound_report(ctx, b, p.t_grid, p.n_schedule, slack=p.slack)
         label = f"b{k}"
         note = "" if rep.sup_attained else "upper_bound"
         if note:
@@ -225,24 +224,24 @@ def _bound(ctx, rule, p, out):
             out.warn(f"{label}: norm schedule not Cauchy-converged")
 
 
-def _diag(ctx, rule, p, out):
+def _diag(ctx, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     tol = p.tol_diag
-    one = toeplitz_matrix(ctx, constant_symbol(1.0, ctx.n), trunc, rule)
+    one = toeplitz_matrix(ctx, constant_symbol(1.0, ctx.n), trunc)
     dev = float(np.max(np.abs(one - np.eye(len(trunc)))))
     out.le("toeplitz identity max|T_1 - I|", dev, tol,
            row=["identity", "1", ""])
     for j, b in enumerate(p.symbols):
         label = f"b{j}"
-        M = toeplitz_matrix(ctx, b, trunc, rule)
+        M = toeplitz_matrix(ctx, b, trunc)
         sides = diagonal_sum_check(ctx, b, M, trunc, range(p.k_max + 1))
         for k, (lhs, rhs) in enumerate(sides):
             out.le(f"diagsum {label} k={k}", abs(lhs - rhs), tol,
                    row=["diagsum", label, k])
 
 
-def _deformation(phase, rule, p, out):
-    res = deformation_sweep(phase, p.a, p.b, p.h_list, p.N, rule, drop=p.drop)
+def _deformation(phase, p, out):
+    res = deformation_sweep(phase, p.a, p.b, p.h_list, p.N, drop=p.drop)
     for name, slope in (("r1", res.slope1), ("r2", res.slope2)):
         if name == "r2" and res.commuting:
             out.add("slope r2", True, "a and b commute exactly; residual is"
@@ -257,7 +256,7 @@ def _deformation(phase, rule, p, out):
                  for h, r1, r2 in res.rows]
 
 
-def _egorov(ctx, rule, p, out):
+def _egorov(ctx, p, out):
     X_grid = complex_box(*p.X_grid, ctx.n)
     errs = egorov_guillemin_check(ctx, p.symbols, p.gaussians, X_grid)
     for (j, g), err in np.ndenumerate(errs):
@@ -265,7 +264,7 @@ def _egorov(ctx, rule, p, out):
                row=[f"b{j}", f"g{g}"])
 
 
-def _sw(ctx, rule, p, out):
+def _sw(ctx, p, out):
     lo, hi, steps = p.lambda_grid
     if not sup_norm(p.b)[1]:
         out.warn("sup of b not attained: the profile is an upper bound")
@@ -293,36 +292,33 @@ def _sw(ctx, rule, p, out):
 
 @dataclass(frozen=True)
 class Suite:
-    """One report: its CSV header line, its default quadrature order for
-    n = 1 and for n > 1 (None: no rule), and whether it reads the top-level
+    """One report: its CSV header line and whether it reads the top-level
     h (then `body` gets the space context, otherwise the phase).  `params`
-    reads the suite's own keys from a ConfigReader; `body(ctx, rule, p,
-    out)` gets them as attributes of `p` and fills the Report `out` with
-    checks and CSV rows."""
+    reads the suite's own keys from a ConfigReader; `body(ctx, p, out)`
+    gets them as attributes of `p` and fills the Report `out` with checks
+    and CSV rows."""
 
     header: str
-    order: tuple | None
     body: Callable
     params: Callable = lambda k: {}
     h: bool = True
 
 
-_SPACE_INFO = Suite("quantity,re,im", None, _space_info)
+_SPACE_INFO = Suite("quantity,re,im", _space_info)
 
 SUITES = {
     "gram": Suite(
-        "n,N,order,max_abs_dev,threshold,passed", (60, 30), _gram,
+        "n,N,max_abs_dev,threshold,passed", _gram,
         lambda k: {
             "N": k.count("N", 10),
-            "tol_gram": k.number("tol_gram", 1e-8 if k.n == 1 else 1e-6,
-                                 lo=0),
+            "tol_gram": k.number("tol_gram", 1e-12, lo=0),
         }),
     "weyl": Suite(
         "lambda,unitarity_dev,adjoint_dev,conjugation_dev,threshold,passed",
-        (60, 60), _weyl,
+        _weyl,
         lambda k: {
             # n >= 2 translations leak ~4.5e-4 into the inner block at
-            # N = 16 whatever the order; N = 24 brings it to ~6e-10
+            # N = 16; N = 24 brings it to ~6e-10
             "N": k.count("N", 16 if k.n == 1 else 24),
             "inner_degree": k.count("inner_degree", 4),
             "tol_weyl": k.number("tol_weyl", 1e-5, lo=0),
@@ -333,7 +329,7 @@ SUITES = {
         }),
     "bound": Suite(
         "symbol,t,lhs_sup,rhs_bound,margin,m_norm,converged,passed,note",
-        (60, 60), _bound,
+        _bound,
         lambda k: {
             "slack": k.number("slack", 0.02, lo=0),
             "t_grid": k.numbers("t_grid", [0.6, 0.75, 0.9, 1.0]),
@@ -349,7 +345,7 @@ SUITES = {
             ]),
         }),
     "diag": Suite(
-        "check,symbol,k,deviation,threshold,passed", (60, 60), _diag,
+        "check,symbol,k,deviation,threshold,passed", _diag,
         lambda k: {
             "N": k.count("N", 10),
             "k_max": k.count("k_max", 2),
@@ -358,7 +354,7 @@ SUITES = {
                 _wave(k.n, z) for z in (2.0, 1.0, 0.5 + 0.3j)]),
         }),
     "deformation": Suite(
-        "h,r1,r2,slope1,slope2", (60, 60), _deformation,
+        "h,r1,r2,slope1,slope2", _deformation,
         lambda k: {
             "N": k.count("N", 20),
             "drop": k.count("drop", 4),
@@ -369,7 +365,7 @@ SUITES = {
         },
         h=False),
     "egorov": Suite(
-        "symbol,gaussian,max_rel_err,threshold,passed", None, _egorov,
+        "symbol,gaussian,max_rel_err,threshold,passed", _egorov,
         lambda k: {
             "tol_egorov": k.number("tol_egorov", 1e-6, lo=0),
             "X_grid": k.grid("X_grid", -1.0, 1.0, 1.0),
@@ -385,7 +381,7 @@ SUITES = {
             ]),
         }),
     "sw": Suite(
-        "step,l1_estimate,rel_delta,passed", None, _sw,
+        "step,l1_estimate,rel_delta,passed", _sw,
         lambda k: {
             "rel_tol": k.number("rel_tol", 0.01, lo=0),
             "lambda_grid": k.grid("lambda_grid", -8.0, 8.0,
@@ -395,11 +391,10 @@ SUITES = {
 }
 
 
-def _run(name: str, suite: Suite, config_path, outdir, echo: dict,
-         order=None):
-    """Read the config, build the phase, context and rule, run the suite
-    body, write `<name>.csv` into `outdir` (skipped when None) and print
-    the report with the effective config.  Exits 2 on unusable input, else
+def _run(name: str, suite: Suite, config_path, outdir, echo: dict):
+    """Read the config, build the phase and context, run the suite body,
+    write `<name>.csv` into `outdir` (skipped when None) and print the
+    report with the effective config.  Exits 2 on unusable input, else
     0 when every check passes and 1 otherwise."""
     try:
         keys = ConfigReader(load_config(config_path))
@@ -407,14 +402,8 @@ def _run(name: str, suite: Suite, config_path, outdir, echo: dict,
         ctx = phase
         if suite.h:
             ctx = build_context(phase, keys.number("h", 1.0))
-        rule = None
-        if suite.order is not None:
-            if order is None:
-                order = keys.count("order", suite.order[phase.n > 1])
-            keys.echo["order"] = order
-            rule = gauss_hermite_rule(order)
         out = Report()
-        suite.body(ctx, rule, SimpleNamespace(**suite.params(keys)), out)
+        suite.body(ctx, SimpleNamespace(**suite.params(keys)), out)
         csv_path = None
         if outdir is not None:
             csv_path = _write_csv(outdir, name.replace("-", "_") + ".csv",
@@ -459,7 +448,8 @@ def space_info(config_path, outdir):
 @click.option("--out", "outdir", default=".",
               type=click.Path(file_okay=False), help="CSV output directory.")
 @click.option("--order", "order_override", default=None, type=int,
-              help="Quadrature order override.")
+              help="Ignored: every compression is assembled in closed form, "
+                   "so no suite reads a quadrature order.")
 @click.option("--threads", default=1, type=int, show_default=True,
               help="Accepted and echoed; assembly is serial, so it changes "
                    "no output bit.")
@@ -469,7 +459,7 @@ def verify(suite, config_path, outdir, order_override, threads):
         click.echo("error: InvalidConfig: threads must be >= 1", err=True)
         sys.exit(2)
     _run(suite, SUITES[suite], config_path, outdir,
-         {"suite": suite, "threads": threads}, order_override)
+         {"suite": suite, "threads": threads})
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ import numpy as np
 from .bargmann import GaussianTestFn
 from .errors import InvalidConfig
 from .geometry import PhaseMatrices, fock_phase, heat_phase, random_phase
+from .heat import MAX_BOX_POINTS, box_size
 from .symbols import PlaneWaveSum
 
 __all__ = [
@@ -222,9 +223,10 @@ class ConfigReader:
         return self._read(key, default, lambda v, s: _items(v, s, item))
 
     def grid(self, key: str, lo: float, hi: float, step):
-        """Box {"lo", "hi", "step"} with hi > lo and step > 0, absent
+        """Box {"lo", "hi", "step"} in C^n with hi > lo and step > 0, absent
         fields taking the defaults.  A list default `step` reads the field
-        "steps" instead: a nonempty list of spacings, kept as given.
+        "steps" instead: a nonempty list of spacings, kept as given.  A
+        spacing whose box has over MAX_BOX_POINTS points is refused.
         Returns (lo, hi, step)."""
         spec = self.cfg.get(key, {})
         if not isinstance(spec, dict):
@@ -241,6 +243,11 @@ class ConfigReader:
             step = float(_number(spec.get("step", step), f"{key}.step", 0,
                                  above=True))
             self.echo[key] = f"lo={lo:g} hi={hi:g} step={step:g}"
+        for s in step if isinstance(step, list) else [step]:
+            size = box_size(lo, hi, s, self.n)
+            if size > MAX_BOX_POINTS:
+                raise InvalidConfig(f"{key}: step {s} gives {size} points; at "
+                                    f"most {MAX_BOX_POINTS} are supported")
         return lo, hi, step
 
     def symbol(self, key: str, default: PlaneWaveSum) -> PlaneWaveSum:

@@ -17,6 +17,8 @@ that interval and nothing here extrapolates beyond it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import SpaceContext, _as_points, freq_image
@@ -35,8 +37,12 @@ __all__ = [
     "sw_diagnostic",
     "sw_l1",
     "sw_l1_exact",
+    "box_size",
     "complex_box",
 ]
+
+# Most points a box may hold; the n = 2 `sw` default has 65^4 = 17,850,625.
+MAX_BOX_POINTS = 20_000_000
 
 
 def _check_time(t: float) -> float:
@@ -85,6 +91,13 @@ def heat_flow_quadrature(ctx: SpaceContext, b, t: float, order: int = 40):
         return pref * (vals @ wt)
 
     return CallableSymbol(n=ctx.n, func=val)
+
+
+def box_size(lo: float, hi: float, step: float, n: int = 1):
+    """Number of points `complex_box` returns, counted without building
+    any (inf when the count per axis overflows a float)."""
+    per_axis = (hi + step / 2 - lo) / step
+    return math.ceil(per_axis) ** (2 * n) if per_axis < math.inf else math.inf
 
 
 def complex_box(lo: float, hi: float, step: float, n: int = 1) -> np.ndarray:

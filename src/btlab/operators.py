@@ -2,19 +2,18 @@
 
 All matrices are plain arrays over the graded monomial basis of a
 `MultiIndexSet` the caller holds, so a sub-truncation is always the leading
-principal block.  Everything is assembled in the reduced frame W = RX on a
-sigma = sqrt(h/2) Gauss-Hermite grid, where the weight e^{-2|W|^2/h} is
-exactly the quadrature Gaussian:
+principal block.  In the reduced frame z = sqrt(2/h) RX the basis is the
+orthonormal monomial basis v_alpha of the standard Fock space, and
 
-    toeplitz   M[beta, alpha] = (2/pi h)^n int b(R^-1 W) v_a(W) conj(v_b(W))
-    weyl       M[beta, alpha] = (2/pi h)^n e^{-|c|^2/h} int e^{(2/h)<W, cbar>}
-                                v_a(W - c) conj(v_b(W)),   c = R lambda,
+    toeplitz   M[beta, alpha] = <v_b, b(R^-1 W) v_a>
+    weyl       M[beta, alpha] = e^{-|c|^2/h} <v_b, e^{(2/h)<W, cbar>}
+                                v_a(W - c)>,   c = R lambda,
 
-both against e^{-2|W|^2/h} L(dW).  Toeplitz symbols are plane-wave sums,
-so for both kinds every factor splits over the coordinates of W and the
-matrix is assembled axis by axis (`basis.separable_pair_sum`); callable
-symbols are refused.  The right-hand side of `diagonal_sum_check` is closed
-form.
+in the Fock inner product.  Toeplitz symbols are plane-wave sums, so for
+both kinds every factor splits over the coordinates of W and the matrix
+is a product of exact one-axis matrices (`basis.separable_pair_sum`);
+callable symbols are refused.  The right-hand side of
+`diagonal_sum_check` is closed form.
 
 Identity checks (conjugation, deformation residuals) are read off an inner
 sub-truncation: a plane-wave Toeplitz matrix couples only a band of degrees,
@@ -36,7 +35,6 @@ from .basis import MultiIndexSet, enumerate_multiindices, separable_pair_sum
 from .errors import InvalidConfig
 from .geometry import PhaseMatrices, SpaceContext, build_context, freq_image
 from .heat import heat_flow
-from .quadrature import QuadratureRule
 from .symbols import (
     _require_plane_waves,
     multiply,
@@ -70,8 +68,8 @@ def inner_block(entries: np.ndarray, trunc: MultiIndexSet,
     return entries[:m, :m]
 
 
-def toeplitz_matrix(ctx: SpaceContext, b, trunc: MultiIndexSet,
-                    rule: QuadratureRule) -> np.ndarray:
+def toeplitz_matrix(ctx: SpaceContext, b,
+                    trunc: MultiIndexSet) -> np.ndarray:
     """Matrix of the multiplication-then-project operator for the
     plane-wave sum b.
 
@@ -79,15 +77,14 @@ def toeplitz_matrix(ctx: SpaceContext, b, trunc: MultiIndexSet,
     mu = R^-T lam, so the matrix is assembled axis by axis.
     """
     _require_plane_waves("toeplitz_matrix", b)
-    out = separable_pair_sum(trunc, ctx.h, rule, [
+    return separable_pair_sum(trunc, ctx.h, [
         (c, tuple((0.0, complex(m), 0.0) for m in ctx.Rinv.T @ lam))
         for c, lam in b.terms
     ])
-    return out * (2.0 / (np.pi * ctx.h)) ** ctx.n
 
 
-def weyl_unitary_matrix(ctx: SpaceContext, lam, trunc: MultiIndexSet,
-                        rule: QuadratureRule) -> np.ndarray:
+def weyl_unitary_matrix(ctx: SpaceContext, lam,
+                        trunc: MultiIndexSet) -> np.ndarray:
     """Matrix of the phase-space translation unitary for displacement lam.
 
     Both the shift W - c and the weight e^{(2/h)<W, cbar>} factor over the
@@ -95,14 +92,12 @@ def weyl_unitary_matrix(ctx: SpaceContext, lam, trunc: MultiIndexSet,
     """
     lam = np.asarray(lam, dtype=complex).reshape(ctx.n)
     c = ctx.R @ lam
-    out = separable_pair_sum(trunc, ctx.h, rule, [
+    out = separable_pair_sum(trunc, ctx.h, [
         (1.0, tuple((complex(cd), 0.0, (2.0 / ctx.h) * complex(np.conj(cd)))
                     for cd in c))
     ])
-    pref = (2.0 / (np.pi * ctx.h)) ** ctx.n * np.exp(
-        -np.sum(np.abs(c) ** 2) / ctx.h
-    )
-    return pref * out
+    out *= np.exp(-np.sum(np.abs(c) ** 2) / ctx.h)
+    return out
 
 
 def operator_norm(M: np.ndarray) -> float:
@@ -119,7 +114,7 @@ class NormTable:
 
 
 def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
-                   rule: QuadratureRule, rel_tol: float = 1e-3) -> NormTable:
+                   rel_tol: float = 1e-3) -> NormTable:
     """Compression norm at the largest N of a strictly increasing schedule,
     and whether it is within rel_tol of the norm at the N before it.
 
@@ -131,7 +126,7 @@ def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise InvalidConfig("truncation schedule must be strictly increasing")
     top = enumerate_multiindices(ctx.n, ns[-1])
-    M = toeplitz_matrix(ctx, b, top, rule)
+    M = toeplitz_matrix(ctx, b, top)
     norms = [operator_norm(inner_block(M, top, N)) for N in ns[-2:]]
     last = norms[-1]
     converged = (len(norms) == 2 and abs(last - norms[0])
@@ -141,12 +136,12 @@ def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
 
 def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: np.ndarray,
                            Tb: np.ndarray, trunc: MultiIndexSet,
-                           rule: QuadratureRule, drop: int = 4) -> float:
+                           drop: int = 4) -> float:
     """Max entry deviation of W* T_b W against the translated-symbol matrix,
     formed on the block of degrees <= N - drop.  W is the translation by
     lam and Tb the compression of b, both over `trunc`; only the translated
     symbol's compression is assembled here."""
-    Ts = toeplitz_matrix(ctx, translate(b, lam), trunc, rule)
+    Ts = toeplitz_matrix(ctx, translate(b, lam), trunc)
     m = trunc.count_through_degree(max(trunc.N - drop, 0))
     Wi = W[:, :m]
     return float(np.max(np.abs(Wi.conj().T @ (Tb @ Wi) - Ts[:m, :m])))
@@ -162,7 +157,7 @@ class BoundReport:
 
 
 def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float],
-                 n_schedule: Sequence[int], rule: QuadratureRule,
+                 n_schedule: Sequence[int],
                  slack: float = 0.02) -> BoundReport:
     """Check sup |b_t| <= (1+slack) M / (2t-1)^n on a time grid in (1/2, 1].
 
@@ -176,7 +171,7 @@ def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float],
             raise InvalidConfig(
                 f"bound check needs t in (1/2, 1], got {t}"
             )
-    table = norm_converged(ctx, b, n_schedule, rule)
+    table = norm_converged(ctx, b, n_schedule)
     rows = []
     ok = True
     attained = True
@@ -222,14 +217,14 @@ def diagonal_sum_check(ctx: SpaceContext, b, M: np.ndarray,
 
 
 def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
-                          rule: QuadratureRule, drop: int = 4):
+                          drop: int = 4):
     """Spectral norms of the two second-order deformation defects,
     formed on the block of degrees <= N - drop."""
-    Ta = toeplitz_matrix(ctx, a, trunc, rule)
-    Tb = toeplitz_matrix(ctx, b, trunc, rule)
-    Tab = toeplitz_matrix(ctx, multiply(a, b), trunc, rule)
-    Tq = toeplitz_matrix(ctx, q_form(ctx, a, b), trunc, rule)
-    Tpb = toeplitz_matrix(ctx, poisson(ctx, a, b), trunc, rule)
+    Ta = toeplitz_matrix(ctx, a, trunc)
+    Tb = toeplitz_matrix(ctx, b, trunc)
+    Tab = toeplitz_matrix(ctx, multiply(a, b), trunc)
+    Tq = toeplitz_matrix(ctx, q_form(ctx, a, b), trunc)
+    Tpb = toeplitz_matrix(ctx, poisson(ctx, a, b), trunc)
     m = trunc.count_through_degree(max(trunc.N - drop, 0))
     ab = Ta[:m] @ Tb[:, :m]
     d1 = ab - Tab[:m, :m] + (ctx.h / 2.0) * Tq[:m, :m]
@@ -259,15 +254,14 @@ def _commute_exactly(ctx: SpaceContext, a, b) -> bool:
 
 
 def _fit_slope(hs: np.ndarray, rs: np.ndarray) -> float:
-    # residuals at quadrature floor carry no scaling information
+    # residuals at rounding floor carry no scaling information
     if np.max(rs) < 1e-10:
         return float("nan")
     return float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
 
 
 def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
-                      N: int, rule: QuadratureRule,
-                      drop: int = 4) -> SweepResult:
+                      N: int, drop: int = 4) -> SweepResult:
     """Deformation residuals across h, with log-log slope fits.
 
     Contexts are rebuilt per h so every normalization constant tracks the
@@ -284,7 +278,7 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
     rows = []
     for h, ctx in zip(hs, ctxs):
         trunc = enumerate_multiindices(ctx.n, N)
-        r1, r2 = deformation_residuals(ctx, a, b, trunc, rule, drop=drop)
+        r1, r2 = deformation_residuals(ctx, a, b, trunc, drop=drop)
         rows.append((h, r1, r2))
     arr = np.asarray(rows, dtype=float)
     return SweepResult(

@@ -1,10 +1,12 @@
-"""Deterministic tensorized Gauss-Hermite quadrature.
+"""Deterministic tensorized Gauss-Hermite quadrature, for references only.
 
-Every integral in this package is reduced to Gaussian weight before it gets
-here (see the W = RX reduction in :mod:`btlab.basis`), so a single
-Gauss-Hermite engine covers all of C^n.  Complex integrals are real 2n-dim
-integrals over (Re W, Im W) with L(dY) = |det R|^-2 L(dW) under Y = R^-1 W;
-axes are paired as W_d = sigma (s_d + i s_{n+d}).
+No CLI suite integrates: the closed forms are tested against quadrature
+references (`basis.weighted_pair_sum`, the quadrature Bargmann transform
+and projector, `heat.heat_flow_quadrature`) that reduce every integral to
+Gaussian weight first, so one Gauss-Hermite engine covers all of C^n.
+Complex integrals are real 2n-dim integrals over (Re W, Im W) with
+L(dY) = |det R|^-2 L(dW) under Y = R^-1 W; axes are paired as
+W_d = sigma (s_d + i s_{n+d}).
 
 Determinism: tensor grids are enumerated in a fixed lexicographic order
 (meshgrid with 'ij' indexing, then ravel) and summation uses numpy's pairwise

@@ -8,11 +8,6 @@ from btlab.quadrature import gauss_hermite_rule
 
 
 @pytest.fixture(scope="session")
-def rule30():
-    return gauss_hermite_rule(30)
-
-
-@pytest.fixture(scope="session")
 def rule60():
     return gauss_hermite_rule(60)
 

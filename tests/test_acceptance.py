@@ -45,7 +45,6 @@ from btlab.operators import (
     weyl_conjugation_check,
     weyl_unitary_matrix,
 )
-from btlab.quadrature import gauss_hermite_rule
 from btlab.symbols import (
     constant_symbol,
     cosine_symbol,
@@ -102,17 +101,16 @@ def test_criterion_01_geometry_closed_forms():
 
 def test_criterion_02_orthonormality():
     t0 = time.perf_counter()
-    rule = gauss_hermite_rule(60)
     trunc = enumerate_multiindices(1, 10)
     eye = np.eye(len(trunc))
     worst1 = 0.0
     for phase in (fock_phase(1, 1.0), heat_phase(1), random_phase(1, 9)):
         ctx = build_context(phase, 1.0)
-        G = gram_matrix(ctx, trunc, rule)
+        G = gram_matrix(ctx, trunc)
         worst1 = max(worst1, float(np.max(np.abs(G - eye))))
     ctx2 = build_context(fock_phase(2, 1.0), 1.0)
     trunc2 = enumerate_multiindices(2, 6)
-    G2 = gram_matrix(ctx2, trunc2, gauss_hermite_rule(30))
+    G2 = gram_matrix(ctx2, trunc2)
     worst2 = float(np.max(np.abs(G2 - np.eye(len(trunc2)))))
     dt = time.perf_counter() - t0
     ok = worst1 < 1e-8 and worst2 < 1e-6 and dt < 120.0
@@ -128,24 +126,23 @@ def test_criterion_02_orthonormality():
 def test_criterion_03_projector_toeplitz_consistency():
     t0 = time.perf_counter()
     ctx = build_context(fock_phase(1, 1.0), 1.0)
-    rule = gauss_hermite_rule(60)
     trunc = enumerate_multiindices(1, 10)
     dev_id = float(np.max(np.abs(
-        toeplitz_matrix(ctx, constant_symbol(1.0), trunc, rule)
+        toeplitz_matrix(ctx, constant_symbol(1.0), trunc)
         - np.eye(len(trunc))
     )))
     dev_corner = 0.0
     zero = np.array([[0.0 + 0.0j]])
     for lam in (2.0, 1.0, 0.5 + 0.3j):
         b = plane_wave_sum([(1.0, np.array([lam]))], n=1)
-        M = toeplitz_matrix(ctx, b, trunc, rule)
+        M = toeplitz_matrix(ctx, b, trunc)
         ref = complex(eval_symbol(heat_flow(ctx, b, 1.0), zero)[0])
         dev_corner = max(dev_corner, abs(M[0, 0] - ref))
     dev_diag = 0.0
     b = plane_wave_sum(
         [(1.0, np.array([1.0])), (0.3 - 0.2j, np.array([0.5 + 0.3j]))], n=1
     )
-    M = toeplitz_matrix(ctx, b, trunc, rule)
+    M = toeplitz_matrix(ctx, b, trunc)
     for lhs, rhs in diagonal_sum_check(ctx, b, M, trunc, (0, 1, 2)):
         dev_diag = max(dev_diag, abs(lhs - rhs))
     dt = time.perf_counter() - t0
@@ -161,7 +158,6 @@ def test_criterion_03_projector_toeplitz_consistency():
 
 def test_criterion_04_weyl_suite():
     t0 = time.perf_counter()
-    rule = gauss_hermite_rule(60)
     trunc = enumerate_multiindices(1, 16)
     keep = trunc.count_through_degree(4)
     b = plane_wave_sum([(1.0, np.array([1.0]))], n=1)
@@ -169,11 +165,11 @@ def test_criterion_04_weyl_suite():
     worst_u = worst_a = worst_c = 0.0
     for phase in (fock_phase(1, 1.0), heat_phase(1)):
         ctx = build_context(phase, 1.0)
-        Tb = toeplitz_matrix(ctx, b, trunc, rule)
+        Tb = toeplitz_matrix(ctx, b, trunc)
         for lam in lams:
             lv = np.array([lam])
-            W = weyl_unitary_matrix(ctx, lv, trunc, rule)
-            Wm = weyl_unitary_matrix(ctx, -lv, trunc, rule)
+            W = weyl_unitary_matrix(ctx, lv, trunc)
+            Wm = weyl_unitary_matrix(ctx, -lv, trunc)
             worst_u = max(worst_u, float(np.max(np.abs(
                 (W.conj().T @ W - np.eye(len(trunc)))[:keep, :keep]
             ))))
@@ -181,7 +177,7 @@ def test_criterion_04_weyl_suite():
                 (W.conj().T - Wm)[:keep, :keep]
             ))))
             worst_c = max(worst_c, weyl_conjugation_check(
-                ctx, b, lv, W, Tb, trunc, rule, drop=trunc.N - 4
+                ctx, b, lv, W, Tb, trunc, drop=trunc.N - 4
             ))
     dt = time.perf_counter() - t0
     ok = max(worst_u, worst_a, worst_c) < 1e-5 and dt < 180.0
@@ -197,7 +193,6 @@ def test_criterion_04_weyl_suite():
 def test_criterion_05_symbol_norm_bound():
     t0 = time.perf_counter()
     ctx = build_context(fock_phase(1, 1.0), 1.0)
-    rule = gauss_hermite_rule(60)
     symbols = (
         cosine_symbol(1.0),
         plane_wave_sum(
@@ -213,7 +208,7 @@ def test_criterion_05_symbol_norm_bound():
     details = []
     for b in symbols:
         rep = bound_report(ctx, b, [0.6, 0.75, 0.9, 1.0],
-                           range(8, 26, 2), rule, slack=0.02)
+                           range(8, 26, 2), slack=0.02)
         ok = ok and rep.passed and rep.norm_table.converged
         details.append(f"M={rep.norm_table.m_norm:.4f}")
     dt = time.perf_counter() - t0
@@ -304,20 +299,19 @@ def test_criterion_07_l1_diagnostic_converges():
 
 def test_criterion_08_deformation_scaling():
     t0 = time.perf_counter()
-    rule = gauss_hermite_rule(60)
     res = deformation_sweep(
         fock_phase(1, 1.0), cosine_symbol(1.0), sine_symbol(1.0),
-        [0.4, 0.28, 0.2, 0.14, 0.1], 20, rule
+        [0.4, 0.28, 0.2, 0.14, 0.1], 20
     )
     trunc = enumerate_multiindices(1, 14)
     degen = 0.0
     for h in (0.4, 0.1):
         ctx = build_context(fock_phase(1, 1.0), h)
         r1c, r2c = deformation_residuals(
-            ctx, constant_symbol(2.0), cosine_symbol(1.0), trunc, rule
+            ctx, constant_symbol(2.0), cosine_symbol(1.0), trunc
         )
         _, r2s = deformation_residuals(
-            ctx, cosine_symbol(1.0), cosine_symbol(1.0), trunc, rule
+            ctx, cosine_symbol(1.0), cosine_symbol(1.0), trunc
         )
         degen = max(degen, r1c, r2c, r2s)
     dt = time.perf_counter() - t0

@@ -4,17 +4,16 @@ import math
 import numpy as np
 import pytest
 
-import btlab.basis
 from btlab.basis import (
+    MAX_BASIS,
+    axis_matrix,
     enumerate_multiindices,
     gram_matrix,
     monomial_table,
-    separable_pair_sum,
     u_alpha_eval,
-    weighted_pair_sum,
 )
+from btlab.errors import InvalidConfig
 from btlab.geometry import build_context, fock_phase, heat_phase, random_phase
-from btlab.quadrature import complex_grid, gauss_hermite_rule
 
 
 def test_multiindex_enumeration_nested():
@@ -60,7 +59,7 @@ def test_u_alpha_explicit_formula():
         assert np.max(np.abs(got - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
-def test_gram_identity_node_dim_one(rule60):
+def test_gram_identity_node_dim_one():
     trunc = enumerate_multiindices(1, 10)
     eye = np.eye(len(trunc))
     for ctx in (
@@ -68,60 +67,60 @@ def test_gram_identity_node_dim_one(rule60):
         build_context(heat_phase(1), 1.0),
         build_context(random_phase(1, 9), 0.5),
     ):
-        G = gram_matrix(ctx, trunc, rule60)
+        G = gram_matrix(ctx, trunc)
         assert np.max(np.abs(G - eye)) < 1e-10
 
 
-def test_gram_identity_node_dim_two(rule30):
+def test_gram_identity_node_dim_two():
     ctx = build_context(fock_phase(2, 1.0), 0.4)
     trunc = enumerate_multiindices(2, 6)
-    G = gram_matrix(ctx, trunc, rule30)
+    G = gram_matrix(ctx, trunc)
     assert np.max(np.abs(G - np.eye(len(trunc)))) < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_gram_sees_normalization_and_reduction(rule30, n):
+def test_gram_sees_normalization_and_reduction(n):
     """A context whose C_Phi and R do not belong to its phase fails the
     Gram check: C_Phi doubled and R tripled scale G by 2 / 9^n."""
     ctx = build_context(random_phase(n, 7), 1.0)
     bad = dataclasses.replace(ctx, CPhi=2 * ctx.CPhi, R=3 * ctx.R)
     trunc = enumerate_multiindices(n, 4)
     eye = np.eye(len(trunc))
-    assert np.max(np.abs(gram_matrix(ctx, trunc, rule30) - eye)) < 1e-10
-    dev = np.max(np.abs(gram_matrix(bad, trunc, rule30) - eye))
+    assert np.max(np.abs(gram_matrix(ctx, trunc) - eye)) < 1e-10
+    dev = np.max(np.abs(gram_matrix(bad, trunc) - eye))
     assert abs(dev - (1.0 - 2.0 / 9.0 ** n)) < 1e-10
 
 
-def test_axis_frame_reuse_is_exact(rule60, monkeypatch):
-    """Compressions interleaved across rule objects, h and N equal the pair
-    sum on a freshly built one-axis grid bit for bit, and the one-axis
-    frame is rebuilt exactly when (rule, h, N) changes."""
-    built = []
+def test_multiindex_count_is_bounded():
+    """The index count is checked before any index is built."""
+    assert len(enumerate_multiindices(3, 24)) == 2925
+    assert len(enumerate_multiindices(1, MAX_BASIS - 1)) == MAX_BASIS
+    for n, N in ((1, MAX_BASIS), (1, 10 ** 12), (3, 28)):
+        with pytest.raises(InvalidConfig):
+            enumerate_multiindices(n, N)
 
-    def counted(*args):
-        built.append(args)
-        return complex_grid(*args)
 
-    monkeypatch.setattr(btlab.basis, "complex_grid", counted)
-    rule40, other60 = gauss_hermite_rule(40), gauss_hermite_rule(60)
-    steps = [(rule60, 0.5, 10), (rule60, 0.5, 10), (other60, 0.5, 10),
-             (rule40, 0.5, 10), (other60, 0.5, 10), (other60, 0.5, 12),
-             (other60, 1.0, 12), (rule60, 0.5, 10)]
-    # a plane wave (no shift) and a translation (shifted ket, weight e^{nu w})
-    factors = [(0.8 - 0.1j, 0.0, 0.7 + 0.2j, 0.0),
-               (1.0, 0.3 - 0.2j, 0.0, 1.2 + 0.8j)]
-    for k, (rule, h, N) in enumerate(steps):
-        trunc = enumerate_multiindices(1, N)
-        before = len(built)
-        got = [separable_pair_sum(trunc, h, rule, [(c, ((s, mu, nu),))])
-               for c, s, mu, nu in factors]
-        if k:
-            prev, h0, N0 = steps[k - 1]
-            new_frame = rule is not prev or (h, N) != (h0, N0)
-            assert len(built) - before == new_frame
-        w, wt = complex_grid(rule, 1, np.sqrt(h / 2.0))
-        for A, (c, s, mu, nu) in zip(got, factors):
-            weight = c * np.exp(1j * np.real(w[0] * mu) + nu * w[0])
-            ref = weighted_pair_sum(trunc, h, w, w - s if s else w,
-                                    wt * weight)
-            assert np.array_equal(A, ref)
+@pytest.mark.parametrize("h, shift, mu, nu", [
+    (1.0, 0.0, 0.0, 0.0),
+    (0.5, 0.0, 1.4 - 0.6j, 0.0),
+    (0.7, 0.3 - 0.2j, 0.7 + 0.4j, 0.2 - 0.5j),
+    (1.0, 0.6 + 0.5j, 0.0, 2.0 * (0.6 - 0.5j)),  # a Weyl factor
+])
+def test_axis_matrix_obeys_composition_recurrence(h, shift, mu, nu):
+    """Column 0 is e^{alpha beta} alpha^b / sqrt(b!) and column a+1 is
+    (Z + beta - shift/r) (column a) / sqrt(a+1), the defining recurrence
+    of the one-axis compression; zero factors give the identity exactly."""
+    N = 12
+    A = axis_matrix(h, N, shift, mu, nu)
+    r = math.sqrt(h / 2.0)
+    alpha, beta = (0.5j * mu + nu) * r, 0.5j * np.conj(mu) * r
+    b = np.arange(N + 1)
+    col0 = np.exp(alpha * beta) * np.array(
+        [alpha ** k / math.sqrt(math.factorial(k)) for k in b])
+    scale = np.max(np.abs(A))
+    assert np.max(np.abs(A[:, 0] - col0)) <= 1e-14 * scale
+    Z = np.diag(np.sqrt(b[1:]), -1)
+    step = (Z + (beta - shift / r) * np.eye(N + 1)) @ A[:, :-1]
+    assert np.max(np.abs(A[:, 1:] * np.sqrt(b[1:]) - step)) <= 1e-13 * scale
+    if not (shift or mu or nu):
+        assert np.array_equal(A, np.eye(N + 1))

@@ -1,6 +1,7 @@
 import json
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 import btlab.bargmann
-import btlab.basis
 import btlab.cli
+import btlab.heat
 import btlab.operators
+import btlab.quadrature
 from btlab.cli import main
 from btlab.config import (
     complex_entry,
@@ -27,7 +29,7 @@ from btlab.geometry import build_context, fock_phase
 
 FOCK = {"phase": {"preset": "fock", "beta": 1.0}, "h": 1.0}
 # Every suite at a small size, along the lines of the benchmark smoke run.
-SMALL = dict(FOCK, order=40, N=4, n_schedule=[4, 6], t_grid=[1.0],
+SMALL = dict(FOCK, N=4, n_schedule=[4, 6], t_grid=[1.0],
              h_list=[0.4, 0.3, 0.2, 0.1],
              lambda_grid={"lo": -2.0, "hi": 2.0, "steps": [1.0, 0.5]},
              X_grid={"lo": -1.0, "hi": 1.0, "step": 1.0})
@@ -138,21 +140,26 @@ def test_verify_gram_passes(tmp_path):
     )
     assert res.exit_code == 0, res.output
     # every effective value is echoed back
-    assert "order = 60" in res.output
     assert "N = 10" in res.output
+    assert "tol_gram = 1e-12" in res.output
     assert (tmp_path / "gram.csv").exists()
 
 
-def test_verify_gram_fails_at_tiny_order(tmp_path):
+def test_verify_order_changes_nothing(tmp_path):
+    """`--order` is still accepted, but every compression is closed form:
+    a two-node order gives the same exit code, report and CSV bytes."""
     runner = CliRunner()
     cfg = _write(tmp_path, FOCK)
-    res = runner.invoke(
-        main,
-        ["verify", "gram", "--config", cfg, "--out", str(tmp_path),
-         "--order", "2"],
-    )
-    assert res.exit_code == 1
-    assert "result: FAIL" in res.output
+    for suite in ("gram", "diag", "weyl"):
+        runs = []
+        for tag, extra in (("plain", []), ("order2", ["--order", "2"])):
+            out = tmp_path / tag
+            res = runner.invoke(main, ["verify", suite, "--config", cfg,
+                                       "--out", str(out), *extra])
+            runs.append((res.exit_code, res.output.replace(str(out), ""),
+                         (out / f"{suite}.csv").read_bytes()))
+        assert runs[0] == runs[1], suite
+        assert runs[0][0] == 0, runs[0][1]
 
 
 def test_verify_rejects_bad_inputs(tmp_path):
@@ -197,6 +204,8 @@ def test_verify_rejects_bad_inputs(tmp_path):
     ("gram", {"N": True}),
     ("gram", {"h": True}),
     ("gram", {"tol_gram": "1e-3"}),
+    ("egorov", {"X_grid": {"step": 1e-4}}),
+    ("sw", {"lambda_grid": {"lo": -1e308, "hi": 1e308}}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_verify_rejects_malformed_values(tmp_path, suite, extra):
     cfg = _write(tmp_path, {**FOCK, **extra})
@@ -216,10 +225,9 @@ def _readme_csv_columns():
     }
 
 
-# Common echo keys a command does not print: space-info has no suite name,
-# rule or threads, deformation sweeps its own h_list, sw uses no rule.
-_UNECHOED = {"space-info": {"suite", "order", "threads"},
-             "deformation": {"h"}, "egorov": {"order"}, "sw": {"order"}}
+# Common echo keys a command does not print: space-info has no suite name
+# or threads, deformation sweeps its own h_list.
+_UNECHOED = {"space-info": {"suite", "threads"}, "deformation": {"h"}}
 # SMALL is too coarse for two suites to pass: weyl truncates at N = 4, and
 # sw refines its lambda grid only from step 1 to 0.5.  Every other command
 # must pass on it.
@@ -241,9 +249,10 @@ def test_every_command_reports_and_writes_documented_csv(tmp_path, command):
     stem = command.replace("-", "_")
     header = (tmp_path / f"{stem}.csv").read_text().splitlines()[0]
     assert header == _readme_csv_columns()[stem]
-    for key in ("suite", "phase", "n", "h", "order", "threads"):
+    for key in ("suite", "phase", "n", "h", "threads"):
         echoed = key not in _UNECHOED.get(command, ())
         assert (f"\n  {key} = " in res.output) == echoed, key
+    assert "\n  order = " not in res.output
 
 
 def test_verify_h_domain(tmp_path):
@@ -306,25 +315,64 @@ def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
     assert calls == {"weyl_unitary_matrix": 8, "toeplitz_matrix": 5}
 
 
-def test_verify_diag_two_variables_samples_no_grid(tmp_path, monkeypatch):
-    """At n = 2 the diagonal sums need no order^(2n) reference grid: the
-    suite passes at defaults and every grid it builds is one-axis."""
-    real = btlab.basis.complex_grid
-    dims = []
+def test_verify_two_variable_suites_build_no_grid(tmp_path, monkeypatch):
+    """Every compression is assembled from closed-form one-axis matrices:
+    gram, weyl, bound, diag and deformation pass at n = 2 defaults without
+    building a single quadrature grid."""
+    _no_quadrature(monkeypatch)
+    cfg = _write(tmp_path, {
+        "phase": {"seed": 7, "n": 2}, "h": 1.0,
+        "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]],
+    })
+    for suite in ("gram", "weyl", "bound", "diag", "deformation"):
+        res = CliRunner().invoke(
+            main, ["verify", suite, "--config", cfg, "--out", str(tmp_path)]
+        )
+        assert res.exit_code == 0, res.output
+        assert "[FAIL]" not in res.output
 
-    def one_axis_only(rule, n, sigma):
-        dims.append(n)
-        assert n == 1, "full tensor grid sampled"
-        return real(rule, n, sigma)
 
-    monkeypatch.setattr(btlab.basis, "complex_grid", one_axis_only)
-    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 2}, "h": 1.0})
-    res = CliRunner().invoke(
-        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
-    )
-    assert res.exit_code == 0, res.output
-    assert "[FAIL]" not in res.output
-    assert dims and set(dims) == {1}
+def _refused_small(tmp_path, suite, cfg):
+    """Run `suite` on cfg; return its exit code, output and the peak
+    traced allocation of the run in bytes."""
+    path = _write(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        res = CliRunner().invoke(
+            main, ["verify", suite, "--config", path, "--out", str(tmp_path)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return res.exit_code, res.output, peak
+
+
+def test_verify_refuses_oversized_truncation(tmp_path):
+    """N = 100000 would need a 100001^2 compression: the index count is
+    refused before any index or matrix is built."""
+    code, output, peak = _refused_small(tmp_path, "gram", dict(FOCK, N=100000))
+    assert code == 2, output
+    assert "InvalidConfig" in output and "100001 basis indices" in output
+    assert peak < 2e6
+    assert not (tmp_path / "gram.csv").exists()
+
+
+def test_verify_sw_refuses_oversized_box(tmp_path):
+    """At n = 3 even the coarsest default lambda box has 17^6 points.  At
+    n = 2 a step of 0.1 gives 161^4: it is refused before the box of the
+    first step, 1.0, is built (17^4 points, 2.7 MB)."""
+    code, output, peak = _refused_small(
+        tmp_path, "sw", {"phase": {"seed": 7, "n": 3}, "h": 1.0})
+    assert code == 2, output
+    assert "InvalidConfig" in output and f"{17 ** 6} points" in output
+    assert peak < 2e6
+    code, output, peak = _refused_small(tmp_path, "sw", {
+        "phase": {"seed": 7, "n": 2}, "h": 1.0,
+        "lambda_grid": {"steps": [1.0, 0.1]}})
+    assert code == 2, output
+    assert f"step 0.1 gives {161 ** 4} points" in output
+    assert peak < 2e6
+    assert not (tmp_path / "sw.csv").exists()
 
 
 def test_verify_diag_refuses_k_above_truncation(tmp_path):
@@ -431,7 +479,8 @@ def _no_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(btlab.bargmann, "complex_grid", refuse)
+    for mod in (btlab.quadrature, btlab.bargmann, btlab.heat):
+        monkeypatch.setattr(mod, "complex_grid", refuse)
     monkeypatch.setattr(btlab.bargmann, "_transform_kernel", refuse)
 
 
@@ -473,15 +522,15 @@ def test_verify_egorov_three_variables_passes_in_seconds(tmp_path,
 
 
 def test_verify_weyl_two_variables_passes_at_default_N(tmp_path):
-    """At N = 16 the n = 2 translations leak ~4.5e-4 into the inner block
-    whatever the order; the n >= 2 default N = 24 makes the suite pass."""
+    """At N = 16 the n = 2 translations leak ~4.5e-4 into the inner block;
+    the n >= 2 default N = 24 makes the suite pass."""
     runner = CliRunner()
     cfg = _write(tmp_path, {
         "phase": {"seed": 7, "n": 2}, "h": 1.0,
         "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]],
     })
     res = runner.invoke(main, ["verify", "weyl", "--config", cfg, "--out",
-                               str(tmp_path), "--order", "16"])
+                               str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert "  N = 24" in res.output
 
