@@ -17,9 +17,12 @@ pi^-n e^{-|z|^2} L(dz).
 The weight, the monomials, plane waves and phase-space translations all
 factor over the coordinates of W, so Gram, plane-wave Toeplitz and Weyl
 compressions are entrywise products (`separable_pair_sum`) of exact
-(N+1) x (N+1) one-axis matrices (`axis_matrix`, from the Berger-Coburn
-composition law): no compression integrates anything.  `weighted_pair_sum`
-on a Gauss-Hermite tensor grid is the reference they are tested against.
+(N+1) x (N+1) one-axis matrices (`axis_matrices`, from the Berger-Coburn
+composition law): no compression integrates anything.  `separable_pair_sum`
+takes every compression a caller needs at once, runs one stacked one-axis
+recurrence over their distinct factors, and yields the dense matrices one
+at a time.  `weighted_pair_sum` on a Gauss-Hermite tensor grid is the
+reference they are tested against.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ __all__ = [
     "u_alpha_eval",
     "monomial_table",
     "weighted_pair_sum",
-    "axis_matrix",
+    "axis_matrices",
     "separable_pair_sum",
     "gram_matrix",
 ]
@@ -167,10 +170,10 @@ def weighted_pair_sum(
     return out
 
 
-def axis_matrix(h: float, N: int, shift: complex, mu: complex,
-                nu: complex) -> np.ndarray:
-    """A[b, a] = <v_b, e^{i Re(w mu) + nu w} v_a(w - shift)> in the Fock
-    inner product, degrees 0..N of one variable w = r z, r = sqrt(h/2).
+def axis_matrices(h: float, N: int, factors) -> np.ndarray:
+    """A[f, b, a] = <v_b, e^{i Re(w mu) + nu w} v_a(w - shift)> in the Fock
+    inner product, degrees 0..N of one variable w = r z, r = sqrt(h/2), for
+    each factor f = (shift, mu, nu): shape (len(factors), N+1, N+1).
 
     With alpha = (i mu/2 + nu) r and beta = (i/2) conj(mu) r the factor is
     e^{alpha z + beta conj(z)}, and the projection turns e^{beta conj(z)}
@@ -181,43 +184,81 @@ def axis_matrix(h: float, N: int, shift: complex, mu: complex,
     e^{|shift|^2/h}, so A is built along its diagonals instead,
     A[a+m, a] = e^{alpha beta} alpha^m sqrt(a!/(a+m)!) L_a^(m)(-alpha gamma)
     and A[a, a+m] the same with gamma for alpha, by the Laguerre recurrence
-    in a rescaled to keep every value O(1).
+    in a rescaled to keep every value O(1).  One (N+1)-step recurrence runs
+    over the whole stack; the per-factor scalars are formed one factor at a
+    time, so every slice is bit-identical to a one-factor call.
     """
     r = math.sqrt(h / 2.0)
-    alpha = (0.5j * mu + nu) * r
-    beta = 0.5j * np.conj(mu) * r
-    gamma = beta - shift / r
+    k = len(factors)
+    start = np.empty((k, 2, 1), dtype=complex)  # alpha, gamma
+    scale = np.empty((k, 1, 1), dtype=complex)  # e^{alpha beta}
+    ag = np.empty((k, 1, 1), dtype=complex)  # alpha gamma
+    for f, (shift, mu, nu) in enumerate(factors):
+        alpha = (0.5j * mu + nu) * r
+        beta = 0.5j * np.conj(mu) * r
+        gamma = beta - shift / r
+        start[f, :, 0] = alpha, gamma
+        scale[f] = np.exp(alpha * beta)
+        ag[f] = alpha * gamma
     m = np.arange(N + 1)
-    # F_0[z][m] = e^{alpha beta} z^m / sqrt(m!) for z = alpha, gamma
-    F = np.exp(alpha * beta) * np.cumprod(np.concatenate(
-        (np.ones((2, 1)), np.array([[alpha], [gamma]]) / np.sqrt(m[1:])),
-        axis=1), axis=1)
-    A = np.empty((N + 1, N + 1), dtype=complex)
+    # F_0[f][z][m] = e^{alpha beta} z^m / sqrt(m!) for z = alpha, gamma
+    F = scale * np.cumprod(np.concatenate(
+        (np.ones((k, 2, 1)), start / np.sqrt(m[1:])), axis=2), axis=2)
+    A = np.empty((k, N + 1, N + 1), dtype=complex)
     prev = back = 0.0
     for a in range(N + 1):
-        A[a:, a] = F[0, :N + 1 - a]  # A[a+m, a]
-        A[a, a:] = F[1, :N + 1 - a]  # A[a, a+m]
+        A[:, a:, a] = F[:, 0, :N + 1 - a]  # A[a+m, a]
+        A[:, a, a:] = F[:, 1, :N + 1 - a]  # A[a, a+m]
         # Laguerre step a -> a+1 on every diagonal m; back is sqrt(a (a+m))
         root = np.sqrt((a + 1) * (a + 1 + m))
-        prev, F = F, ((2 * a + 1 + alpha * gamma + m) * F - back * prev) / root
+        prev, F = F, ((2 * a + 1 + ag + m) * F - back * prev) / root
         back = root
     return A
 
 
-def separable_pair_sum(trunc: MultiIndexSet, h: float,
-                       terms) -> np.ndarray:
-    """OUT[b, a] = sum_t c_t prod_d A_{t,d}[b_d, a_d] for (c_t, axes_t) in
-    `terms`, with one factor (shift, mu, nu) per coordinate in axes_t and
-    A_{t,d} its `axis_matrix`: the Fock inner product on C^n of v_b and
-    sum_t c_t prod_d e^{i Re(W_d mu_d) + nu_d W_d} v_a(W - shift)."""
-    idx = np.array(trunc.indices).T
-    out = np.zeros((len(trunc), len(trunc)), dtype=complex)
-    for c, axes in terms:
-        block = np.full(out.shape, c, dtype=complex)
-        for col, factor in zip(idx, axes):
-            block *= axis_matrix(h, trunc.N, *factor).take(col, 0).take(col, 1)
-        out += block
+def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms) -> np.ndarray:
+    """sum_t c_t prod_d stack[rows_t[d]] gathered on the index columns
+    idx[d], for (c_t, rows_t) in `terms`: one matrix, built alone.  The
+    first term is written straight into the result, and each product keeps
+    the operand order c_t * A_1 * A_2 ..., which fixes its rounding."""
+    out = None
+    for c, rows in terms:
+        block = c
+        for col, row in zip(idx, rows):
+            # two takes gather faster than one np.ix_ index
+            gathered = stack[row].take(col, 0).take(col, 1)
+            block = np.multiply(block, gathered, out=gathered)
+        if out is None:
+            out = block
+        else:
+            out += block
+    if out is None:  # no terms: the zero operator
+        out = np.zeros((idx.shape[1],) * 2, dtype=complex)
     return out
+
+
+def separable_pair_sum(trunc: MultiIndexSet, h: float, *term_lists):
+    """Yield, for each list of terms in turn, the matrix
+    OUT[b, a] = sum_t c_t prod_d A_{t,d}[b_d, a_d] over its (c_t, axes_t),
+    with one factor (shift, mu, nu) per coordinate in axes_t and A_{t,d} that
+    factor's one-axis matrix: the Fock inner product on C^n of v_b and
+    sum_t c_t prod_d e^{i Re(W_d mu_d) + nu_d W_d} v_a(W - shift).
+
+    Equal factors are shared across all the lists, so one `axis_matrices`
+    call serves them all.  The dense matrices are built one at a time, on
+    demand, and this generator keeps none it has yielded: a caller that
+    drops a matrix before asking for the next never holds two.
+    """
+    rows = {}
+    for terms in term_lists:
+        for _, axes in terms:
+            for factor in axes:
+                rows.setdefault(factor, len(rows))
+    stack = axis_matrices(h, trunc.N, list(rows))
+    idx = np.array(trunc.indices).T
+    for terms in term_lists:
+        yield _dense_sum(stack, idx, [
+            (c, [rows[factor] for factor in axes]) for c, axes in terms])
 
 
 def gram_matrix(ctx: SpaceContext, trunc: MultiIndexSet) -> np.ndarray:
@@ -229,8 +270,8 @@ def gram_matrix(ctx: SpaceContext, trunc: MultiIndexSet) -> np.ndarray:
     phase, so the check sees both.
     """
     pref = ctx.CPhi * (np.pi / 2.0) ** ctx.n / abs(np.linalg.det(ctx.R)) ** 2
-    out = separable_pair_sum(trunc, ctx.h,
-                             [(1.0, ((0.0, 0.0, 0.0),) * ctx.n)])
+    out = next(separable_pair_sum(trunc, ctx.h,
+                                  [(1.0, ((0.0, 0.0, 0.0),) * ctx.n)]))
     # out[b, a] carries the conjugate on the first slot; <u_a, u_b>
     # conjugates the second, so transpose without conjugation.
     return pref * out.T

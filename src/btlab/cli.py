@@ -4,7 +4,10 @@ Determinism contract: identical config means byte-identical CSV.  Two
 ingredients make that hold: BLAS/OpenMP pools are pinned to one thread
 before numpy is first imported (the package __init__ is lazy so this module
 really does run first under the console entry point), and all assembly is
-serial, from closed-form one-axis matrices in a fixed order.  ``--threads``
+serial: each suite stacks the distinct one-axis factors of all its
+compressions in a fixed order (first use), runs one closed-form recurrence
+over them (one per h in ``deformation``), and builds the dense matrices
+one at a time in the order the suite reads them.  ``--threads``
 is accepted, validated and echoed, and ``verify --order`` is still parsed,
 but neither reaches anything below this module (no suite reads a quadrature
 order), so they cannot change the work or a single output bit.
@@ -46,12 +49,11 @@ from .geometry import (  # noqa: E402
 )
 from .heat import complex_box, sw_diagnostic, sw_l1, sw_l1_exact  # noqa: E402
 from .operators import (  # noqa: E402
-    bound_report,
+    bound_reports,
+    compressions,
     deformation_sweep,
     diagonal_sum_check,
-    toeplitz_matrix,
     weyl_conjugation_check,
-    weyl_unitary_matrix,
 )
 from .symbols import (  # noqa: E402
     PlaneWaveSum,
@@ -59,6 +61,7 @@ from .symbols import (  # noqa: E402
     cosine_symbol,
     sine_symbol,
     sup_norm,
+    translate,
 )
 
 
@@ -186,16 +189,23 @@ def _weyl(ctx, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     inner, tol = p.inner_degree, p.tol_weyl
     m = trunc.count_through_degree(inner)
-    Tb = toeplitz_matrix(ctx, p.symbol_b, trunc)
+    b = p.symbol_b
+    # T_b, then W(lam), W(-lam) and T_{b(. + lam)} per lambda, from one
+    # stacked recurrence; each lambda's matrices go before the next are built
+    mats = compressions(ctx, trunc, [b] + [
+        op for lam in p.lambda_list for op in (lam, -lam, translate(b, lam))])
+    Tb = next(mats)
     for lam in p.lambda_list:
-        Wp = weyl_unitary_matrix(ctx, lam, trunc)
-        Wm = weyl_unitary_matrix(ctx, -lam, trunc)
-        # inner columns, every row; no view of Wp outlives this iteration
+        Wp = next(mats)
+        # inner columns, every row
         unit = float(np.max(np.abs(
             Wp[:, :m].conj().T @ Wp[:, :m] - np.eye(m))))
+        Wm = next(mats)
         adj = float(np.max(np.abs(Wp[:m, :m].conj().T - Wm[:m, :m])))
-        conj = weyl_conjugation_check(ctx, p.symbol_b, lam, Wp, Tb, trunc,
-                                      drop=trunc.N - inner)
+        del Wm
+        conj = weyl_conjugation_check(ctx, b, lam, Wp, Tb, trunc,
+                                      drop=trunc.N - inner, Ts=next(mats))
+        del Wp
         lam_s = vector_text(lam)
         out.le(f"unitarity lambda={lam_s}", unit, tol)
         out.le(f"adjoint lambda={lam_s}", adj, tol)
@@ -205,8 +215,9 @@ def _weyl(ctx, p, out):
 
 
 def _bound(ctx, p, out):
-    for k, b in enumerate(p.symbols):
-        rep = bound_report(ctx, b, p.t_grid, p.n_schedule, slack=p.slack)
+    reports = bound_reports(ctx, p.symbols, p.t_grid, p.n_schedule,
+                            slack=p.slack)
+    for k, rep in enumerate(reports):
         label = f"b{k}"
         note = "" if rep.sup_attained else "upper_bound"
         if note:
@@ -227,14 +238,14 @@ def _bound(ctx, p, out):
 def _diag(ctx, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     tol = p.tol_diag
-    one = toeplitz_matrix(ctx, constant_symbol(1.0, ctx.n), trunc)
-    dev = float(np.max(np.abs(one - np.eye(len(trunc)))))
+    mats = compressions(ctx, trunc, [constant_symbol(1.0, ctx.n), *p.symbols])
+    dev = float(np.max(np.abs(next(mats) - np.eye(len(trunc)))))
     out.le("toeplitz identity max|T_1 - I|", dev, tol,
            row=["identity", "1", ""])
     for j, b in enumerate(p.symbols):
         label = f"b{j}"
-        M = toeplitz_matrix(ctx, b, trunc)
-        sides = diagonal_sum_check(ctx, b, M, trunc, range(p.k_max + 1))
+        sides = diagonal_sum_check(ctx, b, next(mats), trunc,
+                                   range(p.k_max + 1))
         for k, (lhs, rhs) in enumerate(sides):
             out.le(f"diagsum {label} k={k}", abs(lhs - rhs), tol,
                    row=["diagsum", label, k])

@@ -144,6 +144,12 @@ def _check_cond(name: str, M: np.ndarray):
         raise IllConditionedPhase(f"{name} has condition number {c:.3e}")
 
 
+def _check_h(h: float):
+    """Refuse a semiclassical parameter outside (0, 1] with ValueError."""
+    if not 0.0 < h <= 1.0:
+        raise ValueError(f"h must lie in (0, 1], got {h}")
+
+
 def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     """Derive all geometric fields and verify the internal identities.
 
@@ -151,8 +157,7 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     IllConditionedPhase when an inverted matrix has condition number
     above 1e12, and ValueError for h outside (0, 1].
     """
-    if not 0.0 < h <= 1.0:
-        raise ValueError(f"h must lie in (0, 1], got {h}")
+    _check_h(h)
     CI = validate_phase(phase)
     A, B, n = phase.A, phase.B, phase.n
     _check_cond("B", B)

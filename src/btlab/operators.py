@@ -12,7 +12,10 @@ orthonormal monomial basis v_alpha of the standard Fock space, and
 in the Fock inner product.  Toeplitz symbols are plane-wave sums, so for
 both kinds every factor splits over the coordinates of W and the matrix
 is a product of exact one-axis matrices (`basis.separable_pair_sum`);
-callable symbols are refused.  The right-hand side of
+callable symbols are refused.  `compressions` assembles any mix of both
+kinds from one stacked one-axis recurrence over their distinct factors
+and yields the matrices one at a time; the checks below hand it all
+their compressions at once.  The right-hand side of
 `diagonal_sum_check` is closed form.
 
 Identity checks (conjugation, deformation residuals) are read off an inner
@@ -26,14 +29,20 @@ d m^2 work in place of d^3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .basis import MultiIndexSet, enumerate_multiindices, separable_pair_sum
 from .errors import InvalidConfig
-from .geometry import PhaseMatrices, SpaceContext, build_context, freq_image
+from .geometry import (
+    PhaseMatrices,
+    SpaceContext,
+    _check_h,
+    build_context,
+    freq_image,
+)
 from .heat import heat_flow
 from .symbols import (
     _require_plane_waves,
@@ -48,6 +57,7 @@ __all__ = [
     "NormTable",
     "BoundReport",
     "SweepResult",
+    "compressions",
     "toeplitz_matrix",
     "weyl_unitary_matrix",
     "operator_norm",
@@ -55,6 +65,7 @@ __all__ = [
     "norm_converged",
     "weyl_conjugation_check",
     "bound_report",
+    "bound_reports",
     "diagonal_sum_check",
     "deformation_residuals",
     "deformation_sweep",
@@ -68,36 +79,63 @@ def inner_block(entries: np.ndarray, trunc: MultiIndexSet,
     return entries[:m, :m]
 
 
+def _toeplitz_terms(ctx: SpaceContext, b):
+    """A term c e^{i Re<X, lam>} is c prod_d e^{i Re(W_d mu_d)} with
+    mu = R^-T lam."""
+    _require_plane_waves("toeplitz_matrix", b)
+    return [(c, tuple((0.0, complex(m), 0.0) for m in ctx.Rinv.T @ lam))
+            for c, lam in b.terms]
+
+
+def _weyl_terms(ctx: SpaceContext, lam):
+    """The shift W - c and the weight e^{(2/h)<W, cbar>}, c = R lam, per
+    coordinate, and the scale e^{-|c|^2/h} applied after the sum."""
+    c = ctx.R @ np.asarray(lam, dtype=complex).reshape(ctx.n)
+    axes = tuple((complex(cd), 0.0, (2.0 / ctx.h) * complex(np.conj(cd)))
+                 for cd in c)
+    return [(1.0, axes)], np.exp(-np.sum(np.abs(c) ** 2) / ctx.h)
+
+
+def _scaled(M: np.ndarray, scale) -> np.ndarray:
+    if scale is not None:
+        M *= scale
+    return M
+
+
+def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops):
+    """Yield the matrix of each op in turn over `trunc`: the Toeplitz
+    compression of a plane-wave sum, or the translation unitary of a
+    displacement given as an array lam of shape (n,).
+
+    All of them come from one stacked one-axis recurrence over their
+    distinct factors (`basis.separable_pair_sum`), and each is built only
+    when asked for, so a caller that drops a matrix before taking the next
+    holds one at a time.
+    """
+    lists, scales = [], []
+    for op in ops:
+        if isinstance(op, np.ndarray):
+            terms, scale = _weyl_terms(ctx, op)
+        else:
+            terms, scale = _toeplitz_terms(ctx, op), None
+        lists.append(terms)
+        scales.append(scale)
+    mats = separable_pair_sum(trunc, ctx.h, *lists)
+    for scale in scales:  # through a call, so this frame keeps no matrix
+        yield _scaled(next(mats), scale)
+
+
 def toeplitz_matrix(ctx: SpaceContext, b,
                     trunc: MultiIndexSet) -> np.ndarray:
     """Matrix of the multiplication-then-project operator for the
-    plane-wave sum b.
-
-    A term c e^{i Re<X, lam>} is c prod_d e^{i Re(W_d mu_d)} with
-    mu = R^-T lam, so the matrix is assembled axis by axis.
-    """
-    _require_plane_waves("toeplitz_matrix", b)
-    return separable_pair_sum(trunc, ctx.h, [
-        (c, tuple((0.0, complex(m), 0.0) for m in ctx.Rinv.T @ lam))
-        for c, lam in b.terms
-    ])
+    plane-wave sum b."""
+    return next(compressions(ctx, trunc, [b]))
 
 
 def weyl_unitary_matrix(ctx: SpaceContext, lam,
                         trunc: MultiIndexSet) -> np.ndarray:
-    """Matrix of the phase-space translation unitary for displacement lam.
-
-    Both the shift W - c and the weight e^{(2/h)<W, cbar>} factor over the
-    coordinates, so the matrix is assembled axis by axis.
-    """
-    lam = np.asarray(lam, dtype=complex).reshape(ctx.n)
-    c = ctx.R @ lam
-    out = separable_pair_sum(trunc, ctx.h, [
-        (1.0, tuple((complex(cd), 0.0, (2.0 / ctx.h) * complex(np.conj(cd)))
-                    for cd in c))
-    ])
-    out *= np.exp(-np.sum(np.abs(c) ** 2) / ctx.h)
-    return out
+    """Matrix of the phase-space translation unitary for displacement lam."""
+    return next(compressions(ctx, trunc, [np.asarray(lam, dtype=complex)]))
 
 
 def operator_norm(M: np.ndarray) -> float:
@@ -113,6 +151,23 @@ class NormTable:
     converged: bool
 
 
+def _schedule(ctx: SpaceContext, n_schedule: Sequence[int]):
+    """The validated schedule and the truncation at its largest N."""
+    ns = [int(N) for N in n_schedule]
+    if ns != sorted(ns) or len(set(ns)) != len(ns):
+        raise InvalidConfig("truncation schedule must be strictly increasing")
+    return ns, enumerate_multiindices(ctx.n, ns[-1])
+
+
+def _norm_table(M: np.ndarray, top: MultiIndexSet, ns,
+                rel_tol: float = 1e-3) -> NormTable:
+    norms = [operator_norm(inner_block(M, top, N)) for N in ns[-2:]]
+    last = norms[-1]
+    converged = (len(norms) == 2 and abs(last - norms[0])
+                 <= rel_tol * max(abs(last), 1e-300))
+    return NormTable(m_norm=last, converged=converged)
+
+
 def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
                    rel_tol: float = 1e-3) -> NormTable:
     """Compression norm at the largest N of a strictly increasing schedule,
@@ -122,26 +177,19 @@ def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
     leading principal block of the same matrix.  Earlier N are validated
     but not computed: no verdict reads them.
     """
-    ns = [int(N) for N in n_schedule]
-    if ns != sorted(ns) or len(set(ns)) != len(ns):
-        raise InvalidConfig("truncation schedule must be strictly increasing")
-    top = enumerate_multiindices(ctx.n, ns[-1])
-    M = toeplitz_matrix(ctx, b, top)
-    norms = [operator_norm(inner_block(M, top, N)) for N in ns[-2:]]
-    last = norms[-1]
-    converged = (len(norms) == 2 and abs(last - norms[0])
-                 <= rel_tol * max(abs(last), 1e-300))
-    return NormTable(m_norm=last, converged=converged)
+    ns, top = _schedule(ctx, n_schedule)
+    return _norm_table(toeplitz_matrix(ctx, b, top), top, ns, rel_tol)
 
 
 def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: np.ndarray,
                            Tb: np.ndarray, trunc: MultiIndexSet,
-                           drop: int = 4) -> float:
+                           drop: int = 4, Ts: np.ndarray = None) -> float:
     """Max entry deviation of W* T_b W against the translated-symbol matrix,
     formed on the block of degrees <= N - drop.  W is the translation by
-    lam and Tb the compression of b, both over `trunc`; only the translated
-    symbol's compression is assembled here."""
-    Ts = toeplitz_matrix(ctx, translate(b, lam), trunc)
+    lam and Tb the compression of b, both over `trunc`; the translated
+    symbol's compression Ts is assembled here unless it is passed in."""
+    if Ts is None:
+        Ts = toeplitz_matrix(ctx, translate(b, lam), trunc)
     m = trunc.count_through_degree(max(trunc.N - drop, 0))
     Wi = W[:, :m]
     return float(np.max(np.abs(Wi.conj().T @ (Tb @ Wi) - Ts[:m, :m])))
@@ -156,6 +204,32 @@ class BoundReport:
     sup_attained: bool  # False: every lhs is the upper bound sum |c_j|
 
 
+def bound_reports(ctx: SpaceContext, symbols, t_grid: Sequence[float],
+                  n_schedule: Sequence[int], slack: float = 0.02):
+    """Yield `bound_report` for each symbol in turn.  The t grid and the
+    schedule are checked before anything is built; the compressions at
+    max(N) then come from one stacked recurrence, one matrix at a time."""
+    for t in t_grid:
+        if not 0.5 < float(t) <= 1.0:
+            raise InvalidConfig(
+                f"bound check needs t in (1/2, 1], got {t}"
+            )
+    ts = [float(t) for t in t_grid]
+    ns, top = _schedule(ctx, n_schedule)
+    mats = compressions(ctx, top, symbols)
+    for b in symbols:
+        table = _norm_table(next(mats), top, ns)
+        rows, attained = [], []
+        for t in ts:
+            lhs, exact = sup_norm(heat_flow(ctx, b, t))
+            rhs = table.m_norm * (1.0 + slack) / (2.0 * t - 1.0) ** ctx.n
+            rows.append((t, lhs, rhs, rhs - lhs, lhs <= rhs))
+            attained.append(exact)
+        yield BoundReport(rows=tuple(rows), norm_table=table, slack=slack,
+                          passed=all(row[-1] for row in rows),
+                          sup_attained=all(attained))
+
+
 def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float],
                  n_schedule: Sequence[int],
                  slack: float = 0.02) -> BoundReport:
@@ -166,25 +240,7 @@ def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float],
     (`sup_attained`).  The compression norm M under-estimates the true
     operator norm, hence the slack on the right-hand side.
     """
-    for t in t_grid:
-        if not 0.5 < float(t) <= 1.0:
-            raise InvalidConfig(
-                f"bound check needs t in (1/2, 1], got {t}"
-            )
-    table = norm_converged(ctx, b, n_schedule)
-    rows = []
-    ok = True
-    attained = True
-    for t in t_grid:
-        t = float(t)
-        lhs, exact = sup_norm(heat_flow(ctx, b, t))
-        attained = attained and exact
-        rhs = table.m_norm * (1.0 + slack) / (2.0 * t - 1.0) ** ctx.n
-        passed = lhs <= rhs
-        ok = ok and passed
-        rows.append((t, lhs, rhs, rhs - lhs, passed))
-    return BoundReport(rows=tuple(rows), norm_table=table, slack=slack,
-                       passed=ok, sup_attained=attained)
+    return next(bound_reports(ctx, [b], t_grid, n_schedule, slack))
 
 
 def diagonal_sum_check(ctx: SpaceContext, b, M: np.ndarray,
@@ -219,12 +275,10 @@ def diagonal_sum_check(ctx: SpaceContext, b, M: np.ndarray,
 def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
                           drop: int = 4):
     """Spectral norms of the two second-order deformation defects,
-    formed on the block of degrees <= N - drop."""
-    Ta = toeplitz_matrix(ctx, a, trunc)
-    Tb = toeplitz_matrix(ctx, b, trunc)
-    Tab = toeplitz_matrix(ctx, multiply(a, b), trunc)
-    Tq = toeplitz_matrix(ctx, q_form(ctx, a, b), trunc)
-    Tpb = toeplitz_matrix(ctx, poisson(ctx, a, b), trunc)
+    formed on the block of degrees <= N - drop.  The five compressions
+    share one stacked recurrence."""
+    Ta, Tb, Tab, Tq, Tpb = compressions(ctx, trunc, [
+        a, b, multiply(a, b), q_form(ctx, a, b), poisson(ctx, a, b)])
     m = trunc.count_through_degree(max(trunc.N - drop, 0))
     ab = Ta[:m] @ Tb[:, :m]
     d1 = ab - Tab[:m, :m] + (ctx.h / 2.0) * Tq[:m, :m]
@@ -264,26 +318,30 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
                       N: int, drop: int = 4) -> SweepResult:
     """Deformation residuals across h, with log-log slope fits.
 
-    Contexts are rebuilt per h so every normalization constant tracks the
-    semiclassical parameter.  `commuting` names the pairs whose commutator
-    residual has no h^2 term to fit (see `_commute_exactly`).
+    No field of the space context but h itself depends on h, so the phase
+    is validated and its geometry derived once, after every h has been
+    checked, and each h gets a copy of that context.  `commuting` names the
+    pairs whose commutator residual has no h^2 term to fit (see
+    `_commute_exactly`).
     """
     hs = [float(h) for h in h_list]
     if len(hs) < 4 or any(x <= y for x, y in zip(hs, hs[1:])):
         raise InvalidConfig(
             "h sweep needs a strictly decreasing list of length >= 4"
         )
-    # build every context first, so an h outside (0, 1] fails before any work
-    ctxs = [build_context(phase, h) for h in hs]
+    for h in hs:  # an h outside (0, 1] fails before any work
+        _check_h(h)
+    base = build_context(phase, hs[0])
+    trunc = enumerate_multiindices(base.n, N)
     rows = []
-    for h, ctx in zip(hs, ctxs):
-        trunc = enumerate_multiindices(ctx.n, N)
-        r1, r2 = deformation_residuals(ctx, a, b, trunc, drop=drop)
+    for h in hs:
+        r1, r2 = deformation_residuals(replace(base, h=h), a, b, trunc,
+                                       drop=drop)
         rows.append((h, r1, r2))
     arr = np.asarray(rows, dtype=float)
     return SweepResult(
         rows=tuple(rows),
         slope1=_fit_slope(arr[:, 0], arr[:, 1]),
         slope2=_fit_slope(arr[:, 0], arr[:, 2]),
-        commuting=_commute_exactly(ctxs[0], a, b),
+        commuting=_commute_exactly(base, a, b),
     )

@@ -6,7 +6,7 @@ import pytest
 
 from btlab.basis import (
     MAX_BASIS,
-    axis_matrix,
+    axis_matrices,
     enumerate_multiindices,
     gram_matrix,
     monomial_table,
@@ -100,6 +100,30 @@ def test_multiindex_count_is_bounded():
             enumerate_multiindices(n, N)
 
 
+def _mixed_batch(h):
+    """A zero factor, Toeplitz and general factors, Weyl factors with
+    |shift|/r up to 5, and duplicates of some of them."""
+    r = math.sqrt(h / 2.0)
+    toeplitz = [(0.0, mu, 0.0) for mu in (1.4 - 0.6j, -0.3 + 2.0j, 2.0)]
+    weyl = [(s, 0.0, (2.0 / h) * np.conj(s))
+            for s in (5.0 * r, -3.0j * r, 5.0 * r * np.exp(0.7j))]
+    factors = [(0.0, 0.0, 0.0), *toeplitz, *weyl,
+               (0.3 - 0.2j, 0.7 + 0.4j, 0.2 - 0.5j)]
+    return factors + factors[::3]
+
+
+@pytest.mark.parametrize("h, N", [(1.0, 0), (0.5, 12), (0.1, 24)])
+def test_stacked_recurrence_equals_single_factors(h, N):
+    """One recurrence over a mixed stack gives, slice by slice, the same
+    bits as running it on each factor alone."""
+    batch = _mixed_batch(h)
+    stack = axis_matrices(h, N, batch)
+    assert stack.shape == (len(batch), N + 1, N + 1)
+    for A, factor in zip(stack, batch):
+        assert np.array_equal(A, axis_matrices(h, N, [factor])[0])
+    assert np.array_equal(stack[0], np.eye(N + 1))
+
+
 @pytest.mark.parametrize("h, shift, mu, nu", [
     (1.0, 0.0, 0.0, 0.0),
     (0.5, 0.0, 1.4 - 0.6j, 0.0),
@@ -109,9 +133,12 @@ def test_multiindex_count_is_bounded():
 def test_axis_matrix_obeys_composition_recurrence(h, shift, mu, nu):
     """Column 0 is e^{alpha beta} alpha^b / sqrt(b!) and column a+1 is
     (Z + beta - shift/r) (column a) / sqrt(a+1), the defining recurrence
-    of the one-axis compression; zero factors give the identity exactly."""
+    of the one-axis compression; zero factors give the identity exactly.
+    The factor is read from the middle of a mixed stack."""
     N = 12
-    A = axis_matrix(h, N, shift, mu, nu)
+    batch = _mixed_batch(h)
+    batch.insert(4, (shift, mu, nu))
+    A = axis_matrices(h, N, batch)[4]
     r = math.sqrt(h / 2.0)
     alpha, beta = (0.5j * mu + nu) * r, 0.5j * np.conj(mu) * r
     b = np.arange(N + 1)

@@ -9,9 +9,9 @@ import pytest
 from click.testing import CliRunner
 
 import btlab.bargmann
+import btlab.basis
 import btlab.cli
 import btlab.heat
-import btlab.operators
 import btlab.quadrature
 from btlab.cli import main
 from btlab.config import (
@@ -274,45 +274,52 @@ def test_verify_diag_suite(tmp_path):
     assert (tmp_path / "diag.csv").exists()
 
 
-def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
-    """One compression for the identity and one per default symbol: every
-    diagonal sum of a symbol reads the same matrix."""
-    calls = []
-    real = btlab.operators.toeplitz_matrix
+def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
+    """gram, diag, weyl and bound each run one `axis_matrices` recurrence
+    for all their compressions, and deformation one per h; equal factors
+    are shared, so weyl's translated symbols reuse T_b's frequency and the
+    five deformation compressions of each h stack only the frequencies
+    +-lambda and +-2 lambda of the default cos/sin pair."""
+    stacks = []
+    real = btlab.basis.axis_matrices
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counted(h, N, factors):
+        stacks.append(len(factors))
+        return real(h, N, factors)
 
-    for mod in (btlab.cli, btlab.operators):
-        monkeypatch.setattr(mod, "toeplitz_matrix", counted)
+    monkeypatch.setattr(btlab.basis, "axis_matrices", counted)
     cfg = _write(tmp_path, FOCK)
-    res = CliRunner().invoke(
-        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
-    )
+    # factors per stack: the n = 1 defaults of each suite
+    expected = {"gram": [1], "diag": [4], "weyl": [1 + 2 * 4],
+                "bound": [4], "deformation": [4] * 5}
+    for suite, sizes in expected.items():
+        stacks.clear()
+        res = CliRunner().invoke(
+            main, ["verify", suite, "--config", cfg, "--out", str(tmp_path)]
+        )
+        assert res.exit_code == 0, res.output
+        assert stacks == sizes, suite
+
+
+def test_verify_weyl_holds_few_dense_matrices(tmp_path):
+    """The two-variable weyl suite (N = 24, d = 325) with two lambdas
+    yields its matrices lazily and drops each lambda's before the next are
+    built: its traced peak stays under 9.9 MB, about six d^2 complex
+    arrays, while the seven matrices alone would take 11.8 MB at once."""
+    path = _write(tmp_path, {
+        "phase": {"seed": 7, "n": 2}, "h": 1.0,
+        "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]],
+    })
+    argv = ["verify", "weyl", "--config", path, "--out", str(tmp_path)]
+    CliRunner().invoke(main, argv)  # first use: imports and caches
+    tracemalloc.start()
+    try:
+        res = CliRunner().invoke(main, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert res.exit_code == 0, res.output
-    assert len(calls) == 4
-
-
-def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
-    """Per lambda the suite builds W(lambda), W(-lambda) and the translated
-    symbol's compression; T_b is built once per run."""
-    calls = {"weyl_unitary_matrix": 0, "toeplitz_matrix": 0}
-    for name in calls:
-        real = getattr(btlab.operators, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
-
-        for mod in (btlab.cli, btlab.operators):
-            monkeypatch.setattr(mod, name, counted)
-    cfg = _write(tmp_path, FOCK)
-    res = CliRunner().invoke(
-        main, ["verify", "weyl", "--config", cfg, "--out", str(tmp_path)]
-    )
-    assert res.exit_code == 0, res.output
-    assert calls == {"weyl_unitary_matrix": 8, "toeplitz_matrix": 5}
+    assert peak <= 9.9e6
 
 
 def test_verify_two_variable_suites_build_no_grid(tmp_path, monkeypatch):

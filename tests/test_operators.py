@@ -340,6 +340,32 @@ def test_sweep_schedule_guard():
         deformation_sweep(fock_phase(1, 1.0), a, a, [0.1, 0.2, 0.3, 0.4], 10)
 
 
+def test_sweep_derives_the_geometry_once(monkeypatch):
+    """A sweep builds one context and copies it per h, which gives the
+    residuals of a fresh context at each h bit for bit; an h outside
+    (0, 1] anywhere in the list fails before any context is built."""
+    phase, (a, b) = random_phase(2, 7), _cos_sin(2)
+    hs = [0.4, 0.3, 0.2, 0.1]
+    built = []
+    real = btlab.operators.build_context
+
+    def counted(ph, h):
+        built.append(h)
+        return real(ph, h)
+
+    monkeypatch.setattr(btlab.operators, "build_context", counted)
+    res = deformation_sweep(phase, a, b, hs, 6)
+    assert built == [0.4]
+    trunc = enumerate_multiindices(2, 6)
+    assert [row[1:] for row in res.rows] == [
+        deformation_residuals(build_context(phase, h), a, b, trunc)
+        for h in hs]
+    built.clear()
+    with pytest.raises(ValueError, match="h must lie in"):
+        deformation_sweep(phase, a, b, [0.4, 0.3, 0.2, -0.1], 6)
+    assert built == []
+
+
 _z = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 
 
