@@ -12,6 +12,7 @@ import btlab.bargmann
 import btlab.basis
 import btlab.cli
 import btlab.heat
+import btlab.operators
 import btlab.quadrature
 from btlab.cli import main
 from btlab.config import (
@@ -272,6 +273,49 @@ def test_verify_diag_suite(tmp_path):
     )
     assert res.exit_code == 0, res.output
     assert (tmp_path / "diag.csv").exists()
+
+
+def _count_built(monkeypatch):
+    """Count the matrices taken from `compressions`, by kind: translation
+    unitaries (array ops) and Toeplitz compressions (symbols)."""
+    built = {"weyl_unitary_matrix": 0, "toeplitz_matrix": 0}
+    real = btlab.operators.compressions
+
+    def counted(ctx, trunc, ops):
+        ops = list(ops)
+        for op, M in zip(ops, real(ctx, trunc, ops)):
+            kind = ("weyl_unitary_matrix" if isinstance(op, np.ndarray)
+                    else "toeplitz_matrix")
+            built[kind] += 1
+            yield M
+
+    for mod in (btlab.cli, btlab.operators):
+        monkeypatch.setattr(mod, "compressions", counted)
+    return built
+
+
+def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
+    """One compression for the identity and one per default symbol: every
+    diagonal sum of a symbol reads the same matrix."""
+    built = _count_built(monkeypatch)
+    cfg = _write(tmp_path, FOCK)
+    res = CliRunner().invoke(
+        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert built == {"weyl_unitary_matrix": 0, "toeplitz_matrix": 4}
+
+
+def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
+    """Per lambda the suite builds W(lambda), W(-lambda) and the translated
+    symbol's compression; T_b is built once per run."""
+    built = _count_built(monkeypatch)
+    cfg = _write(tmp_path, FOCK)
+    res = CliRunner().invoke(
+        main, ["verify", "weyl", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert built == {"weyl_unitary_matrix": 8, "toeplitz_matrix": 5}
 
 
 def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
