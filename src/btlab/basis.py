@@ -15,14 +15,13 @@ of the standard Fock space, whose inner product integrates against
 pi^-n e^{-|z|^2} L(dz).
 
 The weight, the monomials, plane waves and phase-space translations all
-factor over the coordinates of W, so Gram, plane-wave Toeplitz and Weyl
-compressions are entrywise products (`separable_pair_sum`) of exact
-(N+1) x (N+1) one-axis matrices (`axis_matrices`, from the Berger-Coburn
-composition law): no compression integrates anything.  `separable_pair_sum`
-takes every compression a caller needs at once, runs one stacked one-axis
-recurrence over their distinct factors, and yields the dense matrices one
-at a time.  `weighted_pair_sum` on a Gauss-Hermite tensor grid is the
-reference they are tested against.
+factor over the coordinates of W, so plane-wave Toeplitz and Weyl
+compressions are entrywise products of exact (N+1) x (N+1) one-axis
+matrices (`axis_matrices`, from the Berger-Coburn composition law): no
+compression integrates anything.  `operators.compressions` assembles them;
+the Gram matrix is the identity times a closed-form prefactor.
+`weighted_pair_sum` on a Gauss-Hermite tensor grid is the reference they
+are tested against.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ __all__ = [
     "monomial_table",
     "weighted_pair_sum",
     "axis_matrices",
-    "separable_pair_sum",
     "gram_matrix",
 ]
 
@@ -156,7 +154,7 @@ def weighted_pair_sum(
 ) -> np.ndarray:
     """OUT[b, a] = sum_k wt[k] conj(v_b(W_bra[:,k])) v_a(W_ket[:,k]).
 
-    The quadrature reference for `separable_pair_sum`: on a converged
+    The quadrature reference for `operators.compressions`: on a converged
     tensor grid it gives the same compressions times (pi h/2)^n.  The node
     axis is processed serially in fixed chunks, so a large grid never holds
     more than _CHUNK nodes of monomial tables at once.
@@ -216,63 +214,14 @@ def axis_matrices(h: float, N: int, factors) -> np.ndarray:
     return A
 
 
-def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms) -> np.ndarray:
-    """sum_t c_t prod_d stack[rows_t[d]] gathered on the index columns
-    idx[d], for (c_t, rows_t) in `terms`: one matrix, built alone.  The
-    first term is written straight into the result, and each product keeps
-    the operand order c_t * A_1 * A_2 ..., which fixes its rounding."""
-    out = None
-    for c, rows in terms:
-        block = c
-        for col, row in zip(idx, rows):
-            # two takes gather faster than one np.ix_ index
-            gathered = stack[row].take(col, 0).take(col, 1)
-            block = np.multiply(block, gathered, out=gathered)
-        if out is None:
-            out = block
-        else:
-            out += block
-    if out is None:  # no terms: the zero operator
-        out = np.zeros((idx.shape[1],) * 2, dtype=complex)
-    return out
-
-
-def separable_pair_sum(trunc: MultiIndexSet, h: float, *term_lists):
-    """Yield, for each list of terms in turn, the matrix
-    OUT[b, a] = sum_t c_t prod_d A_{t,d}[b_d, a_d] over its (c_t, axes_t),
-    with one factor (shift, mu, nu) per coordinate in axes_t and A_{t,d} that
-    factor's one-axis matrix: the Fock inner product on C^n of v_b and
-    sum_t c_t prod_d e^{i Re(W_d mu_d) + nu_d W_d} v_a(W - shift).
-
-    Equal factors are shared across all the lists, so one `axis_matrices`
-    call serves them all.  The dense matrices are built one at a time, on
-    demand, and this generator keeps none it has yielded: a caller that
-    drops a matrix before asking for the next never holds two.
-    """
-    rows = {}
-    for terms in term_lists:
-        for _, axes in terms:
-            for factor in axes:
-                rows.setdefault(factor, len(rows))
-    stack = axis_matrices(h, trunc.N, list(rows))
-    idx = np.array(trunc.indices).T
-    for terms in term_lists:
-        yield _dense_sum(stack, idx, [
-            (c, [rows[factor] for factor in axes]) for c, axes in terms])
-
-
 def gram_matrix(ctx: SpaceContext, trunc: MultiIndexSet) -> np.ndarray:
     """G[a, b] = <u_a, u_b> over H_Phi; identity for admissible phases.
 
-    The prefactor C_Phi (pi/2)^n / |det R|^2 is the squared normalization
-    of the u_alpha times the Jacobian of z = sqrt(2/h) RX and the pi^n of
-    the Fock measure.  It equals 1 exactly when C_Phi and R belong to the
-    phase, so the check sees both.
+    In the Fock frame the u_alpha are the orthonormal v_alpha times one
+    common constant.  Its square C_Phi (pi/2)^n / |det R|^2 collects the
+    normalization of the u_alpha, the Jacobian of z = sqrt(2/h) RX and the
+    pi^n of the Fock measure; it equals 1 exactly when C_Phi and R belong
+    to the phase, so the check sees both.
     """
     pref = ctx.CPhi * (np.pi / 2.0) ** ctx.n / abs(np.linalg.det(ctx.R)) ** 2
-    out = next(separable_pair_sum(trunc, ctx.h,
-                                  [(1.0, ((0.0, 0.0, 0.0),) * ctx.n)]))
-    # out[b, a] carries the conjugate on the first slot; <u_a, u_b>
-    # conjugates the second, so transpose without conjugation.
-    return pref * out.T
-
+    return pref * np.eye(len(trunc), dtype=complex)

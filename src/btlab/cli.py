@@ -4,10 +4,11 @@ Determinism contract: identical config means byte-identical CSV.  Two
 ingredients make that hold: BLAS/OpenMP pools are pinned to one thread
 before numpy is first imported (the package __init__ is lazy so this module
 really does run first under the console entry point), and all assembly is
-serial: each suite stacks the distinct one-axis factors of all its
-compressions in a fixed order (first use), runs one closed-form recurrence
-over them (one per h in ``deformation``), and builds the dense matrices
-one at a time in the order the suite reads them.  ``--threads``
+serial: each suite that reads compressions stacks the distinct one-axis
+factors of all of them in a fixed order (first use), runs one closed-form
+recurrence over them (one per h in ``deformation``), and builds the dense
+matrices one at a time in the order the suite reads them; ``gram`` reads
+its closed form and runs none.  ``--threads``
 is accepted, validated and echoed, and ``verify --order`` is still parsed,
 but neither reaches anything below this module (no suite reads a quadrature
 order), so they cannot change the work or a single output bit.
@@ -328,9 +329,10 @@ SUITES = {
         "lambda,unitarity_dev,adjoint_dev,conjugation_dev,threshold,passed",
         _weyl,
         lambda k: {
-            # n >= 2 translations leak ~4.5e-4 into the inner block at
-            # N = 16; N = 24 brings it to ~6e-10
-            "N": k.count("N", 16 if k.n == 1 else 24),
+            # a translation's degree band widens with |R lambda|^2 / h: at
+            # N = 16 the inner block leaks 1e-4 to 8e-4 at n = 1, h = 0.5
+            # and ~4.5e-4 at n = 2, h = 1; N = 24 brings both to ~1e-9
+            "N": k.count("N", 24),
             "inner_degree": k.count("inner_degree", 4),
             "tol_weyl": k.number("tol_weyl", 1e-5, lo=0),
             "lambda_list": k.vectors("lambda_list", [

@@ -14,6 +14,7 @@ import btlab.cli
 import btlab.heat
 import btlab.operators
 import btlab.quadrature
+import btlab.symbols
 from btlab.cli import main
 from btlab.config import (
     complex_entry,
@@ -319,11 +320,12 @@ def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
 
 
 def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
-    """gram, diag, weyl and bound each run one `axis_matrices` recurrence
-    for all their compressions, and deformation one per h; equal factors
-    are shared, so weyl's translated symbols reuse T_b's frequency and the
-    five deformation compressions of each h stack only the frequencies
-    +-lambda and +-2 lambda of the default cos/sin pair."""
+    """diag, weyl and bound each run one `axis_matrices` recurrence for
+    all their compressions, deformation one per h, and gram, a closed form,
+    none; equal factors are shared, so weyl's translated symbols reuse
+    T_b's frequency and the five deformation compressions of each h stack
+    only the frequencies +-lambda and +-2 lambda of the default cos/sin
+    pair."""
     stacks = []
     real = btlab.basis.axis_matrices
 
@@ -334,7 +336,7 @@ def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
     monkeypatch.setattr(btlab.basis, "axis_matrices", counted)
     cfg = _write(tmp_path, FOCK)
     # factors per stack: the n = 1 defaults of each suite
-    expected = {"gram": [1], "diag": [4], "weyl": [1 + 2 * 4],
+    expected = {"gram": [], "diag": [4], "weyl": [1 + 2 * 4],
                 "bound": [4], "deformation": [4] * 5}
     for suite, sizes in expected.items():
         stacks.clear()
@@ -343,6 +345,26 @@ def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
         )
         assert res.exit_code == 0, res.output
         assert stacks == sizes, suite
+
+
+def test_verify_bound_searches_witnesses_once_per_symbol(tmp_path,
+                                                         monkeypatch):
+    """The heat flow keeps the sup witnesses, so a default bound run
+    searches them once per symbol (3), not once per symbol and t (12)."""
+    searches = []
+    real = btlab.symbols._witnesses
+
+    def counted(b):
+        searches.append(b)
+        return real(b)
+
+    monkeypatch.setattr(btlab.symbols, "_witnesses", counted)
+    cfg = _write(tmp_path, FOCK)
+    res = CliRunner().invoke(
+        main, ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert len(searches) == 3
 
 
 def test_verify_weyl_holds_few_dense_matrices(tmp_path):
@@ -574,7 +596,7 @@ def test_verify_egorov_three_variables_passes_in_seconds(tmp_path,
 
 def test_verify_weyl_two_variables_passes_at_default_N(tmp_path):
     """At N = 16 the n = 2 translations leak ~4.5e-4 into the inner block;
-    the n >= 2 default N = 24 makes the suite pass."""
+    the default N = 24 makes the suite pass."""
     runner = CliRunner()
     cfg = _write(tmp_path, {
         "phase": {"seed": 7, "n": 2}, "h": 1.0,
@@ -585,6 +607,17 @@ def test_verify_weyl_two_variables_passes_at_default_N(tmp_path):
     assert res.exit_code == 0, res.output
     assert "  N = 24" in res.output
 
+
+
+def test_verify_weyl_one_variable_passes_at_default_N(tmp_path):
+    """At N = 16 the Fock translations at h = 0.5 leak 1e-4 to 8e-4 into
+    the inner block; the default N = 24, the same at every n, passes."""
+    cfg = _write(tmp_path, {"phase": {"preset": "fock", "beta": 1.0},
+                            "h": 0.5})
+    res = CliRunner().invoke(main, ["verify", "weyl", "--config", cfg,
+                                    "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "  N = 24" in res.output
 
 def test_csv_bytes_independent_of_threads(tmp_path):
     """Identical configs at different thread counts must serialize to the

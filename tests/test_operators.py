@@ -193,6 +193,30 @@ def test_weyl_conjugation_shallow_buffer_leaks(ex1, ex2):
     assert 0.01 < dev2 < 0.03
 
 
+
+@pytest.mark.parametrize("n, N", [(1, 12), (2, 6)])
+def test_compressions_equal_one_op_builds(n, N):
+    """One `compressions` call over a mixed list (a zero symbol, plane-wave
+    sums, translations by +-lambda, a translated symbol sharing T_b's
+    frequencies and a repeated op) yields, in order, exactly the matrices
+    of the one-op builds."""
+    ctx = build_context(random_phase(n, 11), 0.7)
+    trunc = enumerate_multiindices(n, N)
+    rng = np.random.default_rng(n)
+    lam = 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    b = PlaneWaveSum(n=n, terms=tuple(
+        (c, 0.8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        for c in (1.0, 0.5 - 0.3j)))
+    ops = [PlaneWaveSum(n=n, terms=()), b, lam, -lam, translate(b, lam),
+           cosine_symbol(lam, n), b, lam]
+    mats = list(btlab.operators.compressions(ctx, trunc, ops))
+    assert len(mats) == len(ops)
+    for op, M in zip(ops, mats):
+        build = (weyl_unitary_matrix if isinstance(op, np.ndarray)
+                 else toeplitz_matrix)
+        assert np.array_equal(M, build(ctx, op, trunc))
+    assert not mats[0].any()
+
 def test_composition_law_machine_precision():
     """T_{e_lam} T_{e_mu} = exp((h/8) lam^T (Phi''_XbarX)^{-1} conj(mu))
     T_{e_{lam+mu}} on a deep inner block.  This is the oracle behind the
