@@ -2,8 +2,8 @@
 
 Determinism contract: identical config means byte-identical CSV.  Two
 ingredients make that hold: BLAS/OpenMP pools are pinned to one thread
-before numpy is first imported (the package __init__ is lazy so this module
-really does run first under the console entry point), and all assembly is
+before numpy is first imported (the package __init__ imports nothing, so
+this module runs first under the console entry point), and all assembly is
 serial: each suite that reads compressions stacks the distinct one-axis
 factors of all of them in a fixed order (first use), runs one closed-form
 recurrence over them (one per h in ``deformation``), and builds the dense

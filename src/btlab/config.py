@@ -2,7 +2,7 @@
 
 Complex numbers are always [re, im] pairs, matrices row-major lists of rows,
 so a config is plain JSON with no custom syntax.  A phase block takes one of
-three forms:
+four forms:
 
     {"preset": "fock", "beta": 1.0}      built-in diagonal model
     {"preset": "heat"}                   built-in degenerate-weight model
@@ -10,6 +10,8 @@ three forms:
     {"n": 1, "A": [[[0,1]]], "B": [[[0,-2]]], "C": [[[0,2]]]}
 
 Numbers must be finite JSON numbers: booleans and strings are refused.
+A phase, grid or Gaussian object refuses fields it does not read, while
+unread top-level keys are ignored so that one config serves every suite.
 Every violation raises InvalidConfig; the CLI maps that to exit code 2.
 """
 
@@ -77,6 +79,15 @@ def _items(v, name: str, parse) -> list:
     return [parse(x, f"{name}[{k}]") for k, x in enumerate(v)]
 
 
+def _fields(spec: dict, name: str, allowed) -> None:
+    """Refuse a field of the object `spec` that no parse reads, so a
+    misspelled field cannot fall back to its default unnoticed."""
+    unknown = sorted(set(spec) - set(allowed))
+    if unknown:
+        raise InvalidConfig(f"{name}: unknown fields {unknown}; "
+                            f"expected some of {sorted(allowed)}")
+
+
 def complex_entry(obj, name: str) -> complex:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise InvalidConfig(f"{name}: complex values are [re, im] pairs")
@@ -108,14 +119,18 @@ def phase_from_config(block) -> PhaseMatrices:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidConfig("phase needs a positive integer n")
     if preset == "fock":
+        _fields(block, "phase", ("preset", "beta", "n"))
         beta = _number(block.get("beta", 1.0), "phase.beta", 0, above=True)
         return fock_phase(n, float(beta))
     if preset == "heat":
+        _fields(block, "phase", ("preset", "n"))
         return heat_phase(n)
     if preset is not None:
         raise InvalidConfig(f"unknown phase preset {preset!r}")
     if "seed" in block:
+        _fields(block, "phase", ("seed", "n"))
         return random_phase(n, _count(block["seed"], "phase.seed"))
+    _fields(block, "phase", ("n", "A", "B", "C"))
     missing = [k for k in ("A", "B", "C") if k not in block]
     if missing:
         raise InvalidConfig(f"phase is missing matrices: {missing}")
@@ -152,6 +167,7 @@ def symbol_from_config(spec, n: int, name: str = "symbol") -> PlaneWaveSum:
 def gaussian_from_config(spec, n: int, name: str = "gaussian") -> GaussianTestFn:
     if not isinstance(spec, dict):
         raise InvalidConfig(f"{name}: expected an object")
+    _fields(spec, name, ("y0", "sigma", "p0", "amp"))
     y0, p0 = (np.asarray(_items(spec.get(key, [0.0] * n), f"{name}.{key}",
                                 _number), dtype=float) for key in ("y0", "p0"))
     sigma = _number(spec.get("sigma", 1.0), f"{name}.sigma", 0, above=True)
@@ -224,13 +240,15 @@ class ConfigReader:
 
     def grid(self, key: str, lo: float, hi: float, step):
         """Box {"lo", "hi", "step"} in C^n with hi > lo and step > 0, absent
-        fields taking the defaults.  A list default `step` reads the field
-        "steps" instead: a nonempty list of spacings, kept as given.  A
-        spacing whose box has over MAX_BOX_POINTS points is refused.
-        Returns (lo, hi, step)."""
+        fields taking the defaults and other fields refused.  A list default
+        `step` reads the field "steps" instead: a nonempty list of spacings,
+        kept as given.  A spacing whose box has over MAX_BOX_POINTS points
+        is refused.  Returns (lo, hi, step)."""
         spec = self.cfg.get(key, {})
         if not isinstance(spec, dict):
             raise InvalidConfig(f"{key} must be an object")
+        _fields(spec, key, ("lo", "hi",
+                            "steps" if isinstance(step, list) else "step"))
         lo = float(_number(spec.get("lo", lo), f"{key}.lo"))
         hi = float(_number(spec.get("hi", hi), f"{key}.hi"))
         if not hi > lo:

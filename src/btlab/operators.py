@@ -62,8 +62,6 @@ __all__ = [
     "toeplitz_matrix",
     "weyl_unitary_matrix",
     "operator_norm",
-    "inner_block",
-    "norm_converged",
     "weyl_conjugation_check",
     "bound_report",
     "bound_reports",
@@ -71,13 +69,6 @@ __all__ = [
     "deformation_residuals",
     "deformation_sweep",
 ]
-
-
-def inner_block(entries: np.ndarray, trunc: MultiIndexSet,
-                keep_degree: int) -> np.ndarray:
-    """Leading principal block of all indices with degree <= keep_degree."""
-    m = trunc.count_through_degree(keep_degree)
-    return entries[:m, :m]
 
 
 def _terms(ctx: SpaceContext, op):
@@ -171,36 +162,6 @@ class NormTable:
     converged: bool
 
 
-def _schedule(ctx: SpaceContext, n_schedule: Sequence[int]):
-    """The validated schedule and the truncation at its largest N."""
-    ns = [int(N) for N in n_schedule]
-    if ns != sorted(ns) or len(set(ns)) != len(ns):
-        raise InvalidConfig("truncation schedule must be strictly increasing")
-    return ns, enumerate_multiindices(ctx.n, ns[-1])
-
-
-def _norm_table(M: np.ndarray, top: MultiIndexSet, ns,
-                rel_tol: float = 1e-3) -> NormTable:
-    norms = [operator_norm(inner_block(M, top, N)) for N in ns[-2:]]
-    last = norms[-1]
-    converged = (len(norms) == 2 and abs(last - norms[0])
-                 <= rel_tol * max(abs(last), 1e-300))
-    return NormTable(m_norm=last, converged=converged)
-
-
-def norm_converged(ctx: SpaceContext, b, n_schedule: Sequence[int],
-                   rel_tol: float = 1e-3) -> NormTable:
-    """Compression norm at the largest N of a strictly increasing schedule,
-    and whether it is within rel_tol of the norm at the N before it.
-
-    Nesting means one assembly at max(N) suffices; the smaller N is a
-    leading principal block of the same matrix.  Earlier N are validated
-    but not computed: no verdict reads them.
-    """
-    ns, top = _schedule(ctx, n_schedule)
-    return _norm_table(toeplitz_matrix(ctx, b, top), top, ns, rel_tol)
-
-
 def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: np.ndarray,
                            Tb: np.ndarray, trunc: MultiIndexSet,
                            drop: int = 4, Ts: np.ndarray = None) -> float:
@@ -219,7 +180,6 @@ def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: np.ndarray,
 class BoundReport:
     rows: tuple  # of (t, lhs, rhs, margin, passed)
     norm_table: NormTable
-    slack: float
     passed: bool
     sup_attained: bool  # False: every lhs is the upper bound sum |c_j|
 
@@ -227,27 +187,40 @@ class BoundReport:
 def bound_reports(ctx: SpaceContext, symbols, t_grid: Sequence[float],
                   n_schedule: Sequence[int], slack: float = 0.02):
     """Yield `bound_report` for each symbol in turn.  The t grid and the
-    schedule are checked before anything is built; the compressions at
-    max(N) then come from one stacked recurrence, one matrix at a time.
-    The heat flow damps the c_j by positive factors and keeps the lam_j,
-    so it keeps the sup witnesses (`sup_norm`): they are searched once per
-    symbol, and each t reads only sum |c_j(t)|."""
+    schedule are checked before anything is built.  Nesting means one
+    compression at max(N) per symbol suffices: the norms at the last two N
+    are taken on its leading principal blocks, and earlier N are validated
+    but not computed, since no verdict reads them.  The compressions come
+    from one stacked recurrence, one matrix at a time.  The heat flow damps
+    the c_j by positive factors and keeps the lam_j, so it keeps the sup
+    witnesses (`sup_norm`): they are searched once per symbol, and each t
+    reads only sum |c_j(t)|."""
     for t in t_grid:
         if not 0.5 < float(t) <= 1.0:
             raise InvalidConfig(
                 f"bound check needs t in (1/2, 1], got {t}"
             )
     ts = [float(t) for t in t_grid]
-    ns, top = _schedule(ctx, n_schedule)
+    ns = [int(N) for N in n_schedule]
+    if ns != sorted(ns) or len(set(ns)) != len(ns):
+        raise InvalidConfig("truncation schedule must be strictly increasing")
+    top = enumerate_multiindices(ctx.n, ns[-1])
+    blocks = [top.count_through_degree(N) for N in ns[-2:]]
     mats = compressions(ctx, top, symbols)
     for b in symbols:
-        table = _norm_table(next(mats), top, ns)
+        M = next(mats)
+        norms = [operator_norm(M[:m, :m]) for m in blocks]
+        del M  # before the next matrix is built
+        last = norms[-1]
+        table = NormTable(m_norm=last, converged=(
+            len(norms) == 2
+            and abs(last - norms[0]) <= 1e-3 * max(abs(last), 1e-300)))
         rows = []
         for t in ts:
             lhs = float(sum(abs(c) for c, _ in heat_flow(ctx, b, t).terms))
             rhs = table.m_norm * (1.0 + slack) / (2.0 * t - 1.0) ** ctx.n
             rows.append((t, lhs, rhs, rhs - lhs, lhs <= rhs))
-        yield BoundReport(rows=tuple(rows), norm_table=table, slack=slack,
+        yield BoundReport(rows=tuple(rows), norm_table=table,
                           passed=all(row[-1] for row in rows),
                           sup_attained=sup_norm(b)[1])
 

@@ -1,7 +1,9 @@
+import gc
 import json
 import re
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +119,8 @@ def test_symbol_and_gaussian_parsing():
         gaussian_from_config({"y0": [0.0], "sigma": -1.0, "p0": [0.0]}, 1)
     with pytest.raises(InvalidConfig):
         gaussian_from_config({"y0": ["0.4"]}, 1)
+    with pytest.raises(InvalidConfig, match="sgima"):
+        gaussian_from_config({"y0": [0.4], "sgima": 0.8}, 1)
 
 
 def test_space_info_command(tmp_path):
@@ -208,6 +212,16 @@ def test_verify_rejects_bad_inputs(tmp_path):
     ("gram", {"tol_gram": "1e-3"}),
     ("egorov", {"X_grid": {"step": 1e-4}}),
     ("sw", {"lambda_grid": {"lo": -1e308, "hi": 1e308}}),
+    # objects refuse fields they do not read
+    ("sw", {"lambda_grid": {"lo": -4, "hi": 4, "step": 0.5}}),
+    ("egorov", {"X_grid": {"steps": [0.5]}}),
+    ("gram", {"phase": {"preset": "fock", "seed": 7, "n": 2}}),
+    ("gram", {"phase": {"preset": "fock", "bta": 2.0}}),
+    ("gram", {"phase": {"preset": "heat", "beta": 2.0}}),
+    ("gram", {"phase": {"seed": 7, "n": 1, "beta": 2.0}}),
+    ("gram", {"phase": {"n": 1, "A": [[[0.0, 1.0]]], "B": [[[0.0, -2.0]]],
+                        "C": [[[0.0, 2.0]]], "seeds": 7}}),
+    ("egorov", {"gaussians": [{"y0": [0.0], "sgima": 0.5}]}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_verify_rejects_malformed_values(tmp_path, suite, extra):
     cfg = _write(tmp_path, {**FOCK, **extra})
@@ -317,6 +331,28 @@ def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
     )
     assert res.exit_code == 0, res.output
     assert built == {"weyl_unitary_matrix": 8, "toeplitz_matrix": 5}
+
+
+def test_verify_bound_holds_one_matrix_at_a_time(tmp_path, monkeypatch):
+    """bound drops each compression before it asks for the next, so a run
+    over several symbols keeps one d x d matrix alive at a time."""
+    real = btlab.operators.compressions
+    taken, alive = [], []
+
+    def watched(ctx, trunc, ops):
+        for M in real(ctx, trunc, ops):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in taken))
+            taken.append(weakref.ref(M))
+            yield M
+
+    monkeypatch.setattr(btlab.operators, "compressions", watched)
+    cfg = _write(tmp_path, FOCK)
+    res = CliRunner().invoke(
+        main, ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert alive == [0, 0, 0]
 
 
 def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):

@@ -31,8 +31,6 @@ from btlab.operators import (
     deformation_residuals,
     deformation_sweep,
     diagonal_sum_check,
-    inner_block,
-    norm_converged,
     operator_norm,
     toeplitz_matrix,
     weyl_conjugation_check,
@@ -154,7 +152,8 @@ def test_weyl_unitarity_deep_block_property(n, seed, h, z):
     lam = np.linalg.solve(ctx.R, np.sqrt(h) * np.array(z[:n]))
     trunc = enumerate_multiindices(n, 16 if n == 1 else 20)
     W = weyl_unitary_matrix(ctx, lam, trunc)
-    dev = inner_block(W.conj().T @ W - np.eye(len(trunc)), trunc, 4)
+    m = trunc.count_through_degree(4)
+    dev = (W.conj().T @ W - np.eye(len(trunc)))[:m, :m]
     assert np.max(np.abs(dev)) < 1e-8
 
 
@@ -225,6 +224,7 @@ def test_composition_law_machine_precision():
     la = np.array([0.9 + 0.2j])
     mu = np.array([-0.4 + 0.7j])
     trunc = enumerate_multiindices(1, 30)
+    m = trunc.count_through_degree(10)
     for phase in (fock_phase(1, 1.0), heat_phase(1)):
         ctx = build_context(phase, 0.6)
         G = np.linalg.inv(ctx.PhiXXbar.conj())
@@ -238,7 +238,7 @@ def test_composition_law_machine_precision():
         Tab = toeplitz_matrix(
             ctx, PlaneWaveSum(n=1, terms=((1.0, la + mu),)), trunc
         )
-        dev = operator_norm(inner_block(Ta @ Tb - fac * Tab, trunc, 10))
+        dev = operator_norm((Ta @ Tb - fac * Tab)[:m, :m])
         assert dev < 1e-12
 
 
@@ -250,20 +250,23 @@ def test_norm_schedule(ex1, monkeypatch):
         seen.append(len(M))
         return real(M)
 
+    def table(schedule):
+        return bound_report(ex1, cosine_symbol(1.0), [1.0],
+                            schedule).norm_table
+
     monkeypatch.setattr(btlab.operators, "operator_norm", counted)
-    table = norm_converged(ex1, cosine_symbol(1.0), range(8, 26, 2))
-    assert table.converged
-    assert abs(table.m_norm - 0.8727) < 5e-3
+    full = table(range(8, 26, 2))
+    assert full.converged
+    assert abs(full.m_norm - 0.8727) < 5e-3
     # only the two norms the verdict reads are taken, at N = 22 and 24
     assert seen == [23, 25]
     monkeypatch.undo()
-    assert table == norm_converged(ex1, cosine_symbol(1.0), [22, 24])
-    short = norm_converged(ex1, cosine_symbol(1.0), [10])
-    assert not short.converged
+    assert full == table([22, 24])
+    assert not table([10]).converged
     with pytest.raises(InvalidConfig):
-        norm_converged(ex1, cosine_symbol(1.0), [10, 10, 12])
+        table([10, 10, 12])
     with pytest.raises(InvalidConfig):
-        norm_converged(ex1, cosine_symbol(1.0), [12, 10])
+        table([12, 10])
 
 
 def test_bound_report_time_domain(ex1):
@@ -491,8 +494,10 @@ def test_inner_block_products_match_full_products(n, seed):
     trunc = enumerate_multiindices(n, N)
     a, b, lam = wave_sum(), wave_sum(), 0.5 * z(n)
 
+    m = trunc.count_through_degree(inner)
+
     def block(M):
-        return inner_block(M, trunc, inner)
+        return M[:m, :m]
 
     Tb = toeplitz_matrix(ctx, b, trunc)
     Wp = weyl_unitary_matrix(ctx, lam, trunc)
