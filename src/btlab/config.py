@@ -238,12 +238,14 @@ class ConfigReader:
         item = _count if integer else _number
         return self._read(key, default, lambda v, s: _items(v, s, item))
 
-    def grid(self, key: str, lo: float, hi: float, step):
+    def grid(self, key: str, lo: float, hi: float, step, axes: int):
         """Box {"lo", "hi", "step"} in C^n with hi > lo and step > 0, absent
         fields taking the defaults and other fields refused.  A list default
         `step` reads the field "steps" instead: a nonempty list of spacings,
-        kept as given.  A spacing whose box has over MAX_BOX_POINTS points
-        is refused.  Returns (lo, hi, step)."""
+        kept as given.  A spacing that puts over MAX_BOX_POINTS points on
+        the first `axes` real axes of the box (2n for a box that is built
+        whole, 1 for one that is summed axis by axis) is refused.  Returns
+        (lo, hi, step)."""
         spec = self.cfg.get(key, {})
         if not isinstance(spec, dict):
             raise InvalidConfig(f"{key} must be an object")
@@ -262,10 +264,11 @@ class ConfigReader:
                                  above=True))
             self.echo[key] = f"lo={lo:g} hi={hi:g} step={step:g}"
         for s in step if isinstance(step, list) else [step]:
-            size = box_size(lo, hi, s, self.n)
+            size = box_size(lo, hi, s, axes)
             if size > MAX_BOX_POINTS:
-                raise InvalidConfig(f"{key}: step {s} gives {size} points; at "
-                                    f"most {MAX_BOX_POINTS} are supported")
+                per = " per axis" if axes == 1 else ""
+                raise InvalidConfig(f"{key}: step {s} gives {size} points{per}"
+                                    f"; at most {MAX_BOX_POINTS} are supported")
         return lo, hi, step
 
     def symbol(self, key: str, default: PlaneWaveSum) -> PlaneWaveSum:

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
+# Largest n `random_phase` draws for; see its docstring.
+MAX_RANDOM_N = 5
 
 
 def _as_matrix(M, n: int) -> np.ndarray:
@@ -291,8 +293,14 @@ def random_phase(n: int, seed: int) -> PhaseMatrices:
 
     Rejection-samples until det B is bounded away from zero, cond(B) is
     small and the eigenvalues of the derived Phi''_XXbar sit in [0.2, 3.0],
-    which keeps default quadrature orders adequate.
+    which keeps default quadrature orders adequate.  The acceptance rate
+    falls fast with n: some seeds need 60,000 draws at n = 5, and seed 7
+    finds none in 400,000 at n = 6, so n >= 6 is refused with ValueError
+    before the first draw.
     """
+    if n > MAX_RANDOM_N:
+        raise ValueError(f"random phases are drawn for n <= {MAX_RANDOM_N}, "
+                         f"got n = {n}")
     rng = np.random.default_rng(seed)
     while True:
         S = rng.normal(size=(n, n))

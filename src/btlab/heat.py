@@ -36,12 +36,15 @@ __all__ = [
     "heat_damping",
     "sw_diagnostic",
     "sw_l1",
+    "sw_l1_box",
     "sw_l1_exact",
     "box_size",
     "complex_box",
 ]
 
-# Most points a box may hold; the n = 2 `sw` default has 65^4 = 17,850,625.
+# Most points a box may hold: all K^(2n) of an egorov `X_grid` (729 at the
+# n = 3 default), or the K points of one axis of the `sw` lambda_grid, which
+# `sw_l1_box` sums one axis at a time (65 at the default finest step).
 MAX_BOX_POINTS = 20_000_000
 
 
@@ -93,11 +96,12 @@ def heat_flow_quadrature(ctx: SpaceContext, b, t: float, order: int = 40):
     return CallableSymbol(n=ctx.n, func=val)
 
 
-def box_size(lo: float, hi: float, step: float, n: int = 1):
-    """Number of points `complex_box` returns, counted without building
-    any (inf when the count per axis overflows a float)."""
+def box_size(lo: float, hi: float, step: float, axes: int):
+    """Number of points on `axes` real axes of the box `complex_box`
+    walks (all of it at axes = 2n), counted without building any (inf
+    when the count per axis overflows a float)."""
     per_axis = (hi + step / 2 - lo) / step
-    return math.ceil(per_axis) ** (2 * n) if per_axis < math.inf else math.inf
+    return math.ceil(per_axis) ** axes if per_axis < math.inf else math.inf
 
 
 def complex_box(lo: float, hi: float, step: float, n: int = 1) -> np.ndarray:
@@ -129,28 +133,43 @@ def sw_diagnostic(ctx: SpaceContext, b, lam_grid) -> np.ndarray:
     the membership diagnostic for the symbol class behind the norm bounds.
     """
     _require_plane_waves("sw_diagnostic", b)
-    lam = np.asarray(lam_grid, dtype=complex)
-
-    def re_pair(w):
-        """Re<lam, w> at every grid point, from real parts only."""
-        return lam.real @ w.real - lam.imag @ w.imag
-
-    # One real value per point at a time, no (..., n) complex temporary:
-    # mu_d = <lam, r_d> over the rows r_d of R^-T, and
-    # |mu + mu_j|^2 = |mu|^2 + 2 Re<lam, R^-1 conj(mu_j)> + |mu_j|^2.
-    mu2 = sum(re_pair(r) ** 2 + re_pair(-1j * r) ** 2 for r in ctx.RTinv)
-    g = np.zeros(lam.shape[:-1])
-    for c, lam_j in b.terms:
-        mu_j = ctx.RTinv @ lam_j
-        shift = (2.0 * re_pair(ctx.Rinv @ np.conj(mu_j))
-                 + np.sum(np.abs(mu_j) ** 2))
-        g += abs(c) * np.exp(-ctx.h * (mu2 + shift) / 8.0)
-    return g * np.exp(-ctx.h * mu2 / 8.0)
+    lam = _as_points(lam_grid, ctx.n)
+    g = sum(abs(c) * heat_damping(ctx, lam + lam_j, 1.0)
+            for c, lam_j in b.terms)
+    return g * heat_damping(ctx, lam, 1.0)
 
 
 def sw_l1(g: np.ndarray, step: float, n: int = 1) -> float:
     """Riemann sum of g over the frequency grid it was sampled on."""
     return float(np.sum(g) * step ** (2 * n))
+
+
+def sw_l1_box(ctx: SpaceContext, b, lo: float, hi: float,
+              step: float) -> float:
+    """Riemann sum of the `sw_diagnostic` profile over lambda = R^T mu for
+    mu on the box [lo, hi]^(2n) of spacing `step` in the real coordinates
+    (Re mu, Im mu), with d lambda = |det R|^2 d mu.
+
+    Completing the square, term j of the profile is
+    exp(-h |mu_j|^2 / 16) prod_k exp(-h (x_k + a_jk / 2)^2 / 4) over the
+    2n real coordinates x_k of mu and a_jk of mu_j, so the sum over the
+    K^(2n) box points is a product of 2n sums of K points each: O(terms *
+    2n * K) work and O(K) memory at any n.  The box is the one
+    `complex_box(lo, hi, step, n)` walks, and the sum equals
+    `sw_l1(sw_diagnostic(ctx, b, mu_box @ ctx.R), step, n)` times
+    |det R|^2 up to rounding.
+    """
+    _require_plane_waves("sw_l1_box", b)
+    axis = np.arange(lo, hi + step / 2, step)
+    total = 0.0
+    for c, lam_j in b.terms:
+        mu_j = ctx.RTinv @ lam_j
+        term = abs(c) * float(heat_damping(ctx, lam_j, 0.5))
+        for a in (*mu_j.real, *mu_j.imag):
+            term *= np.sum(np.exp(-ctx.h * (axis + a / 2.0) ** 2 / 4.0))
+        total += term
+    jac = abs(np.linalg.det(ctx.R)) ** 2
+    return float(total * jac * step ** (2 * ctx.n))
 
 
 def sw_l1_exact(ctx: SpaceContext, b) -> float:

@@ -11,6 +11,7 @@ from btlab.heat import (
     heat_flow_quadrature,
     sw_diagnostic,
     sw_l1,
+    sw_l1_box,
     sw_l1_exact,
 )
 from btlab.symbols import (
@@ -190,3 +191,38 @@ def test_sw_profile_is_damped_term_sum(seed):
     ref = sum(abs(c) * heat_damping(ctx, lam + lj, 1.0) for c, lj in b.terms)
     ref = ref * heat_damping(ctx, lam, 1.0)
     assert np.max(np.abs(sw_diagnostic(ctx, b, lam) - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("n, lo, hi, step", [
+    (1, -4.0, 4.0, 0.5), (2, -4.0, 4.0, 0.5), (3, -3.0, 3.0, 1.0),
+])
+def test_sw_l1_box_matches_brute_force_sum(n, lo, hi, step):
+    """The per-axis product equals the Riemann sum of the profile over
+    every point of the mu box, mapped to lambda = R^T mu, times the
+    Jacobian |det R|^2 of that map."""
+    ctx = build_context(random_phase(n, 7), 0.7)
+    rng = np.random.default_rng(n)
+    b = plane_wave_sum([
+        (complex(*rng.normal(size=2)),
+         rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(3)],
+        n=n)
+    M = complex_box(lo, hi, step, n)
+    brute = (sw_l1(sw_diagnostic(ctx, b, M @ ctx.R), step, n)
+             * abs(np.linalg.det(ctx.R)) ** 2)
+    got = sw_l1_box(ctx, b, lo, hi, step)
+    assert abs(got - brute) <= 1e-13 * brute
+
+
+def test_sw_l1_box_constant_symbol_is_phase_independent():
+    """In mu the constant symbol's profile is exp(-h |mu|^2 / 4) for every
+    phase, and |det R|^2 scales the sum and the exact integral alike, so
+    the default box misses the exact integral by the same relative
+    amount on every phase."""
+    for n, h, seeds in ((1, 0.5, range(10)), (2, 1.0, range(5))):
+        b = constant_symbol(1.0, n)
+        devs = []
+        for seed in seeds:
+            ctx = build_context(random_phase(n, seed), h)
+            exact = sw_l1_exact(ctx, b)
+            devs.append((sw_l1_box(ctx, b, -8.0, 8.0, 0.25) - exact) / exact)
+        assert max(devs) - min(devs) <= 1e-12, devs
