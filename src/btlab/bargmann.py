@@ -25,11 +25,11 @@ import numpy as np
 
 from .errors import UnsupportedSymbol
 from .geometry import (
-    SpaceContext, _as_points, _qform, phase_phi, phi_weight, psi,
+    SpaceContext, _as_points, _qform, freq_image, phase_phi, phi_weight, psi,
 )
 from .heat import heat_flow
 from .quadrature import QuadratureRule, _tensor_grid, complex_grid
-from .symbols import _require_plane_waves, cotangent_frequencies, eval_symbol
+from .symbols import cotangent_frequencies, eval_symbol
 
 __all__ = [
     "GaussianTestFn",
@@ -182,7 +182,8 @@ def toeplitz_apply_weighted(ctx: SpaceContext, b, fw, X) -> np.ndarray:
 
     fw is X -> e^{-Phi(X)/h} f(X) for f in the weighted space.  A term
     e^{i Re<Y, lam>} is e^{(i/2)<Y, lam>} e^{(i/2)<Ybar, conj(lam)>}; with
-    a = (ih/4) (Phi''_XXbar)^-T conj(lam) the second half moves the kernel,
+    a = (ih/4) (Phi''_XXbar)^-T conj(lam) = (ih/4) R^-1 conj(mu), mu =
+    `freq_image(lam)`, the second half moves the kernel,
     2 Psi(X, Ybar)/h + (i/2)<Ybar, conj(lam)> = 2 Psi(X + a, Ybar)/h
     - (2<a, Phi''_XX X> + <a, Phi''_XX a>)/h, and Pi fixes the holomorphic
     e^{(i/2)<Y, lam>} f.  So each term is c exp(E) fw(X + a) with
@@ -190,13 +191,11 @@ def toeplitz_apply_weighted(ctx: SpaceContext, b, fw, X) -> np.ndarray:
     + (Phi(X + a) - Phi(X))/h: the Toeplitz composition law (Berger-Coburn,
     Trans. AMS 301, 1987) for the weight Phi, with no quadrature.
     """
-    _require_plane_waves("the closed-form Toeplitz action", b)
     X = _as_points(np.asarray(X, dtype=complex), ctx.n)
-    to_shift = (0.25j * ctx.h) * np.linalg.inv(ctx.PhiXXbar.T)
     phi = phi_weight(ctx, X)
     out = np.zeros(X.shape[:-1], dtype=complex)
     for c, lam in b.terms:
-        a = to_shift @ np.conj(lam)
+        a = (0.25j * ctx.h) * (ctx.Rinv @ np.conj(freq_image(ctx, lam)))
         Xa = X + a
         expo = 0.5j * (Xa @ lam) + (
             phi_weight(ctx, Xa) - phi
@@ -242,14 +241,14 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians,
     of u, the right side the sum of the terms' closed-form transforms.
     """
     symbols, gaussians = tuple(symbols), tuple(gaussians)
-    _require_plane_waves("the Egorov identity", *symbols)
+    pulled = [cotangent_frequencies(ctx, heat_flow(ctx, b, 0.5))
+              for b in symbols]  # refuses a callable before any transform
     if not all(isinstance(u, GaussianTestFn) for u in gaussians):
         raise UnsupportedSymbol(
             "the Egorov identity is closed-form only for Gaussian probes"
         )
     worst = np.zeros((len(symbols), len(gaussians)))
-    for j, b in enumerate(symbols):
-        freqs = cotangent_frequencies(ctx, heat_flow(ctx, b, 0.5))
+    for j, (b, freqs) in enumerate(zip(symbols, pulled)):
         for g, u in enumerate(gaussians):
             fw = lambda Y: gaussian_transform_weighted(ctx, u, Y)
             lhs = toeplitz_apply_weighted(ctx, b, fw, X_grid)

@@ -27,6 +27,7 @@ for _var in (
 ):
     os.environ.setdefault(_var, "1")
 
+import math  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -276,6 +277,7 @@ def _egorov(ctx, p, out):
                row=[f"b{j}", f"g{g}"])
 
 
+@np.errstate(over="ignore")  # a sum past the float range fails its check
 def _sw(ctx, p, out):
     lo, hi, steps = p.lambda_grid
     if not sup_norm(p.b)[1]:
@@ -284,20 +286,25 @@ def _sw(ctx, p, out):
     delta = float("nan")
     for step in steps:
         l1 = sw_l1_box(ctx, p.b, lo, hi, float(step))
-        if prev is not None:  # equal estimates (a zero symbol) agree exactly
-            delta = abs(l1 - prev) / abs(l1) if l1 != prev else 0.0
+        if prev is not None:  # equal estimates (a zero symbol) agree exactly,
+            same = l1 == prev and math.isfinite(l1)  # but inf == inf does not
+            delta = 0.0 if same else abs(l1 - prev) / abs(l1)
         out.rows.append([float(step), l1, delta, True])
         prev = l1
-    converged = bool(len(steps) < 2 or delta <= p.rel_tol)
+    finite = all(math.isfinite(row[1]) for row in out.rows)
+    converged = finite and bool(len(steps) < 2 or delta <= p.rel_tol)
     out.rows[-1][-1] = converged
     out.add(
         f"sw refinement rel_delta <= {p.rel_tol:g}", converged,
-        f"final estimate {prev:.6e}, last delta {delta:.3e}",
+        f"final estimate {prev:.6e}, last delta {delta:.3e}"
+        + ("" if finite else "; an estimate overflows a float"),
     )
     exact = sw_l1_exact(ctx, p.b)
     dev = abs(prev - exact) / exact if exact else abs(prev)
     out.add(f"sw closed-form L1 rel_dev <= {p.rel_tol:g}",
-            bool(dev <= p.rel_tol), f"exact {exact:.6e}, rel dev {dev:.3e}")
+            bool(dev <= p.rel_tol),
+            f"exact {exact:.6e}, rel dev {dev:.3e}"
+            + ("" if math.isfinite(exact) else "; it overflows a float"))
 
 
 @dataclass(frozen=True)

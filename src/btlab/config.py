@@ -2,7 +2,7 @@
 
 Complex numbers are always [re, im] pairs, matrices row-major lists of rows,
 so a config is plain JSON with no custom syntax.  A phase block takes one of
-four forms:
+four forms, each with n <= `geometry.MAX_N` (64):
 
     {"preset": "fock", "beta": 1.0}      built-in diagonal model
     {"preset": "heat"}                   built-in degenerate-weight model
@@ -25,7 +25,9 @@ import numpy as np
 
 from .bargmann import GaussianTestFn
 from .errors import InvalidConfig
-from .geometry import PhaseMatrices, fock_phase, heat_phase, random_phase
+from .geometry import (
+    MAX_N, PhaseMatrices, fock_phase, heat_phase, random_phase,
+)
 from .heat import MAX_BOX_POINTS, box_size
 from .symbols import PlaneWaveSum
 
@@ -118,6 +120,8 @@ def phase_from_config(block) -> PhaseMatrices:
     n = block.get("n", 1)
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InvalidConfig("phase needs a positive integer n")
+    if n > MAX_N:  # before any n x n matrix is built
+        raise InvalidConfig(f"phase needs n <= {MAX_N}, got n = {n}")
     if preset == "fock":
         _fields(block, "phase", ("preset", "beta", "n"))
         beta = _number(block.get("beta", 1.0), "phase.beta", 0, above=True)

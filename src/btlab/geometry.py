@@ -10,6 +10,8 @@ nonzero and C_I = (C - conj(C))/2i positive definite.  From these the weight
 Phi, its polarization Psi, the reduction matrix R and the normalization
 constants of the transform are derived.  Everything downstream works in the
 coordinates W = R X, where the space's Gaussian weight becomes exp(-2|W|^2/h).
+A frequency lam enters every plane-wave formula only through mu = R^-T lam
+(`freq_image`) and mu . conj(mu') (`freq_pairing`), the one frame map.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "kappa_affine",
     "theta_on_lambda",
     "freq_image",
+    "freq_pairing",
     "fock_phase",
     "heat_phase",
     "random_phase",
@@ -45,6 +48,7 @@ __all__ = [
 _COND_LIMIT = 1e12
 # Largest n `random_phase` draws for; see its docstring.
 MAX_RANDOM_N = 5
+MAX_N = 64  # largest n of any phase a config names; suites cap n far below
 
 
 def _as_matrix(M, n: int) -> np.ndarray:
@@ -125,7 +129,6 @@ class SpaceContext:
     PhiXX: np.ndarray
     R: np.ndarray
     Rinv: np.ndarray
-    RTinv: np.ndarray
     Cphi: float
     CPhi: float
     n: int = field(init=False)
@@ -171,7 +174,6 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     R = CIinvsqrt @ B.T / 2
     _check_cond("R", R)
     Rinv = np.linalg.inv(R)
-    RTinv = np.linalg.inv(R.T)
     detB = np.linalg.det(B)
     detCI = np.linalg.det(CI)
     Cphi = float(2 ** (-n / 2) * np.pi ** (-3 * n / 4)
@@ -179,7 +181,7 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     CPhi = float((2 / np.pi) ** n * np.linalg.det(PhiXXbar).real)
     ctx = SpaceContext(
         phase=phase, h=float(h), CI=CI, CIinv=CIinv, CIinvsqrt=CIinvsqrt,
-        PhiXXbar=PhiXXbar, PhiXX=PhiXX, R=R, Rinv=Rinv, RTinv=RTinv,
+        PhiXXbar=PhiXXbar, PhiXX=PhiXX, R=R, Rinv=Rinv,
         Cphi=Cphi, CPhi=CPhi,
     )
     _verify_context(ctx)
@@ -271,9 +273,15 @@ def theta_on_lambda(ctx: SpaceContext, X) -> np.ndarray:
 
 
 def freq_image(ctx: SpaceContext, lam) -> np.ndarray:
-    """Reduced frequency R^-T lam entering all heat-damping factors."""
-    lam = _as_points(lam, ctx.n)
-    return lam @ ctx.RTinv.T
+    """Reduced frequency mu = R^-T lam: e^{i Re<X, lam>} = e^{i Re<W, mu>}
+    at W = R X.  lam is one frequency or a batch with coordinates last."""
+    return _as_points(lam, ctx.n) @ ctx.Rinv
+
+
+def freq_pairing(ctx: SpaceContext, lam, mu) -> np.ndarray:
+    """freq_image(lam) . conj(freq_image(mu)), which is
+    <lam, (Phi''_XbarX)^-1 conj(mu)> since R^* R = Phi''_XbarX."""
+    return freq_image(ctx, lam) @ np.conj(freq_image(ctx, mu))
 
 
 def fock_phase(n: int, beta: float = 1.0) -> PhaseMatrices:

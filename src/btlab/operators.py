@@ -43,16 +43,10 @@ from .geometry import (
     _check_h,
     build_context,
     freq_image,
+    freq_pairing,
 )
 from .heat import heat_flow
-from .symbols import (
-    _require_plane_waves,
-    multiply,
-    poisson,
-    q_form,
-    sup_norm,
-    translate,
-)
+from .symbols import multiply, poisson, q_form, sup_norm, translate
 
 __all__ = [
     "NormTable",
@@ -82,8 +76,7 @@ def _terms(ctx: SpaceContext, op):
         axes = tuple((complex(cd), 0.0, (2.0 / ctx.h) * complex(np.conj(cd)))
                      for cd in c)
         return [(1.0, axes)], np.exp(-np.sum(np.abs(c) ** 2) / ctx.h)
-    _require_plane_waves("toeplitz_matrix", op)
-    return [(c, tuple((0.0, complex(m), 0.0) for m in ctx.Rinv.T @ lam))
+    return [(c, tuple((0.0, complex(m), 0.0) for m in freq_image(ctx, lam)))
             for c, lam in op.terms], None
 
 
@@ -290,13 +283,12 @@ class SweepResult:
 
 
 def _commute_exactly(ctx: SpaceContext, a, b) -> bool:
-    """Whether the composition-law factor exp((h/8) lam^T G conj(mu)),
-    G = (Phi''_XbarX)^-1, is symmetric for every term pair: then
-    T_a T_b - T_b T_a vanishes identically and so does {a, b}."""
-    G = np.linalg.inv(ctx.PhiXXbar.conj())
-    scale = 1e-12 * np.linalg.norm(G, 2)
+    """Whether the composition-law factor exp((h/8) freq_pairing(lam, mu))
+    is symmetric for every term pair: then T_a T_b - T_b T_a vanishes
+    identically and so does {a, b}.  ||R^-1||_2^2 = ||(Phi''_XbarX)^-1||_2."""
+    scale = 1e-12 * np.linalg.norm(ctx.Rinv, 2) ** 2
     return all(
-        abs(la @ G @ np.conj(lb) - lb @ G @ np.conj(la))
+        abs(freq_pairing(ctx, la, lb) - freq_pairing(ctx, lb, la))
         <= scale * np.linalg.norm(la) * np.linalg.norm(lb)
         for _, la in a.terms for _, lb in b.terms
     )

@@ -15,20 +15,23 @@ Wiener-type symbol algebra, the class the paper's estimates are stated in.
 
 Callable symbols are references only: they can be evaluated and
 heat-flowed by quadrature, which gives the closed forms an independent
-check, and every operation of the calculus, the Toeplitz compression
-included, refuses them.  `wirtinger_fd` differentiates any function
-numerically, for tests of the closed forms of Q and the bracket.
+check.  Every operation of the calculus reads `terms`, which a
+`CallableSymbol` refuses with UnsupportedSymbol.  `wirtinger_fd`
+differentiates any function numerically, for tests of Q and the bracket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonFiniteSample, UnsupportedSymbol
-from .geometry import SpaceContext, _as_points, kappa_affine
+from .geometry import (
+    SpaceContext, _as_points, freq_image, freq_pairing, kappa_affine,
+)
 
 __all__ = [
     "PlaneWaveSum",
@@ -97,12 +100,12 @@ class CallableSymbol:
     n: int
     func: Callable
 
-
-def _require_plane_waves(what: str, *symbols) -> None:
-    if not all(isinstance(b, PlaneWaveSum) for b in symbols):
+    @property
+    def terms(self):
+        """Refused: only plane-wave sums have terms."""
         raise UnsupportedSymbol(
-            f"{what} needs plane-wave sums; callable symbols are references"
-            " only"
+            "the calculus needs plane-wave sums; callable symbols are"
+            " references only"
         )
 
 
@@ -151,14 +154,13 @@ def eval_symbol(b, X):
 
 def multiply(a, b):
     """Pointwise product."""
-    _require_plane_waves("multiply", a, b)
-    terms = [(ca * cb, la + lb) for ca, la in a.terms for cb, lb in b.terms]
+    terms = [(ca * cb, la + lb)
+             for (ca, la), (cb, lb) in product(a.terms, b.terms)]
     return PlaneWaveSum(n=a.n, terms=tuple(terms))
 
 
 def translate(b, lam):
     """b(. + lam)."""
-    _require_plane_waves("translate", b)
     lam = _freq(lam, b.n)
     return PlaneWaveSum(
         n=b.n,
@@ -230,7 +232,6 @@ def sup_norm(b) -> tuple:
     damping) and a common shift of the lam_j (modulation) change neither
     the phases nor the differences lam_j - lam_1, so they keep X* a witness.
     """
-    _require_plane_waves("sup_norm", b)
     value = float(sum(abs(c) for c, _ in b.terms))
     reached = np.max(np.abs(eval_symbol(b, _witnesses(b))))
     return value, bool(abs(reached - value) <= 1e-12 * value)
@@ -262,21 +263,16 @@ def q_form(ctx: SpaceContext, a, b):
     """Q(a, b) = <d_X a, (Phi''_XbarX)^-1 d_Xbar b> (bilinear pairing).
 
     Exact for plane-wave sums: the pair (c, lam), (d, mu) contributes
-    -1/4 <lam, G mubar> c d exp(i Re<X, lam+mu>) with G = (Phi''_XbarX)^-1.
+    -1/4 <lam, G mubar> c d exp(i Re<X, lam+mu>) with G = (Phi''_XbarX)^-1,
+    and <lam, G mubar> is `freq_pairing(ctx, lam, mu)`.
     """
-    _require_plane_waves("q_form", a, b)
-    G = np.linalg.inv(ctx.PhiXXbar.conj())
-    terms = []
-    for ca, la in a.terms:
-        for cb, lb in b.terms:
-            coef = -0.25 * (la @ G @ np.conj(lb)) * ca * cb
-            terms.append((coef, la + lb))
+    terms = [(-0.25 * freq_pairing(ctx, la, lb) * ca * cb, la + lb)
+             for (ca, la), (cb, lb) in product(a.terms, b.terms)]
     return PlaneWaveSum(n=ctx.n, terms=tuple(terms))
 
 
 def poisson(ctx: SpaceContext, a, b):
     """Bracket {a, b} = i Q(a, b) - i Q(b, a)."""
-    _require_plane_waves("poisson", a, b)
     qab = q_form(ctx, a, b)
     qba = q_form(ctx, b, a)
     terms = tuple((1j * c, lam) for c, lam in qab.terms) + tuple(
@@ -298,19 +294,18 @@ def cotangent_frequencies(ctx: SpaceContext, b) -> list:
     unique point with theta = (2/i)(Phi''_XXbar Y + Phi''_XX X); on the
     graph theta = Theta(X) of the weight it is Xbar.  The canonical map
     kappa_T (x, xi) -> (X, Theta) = (P x + Q xi, B x + A X) lands on that
-    graph, so Y = Mx x + Mxi xi is linear too, and the polarized exponent
-    is i(<x, p> + <xi, q>).  Refuses callable symbols.
+    graph, so Y = G (Kx x + Kxi xi), G = (Phi''_XXbar)^-1, is linear too,
+    and the polarized exponent is i(<x, p> + <xi, q>); G^T lambar is
+    R^-1 conj(mu), mu = R^-T lam, as in `toeplitz_apply_weighted`.
     """
-    _require_plane_waves("the cotangent pull-back", b)
     A, B = ctx.phase.A, ctx.phase.B
     P, Q = kappa_affine(ctx)
-    G = np.linalg.inv(ctx.PhiXXbar)
-    Mx = G @ (0.5j * (B + A @ P) - ctx.PhiXX @ P)
-    Mxi = G @ (0.5j * (A @ Q) - ctx.PhiXX @ Q)
+    Kx = 0.5j * (B + A @ P) - ctx.PhiXX @ P
+    Kxi = 0.5j * (A @ Q) - ctx.PhiXX @ Q
     out = []
     for c, lam in b.terms:
-        lb = np.conj(lam)
-        p = 0.5 * (P.T @ lam + Mx.T @ lb)
-        q = 0.5 * (Q.T @ lam + Mxi.T @ lb)
+        lb = ctx.Rinv @ np.conj(freq_image(ctx, lam))  # G^T lambar
+        p = 0.5 * (P.T @ lam + Kx.T @ lb)
+        q = 0.5 * (Q.T @ lam + Kxi.T @ lb)
         out.append((c, p, q))
     return out

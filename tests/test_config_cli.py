@@ -1,6 +1,9 @@
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -542,6 +545,61 @@ def test_verify_sw_checks_closed_form_l1(tmp_path):
     assert "[PASS] sw refinement rel_delta" in res.output
     assert "[FAIL] sw closed-form L1" in res.output
     assert f"exact {2.0 * np.pi:.6e}" in res.output
+
+
+def _cli_child(*args):
+    """Run the CLI in a new interpreter, where a RuntimeWarning prints as it
+    would for a user instead of raising as it does under pytest."""
+    src = str(Path(btlab.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "btlab.cli", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_verify_sw_fails_an_overflowing_estimate(tmp_path):
+    """At n = 30, h = 1e-9 every box sum overflows to inf; inf == inf must
+    not read as a converged refinement."""
+    cfg = _write(tmp_path, {
+        "phase": {"preset": "fock", "n": 30}, "h": 1e-9,
+        "lambda_grid": {"lo": -1e5, "hi": 1e5, "steps": [0.5, 0.25]}})
+    res = _cli_child("verify", "sw", "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "[PASS]" not in res.stdout
+    assert "[FAIL] sw refinement" in res.stdout
+    assert "an estimate overflows a float" in res.stdout
+    assert res.stderr == ""
+    rows = (tmp_path / "sw.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[1:] for r in rows] == [
+        ["inf", "nan", "true"], ["inf", "nan", "false"]]
+
+
+def test_verify_sw_fails_an_overflowing_exact_integral(tmp_path):
+    """At n = 64, h = 1e-5 the closed-form integral (4 pi / h)^n passes the
+    float range: the check fails and names it, sw.csv is still written and
+    no traceback escapes."""
+    cfg = _write(tmp_path, {"phase": {"preset": "fock", "n": 64}, "h": 1e-5})
+    res = _cli_child("verify", "sw", "--config", cfg, "--out", str(tmp_path))
+    assert res.returncode == 1, res.stdout + res.stderr
+    assert "Traceback" not in res.stderr
+    assert "[FAIL] sw closed-form L1" in res.stdout
+    assert "exact inf" in res.stdout and "overflows a float" in res.stdout
+    assert (tmp_path / "sw.csv").exists()
+
+
+def test_phase_dimension_is_bounded_before_allocation(tmp_path):
+    """Every phase form refuses n > 64 as invalid input, before an n x n
+    matrix is built."""
+    cfg = _write(tmp_path, {"phase": {"preset": "fock", "n": 1000000000}})
+    t0 = time.perf_counter()
+    res = CliRunner().invoke(main, ["space-info", "--config", cfg])
+    assert time.perf_counter() - t0 < 1.0
+    assert res.exit_code == 2, res.output
+    assert "InvalidConfig" in res.output and "n <= 64" in res.output
+    for block in ({"preset": "heat", "n": 65}, {"seed": 0, "n": 65},
+                  {"n": 65, "A": [], "B": [], "C": []}):
+        with pytest.raises(InvalidConfig, match="n <= 64"):
+            phase_from_config(block)
 
 
 def test_verify_sw_zero_symbol(tmp_path):

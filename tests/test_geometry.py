@@ -16,6 +16,7 @@ from btlab.geometry import (
     build_context,
     fock_phase,
     freq_image,
+    freq_pairing,
     heat_phase,
     kappa_T,
     kappa_affine,
@@ -137,6 +138,34 @@ def test_freq_image_fock_scaling():
         ctx = build_context(fock_phase(1, beta), 1.0)
         got = np.abs(freq_image(ctx, lam)[0, 0]) ** 2
         assert abs(got - 2.0 * abs(lam[0, 0]) ** 2 / beta) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_map_matches_inverse_hessian_forms(n):
+    """The reduced-frame forms equal the inverse-Hessian forms they
+    replace: the pairing <lam, (Phi''_XbarX)^-1 conj(mu)>, the
+    composition-law shift (ih/4) (Phi''_XXbar)^-T conj(lam), and
+    G = (Phi''_XXbar)^-1 = conj(R^-1) R^-T of the cotangent pull-back."""
+    ctx = build_context(random_phase(n, 7), 0.7)
+    rng = np.random.default_rng(n)
+    lam, mu = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+
+    def close(got, ref):
+        scale = max(np.max(np.abs(ref)), 1e-300)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    Hinv = np.linalg.inv(ctx.PhiXXbar)
+    close(freq_pairing(ctx, lam, mu), lam @ Hinv.conj() @ np.conj(mu))
+    close(freq_pairing(ctx, lam, lam),
+          np.sum(np.abs(freq_image(ctx, lam)) ** 2))
+    shift = (0.25j * ctx.h) * (ctx.Rinv @ np.conj(freq_image(ctx, lam)))
+    close(shift, (0.25j * ctx.h) * Hinv.T @ np.conj(lam))
+    close(np.conj(ctx.Rinv) @ ctx.Rinv.T, Hinv)
+    # batched frequencies map row by row
+    both = np.stack([lam, mu])
+    close(freq_image(ctx, both)[1], freq_image(ctx, mu))
+    close(freq_pairing(ctx, both, mu), np.array(
+        [freq_pairing(ctx, lam, mu), freq_pairing(ctx, mu, mu)]))
 
 
 def test_rejects_nonsymmetric_blocks():

@@ -13,8 +13,17 @@ from hypothesis import strategies as st
 
 from conftest import rel_dev
 
+from btlab.bargmann import toeplitz_apply_weighted
+from btlab.basis import enumerate_multiindices
 from btlab.errors import NonFiniteSample, UnsupportedSymbol
-from btlab.heat import complex_box, heat_flow
+from btlab.heat import (
+    complex_box,
+    heat_flow,
+    sw_diagnostic,
+    sw_l1_box,
+    sw_l1_exact,
+)
+from btlab.operators import compressions, diagonal_sum_check
 from btlab.geometry import build_context, kappa_T, random_phase
 from btlab.symbols import (
     CallableSymbol,
@@ -152,14 +161,36 @@ _LAM = np.array([0.4 - 0.9j, 0.2 + 0.3j])
     lambda ctx, a: poisson(ctx, _REF, a),
     lambda ctx, a: heat_flow(ctx, _REF, 0.5),
     lambda ctx, a: sup_norm(_REF),
+    lambda ctx, a: sw_diagnostic(ctx, _REF, _LAM),
+    lambda ctx, a: sw_l1_box(ctx, _REF, -1.0, 1.0, 1.0),
+    lambda ctx, a: sw_l1_exact(ctx, _REF),
+    lambda ctx, a: toeplitz_apply_weighted(
+        ctx, _REF, lambda Y: np.ones(Y.shape[:-1]), _LAM),
+    lambda ctx, a: diagonal_sum_check(
+        ctx, _REF, np.eye(6), enumerate_multiindices(2, 2), [0, 1]),
+    lambda ctx, a: next(compressions(
+        ctx, enumerate_multiindices(2, 2), [a, _REF])),
 ], ids=["multiply", "translate", "q_form", "poisson", "heat_flow",
-        "sup_norm"])
+        "sup_norm", "sw_diagnostic", "sw_l1_box", "sw_l1_exact",
+        "toeplitz_apply_weighted", "diagonal_sum_check", "compressions"])
 def test_calculus_refuses_callables(op):
     """Callable symbols are references only: every operation of the
-    calculus refuses them instead of building a black-box result."""
+    calculus refuses them instead of building a black-box result.  The
+    one refusal is `CallableSymbol.terms`, so it reaches every consumer."""
     ctx, a, _ = _pair()
     with pytest.raises(UnsupportedSymbol, match="plane-wave sums"):
         op(ctx, a)
+
+
+def test_zero_sum_does_not_hide_a_callable():
+    """Both factors' terms are read before any pair is formed, so a zero
+    plane-wave sum (no terms) still meets the refusal."""
+    ctx, _, _ = _pair()
+    zero = PlaneWaveSum(n=2, terms=())
+    for op in (lambda: multiply(zero, _REF), lambda: q_form(ctx, zero, _REF),
+               lambda: poisson(ctx, zero, _REF)):
+        with pytest.raises(UnsupportedSymbol, match="plane-wave sums"):
+            op()
 
 
 def test_callable_must_return_one_value_per_point():
