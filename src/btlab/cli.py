@@ -289,9 +289,9 @@ def _sw(ctx, p, out):
         if prev is not None:  # equal estimates (a zero symbol) agree exactly,
             same = l1 == prev and math.isfinite(l1)  # but inf == inf does not
             delta = 0.0 if same else abs(l1 - prev) / abs(l1)
-        out.rows.append([float(step), l1, delta, True])
+        out.rows.append([float(step), l1, delta, math.isfinite(l1)])
         prev = l1
-    finite = all(math.isfinite(row[1]) for row in out.rows)
+    finite = all(row[-1] for row in out.rows)  # each row's isfinite
     converged = finite and bool(len(steps) < 2 or delta <= p.rel_tol)
     out.rows[-1][-1] = converged
     out.add(
@@ -378,8 +378,12 @@ SUITES = {
             "drop": k.count("drop", 4),
             "slope_min": k.number("slope_min", 1.8),
             "h_list": k.numbers("h_list", [0.4, 0.28, 0.2, 0.14, 0.1]),
-            "a": k.symbol("a", cosine_symbol(_e1(k.n), k.n)),
-            "b": k.symbol("b", sine_symbol(_e1(k.n), k.n)),
+            # a pair that does not commute, so r2 carries the Poisson
+            # bracket and its slope is checked at defaults
+            "a": k.symbol("a", PlaneWaveSum(n=k.n, terms=(
+                (0.7, _e1(k.n, 1 + 0.4j)),))),
+            "b": k.symbol("b", PlaneWaveSum(n=k.n, terms=(
+                (0.5 - 0.2j, _e1(k.n, -0.6 + 0.8j)),))),
         },
         h=False),
     "egorov": Suite(

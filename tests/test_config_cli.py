@@ -363,8 +363,8 @@ def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
     all their compressions, deformation one per h, and gram, a closed form,
     none; equal factors are shared, so weyl's translated symbols reuse
     T_b's frequency and the five deformation compressions of each h stack
-    only the frequencies +-lambda and +-2 lambda of the default cos/sin
-    pair."""
+    only the frequencies lambda_a, lambda_b and lambda_a + lambda_b of the
+    default one-wave pair."""
     stacks = []
     real = btlab.basis.axis_matrices
 
@@ -376,7 +376,7 @@ def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
     cfg = _write(tmp_path, FOCK)
     # factors per stack: the n = 1 defaults of each suite
     expected = {"gram": [], "diag": [4], "weyl": [1 + 2 * 4],
-                "bound": [4], "deformation": [4] * 5}
+                "bound": [4], "deformation": [3] * 5}
     for suite, sizes in expected.items():
         stacks.clear()
         res = CliRunner().invoke(
@@ -571,7 +571,7 @@ def test_verify_sw_fails_an_overflowing_estimate(tmp_path):
     assert res.stderr == ""
     rows = (tmp_path / "sw.csv").read_text().splitlines()[1:]
     assert [r.split(",")[1:] for r in rows] == [
-        ["inf", "nan", "true"], ["inf", "nan", "false"]]
+        ["inf", "nan", "false"], ["inf", "nan", "false"]]
 
 
 def test_verify_sw_fails_an_overflowing_exact_integral(tmp_path):
@@ -631,9 +631,11 @@ def test_verify_bound_csv_agrees_with_report(tmp_path):
 
 
 def test_verify_deformation_names_commuting_pair(tmp_path):
-    """The default cosine/sine pair commutes exactly, so its commutator
-    residual is named, not checked against slope_min."""
-    cfg = _write(tmp_path, FOCK)
+    """The cosine/sine pair commutes exactly, so its commutator residual
+    is named, not checked against slope_min."""
+    cfg = _write(tmp_path, dict(
+        FOCK, a=[[0.5, 0, 1, 0], [0.5, 0, -1, 0]],
+        b=[[0, -0.5, 1, 0], [0, 0.5, -1, 0]]))
     res = CliRunner().invoke(
         main, ["verify", "deformation", "--config", cfg, "--out",
                str(tmp_path)]

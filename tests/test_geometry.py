@@ -1,10 +1,15 @@
 """Closed forms for the two worked examples and the admissibility guards."""
 
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conftest import rel_dev
 
+from btlab.cli import main
+from btlab.config import phase_from_config
 from btlab.errors import (
     IllConditionedPhase,
     NonPositiveCI,
@@ -205,3 +210,25 @@ def test_h_domain():
         build_context(ph, 0.0)
     with pytest.raises(ValueError):
         build_context(ph, 1.5)
+
+
+# B and C_I are well conditioned (43.9 and 8.5), but cond Phi''_XbarX is
+# 1.01e4, so det Phi''_XbarX carries rounding of about 1e-12 relative.
+ANISOTROPIC = {
+    "n": 2, "A": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+    "B": [[[1.773, -3.716], [-1.499, -1.423]],
+          [[-2.399, -3.196], [-1.703, 0.762]]],
+    "C": [[[0, 0.046], [0, 0.046]], [[0, 0.046], [0, 0.317]]],
+}
+
+
+def test_admits_phase_with_rounding_in_the_derived_constants(tmp_path):
+    """A phase that is admissible and conditioned below 1e12 builds, even
+    though its two forms of C_Phi differ by about 1e-12 relative (1.35e-12
+    on a 2-vCPU x86-64 VM); space-info checks them at its own tolerance
+    and passes."""
+    build_context(phase_from_config(ANISOTROPIC), 1.0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"phase": ANISOTROPIC, "h": 1.0}))
+    res = CliRunner().invoke(main, ["space-info", "--config", str(cfg)])
+    assert res.exit_code == 0, res.output

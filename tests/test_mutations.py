@@ -1,0 +1,112 @@
+"""Planted bugs and the commands that catch them.
+
+Each case patches one function in-process, runs space-info and all seven
+verify suites on the Fock phase at h = 1 and on the seed-7 n = 1 phase at
+h = 0.5, and pins the exact set of commands that fail (exit 1).  No planted
+bug may turn into invalid input (exit 2): a wrong derived quantity must
+fail the suite that checks it, not every command.  A change that makes a
+suite blind to one of these bugs fails here instead of passing silently.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+import btlab.cli
+import btlab.geometry
+import btlab.heat
+import btlab.operators
+import btlab.symbols
+from btlab.cli import SUITES, main
+
+CONFIGS = {
+    "fock": {"phase": {"preset": "fock"}, "h": 1.0},
+    "seed7": {"phase": {"seed": 7, "n": 1}, "h": 0.5},
+}
+COMMANDS = [["space-info"]] + [["verify", s] for s in SUITES]
+
+
+def _inv_sqrt_scaled(monkeypatch):
+    real = btlab.geometry._inv_sqrt
+    monkeypatch.setattr(btlab.geometry, "_inv_sqrt",
+                        lambda M: 1.001 * real(M))
+
+
+def _cphi_scaled(monkeypatch):
+    real = btlab.cli.build_context
+
+    def build(phase, h):
+        ctx = real(phase, h)
+        return dataclasses.replace(ctx, CPhi=1.001 * ctx.CPhi)
+
+    monkeypatch.setattr(btlab.cli, "build_context", build)
+
+
+def _heat_rate_over_7(monkeypatch):
+    def damping(ctx, lam, t):
+        mu = btlab.geometry.freq_image(ctx, lam)
+        return np.exp(-t * ctx.h * np.sum(np.abs(mu) ** 2, axis=-1) / 7.0)
+
+    monkeypatch.setattr(btlab.heat, "heat_damping", damping)
+
+
+def _bracket_negated(monkeypatch):
+    real = btlab.symbols.poisson
+
+    def negated(ctx, a, b):
+        br = real(ctx, a, b)
+        return dataclasses.replace(
+            br, terms=tuple((-c, lam) for c, lam in br.terms))
+
+    monkeypatch.setattr(btlab.operators, "poisson", negated)
+
+
+def _q_form_scaled(monkeypatch):
+    real = btlab.symbols.q_form
+
+    def scaled(ctx, a, b):
+        q = real(ctx, a, b)
+        return dataclasses.replace(
+            q, terms=tuple((1.2 * c, lam) for c, lam in q.terms))
+
+    monkeypatch.setattr(btlab.operators, "q_form", scaled)
+
+
+def _translate_conjugated(monkeypatch):
+    def translate(b, lam):
+        lam = np.asarray(lam, dtype=complex).reshape(b.n)
+        return dataclasses.replace(b, terms=tuple(
+            (c * np.exp(-1j * np.real(lam @ mu)), mu) for c, mu in b.terms))
+
+    monkeypatch.setattr(btlab.cli, "translate", translate)
+
+
+MUTATIONS = {
+    "none": (lambda monkeypatch: None, set()),
+    "inv_sqrt_x1.001": (_inv_sqrt_scaled, {"space-info"}),
+    "cphi_x1.001": (_cphi_scaled, {"space-info", "gram"}),
+    "heat_rate_over_7": (_heat_rate_over_7, {"diag", "egorov"}),
+    "bracket_negated": (_bracket_negated, {"deformation"}),
+    "q_form_x1.2": (_q_form_scaled, {"deformation"}),
+    "translate_conjugated": (_translate_conjugated, {"weyl"}),
+}
+
+
+@pytest.mark.parametrize("bug", list(MUTATIONS))
+def test_planted_bug_fails_exactly_its_suites(bug, tmp_path, monkeypatch):
+    plant, expected = MUTATIONS[bug]
+    plant(monkeypatch)
+    for label, cfg in CONFIGS.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(cfg))
+        exits = {}
+        for cmd in COMMANDS:
+            res = CliRunner().invoke(
+                main, [*cmd, "--config", str(path), "--out", str(tmp_path)])
+            exits[cmd[-1]] = res.exit_code
+        assert 2 not in exits.values(), (label, exits)
+        caught = {name for name, code in exits.items() if code != 0}
+        assert caught == expected, (label, exits)
