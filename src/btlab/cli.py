@@ -7,8 +7,10 @@ this module runs first under the console entry point), and all assembly is
 serial: each suite that reads compressions stacks the distinct one-axis
 factors of all of them in a fixed order (first use), runs one closed-form
 recurrence over them (one per h in ``deformation``), and builds the dense
-matrices one at a time in the order the suite reads them; ``gram`` reads
-its closed form and runs none.  ``--threads``
+matrices one at a time in the order the suite reads them, each only on the
+leading block its checks read (``weyl`` and ``deformation`` read most of
+theirs on an inner degree block); ``gram`` reads its closed form and runs
+none.  ``--threads``
 is accepted, validated and echoed, and ``verify --order`` is still parsed,
 but neither reaches anything below this module (no suite reads a quadrature
 order), so they cannot change the work or a single output bit.
@@ -190,20 +192,21 @@ def _gram(ctx, p, out):
 def _weyl(ctx, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     inner, tol = p.inner_degree, p.tol_weyl
-    m = trunc.count_through_degree(inner)
+    d, m = len(trunc), trunc.count_through_degree(inner)
     b = p.symbol_b
     # T_b, then W(lam), W(-lam) and T_{b(. + lam)} per lambda, from one
-    # stacked recurrence; each lambda's matrices go before the next are built
+    # stacked recurrence, each built only on the block read from it: T_b
+    # whole, W(lam) on its inner columns, the other two on the inner block;
+    # each lambda's matrices go before the next are built
     mats = compressions(ctx, trunc, [b] + [
-        op for lam in p.lambda_list for op in (lam, -lam, translate(b, lam))])
+        op for lam in p.lambda_list for op in (lam, -lam, translate(b, lam))],
+        shapes=[(d, d)] + [(d, m), (m, m), (m, m)] * len(p.lambda_list))
     Tb = next(mats)
     for lam in p.lambda_list:
         Wp = next(mats)
-        # inner columns, every row
-        unit = float(np.max(np.abs(
-            Wp[:, :m].conj().T @ Wp[:, :m] - np.eye(m))))
+        unit = float(np.max(np.abs(Wp.conj().T @ Wp - np.eye(m))))
         Wm = next(mats)
-        adj = float(np.max(np.abs(Wp[:m, :m].conj().T - Wm[:m, :m])))
+        adj = float(np.max(np.abs(Wp[:m].conj().T - Wm)))
         del Wm
         conj = weyl_conjugation_check(ctx, b, lam, Wp, Tb, trunc,
                                       drop=trunc.N - inner, Ts=next(mats))

@@ -15,8 +15,9 @@ is a product of exact one-axis matrices (`basis.axis_matrices`); callable
 symbols are refused.  `compressions` is the one path from operators to
 matrices: it assembles any mix of both kinds from one stacked one-axis
 recurrence over their distinct factors and yields the matrices one at a
-time; the checks below hand it all their compressions at once.  The
-right-hand side of `diagonal_sum_check` is closed form.
+time, each only on the leading block its caller reads; the checks below
+hand it all their compressions at once.  The right-hand side of
+`diagonal_sum_check` is closed form.
 
 Identity checks (conjugation, deformation residuals) are read off an inner
 sub-truncation: a plane-wave Toeplitz matrix couples only a band of degrees,
@@ -24,7 +25,9 @@ so products of compressions agree with compressions of products away from
 the truncation boundary, and the outer shells carry pure edge error.  The
 products are also formed only there: the inner block of A B is
 A[:m] @ B[:, :m], which still sums over every index of the truncation, at
-d m^2 work in place of d^3.
+d m^2 work in place of d^3.  A compression read only on that block (a
+translated symbol; the deformation's T_ab, T_q and bracket) is assembled
+only there, and a translation only on its first m columns.
 """
 
 from __future__ import annotations
@@ -80,42 +83,53 @@ def _terms(ctx: SpaceContext, op):
             for c, lam in op.terms], None
 
 
-def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms,
-               scale) -> np.ndarray:
+def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms, scale,
+               shape) -> np.ndarray:
     """scale * sum_t c_t prod_d stack[rows_t[d]] gathered on the index
-    columns idx[d], for (c_t, rows_t) in `terms`: one matrix, built alone.
+    columns idx[d], for (c_t, rows_t) in `terms`: one matrix, built alone,
+    and only its leading (rows, cols) = `shape` block.
     The first term is written straight into the result, and each product
     keeps the operand order c_t * A_1 * A_2 ..., which fixes its rounding;
-    the scale, if not None, multiplies the finished sum."""
+    the scale, if not None, multiplies the finished sum.  Every entry of a
+    block is the same product as in the full matrix, so the block is
+    bit-identical to the full matrix sliced to `shape`."""
+    rows, cols = shape
     out = None
-    for c, rows in terms:
+    for c, factors in terms:
         block = c
-        for col, row in zip(idx, rows):
+        for col, f in zip(idx, factors):
             # two takes gather faster than one np.ix_ index
-            gathered = stack[row].take(col, 0).take(col, 1)
+            gathered = stack[f].take(col[:rows], 0).take(col[:cols], 1)
             block = np.multiply(block, gathered, out=gathered)
         if out is None:
             out = block
         else:
             out += block
     if out is None:  # no terms: the zero operator
-        out = np.zeros((idx.shape[1],) * 2, dtype=complex)
+        out = np.zeros(shape, dtype=complex)
     if scale is not None:
         out *= scale
     return out
 
 
-def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops):
+def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops,
+                 shapes=None):
     """Yield the matrix of each op in turn over `trunc`: the Toeplitz
     compression of a plane-wave sum, or the translation unitary of a
     displacement given as an array lam of shape (n,).
 
+    `shapes`, if given, holds one (rows, cols) per op, and only that
+    leading block of its matrix is built: with the graded order it is the
+    block of degrees <= some k, and it equals the full matrix sliced to
+    [:rows, :cols] bit for bit.  The default is the full (d, d).
     Equal factors are shared across all the ops, so one
     `basis.axis_matrices` call serves them all.  Each dense matrix is built
     only when asked for and this generator keeps none it has yielded, so a
     caller that drops a matrix before taking the next holds one at a time.
     """
     built = [_terms(ctx, op) for op in ops]
+    if shapes is None:
+        shapes = [(len(trunc), len(trunc))] * len(built)
     rows = {}
     for terms, _ in built:
         for _, axes in terms:
@@ -123,10 +137,10 @@ def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops):
                 rows.setdefault(factor, len(rows))
     stack = basis.axis_matrices(ctx.h, trunc.N, list(rows))
     idx = np.array(trunc.indices).T
-    for terms, scale in built:
+    for (terms, scale), shape in zip(built, shapes, strict=True):
         yield _dense_sum(stack, idx, [
             (c, [rows[factor] for factor in axes]) for c, axes in terms],
-            scale)
+            scale, shape)
 
 
 def toeplitz_matrix(ctx: SpaceContext, b,
@@ -159,12 +173,15 @@ def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: np.ndarray,
                            Tb: np.ndarray, trunc: MultiIndexSet,
                            drop: int = 4, Ts: np.ndarray = None) -> float:
     """Max entry deviation of W* T_b W against the translated-symbol matrix,
-    formed on the block of degrees <= N - drop.  W is the translation by
-    lam and Tb the compression of b, both over `trunc`; the translated
-    symbol's compression Ts is assembled here unless it is passed in."""
-    if Ts is None:
-        Ts = toeplitz_matrix(ctx, translate(b, lam), trunc)
+    formed on the block of degrees <= N - drop, of size m.  W is the
+    translation by lam over `trunc` (only its first m columns are read) and
+    Tb the compression of b; the translated symbol's compression Ts (only
+    its leading m x m block is read) is assembled here, at that block,
+    unless it is passed in."""
     m = trunc.count_through_degree(max(trunc.N - drop, 0))
+    if Ts is None:
+        Ts = next(compressions(ctx, trunc, [translate(b, lam)],
+                               shapes=[(m, m)]))
     Wi = W[:, :m]
     return float(np.max(np.abs(Wi.conj().T @ (Tb @ Wi) - Ts[:m, :m])))
 
@@ -263,14 +280,18 @@ def diagonal_sum_check(ctx: SpaceContext, b, M: np.ndarray,
 def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
                           drop: int = 4):
     """Spectral norms of the two second-order deformation defects,
-    formed on the block of degrees <= N - drop.  The five compressions
-    share one stacked recurrence."""
-    Ta, Tb, Tab, Tq, Tpb = compressions(ctx, trunc, [
-        a, b, multiply(a, b), q_form(ctx, a, b), poisson(ctx, a, b)])
+    formed on the block of degrees <= N - drop, of size m.  The five
+    compressions share one stacked recurrence; T_a and T_b are built in
+    full, since their products sum over every index, and T_ab, T_q and
+    the bracket's only on the m x m block."""
     m = trunc.count_through_degree(max(trunc.N - drop, 0))
+    d = len(trunc)
+    Ta, Tb, Tab, Tq, Tpb = compressions(ctx, trunc, [
+        a, b, multiply(a, b), q_form(ctx, a, b), poisson(ctx, a, b)],
+        shapes=[(d, d), (d, d)] + [(m, m)] * 3)
     ab = Ta[:m] @ Tb[:, :m]
-    d1 = ab - Tab[:m, :m] + (ctx.h / 2.0) * Tq[:m, :m]
-    d2 = ab - Tb[:m] @ Ta[:, :m] - (0.5j * ctx.h) * Tpb[:m, :m]
+    d1 = ab - Tab + (ctx.h / 2.0) * Tq
+    d2 = ab - Tb[:m] @ Ta[:, :m] - (0.5j * ctx.h) * Tpb
     return operator_norm(d1), operator_norm(d2)
 
 

@@ -293,47 +293,72 @@ def test_verify_diag_suite(tmp_path):
     assert (tmp_path / "diag.csv").exists()
 
 
-def _count_built(monkeypatch):
-    """Count the matrices taken from `compressions`, by kind: translation
-    unitaries (array ops) and Toeplitz compressions (symbols)."""
-    built = {"weyl_unitary_matrix": 0, "toeplitz_matrix": 0}
+def _record_built(monkeypatch):
+    """Record each matrix taken from `compressions` as (kind, shape): kind
+    "weyl" for a translation unitary (an array op) and "toeplitz" for a
+    Toeplitz compression (a symbol), shape the leading block requested,
+    which the yielded matrix must have."""
+    built = []
     real = btlab.operators.compressions
 
-    def counted(ctx, trunc, ops):
+    def recorded(ctx, trunc, ops, shapes=None):
         ops = list(ops)
-        for op, M in zip(ops, real(ctx, trunc, ops)):
-            kind = ("weyl_unitary_matrix" if isinstance(op, np.ndarray)
-                    else "toeplitz_matrix")
-            built[kind] += 1
+        if shapes is None:
+            shapes = [(len(trunc), len(trunc))] * len(ops)
+        for op, shape, M in zip(ops, shapes,
+                                real(ctx, trunc, ops, shapes)):
+            assert M.shape == shape
+            kind = "weyl" if isinstance(op, np.ndarray) else "toeplitz"
+            built.append((kind, shape))
             yield M
 
     for mod in (btlab.cli, btlab.operators):
-        monkeypatch.setattr(mod, "compressions", counted)
+        monkeypatch.setattr(mod, "compressions", recorded)
     return built
 
 
 def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
     """One compression for the identity and one per default symbol: every
     diagonal sum of a symbol reads the same matrix."""
-    built = _count_built(monkeypatch)
+    built = _record_built(monkeypatch)
     cfg = _write(tmp_path, FOCK)
     res = CliRunner().invoke(
         main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
-    assert built == {"weyl_unitary_matrix": 0, "toeplitz_matrix": 4}
+    assert built == [("toeplitz", (11, 11))] * 4  # N = 10
 
 
 def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
-    """Per lambda the suite builds W(lambda), W(-lambda) and the translated
-    symbol's compression; T_b is built once per run."""
-    built = _count_built(monkeypatch)
+    """T_b is built once per run, whole.  Per lambda the suite builds
+    W(lambda) on its inner columns, and W(-lambda) and the translated
+    symbol's compression on the inner block: d = 25 indices at N = 24 and
+    m = 5 through inner_degree 4, for the four default lambdas."""
+    built = _record_built(monkeypatch)
     cfg = _write(tmp_path, FOCK)
     res = CliRunner().invoke(
         main, ["verify", "weyl", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
-    assert built == {"weyl_unitary_matrix": 8, "toeplitz_matrix": 5}
+    d, m = 25, 5
+    assert built == [("toeplitz", (d, d))] + [
+        ("weyl", (d, m)), ("weyl", (m, m)), ("toeplitz", (m, m))] * 4
+
+
+def test_verify_deformation_builds_inner_blocks(tmp_path, monkeypatch):
+    """Per h, T_a and T_b are built whole, since their products sum over
+    every index; T_ab, T_q and the bracket only on the block of degrees
+    <= N - drop: d = 21 at N = 20 and m = 17 at drop 4, five h values."""
+    built = _record_built(monkeypatch)
+    cfg = _write(tmp_path, FOCK)
+    res = CliRunner().invoke(
+        main, ["verify", "deformation", "--config", cfg,
+               "--out", str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    d, m = 21, 17
+    assert built == ([("toeplitz", (d, d))] * 2
+                     + [("toeplitz", (m, m))] * 3) * 5
 
 
 def test_verify_bound_holds_one_matrix_at_a_time(tmp_path, monkeypatch):

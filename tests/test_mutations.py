@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import btlab.basis
 import btlab.cli
 import btlab.geometry
 import btlab.heat
@@ -84,6 +85,12 @@ def _translate_conjugated(monkeypatch):
     monkeypatch.setattr(btlab.cli, "translate", translate)
 
 
+def _compression_scaled(monkeypatch):
+    real = btlab.basis.axis_matrices
+    monkeypatch.setattr(btlab.basis, "axis_matrices",
+                        lambda h, N, factors: 0.97 * real(h, N, factors))
+
+
 MUTATIONS = {
     "none": (lambda monkeypatch: None, set()),
     "inv_sqrt_x1.001": (_inv_sqrt_scaled, {"space-info"}),
@@ -92,6 +99,10 @@ MUTATIONS = {
     "bracket_negated": (_bracket_negated, {"deformation"}),
     "q_form_x1.2": (_q_form_scaled, {"deformation"}),
     "translate_conjugated": (_translate_conjugated, {"weyl"}),
+    # every one-axis factor, so every compression, scaled: the inner blocks
+    # weyl and deformation build must still see an assembly error
+    "compression_x0.97": (_compression_scaled,
+                          {"weyl", "diag", "deformation"}),
 }
 
 

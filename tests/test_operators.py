@@ -216,6 +216,30 @@ def test_compressions_equal_one_op_builds(n, N):
         assert np.array_equal(M, build(ctx, op, trunc))
     assert not mats[0].any()
 
+
+@pytest.mark.parametrize("n, N", [(1, 6), (2, 3)])
+def test_compressions_leading_blocks_equal_sliced_full(n, N):
+    """A requested (rows, cols) block is the full matrix sliced to
+    [:rows, :cols] bit for bit, for every block shape up to (d, d): on a
+    multi-term plane-wave sum, a translation (whose scale multiplies the
+    finished block) and the zero operator."""
+    ctx = build_context(random_phase(n, 11), 0.7)
+    trunc = enumerate_multiindices(n, N)
+    d = len(trunc)
+    rng = np.random.default_rng(n)
+    b = PlaneWaveSum(n=n, terms=tuple(
+        (c, 0.8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        for c in (1.0, 0.5 - 0.3j, -0.7j)))
+    lam = 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    ops = [b, lam, PlaneWaveSum(n=n, terms=())]
+    full = list(btlab.operators.compressions(ctx, trunc, ops))
+    for rows in range(d + 1):
+        for cols in range(d + 1):
+            blocks = btlab.operators.compressions(
+                ctx, trunc, ops, shapes=[(rows, cols)] * len(ops))
+            for M, F in zip(blocks, full, strict=True):
+                assert np.array_equal(M, F[:rows, :cols]), (rows, cols)
+
 def test_composition_law_machine_precision():
     """T_{e_lam} T_{e_mu} = exp((h/8) lam^T (Phi''_XbarX)^{-1} conj(mu))
     T_{e_{lam+mu}} on a deep inner block.  This is the oracle behind the
