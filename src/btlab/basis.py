@@ -26,6 +26,7 @@ are tested against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,27 +78,21 @@ class MultiIndexSet:
 
 
 def enumerate_multiindices(n: int, N: int) -> MultiIndexSet:
-    """All |alpha| <= N; over MAX_BASIS of them are refused unbuilt."""
+    """All |alpha| <= N by degree, each degree in descending lexicographic
+    order; over MAX_BASIS of them are refused unbuilt."""
     if n < 1 or N < 0:
         raise ValueError("need n >= 1 and N >= 0")
     if math.comb(N + n, n) > MAX_BASIS:
         raise InvalidConfig(f"N = {N} at n = {n} has {math.comb(N + n, n)} "
                             f"basis indices; at most {MAX_BASIS} are supported")
-    out = []
-    for deg in range(N + 1):
-        level = []
-
-        def emit(prefix, rem, slots):
-            if slots == 1:
-                level.append(tuple(prefix) + (rem,))
-                return
-            for k in range(rem, -1, -1):
-                emit(prefix + [k], rem - k, slots - 1)
-
-        emit([], deg, n)
-        level.sort(reverse=True)
-        out.extend(level)
-    return MultiIndexSet(n=n, N=N, indices=tuple(out))
+    # exact[k]: the indices of degree k over the trailing coordinates, in
+    # that order; each pass prepends one coordinate, largest entry first
+    exact = [[(k,)] for k in range(N + 1)]
+    for _ in range(n - 1):
+        exact = [[(a,) + rest for a in range(k, -1, -1)
+                  for rest in exact[k - a]] for k in range(N + 1)]
+    return MultiIndexSet(n=n, N=N,
+                         indices=tuple(itertools.chain.from_iterable(exact)))
 
 
 def _log_norm(ctx: SpaceContext, alpha) -> float:

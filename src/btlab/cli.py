@@ -6,11 +6,14 @@ before numpy is first imported (the package __init__ imports nothing, so
 this module runs first under the console entry point), and all assembly is
 serial: each suite that reads compressions stacks the distinct one-axis
 factors of all of them in a fixed order (first use), runs one closed-form
-recurrence over them (one per h in ``deformation``), and builds the dense
-matrices one at a time in the order the suite reads them, each only on the
-leading block its checks read (``weyl`` and ``deformation`` read most of
-theirs on an inner degree block); ``gram`` reads its closed form and runs
-none.  ``--threads``
+recurrence over them (one per h in ``deformation``), and builds one
+read-out per compression at a time in the order the suite reads them,
+each only what its checks read: a leading block (``weyl`` and
+``deformation`` read most of theirs on an inner degree block), the
+diagonal (``diag``'s symbols), or the action on a block of columns
+(``weyl``'s T_b, applied one axis at a time in a fixed order, or through
+the matrix when that is smaller, a choice fixed by n, N and the inner
+degree); ``gram`` reads its closed form and runs none.  ``--threads``
 is accepted, validated and echoed, and ``verify --order`` is still parsed,
 but neither reaches anything below this module (no suite reads a quadrature
 order), so they cannot change the work or a single output bit.
@@ -195,12 +198,12 @@ def _weyl(ctx, p, out):
     d, m = len(trunc), trunc.count_through_degree(inner)
     b = p.symbol_b
     # T_b, then W(lam), W(-lam) and T_{b(. + lam)} per lambda, from one
-    # stacked recurrence, each built only on the block read from it: T_b
-    # whole, W(lam) on its inner columns, the other two on the inner block;
-    # each lambda's matrices go before the next are built
+    # stacked recurrence: T_b only as its action V -> T_b V, W(lam) on its
+    # inner columns, the other two on the inner block; each lambda's
+    # matrices go before the next are built
     mats = compressions(ctx, trunc, [b] + [
         op for lam in p.lambda_list for op in (lam, -lam, translate(b, lam))],
-        shapes=[(d, d)] + [(d, m), (m, m), (m, m)] * len(p.lambda_list))
+        reads=["apply"] + [(d, m), (m, m), (m, m)] * len(p.lambda_list))
     Tb = next(mats)
     for lam in p.lambda_list:
         Wp = next(mats)
@@ -243,8 +246,14 @@ def _bound(ctx, p, out):
 def _diag(ctx, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     tol = p.tol_diag
-    mats = compressions(ctx, trunc, [constant_symbol(1.0, ctx.n), *p.symbols])
-    dev = float(np.max(np.abs(next(mats) - np.eye(len(trunc)))))
+    # T_1 is compared to I entry by entry; of each symbol's compression
+    # only the diagonal is read
+    mats = compressions(ctx, trunc, [constant_symbol(1.0, ctx.n), *p.symbols],
+                        reads=[(len(trunc), len(trunc))]
+                        + ["diagonal"] * len(p.symbols))
+    T1 = next(mats)
+    T1.flat[::len(trunc) + 1] -= 1.0  # T_1 - I in place
+    dev = float(np.max(np.abs(T1)))
     out.le("toeplitz identity max|T_1 - I|", dev, tol,
            row=["identity", "1", ""])
     for j, b in enumerate(p.symbols):

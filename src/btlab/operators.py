@@ -14,10 +14,13 @@ both kinds every factor splits over the coordinates of W and the matrix
 is a product of exact one-axis matrices (`basis.axis_matrices`); callable
 symbols are refused.  `compressions` is the one path from operators to
 matrices: it assembles any mix of both kinds from one stacked one-axis
-recurrence over their distinct factors and yields the matrices one at a
-time, each only on the leading block its caller reads; the checks below
-hand it all their compressions at once.  The right-hand side of
-`diagonal_sum_check` is closed form.
+recurrence over their distinct factors and yields one read-out per
+operator, one at a time, each only what its caller reads: a leading
+block, the diagonal, or the action V -> M V, which runs one matmul per
+axis of the (N+1)^n coefficient cube and forms no d x d matrix unless
+that is the smaller of the two; the checks below hand it all their
+compressions at once.  The right-hand side of `diagonal_sum_check` is
+closed form.
 
 Identity checks (conjugation, deformation residuals) are read off an inner
 sub-truncation: a plane-wave Toeplitz matrix couples only a band of degrees,
@@ -27,7 +30,8 @@ products are also formed only there: the inner block of A B is
 A[:m] @ B[:, :m], which still sums over every index of the truncation, at
 d m^2 work in place of d^3.  A compression read only on that block (a
 translated symbol; the deformation's T_ab, T_q and bracket) is assembled
-only there, and a translation only on its first m columns.
+only there, a translation only on its first m columns, and weyl's T_b
+only as its action on those columns.
 """
 
 from __future__ import annotations
@@ -68,6 +72,11 @@ __all__ = [
 ]
 
 
+# Most entries of a dense block built in one piece: 4 MiB of complex
+# entries per temporary, so every default block at n <= 2 is one piece.
+_BLOCK_ENTRIES = 1 << 18
+
+
 def _terms(ctx: SpaceContext, op):
     """The terms (c, axes) of op, one factor (shift, mu, nu) per coordinate
     in axes, and the scale applied after their sum.  A plane-wave term
@@ -83,23 +92,19 @@ def _terms(ctx: SpaceContext, op):
             for c, lam in op.terms], None
 
 
-def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms, scale,
-               shape) -> np.ndarray:
-    """scale * sum_t c_t prod_d stack[rows_t[d]] gathered on the index
-    columns idx[d], for (c_t, rows_t) in `terms`: one matrix, built alone,
-    and only its leading (rows, cols) = `shape` block.
-    The first term is written straight into the result, and each product
-    keeps the operand order c_t * A_1 * A_2 ..., which fixes its rounding;
-    the scale, if not None, multiplies the finished sum.  Every entry of a
-    block is the same product as in the full matrix, so the block is
-    bit-identical to the full matrix sliced to `shape`."""
-    rows, cols = shape
+def _product_sum(terms, idx: np.ndarray, gather, scale,
+                 shape) -> np.ndarray:
+    """scale * sum_t c_t prod_d gather(rows_t[d], idx[d]) for (c_t, rows_t)
+    in `terms`, of the given shape.  The first term is written straight
+    into the result, and each product keeps the operand order
+    c_t * A_1 * A_2 ..., which fixes its rounding; the scale, if not None,
+    multiplies the finished sum.  Every entry is computed on its own, so
+    any gather of the same entries gives them bit for bit."""
     out = None
     for c, factors in terms:
         block = c
         for col, f in zip(idx, factors):
-            # two takes gather faster than one np.ix_ index
-            gathered = stack[f].take(col[:rows], 0).take(col[:cols], 1)
+            gathered = gather(f, col)
             block = np.multiply(block, gathered, out=gathered)
         if out is None:
             out = block
@@ -112,24 +117,112 @@ def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms, scale,
     return out
 
 
-def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops,
-                 shapes=None):
-    """Yield the matrix of each op in turn over `trunc`: the Toeplitz
+def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms, scale,
+               shape) -> np.ndarray:
+    """The matrix of the terms over the graded indices (`_product_sum` of
+    stack[f] gathered on the index columns idx[d]), only its leading
+    (rows, cols) = `shape` block, which is the full matrix sliced to
+    `shape` bit for bit.  A block of more than _BLOCK_ENTRIES entries is
+    filled _BLOCK_ENTRIES at a time, a band of rows each, so its
+    temporaries stay that small next to the result."""
+    rows, cols = shape
+
+    def band(r: slice) -> np.ndarray:
+        # two takes gather faster than one np.ix_ index
+        return _product_sum(
+            terms, idx,
+            lambda f, col: stack[f].take(col[r], 0).take(col[:cols], 1),
+            scale, (r.stop - r.start, cols))
+
+    step = max(1, _BLOCK_ENTRIES // max(cols, 1))
+    if rows <= step:
+        return band(slice(0, rows))
+    out = np.empty(shape, dtype=complex)
+    for start in range(0, rows, step):
+        r = slice(start, min(start + step, rows))
+        out[r] = band(r)
+    return out
+
+
+def _diagonal_sum(stack: np.ndarray, idx: np.ndarray, terms,
+                  scale) -> np.ndarray:
+    """The (d,) diagonal of the full `_dense_sum` matrix, from the same
+    products, so it equals np.diag of that matrix bit for bit."""
+    return _product_sum(terms, idx, lambda f, col: stack[f][col, col],
+                        scale, (idx.shape[1],))
+
+
+def _applier(stack: np.ndarray, idx: np.ndarray, terms, scale):
+    """V -> M V for the full (d, d) matrix M of `_dense_sum`, without M.
+
+    Each term's matrix is the Kronecker product of its one-axis factors
+    restricted to the graded rows and columns, so M V embeds V's rows at
+    their row-major positions in an (N+1)^n x k buffer, applies one factor
+    per axis (a matmul over that axis of the buffer viewed as
+    ((N+1)^axis, N+1, rest)) and gathers the graded rows back.  The buffer
+    is used only when it is no larger than M itself,
+    (N+1)^n k <= d^2; otherwise M is formed once, on first need, and
+    multiplied.  Sums run in another order than in M V, so the two agree
+    to rounding, not bit for bit."""
+    n, d = idx.shape
+    side = stack.shape[-1]
+    flat = np.ravel_multi_index(idx, (side,) * n)
+    dense = None
+
+    def apply(V: np.ndarray) -> np.ndarray:
+        nonlocal dense
+        k = V.shape[1]
+        if side ** n * k > d * d:
+            if dense is None:
+                dense = _dense_sum(stack, idx, terms, scale, (d, d))
+            return dense @ V
+        buf = np.zeros((side ** n, k), dtype=complex)
+        buf[flat] = V
+        out = None
+        for c, factors in terms:
+            X = buf
+            for axis, f in enumerate(factors):
+                X = np.matmul(stack[f], X.reshape(side ** axis, side, -1))
+            block = X.reshape(-1, k)[flat]
+            block *= c
+            if out is None:
+                out = block
+            else:
+                out += block
+        if out is None:
+            out = np.zeros((d, k), dtype=complex)
+        if scale is not None:
+            out *= scale
+        return out
+
+    return apply
+
+
+def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops, reads=None):
+    """Yield the compression of each op over `trunc` in turn: the Toeplitz
     compression of a plane-wave sum, or the translation unitary of a
     displacement given as an array lam of shape (n,).
 
-    `shapes`, if given, holds one (rows, cols) per op, and only that
-    leading block of its matrix is built: with the graded order it is the
-    block of degrees <= some k, and it equals the full matrix sliced to
-    [:rows, :cols] bit for bit.  The default is the full (d, d).
-    Equal factors are shared across all the ops, so one
-    `basis.axis_matrices` call serves them all.  Each dense matrix is built
-    only when asked for and this generator keeps none it has yielded, so a
-    caller that drops a matrix before taking the next holds one at a time.
+    `reads`, if given, says per op which read-out of its d x d matrix M
+    is yielded:
+      (rows, cols)  the leading block M[:rows, :cols], as an array; with
+                    the graded order it is the block of degrees <= some
+                    k, and it equals the full matrix sliced bit for bit;
+      "diagonal"    the (d,) diagonal of M, equal to np.diag(M) bit for
+                    bit, built without M;
+      "apply"       a function V -> M V on (d, k) arrays, which forms M
+                    only when M is smaller than the (N+1)^n x k buffer
+                    its one-axis factors act on (see `_applier`).
+    The default is the full (d, d) for every op.  Equal factors are shared
+    across all the ops, so one `basis.axis_matrices` call serves them all.
+    Each read-out is built only when asked for and this generator keeps
+    none it has yielded, so a caller that drops one before taking the next
+    holds one at a time.
     """
     built = [_terms(ctx, op) for op in ops]
-    if shapes is None:
-        shapes = [(len(trunc), len(trunc))] * len(built)
+    d = len(trunc)
+    if reads is None:
+        reads = [(d, d)] * len(built)
     rows = {}
     for terms, _ in built:
         for _, axes in terms:
@@ -137,10 +230,14 @@ def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops,
                 rows.setdefault(factor, len(rows))
     stack = basis.axis_matrices(ctx.h, trunc.N, list(rows))
     idx = np.array(trunc.indices).T
-    for (terms, scale), shape in zip(built, shapes, strict=True):
-        yield _dense_sum(stack, idx, [
-            (c, [rows[factor] for factor in axes]) for c, axes in terms],
-            scale, shape)
+    for (terms, scale), read in zip(built, reads, strict=True):
+        terms = [(c, [rows[factor] for factor in axes]) for c, axes in terms]
+        if read == "diagonal":
+            yield _diagonal_sum(stack, idx, terms, scale)
+        elif read == "apply":
+            yield _applier(stack, idx, terms, scale)
+        else:
+            yield _dense_sum(stack, idx, terms, scale, read)
 
 
 def toeplitz_matrix(ctx: SpaceContext, b,
@@ -170,20 +267,21 @@ class NormTable:
 
 
 def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: np.ndarray,
-                           Tb: np.ndarray, trunc: MultiIndexSet,
-                           drop: int = 4, Ts: np.ndarray = None) -> float:
+                           Tb, trunc: MultiIndexSet, drop: int = 4,
+                           Ts: np.ndarray = None) -> float:
     """Max entry deviation of W* T_b W against the translated-symbol matrix,
     formed on the block of degrees <= N - drop, of size m.  W is the
     translation by lam over `trunc` (only its first m columns are read) and
-    Tb the compression of b; the translated symbol's compression Ts (only
-    its leading m x m block is read) is assembled here, at that block,
-    unless it is passed in."""
+    Tb applies the compression of b, V -> T_b V (the "apply" read-out of
+    `compressions`; a dense matrix M is passed as M.__matmul__); the
+    translated symbol's compression Ts (only its leading m x m block is
+    read) is assembled here, at that block, unless it is passed in."""
     m = trunc.count_through_degree(max(trunc.N - drop, 0))
     if Ts is None:
         Ts = next(compressions(ctx, trunc, [translate(b, lam)],
-                               shapes=[(m, m)]))
+                               reads=[(m, m)]))
     Wi = W[:, :m]
-    return float(np.max(np.abs(Wi.conj().T @ (Tb @ Wi) - Ts[:m, :m])))
+    return float(np.max(np.abs(Wi.conj().T @ Tb(Wi) - Ts[:m, :m])))
 
 
 @dataclass(frozen=True)
@@ -248,22 +346,25 @@ def bound_report(ctx: SpaceContext, b, t_grid: Sequence[float],
     return next(bound_reports(ctx, [b], t_grid, n_schedule, slack))
 
 
-def diagonal_sum_check(ctx: SpaceContext, b, M: np.ndarray,
+def diagonal_sum_check(ctx: SpaceContext, b, diag: np.ndarray,
                        trunc: MultiIndexSet, ks):
     """Both sides of the degree-k diagonal-sum identity, for each k in ks.
 
-    M is the Toeplitz compression of b over `trunc`; lhs sums its diagonal
-    over |alpha| = k.  rhs is sum_j c_j(1) L_k^(n-1)(x_j), with
-    x_j = h|R^-T lam_j|^2/8 and c_j(1) the coefficients of
-    `heat_flow(ctx, b, 1)`: per axis the diagonal is
-    e^{-x_d} L_{alpha_d}(x_d), summed over |alpha| = k by the Laguerre
-    addition formula.  At k = 0 rhs is b_1(0).  Returns [(lhs, rhs), ...].
-    A k above trunc.N has no diagonal in M and is refused.
+    diag is the (d,) diagonal of the Toeplitz compression of b over
+    `trunc` (its "diagonal" read-out); lhs sums it over |alpha| = k.  rhs
+    is sum_j c_j(1) L_k^(n-1)(x_j), with x_j = h|R^-T lam_j|^2/8 and
+    c_j(1) the coefficients of `heat_flow(ctx, b, 1)`: per axis the
+    diagonal is e^{-x_d} L_{alpha_d}(x_d), summed over |alpha| = k by the
+    Laguerre addition formula.  At k = 0 rhs is b_1(0).  Returns [(lhs, rhs), ...].
+    A k above trunc.N has no diagonal entry and is refused.
     """
     if max(ks) > trunc.N:
         raise InvalidConfig(
             f"diagonal sums need k <= N = {trunc.N}, got k = {max(ks)}"
         )
+    if np.shape(diag) != (len(trunc),):
+        raise ValueError(f"expected the ({len(trunc)},) diagonal, got an "
+                         f"array of shape {np.shape(diag)}")
     c1 = [c for c, _ in heat_flow(ctx, b, 1.0).terms]
     x = np.array([ctx.h * np.sum(np.abs(freq_image(ctx, lam)) ** 2) / 8.0
                   for _, lam in b.terms])
@@ -272,7 +373,6 @@ def diagonal_sum_check(ctx: SpaceContext, b, M: np.ndarray,
     for j in range(1, max(ks)):
         lag.append(((2 * j + 1 + a - x) * lag[j] - (j + a) * lag[j - 1])
                    / (j + 1))
-    diag = np.diag(M)
     return [(complex(np.sum(diag[trunc.degrees == k])),
              complex(sum(c * L for c, L in zip(c1, lag[k])))) for k in ks]
 
@@ -288,7 +388,7 @@ def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
     d = len(trunc)
     Ta, Tb, Tab, Tq, Tpb = compressions(ctx, trunc, [
         a, b, multiply(a, b), q_form(ctx, a, b), poisson(ctx, a, b)],
-        shapes=[(d, d), (d, d)] + [(m, m)] * 3)
+        reads=[(d, d), (d, d)] + [(m, m)] * 3)
     ab = Ta[:m] @ Tb[:, :m]
     d1 = ab - Tab + (ctx.h / 2.0) * Tq
     d2 = ab - Tb[:m] @ Ta[:, :m] - (0.5j * ctx.h) * Tpb

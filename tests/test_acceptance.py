@@ -143,7 +143,8 @@ def test_criterion_03_projector_toeplitz_consistency():
         [(1.0, np.array([1.0])), (0.3 - 0.2j, np.array([0.5 + 0.3j]))], n=1
     )
     M = toeplitz_matrix(ctx, b, trunc)
-    for lhs, rhs in diagonal_sum_check(ctx, b, M, trunc, (0, 1, 2)):
+    for lhs, rhs in diagonal_sum_check(ctx, b, np.diag(M), trunc,
+                                       (0, 1, 2)):
         dev_diag = max(dev_diag, abs(lhs - rhs))
     dt = time.perf_counter() - t0
     ok = max(dev_id, dev_corner, dev_diag) < 1e-8 and dt < 120.0
@@ -177,7 +178,7 @@ def test_criterion_04_weyl_suite():
                 (W.conj().T - Wm)[:keep, :keep]
             ))))
             worst_c = max(worst_c, weyl_conjugation_check(
-                ctx, b, lv, W, Tb, trunc, drop=trunc.N - 4
+                ctx, b, lv, W, Tb.__matmul__, trunc, drop=trunc.N - 4
             ))
     dt = time.perf_counter() - t0
     ok = max(worst_u, worst_a, worst_c) < 1e-5 and dt < 180.0

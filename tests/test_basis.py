@@ -28,6 +28,33 @@ def test_multiindex_enumeration_nested():
     assert np.all(np.diff(small.degrees) >= 0)
 
 
+def _recursive_multiindices(n, N):
+    """The earlier enumeration: each degree by recursion, then sorted in
+    descending lexicographic order."""
+    out = []
+    for deg in range(N + 1):
+        level = []
+
+        def emit(prefix, rem, slots):
+            if slots == 1:
+                level.append(tuple(prefix) + (rem,))
+                return
+            for k in range(rem, -1, -1):
+                emit(prefix + [k], rem - k, slots - 1)
+
+        emit([], deg, n)
+        level.sort(reverse=True)
+        out.extend(level)
+    return tuple(out)
+
+
+def test_multiindex_enumeration_matches_recursive_sort():
+    for n in range(1, 5):
+        for N in range(13):
+            assert (enumerate_multiindices(n, N).indices
+                    == _recursive_multiindices(n, N)), (n, N)
+
+
 def test_monomial_table_values():
     h = 0.7
     mset = enumerate_multiindices(1, 4)

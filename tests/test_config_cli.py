@@ -294,62 +294,86 @@ def test_verify_diag_suite(tmp_path):
 
 
 def _record_built(monkeypatch):
-    """Record each matrix taken from `compressions` as (kind, shape): kind
+    """Record each read-out taken from `compressions` as (kind, read): kind
     "weyl" for a translation unitary (an array op) and "toeplitz" for a
-    Toeplitz compression (a symbol), shape the leading block requested,
-    which the yielded matrix must have."""
+    Toeplitz compression (a symbol), and read what was requested: a
+    leading (rows, cols) block, which the yielded array must have,
+    "diagonal", a (d,) array, or "apply", a function from (d, k) arrays to
+    (d, k) arrays.  Returns that record and the list of the shapes of
+    every dense block built, including any an "apply" read-out forms for
+    itself."""
     built = []
+    built_dense = []
     real = btlab.operators.compressions
+    real_dense = btlab.operators._dense_sum
 
-    def recorded(ctx, trunc, ops, shapes=None):
+    def dense(stack, idx, terms, scale, shape):
+        built_dense.append(shape)
+        return real_dense(stack, idx, terms, scale, shape)
+
+    def recorded(ctx, trunc, ops, reads=None):
         ops = list(ops)
-        if shapes is None:
-            shapes = [(len(trunc), len(trunc))] * len(ops)
-        for op, shape, M in zip(ops, shapes,
-                                real(ctx, trunc, ops, shapes)):
-            assert M.shape == shape
+        d = len(trunc)
+        if reads is None:
+            reads = [(d, d)] * len(ops)
+        for op, read, M in zip(ops, reads, real(ctx, trunc, ops, reads)):
+            if read == "apply":
+                def M(V, apply=M):
+                    out = apply(V)
+                    assert out.shape == V.shape == (d, V.shape[1])
+                    return out
+            elif read == "diagonal":
+                assert M.shape == (d,)
+            else:
+                assert M.shape == read
             kind = "weyl" if isinstance(op, np.ndarray) else "toeplitz"
-            built.append((kind, shape))
+            built.append((kind, read))
             yield M
 
     for mod in (btlab.cli, btlab.operators):
         monkeypatch.setattr(mod, "compressions", recorded)
-    return built
+    monkeypatch.setattr(btlab.operators, "_dense_sum", dense)
+    return built, built_dense
 
 
 def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
-    """One compression for the identity and one per default symbol: every
-    diagonal sum of a symbol reads the same matrix."""
-    built = _record_built(monkeypatch)
+    """One compression for the identity, read whole, and one per default
+    symbol, of which only the diagonal is built: every diagonal sum of a
+    symbol reads the same diagonal."""
+    built, dense = _record_built(monkeypatch)
     cfg = _write(tmp_path, FOCK)
     res = CliRunner().invoke(
         main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
-    assert built == [("toeplitz", (11, 11))] * 4  # N = 10
+    assert built == [("toeplitz", (11, 11))] + [  # N = 10
+        ("toeplitz", "diagonal")] * 3
+    assert dense == [(11, 11)]
 
 
 def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
-    """T_b is built once per run, whole.  Per lambda the suite builds
-    W(lambda) on its inner columns, and W(-lambda) and the translated
-    symbol's compression on the inner block: d = 25 indices at N = 24 and
-    m = 5 through inner_degree 4, for the four default lambdas."""
-    built = _record_built(monkeypatch)
+    """T_b is taken once per run, as its action V -> T_b V, and never
+    formed as a d x d array.  Per lambda the suite builds W(lambda) on its
+    inner columns, and W(-lambda) and the translated symbol's compression
+    on the inner block: d = 25 indices at N = 24 and m = 5 through
+    inner_degree 4, for the four default lambdas."""
+    built, dense = _record_built(monkeypatch)
     cfg = _write(tmp_path, FOCK)
     res = CliRunner().invoke(
         main, ["verify", "weyl", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
     d, m = 25, 5
-    assert built == [("toeplitz", (d, d))] + [
+    assert built == [("toeplitz", "apply")] + [
         ("weyl", (d, m)), ("weyl", (m, m)), ("toeplitz", (m, m))] * 4
+    assert dense == [(d, m), (m, m), (m, m)] * 4
 
 
 def test_verify_deformation_builds_inner_blocks(tmp_path, monkeypatch):
     """Per h, T_a and T_b are built whole, since their products sum over
     every index; T_ab, T_q and the bracket only on the block of degrees
     <= N - drop: d = 21 at N = 20 and m = 17 at drop 4, five h values."""
-    built = _record_built(monkeypatch)
+    built, dense = _record_built(monkeypatch)
     cfg = _write(tmp_path, FOCK)
     res = CliRunner().invoke(
         main, ["verify", "deformation", "--config", cfg,
@@ -359,6 +383,7 @@ def test_verify_deformation_builds_inner_blocks(tmp_path, monkeypatch):
     d, m = 21, 17
     assert built == ([("toeplitz", (d, d))] * 2
                      + [("toeplitz", (m, m))] * 3) * 5
+    assert dense == [read for _, read in built]
 
 
 def test_verify_bound_holds_one_matrix_at_a_time(tmp_path, monkeypatch):
@@ -450,6 +475,27 @@ def test_verify_weyl_holds_few_dense_matrices(tmp_path):
         tracemalloc.stop()
     assert res.exit_code == 0, res.output
     assert peak <= 9.9e6
+
+
+def test_verify_weyl_three_variables_stays_small(tmp_path):
+    """At n = 3 (N = 24, d = 2925, m = 35) T_b is applied through its
+    one-axis factors on a 25^3 x 35 buffer instead of being formed as a
+    137 MB d x d matrix: the traced peak of the run stays under 64 MB
+    (263 MB when T_b was formed)."""
+    z = [0.0, 0.0]
+    path = _write(tmp_path, {
+        "phase": {"seed": 7, "n": 3}, "h": 1.0,
+        "lambda_list": [[[1.0, 0.0], z, z], [z, [0.6, 0.8], z]],
+    })
+    argv = ["verify", "weyl", "--config", path, "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        res = CliRunner().invoke(main, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    assert peak < 64e6
 
 
 def test_verify_two_variable_suites_build_no_grid(tmp_path, monkeypatch):

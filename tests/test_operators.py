@@ -79,13 +79,14 @@ def test_diagonal_sums(ex1):
         [(0.5, np.array([1.0])), (0.3 - 0.2j, np.array([0.4 + 0.6j]))], n=1
     )
     M = toeplitz_matrix(ex1, b, trunc)
-    for lhs, rhs in diagonal_sum_check(ex1, b, M, trunc, (0, 1, 2)):
+    diag = np.diag(M)
+    for lhs, rhs in diagonal_sum_check(ex1, b, diag, trunc, (0, 1, 2)):
         assert abs(lhs - rhs) < 1e-12
     # k = N is the last degree with a diagonal; k = N + 1 has none
-    (lhs, rhs), = diagonal_sum_check(ex1, b, M, trunc, (10,))
+    (lhs, rhs), = diagonal_sum_check(ex1, b, diag, trunc, (10,))
     assert abs(lhs - rhs) < 1e-12
     with pytest.raises(InvalidConfig, match="k <= N = 10"):
-        diagonal_sum_check(ex1, b, M, trunc, range(12))
+        diagonal_sum_check(ex1, b, diag, trunc, range(12))
 
 
 def test_real_symbol_hermitian_compression(ex1):
@@ -173,7 +174,8 @@ def test_weyl_conjugation_deep_block(ex1):
     W = weyl_unitary_matrix(ex1, lam, trunc)
     Tb = toeplitz_matrix(ex1, b, trunc)
     # keep degrees <= 4, i.e. drop the top twelve shells
-    dev = weyl_conjugation_check(ex1, b, lam, W, Tb, trunc, drop=12)
+    dev = weyl_conjugation_check(ex1, b, lam, W, Tb.__matmul__, trunc,
+                                 drop=12)
     assert dev < 1e-11
 
 
@@ -186,7 +188,7 @@ def test_weyl_conjugation_shallow_buffer_leaks(ex1, ex2):
     lam = np.array([0.5])
     dev1, dev2 = (weyl_conjugation_check(
         ctx, b, lam, weyl_unitary_matrix(ctx, lam, trunc),
-        toeplitz_matrix(ctx, b, trunc), trunc)
+        toeplitz_matrix(ctx, b, trunc).__matmul__, trunc)
         for ctx in (ex1, ex2))
     assert 0.05 < dev1 < 0.10
     assert 0.01 < dev2 < 0.03
@@ -236,9 +238,84 @@ def test_compressions_leading_blocks_equal_sliced_full(n, N):
     for rows in range(d + 1):
         for cols in range(d + 1):
             blocks = btlab.operators.compressions(
-                ctx, trunc, ops, shapes=[(rows, cols)] * len(ops))
+                ctx, trunc, ops, reads=[(rows, cols)] * len(ops))
             for M, F in zip(blocks, full, strict=True):
                 assert np.array_equal(M, F[:rows, :cols]), (rows, cols)
+
+
+def _three_ops(n, seed):
+    """A zero symbol, a three-term plane-wave sum with complex frequencies
+    and a translation (whose scale e^{-|c|^2/h} is not 1) on C^n."""
+    rng = np.random.default_rng(seed)
+
+    def z():
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    b = PlaneWaveSum(n=n, terms=tuple(
+        (c, 0.8 * z()) for c in (1.0, 0.5 - 0.3j, -0.7j)))
+    return [PlaneWaveSum(n=n, terms=()), b, 0.6 * z()], rng
+
+
+@pytest.mark.parametrize("n, N", [(1, 12), (2, 8), (3, 8)])
+def test_compressions_diagonal_and_apply_read_outs(n, N, monkeypatch):
+    """The "diagonal" read-out is np.diag of the dense matrix bit for bit.
+    "apply" maps V to M V within 1e-13 ||M|| ||V|| through the one-axis
+    factors, without forming M, for one column and for the m columns
+    through degree 4 (m = 5, 15, 35)."""
+    ctx = build_context(random_phase(n, 11), 0.7)
+    trunc = enumerate_multiindices(n, N)
+    d, m = len(trunc), trunc.count_through_degree(4)
+    ops, rng = _three_ops(n, n)
+    full = list(btlab.operators.compressions(ctx, trunc, ops))
+    diags = btlab.operators.compressions(ctx, trunc, ops,
+                                         reads=["diagonal"] * 3)
+    for D, M in zip(diags, full, strict=True):
+        assert np.array_equal(D, np.diag(M))
+
+    def unbuilt(*args):
+        raise AssertionError("apply formed a dense matrix")
+
+    monkeypatch.setattr(btlab.operators, "_dense_sum", unbuilt)
+    applies = btlab.operators.compressions(ctx, trunc, ops,
+                                           reads=["apply"] * 3)
+    for apply, M in zip(applies, full, strict=True):
+        for k in (1, m):
+            V = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+            err = np.max(np.abs(apply(V) - M @ V))
+            assert err <= 1e-13 * np.linalg.norm(M, 2) * np.linalg.norm(V, 2)
+
+
+def test_apply_forms_the_matrix_once_past_its_size(monkeypatch):
+    """Where the (N+1)^n x k buffer would outgrow the d x d matrix, "apply"
+    forms M once, on first need, and returns M V exactly: at n = 5, N = 4
+    (d = 126, 5^5 = 3125) that is every k >= 6, while k = 5 still runs
+    through the buffer."""
+    ctx = build_context(random_phase(5, 1), 1.0)
+    trunc = enumerate_multiindices(5, 4)
+    d = len(trunc)
+    ops, rng = _three_ops(5, 5)
+    full = list(btlab.operators.compressions(ctx, trunc, ops))
+    built = []
+    real = btlab.operators._dense_sum
+
+    def recorded(stack, idx, terms, scale, shape):
+        built.append(shape)
+        return real(stack, idx, terms, scale, shape)
+
+    monkeypatch.setattr(btlab.operators, "_dense_sum", recorded)
+    applies = btlab.operators.compressions(ctx, trunc, ops,
+                                           reads=["apply"] * 3)
+    for apply, M in zip(applies, full, strict=True):
+        del built[:]
+        V = rng.standard_normal((d, 5)) + 1j * rng.standard_normal((d, 5))
+        err = np.max(np.abs(apply(V) - M @ V))
+        assert err <= 1e-13 * np.linalg.norm(M, 2) * np.linalg.norm(V, 2)
+        assert built == []
+        for k in (6, 6, d):
+            V = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+            assert np.array_equal(apply(V), M @ V)
+        assert built == [(d, d)]
+
 
 def test_composition_law_machine_precision():
     """T_{e_lam} T_{e_mu} = exp((h/8) lam^T (Phi''_XbarX)^{-1} conj(mu))
@@ -491,7 +568,7 @@ def test_diagonal_sums_match_radial_moment_quadrature(n, seed, h, data):
     radial = np.sum(np.abs(W) ** 2, axis=0) * 2.0 / h
     bv = eval_symbol(b, (ctx.Rinv @ W).T)
     for k, (lhs, rhs) in enumerate(
-            diagonal_sum_check(ctx, b, M, trunc, range(4))):
+            diagonal_sum_check(ctx, b, np.diag(M), trunc, range(4))):
         ref = (2.0 / (np.pi * h)) ** n * np.sum(
             wt * radial ** k * bv) / factorial(k)
         assert abs(rhs - ref) < 1e-12
@@ -540,7 +617,7 @@ def test_inner_block_products_match_full_products(n, seed):
 
     bad = Tb.copy()
     bad[-1, 0] += 1.0
-    moved = weyl_conjugation_check(ctx, b, lam, Wp, bad, trunc,
+    moved = weyl_conjugation_check(ctx, b, lam, Wp, bad.__matmul__, trunc,
                                    drop=N - inner)
     ref = np.max(np.abs(block(Wp.conj().T @ bad @ Wp - Ts)))
     assert rel_dev(moved, ref) < 1e-13

@@ -167,7 +167,7 @@ _LAM = np.array([0.4 - 0.9j, 0.2 + 0.3j])
     lambda ctx, a: toeplitz_apply_weighted(
         ctx, _REF, lambda Y: np.ones(Y.shape[:-1]), _LAM),
     lambda ctx, a: diagonal_sum_check(
-        ctx, _REF, np.eye(6), enumerate_multiindices(2, 2), [0, 1]),
+        ctx, _REF, np.ones(6), enumerate_multiindices(2, 2), [0, 1]),
     lambda ctx, a: next(compressions(
         ctx, enumerate_multiindices(2, 2), [a, _REF])),
 ], ids=["multiply", "translate", "q_form", "poisson", "heat_flow",
