@@ -37,7 +37,6 @@ __all__ = [
     "gaussian_transform_weighted",
     "projector_apply_weighted",
     "toeplitz_apply_weighted",
-    "real_weyl_planewave_apply",
     "egorov_guillemin_check",
 ]
 
@@ -205,23 +204,9 @@ def toeplitz_apply_weighted(ctx: SpaceContext, b, fw, X) -> np.ndarray:
     return out
 
 
-def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:
-    """Weyl quantization of exp(i(<x, p> + <q, xi>)) applied to a Gaussian:
-    the closed form e^{i<x,p> + i h <q,p>/2} u(x + h q)."""
-    if not isinstance(u, GaussianTestFn):
-        raise UnsupportedSymbol(
-            "complex-shift evaluation is closed-form only for Gaussian probes"
-        )
-    p = np.atleast_1d(np.asarray(p, dtype=complex))
-    q = np.atleast_1d(np.asarray(q, dtype=complex))
-    x = _as_points(np.asarray(x, dtype=complex), u.n)
-    phase = np.exp(1j * (x @ p) + 0.5j * h * (q @ p))
-    return phase * u(x + h * q)
-
-
 def _weyl_gaussian(h: float, c, p, q, u: GaussianTestFn) -> tuple:
-    """(y0, sigma, p0, amp) of c `real_weyl_planewave_apply(h, p, q, u)`,
-    the Gaussian c e^{i<x,p> + ih<q,p>/2} u(x + hq), complex with p, q."""
+    """(y0, sigma, p0, amp) of c Op^w(e^{i(<x,p> + <q,xi>)}) u, the
+    Gaussian c e^{i<x,p> + ih<q,p>/2} u(x + hq), complex with p, q."""
     return (u.y0 - h * q, u.sigma, u.p0 + p,
             c * u.amp * np.exp(0.5j * h * (q @ p) + 1j * h * (u.p0 @ q)))
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,21 +60,13 @@ class MultiIndexSet:
     n: int
     N: int
     indices: tuple
-    degrees: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "degrees", np.array([sum(a) for a in self.indices])
-        )
 
     def __len__(self):
         return len(self.indices)
 
     def count_through_degree(self, k: int) -> int:
         """Number of indices with |alpha| <= k (a leading block)."""
-        if k < 0:
-            return 0
-        return int(np.searchsorted(self.degrees, k, side="right"))
+        return math.comb(min(k, self.N) + self.n, self.n) if k >= 0 else 0
 
 
 def enumerate_multiindices(n: int, N: int) -> MultiIndexSet:

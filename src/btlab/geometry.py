@@ -47,7 +47,7 @@ __all__ = [
 _COND_LIMIT = 1e12
 # Largest n `random_phase` draws for; see its docstring.
 MAX_RANDOM_N = 5
-# Most draws `random_phase` screens at once: 4096 x 6 x 5 x 5 normals at
+# Most draws `random_phase` tests at once: 4096 x 6 x 5 x 5 normals at
 # n = 5 are 4.9 MB.
 _MAX_DRAW_BATCH = 4096
 MAX_N = 64  # largest n of any phase a config names; suites cap n far below
@@ -282,45 +282,31 @@ def random_phase(n: int, seed: int) -> PhaseMatrices:
     cond(B) <= 8 and the eigenvalues of the derived Phi''_XXbar sit in
     [0.2, 3.0].  The acceptance rate falls fast with n: some seeds need
     60,000 draws at n = 5, and seed 7 finds none in 400,000 at n = 6, so
-    n >= 6 is refused with ValueError before the first draw.
-
-    Draws are taken in batches of k (starting at 8, doubling up to
-    _MAX_DRAW_BATCH) from one normal stream, which yields the same numbers
-    as one draw at a time.  A batch is screened at once with every
-    threshold loosened by 1e-9 relative, so no draw the exact test accepts
-    is screened out; the survivors then get the exact test in stream
-    order, and the first to pass is returned: the same phase as drawing
-    and testing one at a time.
+    n >= 6 is refused with ValueError before the first draw.  Draws come
+    in batches from one normal stream and are tested together; the first
+    that passes is the one a draw-at-a-time loop would return.
     """
     if n > MAX_RANDOM_N:
         raise ValueError(f"random phases are drawn for n <= {MAX_RANDOM_N}, "
                          f"got n = {n}")
     rng = np.random.default_rng(seed)
-    lo, hi = 1.0 - 1e-9, 1.0 + 1e-9
     k = 8
     while True:
         # per draw, in stream order: S, T, Re B, Im B, Sc, L
         draws = rng.normal(size=(k, 6, n, n))
         B = draws[:, 2] + 1j * draws[:, 3]
-        keep = np.flatnonzero((np.abs(np.linalg.det(B)) >= 0.3 * lo)
-                              & (np.linalg.cond(B) <= 8 * hi))
+        keep = np.flatnonzero((np.abs(np.linalg.det(B)) >= 0.3)
+                              & (np.linalg.cond(B) <= 8))
         L = draws[keep, 5]
         ew, ev = np.linalg.eigh(L @ L.swapaxes(1, 2) + 0.5 * np.eye(n))
         CIinvsqrt = (ev / np.sqrt(ew)[:, None, :]) @ ev.swapaxes(1, 2)
         Bk = B[keep]
         ew = np.linalg.eigvalsh(
             Bk @ (CIinvsqrt @ CIinvsqrt) @ Bk.conj().swapaxes(1, 2) / 4)
-        keep = keep[(ew.min(axis=1) >= 0.2 * lo) & (ew.max(axis=1) <= 3 * hi)]
-        for S, T, Br, Bi, Sc, L in draws[keep]:
+        keep = keep[(ew.min(axis=1) >= 0.2) & (ew.max(axis=1) <= 3)]
+        if keep.size:
+            S, T, Br, Bi, Sc, L = draws[keep[0]]
             A = 0.5 * ((S + S.T) / 2 + 1j * (T + T.T) / 2)
-            B = Br + 1j * Bi
-            CI = L @ L.T + 0.5 * np.eye(n)
-            if abs(np.linalg.det(B)) < 0.3 or np.linalg.cond(B) > 8:
-                continue
-            CIinvsqrt = _inv_sqrt(CI)
-            PhiXXbar = B @ (CIinvsqrt @ CIinvsqrt) @ B.conj().T / 4
-            ew = np.linalg.eigvalsh(PhiXXbar)
-            if ew.min() < 0.2 or ew.max() > 3.0:
-                continue
-            return PhaseMatrices(n, A, B, 0.5 * (Sc + Sc.T) / 2 + 1j * CI)
+            C = 0.5 * (Sc + Sc.T) / 2 + 1j * (L @ L.T + 0.5 * np.eye(n))
+            return PhaseMatrices(n, A, Br + 1j * Bi, C)
         k = min(2 * k, _MAX_DRAW_BATCH)

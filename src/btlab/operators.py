@@ -373,7 +373,8 @@ def diagonal_sum_check(ctx: SpaceContext, b, diag: np.ndarray,
     for j in range(1, max(ks)):
         lag.append(((2 * j + 1 + a - x) * lag[j] - (j + a) * lag[j - 1])
                    / (j + 1))
-    return [(complex(np.sum(diag[trunc.degrees == k])),
+    block = trunc.count_through_degree
+    return [(complex(np.sum(diag[block(k - 1):block(k)])),
              complex(sum(c * L for c, L in zip(c1, lag[k])))) for k in ks]
 
 

@@ -16,8 +16,7 @@ Wiener-type symbol algebra, the class the paper's estimates are stated in.
 Callable symbols are references only: they can be evaluated and
 heat-flowed by quadrature, which gives the closed forms an independent
 check.  Every operation of the calculus reads `terms`, which a
-`CallableSymbol` refuses with UnsupportedSymbol.  `wirtinger_fd`
-differentiates any function numerically, for tests of Q and the bracket.
+`CallableSymbol` refuses with UnsupportedSymbol.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ __all__ = [
     "q_form",
     "poisson",
     "cotangent_frequencies",
-    "wirtinger_fd",
 ]
 
 _DROP_TOL = 1e-14
@@ -239,24 +237,6 @@ def sup_norm(b) -> tuple:
 
 # ---------------------------------------------------------------------------
 # differential calculus
-
-
-def wirtinger_fd(f, X: np.ndarray, step: float):
-    """Central finite-difference Wirtinger gradients of f at one point.
-
-    Returns (d/dX f, d/dXbar f), each of shape (n,).
-    """
-    n = X.shape[0]
-    dX = np.empty(n, dtype=complex)
-    dXb = np.empty(n, dtype=complex)
-    for d in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[d] = 1.0
-        fu = (f(X + step * e) - f(X - step * e)) / (2 * step)
-        fv = (f(X + 1j * step * e) - f(X - 1j * step * e)) / (2 * step)
-        dX[d] = 0.5 * (fu - 1j * fv)
-        dXb[d] = 0.5 * (fu + 1j * fv)
-    return dX, dXb
 
 
 def q_form(ctx: SpaceContext, a, b):

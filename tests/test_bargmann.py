@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_dev
+from reference import real_weyl_planewave_apply, wirtinger_fd
 
 import btlab.bargmann
 from btlab.bargmann import (
@@ -23,7 +24,6 @@ from btlab.bargmann import (
     egorov_guillemin_check,
     gaussian_transform_weighted,
     projector_apply_weighted,
-    real_weyl_planewave_apply,
     toeplitz_apply_weighted,
 )
 from btlab.basis import u_alpha_eval
@@ -41,7 +41,6 @@ from btlab.symbols import (
     CallableSymbol,
     cotangent_frequencies,
     plane_wave_sum,
-    wirtinger_fd,
 )
 
 

@@ -25,7 +25,14 @@ def test_multiindex_enumeration_nested():
     assert small.count_through_degree(-1) == 0
     assert small.count_through_degree(3) == len(small)
     # graded order: degrees never decrease
-    assert np.all(np.diff(small.degrees) >= 0)
+    assert np.all(np.diff([sum(a) for a in small.indices]) >= 0)
+    # the closed-form block ends match a direct count, past N too
+    for n in range(1, 5):
+        for N in range(7):
+            mset = enumerate_multiindices(n, N)
+            for k in range(-1, N + 3):
+                want = sum(sum(a) <= k for a in mset.indices)
+                assert mset.count_through_degree(k) == want, (n, N, k)
 
 
 def _recursive_multiindices(n, N):

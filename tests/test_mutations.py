@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import btlab.bargmann
 import btlab.basis
 import btlab.cli
 import btlab.geometry
@@ -91,6 +92,21 @@ def _compression_scaled(monkeypatch):
                         lambda h, N, factors: 0.97 * real(h, N, factors))
 
 
+def _freq_image_transposed(monkeypatch):
+    def freq_image(ctx, lam):  # R^-1 where R^-T belongs
+        return btlab.geometry._as_points(lam, ctx.n) @ ctx.Rinv.T
+
+    for mod in (btlab.geometry, btlab.bargmann, btlab.heat, btlab.operators,
+                btlab.symbols):
+        monkeypatch.setattr(mod, "freq_image", freq_image)
+
+
+def _sw_exact_scaled(monkeypatch):
+    real = btlab.cli.sw_l1_exact
+    monkeypatch.setattr(btlab.cli, "sw_l1_exact",
+                        lambda ctx, b: 1.01 ** ctx.n * real(ctx, b))
+
+
 MUTATIONS = {
     "none": (lambda monkeypatch: None, set()),
     "inv_sqrt_x1.001": (_inv_sqrt_scaled, {"space-info"}),
@@ -103,6 +119,11 @@ MUTATIONS = {
     # weyl and deformation build must still see an assembly error
     "compression_x0.97": (_compression_scaled,
                           {"weyl", "diag", "deformation"}),
+    # Blind spots at n = 1 (ROADMAP items 2 and 3): R is 1 x 1 there, so
+    # R^-1 = R^-T, and a 1% error in sw's closed form stays inside its 1%
+    # rel_tol.  The n = 2 rows below catch both.
+    "freq_image_transposed": (_freq_image_transposed, set()),
+    "sw_exact_x1.01^n": (_sw_exact_scaled, set()),
 }
 
 
@@ -117,6 +138,8 @@ N2_CAUGHT = {
     # 0.97 per axis scales each compression's norm by 0.9409 at n = 2,
     # which bound's 2% slack no longer covers
     "compression_x0.97": {"weyl", "diag", "deformation", "bound"},
+    "freq_image_transposed": {"weyl", "egorov"},
+    "sw_exact_x1.01^n": {"sw"},
 }
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_dev
+from reference import wirtinger_fd
 
 from btlab.bargmann import toeplitz_apply_weighted
 from btlab.basis import enumerate_multiindices
@@ -40,7 +41,6 @@ from btlab.symbols import (
     sine_symbol,
     sup_norm,
     translate,
-    wirtinger_fd,
 )
 
 
