@@ -33,12 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .geometry import SpaceContext, _as_points, _qform
+from .geometry import SpaceContext
 
 __all__ = [
     "MultiIndexSet",
     "enumerate_multiindices",
-    "u_alpha_eval",
     "monomial_table",
     "weighted_pair_sum",
     "axis_matrices",
@@ -85,27 +84,6 @@ def enumerate_multiindices(n: int, N: int) -> MultiIndexSet:
                   for rest in exact[k - a]] for k in range(N + 1)]
     return MultiIndexSet(n=n, N=N,
                          indices=tuple(itertools.chain.from_iterable(exact)))
-
-
-def _log_norm(ctx: SpaceContext, alpha) -> float:
-    """log of the u_alpha normalization constant, computed in log space."""
-    deg = sum(alpha)
-    val = math.log(ctx.CPhi) - ctx.n * math.log(ctx.h)
-    val += deg * math.log(2.0 / ctx.h)
-    val -= sum(math.lgamma(a + 1) for a in alpha)
-    return 0.5 * val
-
-
-def u_alpha_eval(ctx: SpaceContext, alpha, X):
-    """Pointwise basis element u_alpha(X); X batched with coordinates last."""
-    X = _as_points(X, ctx.n)
-    W = X @ ctx.R.T
-    mono = np.ones(X.shape[:-1], dtype=complex)
-    for d, a in enumerate(alpha):
-        if a:
-            mono = mono * W[..., d] ** a
-    gauss = np.exp(_qform(X, ctx.PhiXX, X) / ctx.h)
-    return math.exp(_log_norm(ctx, alpha)) * mono * gauss
 
 
 def monomial_table(W: np.ndarray, mset: MultiIndexSet, h: float) -> np.ndarray:
@@ -201,14 +179,19 @@ def axis_matrices(h: float, N: int, factors) -> np.ndarray:
     return A
 
 
-def gram_matrix(ctx: SpaceContext, trunc: MultiIndexSet) -> np.ndarray:
-    """G[a, b] = <u_a, u_b> over H_Phi; identity for admissible phases.
+def _gram_prefactor(ctx: SpaceContext) -> float:
+    """C_Phi (pi/2)^n / |det R|^2, the common square norm of the u_alpha.
 
     In the Fock frame the u_alpha are the orthonormal v_alpha times one
-    common constant.  Its square C_Phi (pi/2)^n / |det R|^2 collects the
-    normalization of the u_alpha, the Jacobian of z = sqrt(2/h) RX and the
-    pi^n of the Fock measure; it equals 1 exactly when C_Phi and R belong
-    to the phase, so the check sees both.
+    common constant.  Its square collects the normalization of the
+    u_alpha, the Jacobian of z = sqrt(2/h) RX and the pi^n of the Fock
+    measure; it equals 1 exactly when C_Phi and R belong to the phase.
     """
-    pref = ctx.CPhi * (np.pi / 2.0) ** ctx.n / abs(np.linalg.det(ctx.R)) ** 2
-    return pref * np.eye(len(trunc), dtype=complex)
+    return ctx.CPhi * (np.pi / 2.0) ** ctx.n / abs(np.linalg.det(ctx.R)) ** 2
+
+
+def gram_matrix(ctx: SpaceContext, trunc: MultiIndexSet) -> np.ndarray:
+    """G[a, b] = <u_a, u_b> over H_Phi in closed form: `_gram_prefactor`
+    times I.  The prefactor is 1 for admissible phases and reads both C_Phi
+    and R, so the check sees both."""
+    return _gram_prefactor(ctx) * np.eye(len(trunc), dtype=complex)

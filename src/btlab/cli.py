@@ -10,13 +10,16 @@ recurrence over them (one per h in ``deformation``), and builds one
 read-out per compression at a time in the order the suite reads them,
 each only what its checks read: a leading block (``weyl`` and
 ``deformation`` read most of theirs on an inner degree block), the
-diagonal (``diag``'s symbols), or the action on a block of columns
-(``weyl``'s T_b, applied one axis at a time in a fixed order, or through
-the matrix when that is smaller, a choice fixed by n, N and the inner
-degree); ``gram`` reads its closed form and runs none.  ``--threads``
-is accepted, validated and echoed, and ``verify --order`` is still parsed,
-but neither reaches anything below this module (no suite reads a quadrature
-order), so they cannot change the work or a single output bit.
+diagonal (``diag``'s symbols), the deviation max|T_1 - I| (``diag``'s
+T_1, reduced over fixed row bands, so no d x d T_1 is held), or the
+action on a block of columns (``weyl``'s T_b, applied one axis at a time
+in a fixed order, or through the matrix when that is smaller, a choice
+fixed by n, N and the inner degree); ``gram`` reads the scalar
+prefactor of its closed form G = prefactor x I, builds no matrix and
+runs no recurrence.  ``--threads`` is accepted, validated and echoed, and
+``verify --order`` is still parsed, but neither reaches anything below
+this module (no suite reads a quadrature order), so they cannot change
+the work or a single output bit.
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 invalid input.
 """
@@ -44,7 +47,7 @@ import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
 from .bargmann import GaussianTestFn, egorov_guillemin_check  # noqa: E402
-from .basis import enumerate_multiindices, gram_matrix  # noqa: E402
+from .basis import _gram_prefactor, enumerate_multiindices  # noqa: E402
 from .config import ConfigReader, load_config, vector_text  # noqa: E402
 from .errors import BtlabError  # noqa: E402
 from .geometry import (  # noqa: E402
@@ -107,8 +110,6 @@ def _fmt(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".11e")
-    if isinstance(v, complex):
-        return format(v.real, ".11e") + format(v.imag, "+.11e") + "j"
     return str(v)
 
 
@@ -186,9 +187,10 @@ def _space_info(ctx, p, out):
 
 
 def _gram(ctx, p, out):
-    trunc = enumerate_multiindices(ctx.n, p.N)
-    G = gram_matrix(ctx, trunc)
-    dev = float(np.max(np.abs(G - np.eye(len(trunc)))))
+    # G is the prefactor times I at every N, so max|G - I| is one scalar;
+    # the truncation is still enumerated, which refuses N past MAX_BASIS
+    enumerate_multiindices(ctx.n, p.N)
+    dev = float(abs(_gram_prefactor(ctx) - 1.0))
     out.le("gram max|G - I|", dev, p.tol_gram, row=[ctx.n, p.N])
 
 
@@ -246,14 +248,11 @@ def _bound(ctx, p, out):
 def _diag(ctx, p, out):
     trunc = enumerate_multiindices(ctx.n, p.N)
     tol = p.tol_diag
-    # T_1 is compared to I entry by entry; of each symbol's compression
-    # only the diagonal is read
+    # T_1 is compared to I entry by entry, one row band at a time; of
+    # each symbol's compression only the diagonal is read
     mats = compressions(ctx, trunc, [constant_symbol(1.0, ctx.n), *p.symbols],
-                        reads=[(len(trunc), len(trunc))]
-                        + ["diagonal"] * len(p.symbols))
-    T1 = next(mats)
-    T1.flat[::len(trunc) + 1] -= 1.0  # T_1 - I in place
-    dev = float(np.max(np.abs(T1)))
+                        reads=["identity"] + ["diagonal"] * len(p.symbols))
+    dev = next(mats)
     out.le("toeplitz identity max|T_1 - I|", dev, tol,
            row=["identity", "1", ""])
     for j, b in enumerate(p.symbols):

@@ -16,10 +16,13 @@ symbols are refused.  `compressions` is the one path from operators to
 matrices: it assembles any mix of both kinds from one stacked one-axis
 recurrence over their distinct factors and yields one read-out per
 operator, one at a time, each only what its caller reads: a leading
-block, the diagonal, or the action V -> M V, which runs one matmul per
-axis of the (N+1)^n coefficient cube and forms no d x d matrix unless
-that is the smaller of the two; the checks below hand it all their
-compressions at once.  The right-hand side of `diagonal_sum_check` is
+block, the diagonal, the deviation max|M - I|, or the action V -> M V,
+which runs one matmul per axis of the (N+1)^n coefficient cube and forms
+no d x d matrix unless that is the smaller of the two; the checks below
+hand it all their compressions at once.  Every dense value comes from
+one generator of row bands (`_bands`), each of at most _BLOCK_ENTRIES
+entries: a block is filled from it, and the deviation is reduced band by
+band, so it never holds M.  The right-hand side of `diagonal_sum_check` is
 closed form.
 
 Identity checks (conjugation, deformation residuals) are read off an inner
@@ -72,8 +75,8 @@ __all__ = [
 ]
 
 
-# Most entries of a dense block built in one piece: 4 MiB of complex
-# entries per temporary, so every default block at n <= 2 is one piece.
+# Most entries of one row band of a dense read-out: 4 MiB of complex
+# entries per temporary, so every default block at n <= 2 is one band.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -117,31 +120,44 @@ def _product_sum(terms, idx: np.ndarray, gather, scale,
     return out
 
 
-def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms, scale,
-               shape) -> np.ndarray:
-    """The matrix of the terms over the graded indices (`_product_sum` of
-    stack[f] gathered on the index columns idx[d]), only its leading
-    (rows, cols) = `shape` block, which is the full matrix sliced to
-    `shape` bit for bit.  A block of more than _BLOCK_ENTRIES entries is
-    filled _BLOCK_ENTRIES at a time, a band of rows each, so its
-    temporaries stay that small next to the result."""
+def _bands(stack: np.ndarray, idx: np.ndarray, terms, scale, shape):
+    """Yield (r, M[r, :cols]) for consecutive row slices r that cover the
+    leading (rows, cols) = `shape` block of the matrix M of the terms over
+    the graded indices (`_product_sum` of stack[f] gathered on the index
+    columns idx[d]).  Each band holds at most _BLOCK_ENTRIES entries (at
+    least one row), so its temporaries stay that small, and its entries
+    are those of the full matrix bit for bit."""
     rows, cols = shape
-
-    def band(r: slice) -> np.ndarray:
+    step = max(1, _BLOCK_ENTRIES // max(cols, 1))
+    for start in range(0, rows, step):
+        r = slice(start, min(start + step, rows))
         # two takes gather faster than one np.ix_ index
-        return _product_sum(
+        yield r, _product_sum(
             terms, idx,
             lambda f, col: stack[f].take(col[r], 0).take(col[:cols], 1),
             scale, (r.stop - r.start, cols))
 
-    step = max(1, _BLOCK_ENTRIES // max(cols, 1))
-    if rows <= step:
-        return band(slice(0, rows))
+
+def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms, scale,
+               shape) -> np.ndarray:
+    """The leading (rows, cols) = `shape` block of the matrix, filled from
+    `_bands`, so it is the full matrix sliced to `shape` bit for bit."""
     out = np.empty(shape, dtype=complex)
-    for start in range(0, rows, step):
-        r = slice(start, min(start + step, rows))
-        out[r] = band(r)
+    for r, band in _bands(stack, idx, terms, scale, shape):
+        out[r] = band
     return out
+
+
+def _identity_deviation(stack: np.ndarray, idx: np.ndarray, terms,
+                        scale) -> float:
+    """max|M - I| over the full (d, d) matrix, taken band by band from
+    `_bands`, so M is never held whole.  np.max keeps a NaN entry."""
+    d = idx.shape[1]
+    peaks = []
+    for r, band in _bands(stack, idx, terms, scale, (d, d)):
+        band.flat[r.start::d + 1] -= 1.0  # the entries (i, i), i in r
+        peaks.append(np.max(np.abs(band)))
+    return float(np.max(peaks))
 
 
 def _diagonal_sum(stack: np.ndarray, idx: np.ndarray, terms,
@@ -210,6 +226,9 @@ def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops, reads=None):
                     k, and it equals the full matrix sliced bit for bit;
       "diagonal"    the (d,) diagonal of M, equal to np.diag(M) bit for
                     bit, built without M;
+      "identity"    the float max|M - I|, equal to that of the full matrix
+                    bit for bit, taken one row band at a time without
+                    holding M;
       "apply"       a function V -> M V on (d, k) arrays, which forms M
                     only when M is smaller than the (N+1)^n x k buffer
                     its one-axis factors act on (see `_applier`).
@@ -234,6 +253,8 @@ def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops, reads=None):
         terms = [(c, [rows[factor] for factor in axes]) for c, axes in terms]
         if read == "diagonal":
             yield _diagonal_sum(stack, idx, terms, scale)
+        elif read == "identity":
+            yield _identity_deviation(stack, idx, terms, scale)
         elif read == "apply":
             yield _applier(stack, idx, terms, scale)
         else:
@@ -255,8 +276,6 @@ def weyl_unitary_matrix(ctx: SpaceContext, lam,
 
 def operator_norm(M: np.ndarray) -> float:
     """Largest singular value of the compression."""
-    if M.size == 0:
-        return 0.0
     return float(np.linalg.norm(M, 2))
 
 

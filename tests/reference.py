@@ -1,16 +1,20 @@
 """Independent references the tests compare the package against.
 
-Neither is on any verdict path: `real_weyl_planewave_apply` is the
+None is on any verdict path: `real_weyl_planewave_apply` is the
 closed-form real-side Weyl operator that `bargmann._weyl_gaussian` folds
-into Gaussian parameters, and `wirtinger_fd` differentiates any function
-numerically, for checks of Q and the bracket.
+into Gaussian parameters, `wirtinger_fd` differentiates any function
+numerically, for checks of Q and the bracket, and `u_alpha_eval`
+evaluates the graded monomial basis of H_Phi pointwise in the unreduced
+X frame, which the compressions never do.
 """
+
+import math
 
 import numpy as np
 
 from btlab.bargmann import GaussianTestFn
 from btlab.errors import UnsupportedSymbol
-from btlab.geometry import _as_points
+from btlab.geometry import _as_points, _qform
 
 
 def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:
@@ -43,3 +47,24 @@ def wirtinger_fd(f, X: np.ndarray, step: float):
         dX[d] = 0.5 * (fu - 1j * fv)
         dXb[d] = 0.5 * (fu + 1j * fv)
     return dX, dXb
+
+
+def _log_norm(ctx, alpha) -> float:
+    """log of the u_alpha normalization constant, computed in log space."""
+    deg = sum(alpha)
+    val = math.log(ctx.CPhi) - ctx.n * math.log(ctx.h)
+    val += deg * math.log(2.0 / ctx.h)
+    val -= sum(math.lgamma(a + 1) for a in alpha)
+    return 0.5 * val
+
+
+def u_alpha_eval(ctx, alpha, X):
+    """Pointwise basis element u_alpha(X); X batched with coordinates last."""
+    X = _as_points(X, ctx.n)
+    W = X @ ctx.R.T
+    mono = np.ones(X.shape[:-1], dtype=complex)
+    for d, a in enumerate(alpha):
+        if a:
+            mono = mono * W[..., d] ** a
+    gauss = np.exp(_qform(X, ctx.PhiXX, X) / ctx.h)
+    return math.exp(_log_norm(ctx, alpha)) * mono * gauss

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_dev
-from reference import real_weyl_planewave_apply, wirtinger_fd
+from reference import real_weyl_planewave_apply, u_alpha_eval, wirtinger_fd
 
 import btlab.bargmann
 from btlab.bargmann import (
@@ -26,7 +26,6 @@ from btlab.bargmann import (
     projector_apply_weighted,
     toeplitz_apply_weighted,
 )
-from btlab.basis import u_alpha_eval
 from btlab.errors import UnsupportedSymbol
 from btlab.geometry import (
     build_context,

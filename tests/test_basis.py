@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from reference import u_alpha_eval
+
 from btlab.basis import (
     MAX_BASIS,
     axis_matrices,
     enumerate_multiindices,
     gram_matrix,
     monomial_table,
-    u_alpha_eval,
 )
 from btlab.errors import InvalidConfig
 from btlab.geometry import build_context, fock_phase, heat_phase, random_phase

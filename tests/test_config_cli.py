@@ -298,10 +298,10 @@ def _record_built(monkeypatch):
     "weyl" for a translation unitary (an array op) and "toeplitz" for a
     Toeplitz compression (a symbol), and read what was requested: a
     leading (rows, cols) block, which the yielded array must have,
-    "diagonal", a (d,) array, or "apply", a function from (d, k) arrays to
-    (d, k) arrays.  Returns that record and the list of the shapes of
-    every dense block built, including any an "apply" read-out forms for
-    itself."""
+    "diagonal", a (d,) array, "identity", a float, or "apply", a function
+    from (d, k) arrays to (d, k) arrays.  Returns that record and the list
+    of the shapes of every dense block built, including any an "apply"
+    read-out forms for itself."""
     built = []
     built_dense = []
     real = btlab.operators.compressions
@@ -324,6 +324,8 @@ def _record_built(monkeypatch):
                     return out
             elif read == "diagonal":
                 assert M.shape == (d,)
+            elif read == "identity":
+                assert isinstance(M, float)
             else:
                 assert M.shape == read
             kind = "weyl" if isinstance(op, np.ndarray) else "toeplitz"
@@ -337,18 +339,19 @@ def _record_built(monkeypatch):
 
 
 def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
-    """One compression for the identity, read whole, and one per default
-    symbol, of which only the diagonal is built: every diagonal sum of a
-    symbol reads the same diagonal."""
+    """One compression for the identity, read only as max|T_1 - I| and
+    never formed as a d x d array, and one per default symbol, of which
+    only the diagonal is built: every diagonal sum of a symbol reads the
+    same diagonal."""
     built, dense = _record_built(monkeypatch)
     cfg = _write(tmp_path, FOCK)
     res = CliRunner().invoke(
         main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
-    assert built == [("toeplitz", (11, 11))] + [  # N = 10
+    assert built == [("toeplitz", "identity")] + [
         ("toeplitz", "diagonal")] * 3
-    assert dense == [(11, 11)]
+    assert dense == []
 
 
 def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
@@ -497,6 +500,30 @@ def test_verify_weyl_three_variables_stays_small(tmp_path):
         tracemalloc.stop()
     assert res.exit_code == 0, res.output
     assert peak < 64e6
+
+
+@pytest.mark.parametrize("suite, cfg, bound", [
+    # d = 3003: T_1 is reduced to max|T_1 - I| one row band at a time
+    # (13 MB traced on x86-64; 217 MB when T_1 was formed whole)
+    ("diag", {"phase": {"preset": "fock", "n": 5}, "h": 1.0}, 32e6),
+    # d = 3654: G = prefactor x I is read as its one scalar (0.33 MB
+    # traced; 534 MB when G, I, G - I and its abs were formed)
+    ("gram", {"phase": {"preset": "fock", "n": 3}, "h": 1.0, "N": 26}, 2e6),
+], ids=["diag", "gram"])
+def test_verify_reductions_form_no_square_array(tmp_path, suite, cfg,
+                                                bound):
+    """diag's identity check and gram's deviation each reduce a d x d
+    array to one number without holding that array."""
+    path = _write(tmp_path, cfg)
+    argv = ["verify", suite, "--config", path, "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        res = CliRunner().invoke(main, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    assert peak < bound
 
 
 def test_verify_two_variable_suites_build_no_grid(tmp_path, monkeypatch):
@@ -717,6 +744,23 @@ def test_verify_deformation_names_commuting_pair(tmp_path):
             "truncation leakage\n") in res.output
     assert "slope r2 >=" not in res.output
     assert "[PASS] slope r1 >= 1.8" in res.output
+
+
+def test_verify_deformation_names_degenerate_fit(tmp_path):
+    """A constant a = 2 makes T_a = 2 I, so both residuals sit at the
+    rounding floor: r1 is named degenerate instead of slope-fitted, and r2
+    is named as a commuting pair."""
+    cfg = _write(tmp_path, dict(FOCK, a=[[2, 0, 0, 0]]))
+    res = CliRunner().invoke(
+        main, ["verify", "deformation", "--config", cfg, "--out",
+               str(tmp_path)]
+    )
+    assert res.exit_code == 0, res.output
+    assert ("[PASS] slope r1: residuals at floor, fit undefined "
+            "(degenerate)\n") in res.output
+    assert ("[PASS] slope r2: a and b commute exactly; residual is "
+            "truncation leakage\n") in res.output
+    assert "slope r1 >=" not in res.output
 
 
 def test_sup_not_attained_is_flagged(tmp_path):

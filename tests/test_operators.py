@@ -219,12 +219,21 @@ def test_compressions_equal_one_op_builds(n, N):
     assert not mats[0].any()
 
 
-@pytest.mark.parametrize("n, N", [(1, 6), (2, 3)])
-def test_compressions_leading_blocks_equal_sliced_full(n, N):
-    """A requested (rows, cols) block is the full matrix sliced to
+@pytest.mark.parametrize("n, N, band_entries", [
+    pytest.param(1, 6, None, id="1-6"),
+    pytest.param(2, 3, None, id="2-3"),
+    pytest.param(1, 6, 5, id="1-6-bands5"),
+    pytest.param(2, 3, 5, id="2-3-bands5"),
+])
+def test_compressions_leading_blocks_equal_sliced_full(n, N, band_entries,
+                                                       monkeypatch):
+    """A requested (rows, cols) block is the full matrix F sliced to
     [:rows, :cols] bit for bit, for every block shape up to (d, d): on a
     multi-term plane-wave sum, a translation (whose scale multiplies the
-    finished block) and the zero operator."""
+    finished block) and the zero operator.  "identity" is max|F - I| bit
+    for bit, and "apply" past its buffer size, where it forms F, returns
+    F V exactly.  All of it holds with row bands of at most 5 entries
+    (uneven, some of one row) as with the default bands."""
     ctx = build_context(random_phase(n, 11), 0.7)
     trunc = enumerate_multiindices(n, N)
     d = len(trunc)
@@ -235,12 +244,24 @@ def test_compressions_leading_blocks_equal_sliced_full(n, N):
     lam = 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     ops = [b, lam, PlaneWaveSum(n=n, terms=())]
     full = list(btlab.operators.compressions(ctx, trunc, ops))
+    if band_entries:
+        monkeypatch.setattr(btlab.operators, "_BLOCK_ENTRIES", band_entries)
     for rows in range(d + 1):
         for cols in range(d + 1):
             blocks = btlab.operators.compressions(
                 ctx, trunc, ops, reads=[(rows, cols)] * len(ops))
             for M, F in zip(blocks, full, strict=True):
                 assert np.array_equal(M, F[:rows, :cols]), (rows, cols)
+    devs = btlab.operators.compressions(ctx, trunc, ops,
+                                        reads=["identity"] * len(ops))
+    for dev, F in zip(devs, full, strict=True):
+        assert dev == np.max(np.abs(F - np.eye(d)))
+    k = d * d // (N + 1) ** n + 1  # the least k whose buffer outgrows F
+    V = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+    applies = btlab.operators.compressions(ctx, trunc, ops,
+                                           reads=["apply"] * len(ops))
+    for apply, F in zip(applies, full, strict=True):
+        assert np.array_equal(apply(V), F @ V)
 
 
 def _three_ops(n, seed):

@@ -289,3 +289,16 @@ def test_sup_norm_attained_at_wide_shift():
     assert len(_witnesses(b)) == 6
     b = plane_wave_sum([(1.0, zero), (1.0, twelve), (-1.0, thirteen)])
     assert sup_norm(b) == (3.0, True)
+
+
+@pytest.mark.parametrize("sign, attained", [(1.0, True), (-1.0, False)])
+def test_sup_norm_irrational_dependence(sign, attained):
+    """1 + e^{i Re X} +- e^{i sqrt(2) Re X}: the sqrt(2) row is no rational
+    combination of the first, so the search falls back to k in
+    {-2, ..., 2}, five witnesses.  With + the phases align at Re X = 0;
+    with - they would need sqrt(2) 2 pi k = pi mod 2 pi, which no integer
+    k gives, so the bound 3 is not attained."""
+    zero, one, root2 = (np.array([v]) for v in (0.0, 1.0, np.sqrt(2.0)))
+    b = plane_wave_sum([(1.0, zero), (1.0, one), (sign, root2)])
+    assert sup_norm(b) == (3.0, attained)
+    assert len(_witnesses(b)) == 5
