@@ -101,6 +101,14 @@ def _freq_image_transposed(monkeypatch):
         monkeypatch.setattr(mod, "freq_image", freq_image)
 
 
+def _kernel_shift_scaled(monkeypatch):
+    # only the composition law's kernel shift a = (ih/4) R^-1 conj(mu)
+    # moves; the real-side pull-back keeps the true frequency image
+    real = btlab.geometry.freq_image
+    monkeypatch.setattr(btlab.bargmann, "freq_image",
+                        lambda ctx, lam: 1.01 * real(ctx, lam))
+
+
 def _sw_exact_scaled(monkeypatch):
     real = btlab.cli.sw_l1_exact
     monkeypatch.setattr(btlab.cli, "sw_l1_exact",
@@ -119,6 +127,8 @@ MUTATIONS = {
     # weyl and deformation build must still see an assembly error
     "compression_x0.97": (_compression_scaled,
                           {"weyl", "diag", "deformation"}),
+    # the Toeplitz side of egorov alone: its shift of the kernel's point
+    "kernel_shift_x1.01": (_kernel_shift_scaled, {"egorov"}),
     # Blind spots at n = 1 (ROADMAP items 2 and 3): R is 1 x 1 there, so
     # R^-1 = R^-T, and a 1% error in sw's closed form stays inside its 1%
     # rel_tol.  The n = 2 rows below catch both.
@@ -139,6 +149,7 @@ N2_CAUGHT = {
     # which bound's 2% slack no longer covers
     "compression_x0.97": {"weyl", "diag", "deformation", "bound"},
     "freq_image_transposed": {"weyl", "egorov"},
+    "kernel_shift_x1.01": {"egorov"},
     "sw_exact_x1.01^n": {"sw"},
 }
 
