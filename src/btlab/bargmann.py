@@ -15,6 +15,10 @@ the antiholomorphic half of a plane wave into a shift of the point
 Egorov check applies that to each Gaussian's closed-form transform; its
 right side is a sum of closed-form transforms too, since each real-side
 Weyl image of a Gaussian is a Gaussian (with complex dtype parameters).
+The closed-form transform takes stacks of centres, frequencies and
+amplitudes, so the check stacks every symbol's terms and makes two
+transform evaluations per probe, one for each side, sharing the probe's
+M^-1 and det(M)^(1/2); each symbol then sums its range of terms.
 """
 
 from __future__ import annotations
@@ -128,27 +132,38 @@ def gaussian_transform_weighted(ctx: SpaceContext, u: GaussianTestFn,
     return _gaussian_transform(ctx, X, u.y0, u.sigma, u.p0, u.amp)
 
 
-def _gaussian_transform(ctx: SpaceContext, X, y0, sigma, p0, amp):
+def _gaussian_width(ctx: SpaceContext, sigma: float) -> tuple:
+    """M^-1 and det(M)^(1/2) of M = I/sigma^2 - (i/h) C, the parts of the
+    closed-form transform that depend on the probe's width alone.  The
+    root is the product of the principal roots over the eigenvalues of M,
+    the branch continuous from the real case."""
+    M = np.eye(ctx.n) / sigma ** 2 - (1j / ctx.h) * ctx.phase.C
+    return np.linalg.inv(M), np.prod(np.sqrt(np.linalg.eigvals(M)))
+
+
+def _gaussian_transform(ctx: SpaceContext, X, y0, sigma, p0, amp,
+                        width=None):
     """e^{-Phi(X)/h} (Tu)(X) for u = amp exp(i<p0, y> - <y - y0, y - y0> /
     (2 sigma^2)), in closed form and analytic in y0 and p0, so complex too.
 
     The integrand exp([i phi(X, y) - Phi(X)]/h) u(y) is the Gaussian
     exp(-y.My/2 + J.y + c0) in y, with M = I/sigma^2 - (i/h) C (complex
     symmetric, Re M > 0) and J = (i/h) B^T X + i p0 + y0/sigma^2, so the
-    integral is (2 pi)^(n/2) det(M)^(-1/2) exp(c0 + J.M^-1 J/2).  The root
-    det(M)^(-1/2) is the product of the principal roots over the eigenvalues
-    of M, the branch continuous from the real case.
+    integral is (2 pi)^(n/2) det(M)^(-1/2) exp(c0 + J.M^-1 J/2).  Stacks
+    of parameters, y0 and p0 of shape (..., n) and amp of shape (...),
+    broadcast against the points X of shape (..., n), so one call
+    evaluates many Gaussians of one width; `width` is that width's
+    `_gaussian_width`, formed here unless passed in.
     """
     X = _as_points(np.asarray(X, dtype=complex), ctx.n)
     ph, h, s2 = ctx.phase, ctx.h, sigma ** 2
-    M = np.eye(ctx.n) / s2 - (1j / h) * ph.C
+    Minv, root = _gaussian_width(ctx, sigma) if width is None else width
     J = (1j / h) * (X @ ph.B) + (1j * p0 + y0 / s2)
     expo = (
         (0.5j * _qform(X, ph.A, X) - phi_weight(ctx, X)) / h
-        - (y0 @ y0) / (2.0 * s2)
-        + 0.5 * _qform(J, np.linalg.inv(M), J)
+        - np.sum(y0 * y0, axis=-1) / (2.0 * s2)
+        + 0.5 * _qform(J, Minv, J)
     )
-    root = np.prod(np.sqrt(np.linalg.eigvals(M)))
     pref = (amp * ctx.Cphi * h ** (-0.75 * ctx.n)
             * (2.0 * np.pi) ** (ctx.n / 2.0) / root)
     return pref * np.exp(expo)
@@ -176,6 +191,21 @@ def projector_apply_weighted(ctx: SpaceContext, fw, X,
     return (2.0 / (np.pi * ctx.h)) ** ctx.n * (vals @ wt)
 
 
+def _kernel_shifts(ctx: SpaceContext, lams: np.ndarray, X: np.ndarray):
+    """The shifted points X + a_t, shape (T, ..., n), and the factors
+    exp(E_t), shape (T, ...), of `toeplitz_apply_weighted` for the
+    frequencies lams of shape (T, n), at the points X of shape (..., n)."""
+    a = (0.25j * ctx.h) * (np.conj(freq_image(ctx, lams)) @ ctx.Rinv.T)
+    a = a.reshape(a.shape[:1] + (1,) * (X.ndim - 1) + a.shape[1:])
+    Xa = X + a
+    aPhi = a @ ctx.PhiXX.T  # Phi''_XX a, symmetric
+    expo = 0.5j * np.sum(Xa * lams.reshape(a.shape), axis=-1) + (
+        phi_weight(ctx, Xa) - phi_weight(ctx, X)
+        - 2.0 * np.sum(X * aPhi, axis=-1) - np.sum(a * aPhi, axis=-1)
+    ) / ctx.h
+    return Xa, np.exp(expo)
+
+
 def toeplitz_apply_weighted(ctx: SpaceContext, b, fw, X) -> np.ndarray:
     """e^{-Phi(X)/h} Pi(b f)(X) for a plane-wave sum b, in closed form.
 
@@ -188,27 +218,68 @@ def toeplitz_apply_weighted(ctx: SpaceContext, b, fw, X) -> np.ndarray:
     e^{(i/2)<Y, lam>} f.  So each term is c exp(E) fw(X + a) with
     E = (i/2)<X + a, lam> - (2<a, Phi''_XX X> + <a, Phi''_XX a>)/h
     + (Phi(X + a) - Phi(X))/h: the Toeplitz composition law (Berger-Coburn,
-    Trans. AMS 301, 1987) for the weight Phi, with no quadrature.
+    Trans. AMS 301, 1987) for the weight Phi, with no quadrature.  fw is
+    called once, on the stack of every term's shifted points.
     """
     X = _as_points(np.asarray(X, dtype=complex), ctx.n)
-    phi = phi_weight(ctx, X)
-    out = np.zeros(X.shape[:-1], dtype=complex)
-    for c, lam in b.terms:
-        a = (0.25j * ctx.h) * (ctx.Rinv @ np.conj(freq_image(ctx, lam)))
-        Xa = X + a
-        expo = 0.5j * (Xa @ lam) + (
-            phi_weight(ctx, Xa) - phi
-            - 2.0 * (X @ (ctx.PhiXX @ a)) - a @ ctx.PhiXX @ a
-        ) / ctx.h
-        out = out + c * np.exp(expo) * fw(Xa)
-    return out
+    c, lams = _stacked_terms(b.terms, ctx.n)
+    Xa, E = _kernel_shifts(ctx, lams, X)
+    c = c.reshape(c.shape + (1,) * (X.ndim - 1))
+    return np.sum(c * E * fw(Xa), axis=0)
+
+
+def _stacked_terms(terms, n: int, width: int = 2) -> tuple:
+    """The coefficients (T,) and, for each of the width - 1 vectors of the
+    terms (c, v_1, v_2, ...), their rows (T, n), as complex arrays in term
+    order."""
+    cols = list(zip(*terms)) or [()] * width
+    return (np.array(cols[0], dtype=complex),
+            *(np.array(col, dtype=complex).reshape(-1, n) for col in cols[1:]))
 
 
 def _weyl_gaussian(h: float, c, p, q, u: GaussianTestFn) -> tuple:
     """(y0, sigma, p0, amp) of c Op^w(e^{i(<x,p> + <q,xi>)}) u, the
-    Gaussian c e^{i<x,p> + ih<q,p>/2} u(x + hq), complex with p, q."""
+    Gaussian c e^{i<x,p> + ih<q,p>/2} u(x + hq), complex with p, q; one
+    Gaussian per row of the stacks c (T,), p and q (T, n)."""
     return (u.y0 - h * q, u.sigma, u.p0 + p,
-            c * u.amp * np.exp(0.5j * h * (q @ p) + 1j * h * (u.p0 @ q)))
+            c * u.amp * np.exp(0.5j * h * np.sum(q * p, axis=-1)
+                               + 1j * h * (q @ u.p0)))
+
+
+def _egorov_sides(ctx: SpaceContext, symbols, gaussians, X) -> tuple:
+    """Both sides of the Egorov identity at the points X, flattened to
+    (npts, n): arrays (lhs, rhs) of shape (len(symbols), len(gaussians),
+    npts).  Every symbol's terms are stacked in order; per probe one
+    closed-form transform gives the left side at every term's shifted
+    points X + a_t and one more the right side for every term's Weyl
+    image, both with the probe's one `_gaussian_width`, and each symbol
+    sums its contiguous range of terms."""
+    pulled = [cotangent_frequencies(ctx, heat_flow(ctx, b, 0.5))
+              for b in symbols]  # refuses a callable before any transform
+    if not all(isinstance(u, GaussianTestFn) for u in gaussians):
+        raise UnsupportedSymbol(
+            "the Egorov identity is closed-form only for Gaussian probes"
+        )
+    X = _as_points(np.asarray(X, dtype=complex), ctx.n).reshape(-1, ctx.n)
+    c, lams = _stacked_terms([t for b in symbols for t in b.terms], ctx.n)
+    cr, p, q = _stacked_terms([t for f in pulled for t in f], ctx.n, 3)
+    Xa, E = _kernel_shifts(ctx, lams, X)
+    cE = c[:, np.newaxis] * E
+    ends = np.cumsum([0] + [len(f) for f in pulled])
+    shape = (len(symbols), len(gaussians), X.shape[0])
+    lhs, rhs = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    for g, u in enumerate(gaussians):
+        width = _gaussian_width(ctx, u.sigma)
+        left = cE * _gaussian_transform(ctx, Xa, u.y0, u.sigma, u.p0,
+                                        u.amp, width)
+        y0, sigma, p0, amp = _weyl_gaussian(ctx.h, cr, p, q, u)
+        right = _gaussian_transform(ctx, X, y0[:, np.newaxis], sigma,
+                                    p0[:, np.newaxis], amp[:, np.newaxis],
+                                    width)
+        for j, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            lhs[j, g] = np.sum(left[lo:hi], axis=0)
+            rhs[j, g] = np.sum(right[lo:hi], axis=0)
+    return lhs, rhs
 
 
 def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians,
@@ -221,24 +292,12 @@ def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians,
 
     The real-side symbol is the pull-back to T*R^n of the half-time heat
     flow of b (`cotangent_frequencies`); each term is a plane wave in
-    (x, xi) that maps u to a Gaussian (`_weyl_gaussian`).
-    The left side is `toeplitz_apply_weighted` of the closed-form transform
-    of u, the right side the sum of the terms' closed-form transforms.
+    (x, xi) that maps u to a Gaussian (`_weyl_gaussian`).  The left side
+    is the composition law of `toeplitz_apply_weighted` on the closed-form
+    transform of u, the right side the sum of the terms' closed-form
+    transforms.  Both are evaluated for all symbols at once, two
+    transform evaluations per probe (`_egorov_sides`).
     """
-    symbols, gaussians = tuple(symbols), tuple(gaussians)
-    pulled = [cotangent_frequencies(ctx, heat_flow(ctx, b, 0.5))
-              for b in symbols]  # refuses a callable before any transform
-    if not all(isinstance(u, GaussianTestFn) for u in gaussians):
-        raise UnsupportedSymbol(
-            "the Egorov identity is closed-form only for Gaussian probes"
-        )
-    worst = np.zeros((len(symbols), len(gaussians)))
-    for j, (b, freqs) in enumerate(zip(symbols, pulled)):
-        for g, u in enumerate(gaussians):
-            fw = lambda Y: gaussian_transform_weighted(ctx, u, Y)
-            lhs = toeplitz_apply_weighted(ctx, b, fw, X_grid)
-            rhs = sum(_gaussian_transform(ctx, X_grid, *_weyl_gaussian(
-                ctx.h, c, p, q, u)) for c, p, q in freqs)
-            worst[j, g] = np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)),
-                                 initial=0.0)
-    return worst
+    lhs, rhs = _egorov_sides(ctx, tuple(symbols), tuple(gaussians), X_grid)
+    return np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), axis=-1,
+                  initial=0.0)

@@ -133,10 +133,12 @@ def weighted_pair_sum(
     return out
 
 
-def axis_matrices(h: float, N: int, factors) -> np.ndarray:
+def axis_matrices(h, N: int, factors) -> np.ndarray:
     """A[f, b, a] = <v_b, e^{i Re(w mu) + nu w} v_a(w - shift)> in the Fock
     inner product, degrees 0..N of one variable w = r z, r = sqrt(h/2), for
-    each factor f = (shift, mu, nu): shape (len(factors), N+1, N+1).
+    each factor f = (shift, mu, nu): shape (len(factors), N+1, N+1).  h is
+    one value for all factors or a sequence of one per factor, so factors
+    at several h share the recurrence.
 
     With alpha = (i mu/2 + nu) r and beta = (i/2) conj(mu) r the factor is
     e^{alpha z + beta conj(z)}, and the projection turns e^{beta conj(z)}
@@ -151,12 +153,13 @@ def axis_matrices(h: float, N: int, factors) -> np.ndarray:
     over the whole stack; the per-factor scalars are formed one factor at a
     time, so every slice is bit-identical to a one-factor call.
     """
-    r = math.sqrt(h / 2.0)
     k = len(factors)
+    hs = np.broadcast_to(np.asarray(h, dtype=float), (k,))
     start = np.empty((k, 2, 1), dtype=complex)  # alpha, gamma
     scale = np.empty((k, 1, 1), dtype=complex)  # e^{alpha beta}
     ag = np.empty((k, 1, 1), dtype=complex)  # alpha gamma
-    for f, (shift, mu, nu) in enumerate(factors):
+    for f, ((shift, mu, nu), hf) in enumerate(zip(factors, hs)):
+        r = math.sqrt(hf / 2.0)
         alpha = (0.5j * mu + nu) * r
         beta = 0.5j * np.conj(mu) * r
         gamma = beta - shift / r

@@ -6,8 +6,9 @@ before numpy is first imported (the package __init__ imports nothing, so
 this module runs first under the console entry point), and all assembly is
 serial: each suite that reads compressions stacks the distinct one-axis
 factors of all of them in a fixed order (first use), runs one closed-form
-recurrence over them (one per h in ``deformation``), and builds one
-read-out per compression at a time in the order the suite reads them,
+recurrence over them (``deformation`` over the factors of every h), and
+builds one read-out per compression at a time in the order the suite
+reads them,
 each only what its checks read: a leading block (``weyl`` and
 ``deformation`` read most of theirs on an inner degree block), the
 diagonal (``diag``'s symbols), the deviation max|T_1 - I| (``diag``'s
@@ -16,7 +17,11 @@ action on a block of columns (``weyl``'s T_b, applied one axis at a time
 in a fixed order, or through the matrix when that is smaller, a choice
 fixed by n, N and the inner degree); ``gram`` reads the scalar
 prefactor of its closed form G = prefactor x I, builds no matrix and
-runs no recurrence.  ``--threads`` is accepted, validated and echoed, and
+runs no recurrence; ``deformation`` takes the spectral norms of all its
+defects in one batched call, and ``egorov`` evaluates two closed-form
+transforms per Gaussian probe, each for every symbol term at once.  The
+report is printed with one write.  ``--threads`` is accepted, validated
+and echoed, and
 ``verify --order`` is still parsed, but neither reaches anything below
 this module (no suite reads a quadrature order), so they cannot change
 the work or a single output bit.
@@ -446,15 +451,13 @@ def _run(name: str, suite: Suite, config_path, outdir, echo: dict):
         click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(2)
     eff = {**echo, "n": phase.n, **keys.echo}
-    click.echo(f"suite: {name}")
-    click.echo("config:")
-    for key in sorted(eff):
-        click.echo(f"  {key} = {eff[key]}")
-    for line in out.lines:
-        click.echo(line)
+    lines = [f"suite: {name}", "config:"]
+    lines += [f"  {key} = {eff[key]}" for key in sorted(eff)]
+    lines += out.lines
     if csv_path is not None:
-        click.echo(f"csv: {csv_path}")
-    click.echo("result: " + ("PASS" if out.ok else "FAIL"))
+        lines.append(f"csv: {csv_path}")
+    lines.append("result: " + ("PASS" if out.ok else "FAIL"))
+    click.echo("\n".join(lines))
     sys.exit(0 if out.ok else 1)
 
 

@@ -39,6 +39,7 @@ only as its action on those columns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -232,25 +233,31 @@ def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops, reads=None):
       "apply"       a function V -> M V on (d, k) arrays, which forms M
                     only when M is smaller than the (N+1)^n x k buffer
                     its one-axis factors act on (see `_applier`).
-    The default is the full (d, d) for every op.  Equal factors are shared
-    across all the ops, so one `basis.axis_matrices` call serves them all.
-    Each read-out is built only when asked for and this generator keeps
-    none it has yielded, so a caller that drops one before taking the next
-    holds one at a time.
+    The default is the full (d, d) for every op.  `ctx` is one space
+    context for every op, or a sequence of one per op (a sweep's contexts
+    at several h).  Equal factors at equal h are shared across all the
+    ops, so one `basis.axis_matrices` call serves them all.  Each read-out
+    is built only when asked for and this generator keeps none it has
+    yielded, so a caller that drops one before taking the next holds one
+    at a time.
     """
-    built = [_terms(ctx, op) for op in ops]
+    pairs = (zip(itertools.repeat(ctx), ops) if isinstance(ctx, SpaceContext)
+             else zip(ctx, ops, strict=True))
+    built = [(c.h, *_terms(c, op)) for c, op in pairs]
     d = len(trunc)
     if reads is None:
         reads = [(d, d)] * len(built)
     rows = {}
-    for terms, _ in built:
+    for h, terms, _ in built:
         for _, axes in terms:
             for factor in axes:
-                rows.setdefault(factor, len(rows))
-    stack = basis.axis_matrices(ctx.h, trunc.N, list(rows))
+                rows.setdefault((h, factor), len(rows))
+    stack = basis.axis_matrices([h for h, _ in rows], trunc.N,
+                                [factor for _, factor in rows])
     idx = np.array(trunc.indices).T
-    for (terms, scale), read in zip(built, reads, strict=True):
-        terms = [(c, [rows[factor] for factor in axes]) for c, axes in terms]
+    for (h, terms, scale), read in zip(built, reads, strict=True):
+        terms = [(c, [rows[h, factor] for factor in axes])
+                 for c, axes in terms]
         if read == "diagonal":
             yield _diagonal_sum(stack, idx, terms, scale)
         elif read == "identity":
@@ -397,22 +404,47 @@ def diagonal_sum_check(ctx: SpaceContext, b, diag: np.ndarray,
              complex(sum(c * L for c, L in zip(c1, lag[k])))) for k in ks]
 
 
-def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
-                          drop: int = 4):
-    """Spectral norms of the two second-order deformation defects,
-    formed on the block of degrees <= N - drop, of size m.  The five
-    compressions share one stacked recurrence; T_a and T_b are built in
-    full, since their products sum over every index, and T_ab, T_q and
-    the bracket's only on the m x m block."""
+def _defect_norms(ctxs, a, b, trunc: MultiIndexSet, drop: int) -> list:
+    """(r1, r2) at each context of `ctxs`, contexts of one phase at
+    several h: the spectral norms of the two second-order deformation
+    defects, formed on the block of degrees <= N - drop, of size m.
+    T_ab, T_q and the bracket do not depend on h and are built once.  The
+    five compressions at every h share one stacked recurrence; T_a and
+    T_b are built in full, since their products sum over every index, and
+    T_ab, T_q and the bracket's only on the m x m block.  The defects of
+    as many h as fit in _BLOCK_ENTRIES entries (every h at the n <= 2
+    defaults) go to one batched norm call."""
     m = trunc.count_through_degree(max(trunc.N - drop, 0))
     d = len(trunc)
-    Ta, Tb, Tab, Tq, Tpb = compressions(ctx, trunc, [
-        a, b, multiply(a, b), q_form(ctx, a, b), poisson(ctx, a, b)],
-        reads=[(d, d), (d, d)] + [(m, m)] * 3)
-    ab = Ta[:m] @ Tb[:, :m]
-    d1 = ab - Tab + (ctx.h / 2.0) * Tq
-    d2 = ab - Tb[:m] @ Ta[:, :m] - (0.5j * ctx.h) * Tpb
-    return operator_norm(d1), operator_norm(d2)
+    ops = [a, b, multiply(a, b), q_form(ctxs[0], a, b),
+           poisson(ctxs[0], a, b)]
+    mats = compressions([ctx for ctx in ctxs for _ in ops], trunc,
+                        ops * len(ctxs),
+                        reads=([(d, d)] * 2 + [(m, m)] * 3) * len(ctxs))
+    per = max(1, _BLOCK_ENTRIES // (2 * m * m))  # h values per norm call
+    norms = []
+    for start in range(0, len(ctxs), per):
+        group = ctxs[start:start + per]
+        defects = np.empty((2 * len(group), m, m), dtype=complex)
+        for k, ctx in enumerate(group):
+            Ta, Tb, Tab, Tq, Tpb = (next(mats) for _ in ops)
+            ab = Ta[:m] @ Tb[:, :m]
+            d1, d2 = defects[2 * k], defects[2 * k + 1]
+            np.subtract(ab, Tab, out=d1)  # ab - Tab + (h/2) Tq
+            d1 += (ctx.h / 2.0) * Tq
+            np.subtract(ab, Tb[:m] @ Ta[:, :m], out=d2)  # - (ih/2) {a, b}
+            d2 -= (0.5j * ctx.h) * Tpb
+            del Ta, Tb, Tab, Tq, Tpb, ab  # before the next h's are built
+        norms.extend(np.linalg.norm(defects, 2, axis=(1, 2)).tolist())
+    return list(zip(norms[::2], norms[1::2]))
+
+
+def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
+                          drop: int = 4):
+    """Spectral norms (r1, r2) of the two second-order deformation
+    defects at one h, formed on the block of degrees <= N - drop (see
+    `_defect_norms`)."""
+    return _defect_norms([ctx], a, b, trunc, drop)[0]
 
 
 @dataclass(frozen=True)
@@ -448,7 +480,11 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
 
     No field of the space context but h itself depends on h, so the phase
     is validated and its geometry derived once, after every h has been
-    checked, and each h gets a copy of that context.  `commuting` names the
+    checked, and each h gets a copy of that context.  The h-independent
+    symbols are built once, one `basis.axis_matrices` recurrence serves
+    every (h, factor) and one batched norm call takes every h's two
+    defect norms (`_defect_norms`); each residual equals
+    `deformation_residuals` at its h bit for bit.  `commuting` names the
     pairs whose commutator residual has no h^2 term to fit (see
     `_commute_exactly`).
     """
@@ -461,11 +497,8 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
         _check_h(h)
     base = build_context(phase, hs[0])
     trunc = enumerate_multiindices(base.n, N)
-    rows = []
-    for h in hs:
-        r1, r2 = deformation_residuals(replace(base, h=h), a, b, trunc,
-                                       drop=drop)
-        rows.append((h, r1, r2))
+    rows = [(h, r1, r2) for h, (r1, r2) in zip(hs, _defect_norms(
+        [replace(base, h=h) for h in hs], a, b, trunc, drop))]
     arr = np.asarray(rows, dtype=float)
     return SweepResult(
         rows=tuple(rows),

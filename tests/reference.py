@@ -2,7 +2,9 @@
 
 None is on any verdict path: `real_weyl_planewave_apply` is the
 closed-form real-side Weyl operator that `bargmann._weyl_gaussian` folds
-into Gaussian parameters, `wirtinger_fd` differentiates any function
+into Gaussian parameters, `egorov_sides_per_term` evaluates both sides of
+the Egorov identity one transform per (symbol term, probe), as the check
+did before it stacked them, `wirtinger_fd` differentiates any function
 numerically, for checks of Q and the bracket, and `u_alpha_eval`
 evaluates the graded monomial basis of H_Phi pointwise in the unreduced
 X frame, which the compressions never do.
@@ -12,9 +14,13 @@ import math
 
 import numpy as np
 
-from btlab.bargmann import GaussianTestFn
+from btlab.bargmann import (
+    GaussianTestFn, _gaussian_transform, gaussian_transform_weighted,
+)
 from btlab.errors import UnsupportedSymbol
-from btlab.geometry import _as_points, _qform
+from btlab.geometry import _as_points, _qform, freq_image, phi_weight
+from btlab.heat import heat_flow
+from btlab.symbols import cotangent_frequencies
 
 
 def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:
@@ -29,6 +35,40 @@ def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:
     x = _as_points(np.asarray(x, dtype=complex), u.n)
     phase = np.exp(1j * (x @ p) + 0.5j * h * (q @ p))
     return phase * u(x + h * q)
+
+
+def egorov_sides_per_term(ctx, symbols, gaussians, X):
+    """(lhs, rhs) of `bargmann._egorov_sides`, shape (len(symbols),
+    len(gaussians), npts), with one closed-form transform per term and
+    probe: the composition law applied term by term on the left, and on
+    the right one transform per Weyl image c e^{i<x,p> + ih<q,p>/2}
+    u(x + hq) of the pulled-back terms."""
+    h = ctx.h
+    X = _as_points(np.asarray(X, dtype=complex), ctx.n).reshape(-1, ctx.n)
+    shape = (len(symbols), len(gaussians), X.shape[0])
+    lhs, rhs = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
+    phi = phi_weight(ctx, X)
+    for j, b in enumerate(symbols):
+        freqs = cotangent_frequencies(ctx, heat_flow(ctx, b, 0.5))
+        for g, u in enumerate(gaussians):
+            left = np.zeros(X.shape[0], dtype=complex)
+            for c, lam in b.terms:
+                a = (0.25j * h) * (ctx.Rinv @ np.conj(freq_image(ctx, lam)))
+                Xa = X + a
+                expo = 0.5j * (Xa @ lam) + (
+                    phi_weight(ctx, Xa) - phi
+                    - 2.0 * (X @ (ctx.PhiXX @ a)) - a @ ctx.PhiXX @ a
+                ) / h
+                left = left + c * np.exp(expo) * gaussian_transform_weighted(
+                    ctx, u, Xa)
+            right = np.zeros(X.shape[0], dtype=complex)
+            for c, p, q in freqs:
+                amp = c * u.amp * np.exp(0.5j * h * (q @ p)
+                                         + 1j * h * (u.p0 @ q))
+                right = right + _gaussian_transform(
+                    ctx, X, u.y0 - h * q, u.sigma, u.p0 + p, amp)
+            lhs[j, g], rhs[j, g] = left, right
+    return lhs, rhs
 
 
 def wirtinger_fd(f, X: np.ndarray, step: float):

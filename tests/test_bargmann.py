@@ -13,11 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_dev
-from reference import real_weyl_planewave_apply, u_alpha_eval, wirtinger_fd
+from reference import (
+    egorov_sides_per_term,
+    real_weyl_planewave_apply,
+    u_alpha_eval,
+    wirtinger_fd,
+)
 
 import btlab.bargmann
 from btlab.bargmann import (
     GaussianTestFn,
+    _egorov_sides,
     _gaussian_transform,
     _weyl_gaussian,
     bargmann_transform_weighted,
@@ -347,6 +353,52 @@ def test_egorov_identity_property(n, seed, h, terms, y0, sigma, p0, amp):
     re, im = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 5, n))
     X = re + 1j * im
     assert np.max(egorov_guillemin_check(ctx, [b], [u], X)) <= 1e-12
+
+
+@pytest.mark.parametrize("phase, h", [
+    (fock_phase(1, 1.0), 1.0), (random_phase(1, 7), 0.5),
+    (random_phase(2, 7), 1.0), (random_phase(3, 3), 0.7),
+], ids=["fock", "seed7", "seed7-n2", "seed3-n3"])
+def test_egorov_sides_match_per_term_transforms(phase, h, monkeypatch):
+    """The stacked sides equal the per-term loop to 1e-13 relative, entry
+    by entry, for symbols of 1, 1, 2, 0 and 3 terms; each probe costs two
+    closed-form transform evaluations, whatever the number of terms."""
+    ctx = build_context(phase, h)
+    n = ctx.n
+    symbols = [
+        plane_wave_sum([(1.0, _e1(n))], n=n),
+        plane_wave_sum([(1.0, _e1(n, 0.5 + 0.3j))], n=n),
+        plane_wave_sum([(0.7, _e1(n)), (0.3, -_e1(n))], n=n),
+        plane_wave_sum([], n=n),
+        plane_wave_sum([(0.6 - 0.2j, np.linspace(0.4, -0.8, n)),
+                        (-0.4j, _e1(n, -0.3 + 0.9j)),
+                        (0.5, np.full(n, 0.2 - 0.1j))], n=n),
+    ]
+    gaussians = [
+        GaussianTestFn(y0=np.zeros(n), sigma=1.0, p0=np.zeros(n)),
+        GaussianTestFn(y0=np.full(n, 0.4), sigma=0.8, p0=np.full(n, 0.6),
+                       amp=0.9 + 0.4j),
+        GaussianTestFn(y0=np.linspace(-0.5, 0.3, n), sigma=1.3,
+                       p0=np.linspace(0.7, -0.2, n), amp=-0.3 + 1.1j),
+    ]
+    X = complex_box(-1.0, 1.0, 1.0, n)
+    ref = egorov_sides_per_term(ctx, symbols, gaussians, X)
+    calls = []
+    real = btlab.bargmann._gaussian_transform
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(btlab.bargmann, "_gaussian_transform", counted)
+    got = _egorov_sides(ctx, symbols, gaussians, X)
+    assert len(calls) == 2 * len(gaussians)
+    for side, want in zip(got, ref):
+        assert side.shape == want.shape == (5, 3, 9 ** n)
+        assert np.all(np.abs(side - want) <= 1e-13 * np.abs(want))
+    assert not np.any(got[0][3]) and not np.any(got[1][3])
+    zero = egorov_guillemin_check(ctx, symbols[3:4], gaussians, X)
+    assert zero.shape == (1, 3) and not np.any(zero)
 
 
 def test_egorov_refuses_any_callable_before_quadrature(monkeypatch):

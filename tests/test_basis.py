@@ -159,6 +159,17 @@ def test_stacked_recurrence_equals_single_factors(h, N):
     assert np.array_equal(stack[0], np.eye(N + 1))
 
 
+def test_stack_over_several_h_equals_one_h_at_a_time():
+    """With one h per factor, each slice is the one-h, one-factor run bit
+    for bit, so a sweep over h can share a single recurrence."""
+    N = 16
+    runs = [(h, factor) for h in (0.4, 0.2, 0.1) for factor in _mixed_batch(h)]
+    stack = axis_matrices([h for h, _ in runs], N, [f for _, f in runs])
+    assert stack.shape == (len(runs), N + 1, N + 1)
+    for A, (h, factor) in zip(stack, runs):
+        assert np.array_equal(A, axis_matrices(h, N, [factor])[0])
+
+
 @pytest.mark.parametrize("h, shift, mu, nu", [
     (1.0, 0.0, 0.0, 0.0),
     (0.5, 0.0, 1.4 - 0.6j, 0.0),

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import re
@@ -412,12 +413,13 @@ def test_verify_bound_holds_one_matrix_at_a_time(tmp_path, monkeypatch):
 
 
 def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
-    """diag, weyl and bound each run one `axis_matrices` recurrence for
-    all their compressions, deformation one per h, and gram, a closed form,
-    none; equal factors are shared, so weyl's translated symbols reuse
-    T_b's frequency and the five deformation compressions of each h stack
-    only the frequencies lambda_a, lambda_b and lambda_a + lambda_b of the
-    default one-wave pair."""
+    """diag, weyl, bound and deformation each run one `axis_matrices`
+    recurrence for all their compressions, deformation's over all its h,
+    and gram, a closed form, none; equal factors at equal h are shared, so
+    weyl's translated symbols reuse T_b's frequency and the five
+    deformation compressions of each of the five h stack only the
+    frequencies lambda_a, lambda_b and lambda_a + lambda_b of the default
+    one-wave pair."""
     stacks = []
     real = btlab.basis.axis_matrices
 
@@ -429,7 +431,7 @@ def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
     cfg = _write(tmp_path, FOCK)
     # factors per stack: the n = 1 defaults of each suite
     expected = {"gram": [], "diag": [4], "weyl": [1 + 2 * 4],
-                "bound": [4], "deformation": [3] * 5}
+                "bound": [4], "deformation": [3 * 5]}
     for suite, sizes in expected.items():
         stacks.clear()
         res = CliRunner().invoke(
@@ -437,6 +439,36 @@ def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
         )
         assert res.exit_code == 0, res.output
         assert stacks == sizes, suite
+
+
+# sha256 of the CSV of a default run, pinned when deformation still ran
+# one recurrence and two norm calls per h and egorov one transform per
+# symbol term and probe: stacking them moved no bit
+CSV_DIGESTS = {
+    ("deformation", "fock"):
+        "920177eca3d794a105e0764b8468f726f61c9b4a018ccbdbbf8accc1f8a0fcf1",
+    ("deformation", "seed7"):
+        "a8204877f72e5aef04aa6e85a376bf7f6e5a2d79391991502f662eaec04318c4",
+    ("deformation", "seed7-n2"):
+        "e7ca25009d247aa8baef4ae775b79ef1e63279087c2f3595b31b4233f02dabe8",
+    ("egorov", "fock"):
+        "98180d4132c82bf1d8428b97491d71571a788845bf5f18a0a5e5c3d39fb15832",
+}
+DIGEST_CONFIGS = {
+    "fock": FOCK,
+    "seed7": {"phase": {"seed": 7, "n": 1}, "h": 0.5},
+    "seed7-n2": {"phase": {"seed": 7, "n": 2}, "h": 1.0},
+}
+
+
+@pytest.mark.parametrize("suite, config", list(CSV_DIGESTS))
+def test_verify_csv_bytes_are_pinned(suite, config, tmp_path):
+    cfg = _write(tmp_path, DIGEST_CONFIGS[config])
+    res = CliRunner().invoke(
+        main, ["verify", suite, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    digest = hashlib.sha256((tmp_path / f"{suite}.csv").read_bytes())
+    assert digest.hexdigest() == CSV_DIGESTS[suite, config]
 
 
 def test_verify_bound_searches_witnesses_once_per_symbol(tmp_path,

@@ -44,3 +44,15 @@ def test_cli_pins_threads_before_numpy_loads():
             f"print(*(os.environ[v] for v in {THREAD_VARS!r}))")
     assert _fresh(show) == ["1"] * 5
     assert _fresh(show, OMP_NUM_THREADS="3") == ["3"] + ["1"] * 4
+
+
+def test_cli_start_leaves_numpy_polynomial_unloaded():
+    """No suite builds a Gauss-Hermite rule, so `gauss_hermite_rule`
+    imports its nodes only when called and a CLI start skips loading
+    numpy.polynomial."""
+    code = ("import sys, btlab.cli; "
+            "print('numpy.polynomial' in sys.modules)")
+    assert _fresh(code) == ["False"]
+    assert _fresh(code.replace(
+        "print(", "btlab.quadrature.gauss_hermite_rule(4); print(")) \
+        == ["True"]

@@ -450,6 +450,32 @@ def test_sweep_generic_complex_pair_is_quadratic():
     assert 1.8 < res.slope2 < 2.3
 
 
+def test_sweep_norms_split_across_calls_keep_every_bit(monkeypatch):
+    """All defects of a sweep go to one batched norm call when they fit in
+    _BLOCK_ENTRIES entries, else in groups of h that fit; one h per call
+    (as at n = 3 defaults) gives the same residuals bit for bit."""
+    phase = random_phase(2, 7)
+    a = plane_wave_sum([(0.7, np.array([1.0 + 0.4j, 0.3]))], n=2)
+    b = plane_wave_sum([(0.5 - 0.2j, np.array([-0.6 + 0.8j, 0.0]))], n=2)
+    hs = [0.4, 0.3, 0.2, 0.1]
+    stacks = []
+    real = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        if np.ndim(x) == 3:
+            stacks.append(np.shape(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(btlab.operators.np.linalg, "norm", counted)
+    whole = deformation_sweep(phase, a, b, hs, 8)
+    assert stacks == [(8, 15, 15)]  # m = 15 indices through degree 4
+    stacks.clear()
+    monkeypatch.setattr(btlab.operators, "_BLOCK_ENTRIES", 1)
+    split = deformation_sweep(phase, a, b, hs, 8)
+    assert stacks == [(2, 15, 15)] * 4
+    assert split.rows == whole.rows
+
+
 def _cos_sin(n):
     e1 = np.eye(n)[0]
     return cosine_symbol(e1, n), sine_symbol(e1, n)
