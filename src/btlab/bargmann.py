@@ -198,7 +198,7 @@ def _kernel_shifts(ctx: SpaceContext, lams: np.ndarray, X: np.ndarray):
     a = (0.25j * ctx.h) * (np.conj(freq_image(ctx, lams)) @ ctx.Rinv.T)
     a = a.reshape(a.shape[:1] + (1,) * (X.ndim - 1) + a.shape[1:])
     Xa = X + a
-    aPhi = a @ ctx.PhiXX.T  # Phi''_XX a, symmetric
+    aPhi = a @ ctx.PhiXX.T  # the rows Phi''_XX a_t
     expo = 0.5j * np.sum(Xa * lams.reshape(a.shape), axis=-1) + (
         phi_weight(ctx, Xa) - phi_weight(ctx, X)
         - 2.0 * np.sum(X * aPhi, axis=-1) - np.sum(a * aPhi, axis=-1)

@@ -441,9 +441,8 @@ def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
         assert stacks == sizes, suite
 
 
-# sha256 of the CSV of a default run, pinned when deformation still ran
-# one recurrence and two norm calls per h and egorov one transform per
-# symbol term and probe: stacking them moved no bit
+# sha256 of the CSV of a default run: deformation's stacked recurrence and
+# batched norms, and egorov's stacked transforms, keep these bytes
 CSV_DIGESTS = {
     ("deformation", "fock"):
         "920177eca3d794a105e0764b8468f726f61c9b4a018ccbdbbf8accc1f8a0fcf1",
