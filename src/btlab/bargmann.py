@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .heat import heat_flow
 from .quadrature import QuadratureRule, _tensor_grid, complex_grid
-from .symbols import cotangent_frequencies, eval_symbol
+from .symbols import _cotangent_terms, eval_symbol
 
 __all__ = [
     "GaussianTestFn",
@@ -249,12 +249,14 @@ def _weyl_gaussian(h: float, c, p, q, u: GaussianTestFn) -> tuple:
 def _egorov_sides(ctx: SpaceContext, symbols, gaussians, X) -> tuple:
     """Both sides of the Egorov identity at the points X, flattened to
     (npts, n): arrays (lhs, rhs) of shape (len(symbols), len(gaussians),
-    npts).  Every symbol's terms are stacked in order; per probe one
+    npts).  Every symbol's terms are stacked in order, and so are their
+    half-time heat flows, pulled back to T*R^n in one call that forms the
+    canonical maps once; per probe one
     closed-form transform gives the left side at every term's shifted
     points X + a_t and one more the right side for every term's Weyl
     image, both with the probe's one `_gaussian_width`, and each symbol
     sums its contiguous range of terms."""
-    pulled = [cotangent_frequencies(ctx, heat_flow(ctx, b, 0.5))
+    flowed = [heat_flow(ctx, b, 0.5).terms
               for b in symbols]  # refuses a callable before any transform
     if not all(isinstance(u, GaussianTestFn) for u in gaussians):
         raise UnsupportedSymbol(
@@ -262,10 +264,11 @@ def _egorov_sides(ctx: SpaceContext, symbols, gaussians, X) -> tuple:
         )
     X = _as_points(np.asarray(X, dtype=complex), ctx.n).reshape(-1, ctx.n)
     c, lams = _stacked_terms([t for b in symbols for t in b.terms], ctx.n)
-    cr, p, q = _stacked_terms([t for f in pulled for t in f], ctx.n, 3)
+    cr, p, q = _stacked_terms(
+        _cotangent_terms(ctx, [t for f in flowed for t in f]), ctx.n, 3)
     Xa, E = _kernel_shifts(ctx, lams, X)
     cE = c[:, np.newaxis] * E
-    ends = np.cumsum([0] + [len(f) for f in pulled])
+    ends = np.cumsum([0] + [len(f) for f in flowed])
     shape = (len(symbols), len(gaussians), X.shape[0])
     lhs, rhs = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for g, u in enumerate(gaussians):

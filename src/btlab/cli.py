@@ -19,12 +19,16 @@ fixed by n, N and the inner degree); ``gram`` reads the scalar
 prefactor of its closed form G = prefactor x I, builds no matrix and
 runs no recurrence; ``deformation`` takes the spectral norms of all its
 defects in one batched call, and ``egorov`` evaluates two closed-form
-transforms per Gaussian probe, each for every symbol term at once.  The
-report is printed with one write.  ``--threads`` is accepted, validated
-and echoed, and
-``verify --order`` is still parsed, but neither reaches anything below
-this module (no suite reads a quadrature order), so they cannot change
-the work or a single output bit.
+transforms per Gaussian probe, each for every symbol term at once.
+``--threads`` is accepted, validated and echoed, and ``verify --order``
+is still parsed, but neither reaches anything below this module (no
+suite reads a quadrature order), so they cannot change the work or a
+single output bit.
+
+The command line is read by one stdlib ``argparse`` parser, built once
+at import so a call pays only for parsing.  The report is one write to
+stdout; an error is one line on stderr (usage errors are argparse's
+usage and message lines there).
 
 Exit codes: 0 all checks pass, 1 at least one check fails, 2 invalid input.
 """
@@ -40,6 +44,7 @@ for _var in (
 ):
     os.environ.setdefault(_var, "1")
 
+import argparse  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
@@ -47,7 +52,6 @@ from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 from typing import Callable  # noqa: E402
 
-import click  # noqa: E402
 import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
@@ -448,7 +452,7 @@ def _run(name: str, suite: Suite, config_path, outdir, echo: dict):
             csv_path = _write_csv(outdir, name.replace("-", "_") + ".csv",
                                   suite.header, out.rows)
     except (BtlabError, ValueError) as exc:
-        click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         sys.exit(2)
     eff = {**echo, "n": phase.n, **keys.echo}
     lines = [f"suite: {name}", "config:"]
@@ -457,46 +461,82 @@ def _run(name: str, suite: Suite, config_path, outdir, echo: dict):
     if csv_path is not None:
         lines.append(f"csv: {csv_path}")
     lines.append("result: " + ("PASS" if out.ok else "FAIL"))
-    click.echo("\n".join(lines))
+    sys.stdout.write("\n".join(lines) + "\n")
     sys.exit(0 if out.ok else 1)
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="btlab")
-def main():
-    """Numerical checks for weighted-space Toeplitz quantization."""
+def _directory(path: str) -> str:
+    """An ``--out`` value: any path but an existing file."""
+    if os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"directory {path!r} is a file")
+    return path
 
 
-@main.command("space-info")
-@click.option("--config", "config_path", required=True,
-              type=click.Path(), help="JSON config file.")
-@click.option("--out", "outdir", default=None,
-              type=click.Path(file_okay=False), help="CSV output directory.")
-def space_info(config_path, outdir):
-    """Derived geometry, constants and internal-identity residuals."""
-    _run("space-info", _SPACE_INFO, config_path, outdir,
-         {"tol_residual": _TOL_RESIDUAL})
+def _build_parser():
+    """The program's parser.  No option may be abbreviated, and the
+    program and each command have ``--help`` but no ``-h``."""
+    flags = {"add_help": False, "allow_abbrev": False}
+    parser = argparse.ArgumentParser(
+        prog="btlab",
+        description="Numerical checks for weighted-space Toeplitz "
+                    "quantization.",
+        **flags)
+    parser.add_argument("--version", action="version",
+                        version=f"btlab, version {__version__}",
+                        help="Show the version and exit.")
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="COMMAND")
+    commands = {}
+    for name, doc, outdir in (
+        ("space-info", "Derived geometry, constants and internal-identity "
+                       "residuals.", None),
+        ("verify", "Run one verification suite and emit a CSV alongside "
+                   "the report.", "."),
+    ):
+        cmd = commands[name] = sub.add_parser(
+            name, help=doc, description=doc, **flags)
+        cmd.add_argument("--config", dest="config_path", required=True,
+                         metavar="PATH", help="JSON config file.")
+        cmd.add_argument("--out", dest="outdir", default=outdir,
+                         type=_directory, metavar="DIRECTORY",
+                         help="CSV output directory.")
+    verify = commands["verify"]
+    verify.add_argument("suite", choices=tuple(SUITES))
+    verify.add_argument(
+        "--order", type=int, metavar="INTEGER",
+        help="Ignored: every compression is assembled in closed form, so "
+             "no suite reads a quadrature order.")
+    verify.add_argument(
+        "--threads", default=1, type=int, metavar="INTEGER",
+        help="Accepted and echoed; assembly is serial, so it changes no "
+             "output bit.  (default: %(default)s)")
+    for cmd in commands.values():
+        cmd.add_argument("--help", action="help",
+                         help="Show this message and exit.")
+    return parser
 
 
-@main.command()
-@click.argument("suite", type=click.Choice(tuple(SUITES)))
-@click.option("--config", "config_path", required=True,
-              type=click.Path(), help="JSON config file.")
-@click.option("--out", "outdir", default=".",
-              type=click.Path(file_okay=False), help="CSV output directory.")
-@click.option("--order", "order_override", default=None, type=int,
-              help="Ignored: every compression is assembled in closed form, "
-                   "so no suite reads a quadrature order.")
-@click.option("--threads", default=1, type=int, show_default=True,
-              help="Accepted and echoed; assembly is serial, so it changes "
-                   "no output bit.")
-def verify(suite, config_path, outdir, order_override, threads):
-    """Run one verification suite and emit a CSV alongside the report."""
-    if threads < 1:
-        click.echo("error: InvalidConfig: threads must be >= 1", err=True)
-        sys.exit(2)
-    _run(suite, SUITES[suite], config_path, outdir,
-         {"suite": suite, "threads": threads})
+_PARSER = _build_parser()
+
+
+def main(argv=None, prog_name: str = "btlab"):
+    """Run the command in `argv` (default ``sys.argv[1:]``) and leave
+    through SystemExit with the exit code of the module docstring.  The
+    parser is built once, for the console script's name, so usage lines
+    name ``btlab`` whatever `prog_name` a caller passes."""
+    args = _PARSER.parse_args(argv)
+    if args.command == "space-info":
+        name, suite = "space-info", _SPACE_INFO
+        echo = {"tol_residual": _TOL_RESIDUAL}
+    else:
+        if args.threads < 1:
+            sys.stderr.write("error: InvalidConfig: threads must be >= 1\n")
+            sys.exit(2)
+        name, suite = args.suite, SUITES[args.suite]
+        echo = {"suite": name, "threads": args.threads}
+    _run(name, suite, args.config_path, args.outdir, echo)
 
 
 if __name__ == "__main__":

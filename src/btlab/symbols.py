@@ -278,12 +278,18 @@ def cotangent_frequencies(ctx: SpaceContext, b) -> list:
     and the polarized exponent is i(<x, p> + <xi, q>); G^T lambar is
     R^-1 conj(mu), mu = R^-T lam, as in `toeplitz_apply_weighted`.
     """
+    return _cotangent_terms(ctx, b.terms)
+
+
+def _cotangent_terms(ctx: SpaceContext, terms) -> list:
+    """(c, p, q) of `cotangent_frequencies` for each (c, lam) of `terms`,
+    in order, with kappa_affine and the maps Kx, Kxi formed once."""
     A, B = ctx.phase.A, ctx.phase.B
     P, Q = kappa_affine(ctx)
     Kx = 0.5j * (B + A @ P) - ctx.PhiXX @ P
     Kxi = 0.5j * (A @ Q) - ctx.PhiXX @ Q
     out = []
-    for c, lam in b.terms:
+    for c, lam in terms:
         lb = ctx.Rinv @ np.conj(freq_image(ctx, lam))  # G^T lambar
         p = 0.5 * (P.T @ lam + Kx.T @ lb)
         q = 0.5 * (Q.T @ lam + Kxi.T @ lb)

@@ -1,8 +1,14 @@
-"""Shared fixtures: quadrature rules and the two worked example spaces."""
+"""Shared fixtures: quadrature rules and the two worked example spaces,
+and `invoke`, which runs the command line in-process."""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import btlab.cli
 from btlab.geometry import build_context, fock_phase, heat_phase
 from btlab.quadrature import gauss_hermite_rule
 
@@ -34,3 +40,41 @@ def rel_dev(got, ref):
     got = np.asarray(got)
     ref = np.asarray(ref)
     return float(np.max(np.abs(got - ref) / (1.0 + np.abs(ref))))
+
+
+@dataclass
+class CliResult:
+    """What one `invoke` printed and how it ended."""
+
+    exit_code: int
+    output: str  # stdout and stderr, in write order
+    stderr: str
+    exception: BaseException | None = None
+
+
+class _Tee(io.StringIO):
+    """A text buffer that also copies each write into `both`."""
+
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, s):
+        self.both.write(s)
+        return super().write(s)
+
+
+def invoke(args) -> CliResult:
+    """Run `btlab.cli.main(args)` in this process.  A SystemExit gives its
+    code (None gives 0); any other exception gives 1 and is kept."""
+    both = io.StringIO()
+    err = _Tee(both)
+    code, exc = 0, None
+    try:
+        with redirect_stdout(both), redirect_stderr(err):
+            btlab.cli.main(args)
+    except SystemExit as e:
+        code = 0 if e.code is None else e.code
+    except Exception as e:
+        code, exc = 1, e
+    return CliResult(code, both.getvalue(), err.getvalue(), exc)

@@ -13,13 +13,11 @@ import json
 import time
 
 import numpy as np
-from click.testing import CliRunner
 
-from conftest import rel_dev
+from conftest import invoke, rel_dev
 
 from btlab.bargmann import GaussianTestFn, egorov_guillemin_check
 from btlab.basis import enumerate_multiindices, gram_matrix
-from btlab.cli import main
 from btlab.geometry import (
     build_context,
     fock_phase,
@@ -362,7 +360,6 @@ def test_criterion_09_egorov_identity():
 
 
 def test_criterion_10_determinism(tmp_path):
-    runner = CliRunner()
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"phase": {"preset": "fock", "beta": 1.0},
                                "h": 1.0}))
@@ -371,8 +368,7 @@ def test_criterion_10_determinism(tmp_path):
         blobs = []
         for threads in ("1", "3"):
             out = tmp_path / f"{suite}-t{threads}"
-            res = runner.invoke(
-                main,
+            res = invoke(
                 ["verify", suite, "--config", str(cfg), "--out", str(out),
                  "--threads", threads],
             )

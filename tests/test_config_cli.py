@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+
+from conftest import invoke
 
 import btlab.bargmann
 import btlab.basis
@@ -21,7 +22,6 @@ import btlab.heat
 import btlab.operators
 import btlab.quadrature
 import btlab.symbols
-from btlab.cli import main
 from btlab.config import (
     complex_entry,
     complex_matrix,
@@ -128,25 +128,23 @@ def test_symbol_and_gaussian_parsing():
 
 
 def test_space_info_command(tmp_path):
-    runner = CliRunner()
     cfg = _write(tmp_path, FOCK)
     out = str(tmp_path / "reports")
-    res = runner.invoke(main, ["space-info", "--config", cfg, "--out", out])
+    res = invoke(["space-info", "--config", cfg, "--out", out])
     assert res.exit_code == 0, res.output
     assert "result: PASS" in res.output
     csv = (tmp_path / "reports" / "space_info.csv").read_text()
     assert csv.splitlines()[0] == "quantity,re,im"
     assert "C_phi" in csv
-    res = runner.invoke(main, ["--version"])
+    res = invoke(["--version"])
     assert res.exit_code == 0
     assert res.output.strip().endswith("version 0.1.0")
 
 
 def test_verify_gram_passes(tmp_path):
-    runner = CliRunner()
     cfg = _write(tmp_path, FOCK)
-    res = runner.invoke(
-        main, ["verify", "gram", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "gram", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
     # every effective value is echoed back
@@ -158,14 +156,13 @@ def test_verify_gram_passes(tmp_path):
 def test_verify_order_changes_nothing(tmp_path):
     """`--order` is still accepted, but every compression is closed form:
     a two-node order gives the same exit code, report and CSV bytes."""
-    runner = CliRunner()
     cfg = _write(tmp_path, FOCK)
     for suite in ("gram", "diag", "weyl"):
         runs = []
         for tag, extra in (("plain", []), ("order2", ["--order", "2"])):
             out = tmp_path / tag
-            res = runner.invoke(main, ["verify", suite, "--config", cfg,
-                                       "--out", str(out), *extra])
+            res = invoke(["verify", suite, "--config", cfg,
+                          "--out", str(out), *extra])
             runs.append((res.exit_code, res.output.replace(str(out), ""),
                          (out / f"{suite}.csv").read_bytes()))
         assert runs[0] == runs[1], suite
@@ -173,9 +170,7 @@ def test_verify_order_changes_nothing(tmp_path):
 
 
 def test_verify_rejects_bad_inputs(tmp_path):
-    runner = CliRunner()
-    res = runner.invoke(
-        main,
+    res = invoke(
         ["verify", "gram", "--config", str(tmp_path / "none.json"),
          "--out", str(tmp_path)],
     )
@@ -184,25 +179,73 @@ def test_verify_rejects_bad_inputs(tmp_path):
     cfg = _write(tmp_path, {"phase": {"n": 1, "A": [[[0.0, 1.0]]],
                                       "B": [[[0.0, -2.0]]],
                                       "C": [[[2.0, 0.0]]]}, "h": 1.0})
-    res = runner.invoke(
-        main, ["verify", "gram", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "gram", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 2
     assert "NonPositiveCI" in res.output
     # bound suite must refuse t outside (1/2, 1]
     cfg = _write(tmp_path, dict(FOCK, t_grid=[0.5, 1.0]), "tbad.json")
-    res = runner.invoke(
-        main, ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 2
     # worker count must be positive
     cfg = _write(tmp_path, FOCK, "ok.json")
-    res = runner.invoke(
-        main,
+    res = invoke(
         ["verify", "gram", "--config", cfg, "--out", str(tmp_path),
          "--threads", "0"],
     )
     assert res.exit_code == 2
+
+
+# Refused command lines, with "CFG" for a valid config path and "FILE" for
+# an existing file; every one exits 2 before any suite runs.
+_REFUSED = {
+    "no command": [],
+    "unknown command": ["nope", "--config", "CFG"],
+    "unknown suite": ["verify", "nope", "--config", "CFG"],
+    "missing config": ["verify", "gram"],
+    "space-info missing config": ["space-info"],
+    "order not an integer": ["verify", "gram", "--config", "CFG",
+                             "--order", "2.5"],
+    "threads not an integer": ["verify", "gram", "--config", "CFG",
+                               "--threads", "x"],
+    "threads zero": ["verify", "gram", "--config", "CFG", "--threads", "0"],
+    "abbreviated option": ["verify", "gram", "--conf", "CFG"],
+    "out is a file": ["verify", "gram", "--config", "CFG", "--out", "FILE"],
+    "space-info out is a file": ["space-info", "--config", "CFG",
+                                 "--out", "FILE"],
+}
+# Help texts and the names each must show.
+_HELP = {
+    "program help": (["--help"], ("space-info", "verify")),
+    "verify help": (["verify", "--help"], tuple(btlab.cli.SUITES)),
+    "space-info help": (["space-info", "--help"], ("--config", "--out")),
+}
+
+
+@pytest.mark.parametrize("case", [*_REFUSED, *_HELP])
+def test_command_line_contract(tmp_path, monkeypatch, case):
+    """Each refused command line exits 2 with its message on stderr alone
+    and writes no CSV, even to the default output directory; --help
+    exits 0 and names the commands or suites."""
+    monkeypatch.chdir(tmp_path)
+    if case in _HELP:
+        argv, names = _HELP[case]
+        res = invoke(argv)
+        assert res.exit_code == 0, res.output
+        assert res.stderr == ""
+        assert all(name in res.output for name in names), res.output
+        return
+    cfg = _write(tmp_path, FOCK)
+    (tmp_path / "taken").write_text("")
+    sub = {"CFG": cfg, "FILE": str(tmp_path / "taken")}
+    res = invoke([sub.get(arg, arg) for arg in _REFUSED[case]])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None
+    assert res.stderr and res.output == res.stderr
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("suite, extra", [
@@ -229,8 +272,8 @@ def test_verify_rejects_bad_inputs(tmp_path):
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_verify_rejects_malformed_values(tmp_path, suite, extra):
     cfg = _write(tmp_path, {**FOCK, **extra})
-    res = CliRunner().invoke(
-        main, ["verify", suite, "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", suite, "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 2, res.output
     assert "InvalidConfig" in res.output
@@ -261,8 +304,8 @@ _MAY_FAIL = {"weyl", "sw"}
 def test_every_command_reports_and_writes_documented_csv(tmp_path, command):
     cfg = _write(tmp_path, SMALL)
     argv = ["space-info"] if command == "space-info" else ["verify", command]
-    res = CliRunner().invoke(
-        main, [*argv, "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        [*argv, "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code in ((0, 1) if command in _MAY_FAIL else (0,)), \
         res.output
@@ -276,19 +319,17 @@ def test_every_command_reports_and_writes_documented_csv(tmp_path, command):
 
 
 def test_verify_h_domain(tmp_path):
-    runner = CliRunner()
     cfg = _write(tmp_path, {"phase": {"preset": "fock"}, "h": 1.5})
-    res = runner.invoke(
-        main, ["verify", "gram", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "gram", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 2
 
 
 def test_verify_diag_suite(tmp_path):
-    runner = CliRunner()
     cfg = _write(tmp_path, FOCK)
-    res = runner.invoke(
-        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
     assert (tmp_path / "diag.csv").exists()
@@ -346,8 +387,8 @@ def test_verify_diag_builds_each_toeplitz_once(tmp_path, monkeypatch):
     same diagonal."""
     built, dense = _record_built(monkeypatch)
     cfg = _write(tmp_path, FOCK)
-    res = CliRunner().invoke(
-        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
     assert built == [("toeplitz", "identity")] + [
@@ -363,8 +404,8 @@ def test_verify_weyl_builds_each_matrix_once(tmp_path, monkeypatch):
     inner_degree 4, for the four default lambdas."""
     built, dense = _record_built(monkeypatch)
     cfg = _write(tmp_path, FOCK)
-    res = CliRunner().invoke(
-        main, ["verify", "weyl", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "weyl", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
     d, m = 25, 5
@@ -379,8 +420,8 @@ def test_verify_deformation_builds_inner_blocks(tmp_path, monkeypatch):
     <= N - drop: d = 21 at N = 20 and m = 17 at drop 4, five h values."""
     built, dense = _record_built(monkeypatch)
     cfg = _write(tmp_path, FOCK)
-    res = CliRunner().invoke(
-        main, ["verify", "deformation", "--config", cfg,
+    res = invoke(
+        ["verify", "deformation", "--config", cfg,
                "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
@@ -405,8 +446,8 @@ def test_verify_bound_holds_one_matrix_at_a_time(tmp_path, monkeypatch):
 
     monkeypatch.setattr(btlab.operators, "compressions", watched)
     cfg = _write(tmp_path, FOCK)
-    res = CliRunner().invoke(
-        main, ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
     assert alive == [0, 0, 0]
@@ -434,8 +475,8 @@ def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
                 "bound": [4], "deformation": [3 * 5]}
     for suite, sizes in expected.items():
         stacks.clear()
-        res = CliRunner().invoke(
-            main, ["verify", suite, "--config", cfg, "--out", str(tmp_path)]
+        res = invoke(
+            ["verify", suite, "--config", cfg, "--out", str(tmp_path)]
         )
         assert res.exit_code == 0, res.output
         assert stacks == sizes, suite
@@ -463,8 +504,8 @@ DIGEST_CONFIGS = {
 @pytest.mark.parametrize("suite, config", list(CSV_DIGESTS))
 def test_verify_csv_bytes_are_pinned(suite, config, tmp_path):
     cfg = _write(tmp_path, DIGEST_CONFIGS[config])
-    res = CliRunner().invoke(
-        main, ["verify", suite, "--config", cfg, "--out", str(tmp_path)])
+    res = invoke(
+        ["verify", suite, "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     digest = hashlib.sha256((tmp_path / f"{suite}.csv").read_bytes())
     assert digest.hexdigest() == CSV_DIGESTS[suite, config]
@@ -483,8 +524,8 @@ def test_verify_bound_searches_witnesses_once_per_symbol(tmp_path,
 
     monkeypatch.setattr(btlab.symbols, "_witnesses", counted)
     cfg = _write(tmp_path, FOCK)
-    res = CliRunner().invoke(
-        main, ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
     assert len(searches) == 3
@@ -501,10 +542,10 @@ def test_verify_weyl_holds_few_dense_matrices(tmp_path):
         "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]],
     })
     argv = ["verify", "weyl", "--config", path, "--out", str(tmp_path)]
-    CliRunner().invoke(main, argv)  # first use: imports and caches
+    invoke(argv)  # first use: imports and caches
     tracemalloc.start()
     try:
-        res = CliRunner().invoke(main, argv)
+        res = invoke(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -525,7 +566,7 @@ def test_verify_weyl_three_variables_stays_small(tmp_path):
     argv = ["verify", "weyl", "--config", path, "--out", str(tmp_path)]
     tracemalloc.start()
     try:
-        res = CliRunner().invoke(main, argv)
+        res = invoke(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -549,7 +590,7 @@ def test_verify_reductions_form_no_square_array(tmp_path, suite, cfg,
     argv = ["verify", suite, "--config", path, "--out", str(tmp_path)]
     tracemalloc.start()
     try:
-        res = CliRunner().invoke(main, argv)
+        res = invoke(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -567,8 +608,8 @@ def test_verify_two_variable_suites_build_no_grid(tmp_path, monkeypatch):
         "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]],
     })
     for suite in ("gram", "weyl", "bound", "diag", "deformation"):
-        res = CliRunner().invoke(
-            main, ["verify", suite, "--config", cfg, "--out", str(tmp_path)]
+        res = invoke(
+            ["verify", suite, "--config", cfg, "--out", str(tmp_path)]
         )
         assert res.exit_code == 0, res.output
         assert "[FAIL]" not in res.output
@@ -580,8 +621,8 @@ def _refused_small(tmp_path, suite, cfg):
     path = _write(tmp_path, cfg)
     tracemalloc.start()
     try:
-        res = CliRunner().invoke(
-            main, ["verify", suite, "--config", path, "--out", str(tmp_path)]
+        res = invoke(
+            ["verify", suite, "--config", path, "--out", str(tmp_path)]
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -623,12 +664,11 @@ def test_verify_sw_refuses_oversized_box(tmp_path):
 def test_verify_sw_passes_at_defaults_on_random_phases(tmp_path):
     """The default mu box holds the profile for every phase: default sw
     passes on seeds 0-9 at n = 1, h = 0.5 and seeds 0-4 at n = 2, h = 1."""
-    runner = CliRunner()
     for n, h, seeds in ((1, 0.5, range(10)), (2, 1.0, range(5))):
         for seed in seeds:
             cfg = _write(tmp_path, {"phase": {"seed": seed, "n": n}, "h": h})
-            res = runner.invoke(
-                main, ["verify", "sw", "--config", cfg, "--out",
+            res = invoke(
+                ["verify", "sw", "--config", cfg, "--out",
                        str(tmp_path)])
             assert res.exit_code == 0, (n, seed, res.output)
 
@@ -638,8 +678,8 @@ def test_verify_refuses_random_phase_above_five_variables(tmp_path):
     the seeded form refuses n >= 6 before the first draw."""
     cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 6}})
     t0 = time.perf_counter()
-    res = CliRunner().invoke(
-        main, ["verify", "gram", "--config", cfg, "--out", str(tmp_path)])
+    res = invoke(
+        ["verify", "gram", "--config", cfg, "--out", str(tmp_path)])
     assert time.perf_counter() - t0 < 1.0
     assert res.exit_code == 2, res.output
     assert "n <= 5" in res.output
@@ -650,15 +690,15 @@ def test_verify_diag_refuses_k_above_truncation(tmp_path):
     """A degree k > N has an empty diagonal in the compression: the suite
     refuses it as unusable input instead of reporting a failed identity."""
     cfg = _write(tmp_path, dict(FOCK, N=3, k_max=5))
-    res = CliRunner().invoke(
-        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 2, res.output
     assert "InvalidConfig" in res.output and "k <= N = 3" in res.output
     assert not (tmp_path / "diag.csv").exists()
     cfg = _write(tmp_path, dict(FOCK, N=3, k_max=3), "edge.json")
-    res = CliRunner().invoke(
-        main, ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "diag", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
 
@@ -668,8 +708,8 @@ def test_verify_sw_checks_closed_form_l1(tmp_path):
     exact L1 integral 2 pi by 29%: the closed-form check fails it."""
     cfg = _write(tmp_path, dict(FOCK, lambda_grid={
         "lo": -2.0, "hi": 2.0, "steps": [0.02, 0.01]}))
-    res = CliRunner().invoke(
-        main, ["verify", "sw", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "sw", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 1, res.output
     assert "[PASS] sw refinement rel_delta" in res.output
@@ -722,7 +762,7 @@ def test_phase_dimension_is_bounded_before_allocation(tmp_path):
     matrix is built."""
     cfg = _write(tmp_path, {"phase": {"preset": "fock", "n": 1000000000}})
     t0 = time.perf_counter()
-    res = CliRunner().invoke(main, ["space-info", "--config", cfg])
+    res = invoke(["space-info", "--config", cfg])
     assert time.perf_counter() - t0 < 1.0
     assert res.exit_code == 2, res.output
     assert "InvalidConfig" in res.output and "n <= 64" in res.output
@@ -736,8 +776,8 @@ def test_verify_sw_zero_symbol(tmp_path):
     """A zero symbol has a zero profile: equal refinements give rel_delta
     0 and the exact L1 is 0, so the run passes cleanly."""
     cfg = _write(tmp_path, {"phase": {"preset": "fock"}, "b": [[0, 0, 0, 0]]})
-    res = CliRunner().invoke(
-        main, ["verify", "sw", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "sw", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
     assert res.exception is None
@@ -750,8 +790,8 @@ def test_verify_bound_csv_agrees_with_report(tmp_path):
     """A norm schedule that is not Cauchy-converged is only warned about:
     the CSV then holds no row that failed, as the report has no FAIL."""
     cfg = _write(tmp_path, {"phase": {"seed": 3, "n": 1}, "h": 0.5})
-    res = CliRunner().invoke(
-        main, ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
     assert "[WARN] b0: norm schedule not Cauchy-converged" in res.output
@@ -766,8 +806,8 @@ def test_verify_deformation_names_commuting_pair(tmp_path):
     cfg = _write(tmp_path, dict(
         FOCK, a=[[0.5, 0, 1, 0], [0.5, 0, -1, 0]],
         b=[[0, -0.5, 1, 0], [0, 0.5, -1, 0]]))
-    res = CliRunner().invoke(
-        main, ["verify", "deformation", "--config", cfg, "--out",
+    res = invoke(
+        ["verify", "deformation", "--config", cfg, "--out",
                str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
@@ -782,8 +822,8 @@ def test_verify_deformation_names_degenerate_fit(tmp_path):
     rounding floor: r1 is named degenerate instead of slope-fitted, and r2
     is named as a commuting pair."""
     cfg = _write(tmp_path, dict(FOCK, a=[[2, 0, 0, 0]]))
-    res = CliRunner().invoke(
-        main, ["verify", "deformation", "--config", cfg, "--out",
+    res = invoke(
+        ["verify", "deformation", "--config", cfg, "--out",
                str(tmp_path)]
     )
     assert res.exit_code == 0, res.output
@@ -800,20 +840,20 @@ def test_sup_not_attained_is_flagged(tmp_path):
     sym = [[0.0, -0.5, 1.0, 0.0], [0.0, 0.5, -1.0, 0.0],
            [0.0, -0.5, 2.0, 0.0], [0.0, 0.5, -2.0, 0.0]]
     cfg = _write(tmp_path, dict(SMALL, symbols=[sym], b=sym))
-    res = CliRunner().invoke(
-        main, ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
     )
     assert "[WARN] b0: sup not attained" in res.output
     row = (tmp_path / "bound.csv").read_text().splitlines()[1].split(",")
     # at t = 1 on Fock the terms damp by exp(-|lam|^2 / 4)
     assert abs(float(row[2]) - np.exp(-0.25) - np.exp(-1.0)) < 1e-10
     assert row[-1] == "upper_bound"
-    res = CliRunner().invoke(
-        main, ["verify", "sw", "--config", cfg, "--out", str(tmp_path)]
+    res = invoke(
+        ["verify", "sw", "--config", cfg, "--out", str(tmp_path)]
     )
     assert "[WARN] sup of b not attained" in res.output
-    res = CliRunner().invoke(
-        main, ["verify", "sw", "--config", _write(tmp_path, SMALL),
+    res = invoke(
+        ["verify", "sw", "--config", _write(tmp_path, SMALL),
                "--out", str(tmp_path)]
     )
     assert "[WARN]" not in res.output
@@ -831,8 +871,8 @@ def _no_quadrature(monkeypatch):
 def _egorov_errs(tmp_path, n, h):
     """Exit code and max_rel_err column of `verify egorov` on seed 7."""
     cfg = _write(tmp_path, {"phase": {"seed": 7, "n": n}, "h": h})
-    res = CliRunner().invoke(
-        main, ["verify", "egorov", "--config", cfg, "--out", str(tmp_path)])
+    res = invoke(
+        ["verify", "egorov", "--config", cfg, "--out", str(tmp_path)])
     errs = [float(row.split(",")[2]) for row in
             (tmp_path / "egorov.csv").read_text().splitlines()[1:]]
     assert len(errs) == 6, res.output
@@ -868,13 +908,12 @@ def test_verify_egorov_three_variables_passes_in_seconds(tmp_path,
 def test_verify_weyl_two_variables_passes_at_default_N(tmp_path):
     """At N = 16 the n = 2 translations leak ~4.5e-4 into the inner block;
     the default N = 24 makes the suite pass."""
-    runner = CliRunner()
     cfg = _write(tmp_path, {
         "phase": {"seed": 7, "n": 2}, "h": 1.0,
         "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]],
     })
-    res = runner.invoke(main, ["verify", "weyl", "--config", cfg, "--out",
-                               str(tmp_path)])
+    res = invoke(["verify", "weyl", "--config", cfg, "--out",
+                  str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert "  N = 24" in res.output
 
@@ -885,21 +924,19 @@ def test_verify_weyl_one_variable_passes_at_default_N(tmp_path):
     the inner block; the default N = 24, the same at every n, passes."""
     cfg = _write(tmp_path, {"phase": {"preset": "fock", "beta": 1.0},
                             "h": 0.5})
-    res = CliRunner().invoke(main, ["verify", "weyl", "--config", cfg,
-                                    "--out", str(tmp_path)])
+    res = invoke(["verify", "weyl", "--config", cfg,
+                  "--out", str(tmp_path)])
     assert res.exit_code == 0, res.output
     assert "  N = 24" in res.output
 
 def test_csv_bytes_independent_of_threads(tmp_path):
     """Identical configs at different thread counts must serialize to the
     same CSV bytes."""
-    runner = CliRunner()
     cfg = _write(tmp_path, FOCK)
     paths = []
     for threads in ("1", "3"):
         out = tmp_path / f"t{threads}"
-        res = runner.invoke(
-            main,
+        res = invoke(
             ["verify", "gram", "--config", cfg, "--out", str(out),
              "--threads", threads],
         )
@@ -912,7 +949,6 @@ def test_csv_bytes_independent_of_invocation_order(tmp_path):
     """All seven suites on two n = 1 spaces, run twice in one process (the
     second time in reverse order), write the same CSV bytes: no assembly
     state carries over from one invocation to the next."""
-    runner = CliRunner()
     cfgs = {
         "fock": _write(tmp_path, FOCK, "fock.json"),
         "seeded": _write(tmp_path, {"phase": {"seed": 7, "n": 1}, "h": 0.5},
@@ -921,7 +957,7 @@ def test_csv_bytes_independent_of_invocation_order(tmp_path):
     runs = [(space, suite) for suite in btlab.cli.SUITES for space in cfgs]
     for tag, order in (("first", runs), ("second", runs[::-1])):
         for space, suite in order:
-            res = runner.invoke(main, [
+            res = invoke([
                 "verify", suite, "--config", cfgs[space],
                 "--out", str(tmp_path / tag / space)])
             assert res.exit_code == 0, res.output
@@ -934,14 +970,13 @@ def test_csv_bytes_independent_of_invocation_order(tmp_path):
 def test_default_symbols_attain_their_sup(tmp_path):
     """The default bound and sw symbols attain sum |c_j| at every t of the
     default grid, so neither suite flags an upper bound."""
-    runner = CliRunner()
     small = {k: v for k, v in SMALL.items() if k != "t_grid"}
     for phase in ({"preset": "fock", "beta": 1.0}, {"seed": 7, "n": 1},
                   {"seed": 7, "n": 2}):
         cfg = _write(tmp_path, dict(small, phase=phase, h=1.0))
         for suite in ("bound", "sw"):
-            res = runner.invoke(main, ["verify", suite, "--config", cfg,
-                                       "--out", str(tmp_path)])
+            res = invoke(["verify", suite, "--config", cfg,
+                          "--out", str(tmp_path)])
             assert res.exit_code in (0, 1), res.output
             assert "not attained" not in res.output
         rows = (tmp_path / "bound.csv").read_text().splitlines()[1:]

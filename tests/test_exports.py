@@ -49,10 +49,11 @@ def test_cli_pins_threads_before_numpy_loads():
 def test_cli_start_leaves_numpy_polynomial_unloaded():
     """No suite builds a Gauss-Hermite rule, so `gauss_hermite_rule`
     imports its nodes only when called and a CLI start skips loading
-    numpy.polynomial."""
+    numpy.polynomial.  The command line is parsed by the standard library,
+    so click is never loaded either."""
     code = ("import sys, btlab.cli; "
-            "print('numpy.polynomial' in sys.modules)")
-    assert _fresh(code) == ["False"]
+            "print('numpy.polynomial' in sys.modules, 'click' in sys.modules)")
+    assert _fresh(code) == ["False", "False"]
     assert _fresh(code.replace(
         "print(", "btlab.quadrature.gauss_hermite_rule(4); print(")) \
-        == ["True"]
+        == ["True", "False"]

@@ -5,11 +5,9 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
-from conftest import rel_dev
+from conftest import invoke, rel_dev
 
-from btlab.cli import main
 from btlab.config import phase_from_config
 from btlab.errors import (
     IllConditionedPhase,
@@ -231,7 +229,7 @@ def test_admits_phase_with_rounding_in_the_derived_constants(tmp_path):
     build_context(phase_from_config(ANISOTROPIC), 1.0)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"phase": ANISOTROPIC, "h": 1.0}))
-    res = CliRunner().invoke(main, ["space-info", "--config", str(cfg)])
+    res = invoke(["space-info", "--config", str(cfg)])
     assert res.exit_code == 0, res.output
 
 

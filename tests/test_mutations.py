@@ -13,7 +13,8 @@ import json
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
+
+from conftest import invoke
 
 import btlab.bargmann
 import btlab.basis
@@ -22,7 +23,7 @@ import btlab.geometry
 import btlab.heat
 import btlab.operators
 import btlab.symbols
-from btlab.cli import SUITES, main
+from btlab.cli import SUITES
 
 CONFIGS = {
     "fock": {"phase": {"preset": "fock"}, "h": 1.0},
@@ -161,8 +162,8 @@ def _caught(cfg, tmp_path):
     path.write_text(json.dumps(cfg))
     exits = {}
     for cmd in COMMANDS:
-        res = CliRunner().invoke(
-            main, [*cmd, "--config", str(path), "--out", str(tmp_path)])
+        res = invoke(
+            [*cmd, "--config", str(path), "--out", str(tmp_path)])
         exits[cmd[-1]] = res.exit_code
     assert 2 not in exits.values(), exits
     return {name for name, code in exits.items() if code != 0}
