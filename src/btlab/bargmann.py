@@ -16,9 +16,10 @@ Egorov check applies that to each Gaussian's closed-form transform; its
 right side is a sum of closed-form transforms too, since each real-side
 Weyl image of a Gaussian is a Gaussian (with complex dtype parameters).
 The closed-form transform takes stacks of centres, frequencies and
-amplitudes, so the check stacks every symbol's terms and makes two
-transform evaluations per probe, one for each side, sharing the probe's
-M^-1 and det(M)^(1/2); each symbol then sums its range of terms.
+amplitudes, so the check concatenates every symbol's coefficient vector
+and frequency rows once, damps and pulls back that one stack, and makes
+two transform evaluations per probe, one for each side, sharing the
+probe's M^-1 and det(M)^(1/2); each symbol then sums its range of terms.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from .errors import UnsupportedSymbol
 from .geometry import (
     SpaceContext, _as_points, _qform, freq_image, phase_phi, phi_weight, psi,
 )
-from .heat import heat_flow
+from . import heat
 from .quadrature import QuadratureRule, _tensor_grid, complex_grid
-from .symbols import _cotangent_terms, eval_symbol
+from .symbols import cotangent_frequencies, eval_symbol
 
 __all__ = [
     "GaussianTestFn",
@@ -222,19 +223,9 @@ def toeplitz_apply_weighted(ctx: SpaceContext, b, fw, X) -> np.ndarray:
     called once, on the stack of every term's shifted points.
     """
     X = _as_points(np.asarray(X, dtype=complex), ctx.n)
-    c, lams = _stacked_terms(b.terms, ctx.n)
-    Xa, E = _kernel_shifts(ctx, lams, X)
-    c = c.reshape(c.shape + (1,) * (X.ndim - 1))
+    Xa, E = _kernel_shifts(ctx, b.lam, X)
+    c = b.c.reshape(b.c.shape + (1,) * (X.ndim - 1))
     return np.sum(c * E * fw(Xa), axis=0)
-
-
-def _stacked_terms(terms, n: int, width: int = 2) -> tuple:
-    """The coefficients (T,) and, for each of the width - 1 vectors of the
-    terms (c, v_1, v_2, ...), their rows (T, n), as complex arrays in term
-    order."""
-    cols = list(zip(*terms)) or [()] * width
-    return (np.array(cols[0], dtype=complex),
-            *(np.array(col, dtype=complex).reshape(-1, n) for col in cols[1:]))
 
 
 def _weyl_gaussian(h: float, c, p, q, u: GaussianTestFn) -> tuple:
@@ -249,26 +240,27 @@ def _weyl_gaussian(h: float, c, p, q, u: GaussianTestFn) -> tuple:
 def _egorov_sides(ctx: SpaceContext, symbols, gaussians, X) -> tuple:
     """Both sides of the Egorov identity at the points X, flattened to
     (npts, n): arrays (lhs, rhs) of shape (len(symbols), len(gaussians),
-    npts).  Every symbol's terms are stacked in order, and so are their
-    half-time heat flows, pulled back to T*R^n in one call that forms the
-    canonical maps once; per probe one
-    closed-form transform gives the left side at every term's shifted
-    points X + a_t and one more the right side for every term's Weyl
-    image, both with the probe's one `_gaussian_width`, and each symbol
-    sums its contiguous range of terms."""
-    flowed = [heat_flow(ctx, b, 0.5).terms
-              for b in symbols]  # refuses a callable before any transform
+    npts).  The terms of every symbol are stacked in order once; one
+    `heat.heat_damping` call damps them to the half-time flow and one
+    `cotangent_frequencies` call pulls their rows back to T*R^n, so both
+    sides read the same term list.  Per probe one closed-form transform
+    gives the left side at every term's shifted points X + a_t and one
+    more the right side for every term's Weyl image, both with the
+    probe's one `_gaussian_width`, and each symbol sums its contiguous
+    range of terms."""
+    # reading c and lam refuses a callable before any transform
+    c = np.concatenate([np.zeros(0), *(b.c for b in symbols)])
+    lams = np.concatenate([np.zeros((0, ctx.n)), *(b.lam for b in symbols)])
     if not all(isinstance(u, GaussianTestFn) for u in gaussians):
         raise UnsupportedSymbol(
             "the Egorov identity is closed-form only for Gaussian probes"
         )
     X = _as_points(np.asarray(X, dtype=complex), ctx.n).reshape(-1, ctx.n)
-    c, lams = _stacked_terms([t for b in symbols for t in b.terms], ctx.n)
-    cr, p, q = _stacked_terms(
-        _cotangent_terms(ctx, [t for f in flowed for t in f]), ctx.n, 3)
+    cr = c * heat.heat_damping(ctx, lams, 0.5)
+    p, q = cotangent_frequencies(ctx, lams)
     Xa, E = _kernel_shifts(ctx, lams, X)
     cE = c[:, np.newaxis] * E
-    ends = np.cumsum([0] + [len(f) for f in flowed])
+    ends = np.cumsum([0] + [len(b.c) for b in symbols])
     shape = (len(symbols), len(gaussians), X.shape[0])
     lhs, rhs = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     for g, u in enumerate(gaussians):

@@ -78,7 +78,7 @@ from .symbols import (  # noqa: E402
     PlaneWaveSum,
     constant_symbol,
     cosine_symbol,
-    sine_symbol,
+    plane_wave_sum,
     sup_norm,
     translate,
 )
@@ -144,7 +144,7 @@ def _e1(n: int, z=1.0) -> np.ndarray:
 
 def _wave(n: int, z=1.0) -> PlaneWaveSum:
     """The plane wave exp(i Re<X, z e_1>) on C^n."""
-    return PlaneWaveSum(n=n, terms=((1.0, _e1(n, z)),))
+    return plane_wave_sum([(1.0, _e1(n, z))], n)
 
 
 def _space_info(ctx, p, out):
@@ -375,11 +375,11 @@ SUITES = {
                                     integer=True),
             "symbols": k.symbols("symbols", [  # cos, 1 + sin / 2, two waves
                 cosine_symbol(_e1(k.n), k.n),
-                PlaneWaveSum(n=k.n, terms=((1.0, np.zeros(k.n)),) + tuple(
-                    (0.5 * c, lam)
-                    for c, lam in sine_symbol(_e1(k.n), k.n).terms)),
-                PlaneWaveSum(n=k.n, terms=(
-                    (0.8, _e1(k.n)), (0.5 - 0.3j, _e1(k.n, -0.7 + 0.2j)))),
+                # 0.0 - 0.25j, not -0.25j: the echo prints (0-0.25j)
+                plane_wave_sum([(1.0, np.zeros(k.n)), (0.0 - 0.25j, _e1(k.n)),
+                                (0.25j, -_e1(k.n))], k.n),
+                plane_wave_sum([(0.8, _e1(k.n)),
+                                (0.5 - 0.3j, _e1(k.n, -0.7 + 0.2j))], k.n),
             ]),
         }),
     "diag": Suite(
@@ -400,10 +400,10 @@ SUITES = {
             "h_list": k.numbers("h_list", [0.4, 0.28, 0.2, 0.14, 0.1]),
             # a pair that does not commute, so r2 carries the Poisson
             # bracket and its slope is checked at defaults
-            "a": k.symbol("a", PlaneWaveSum(n=k.n, terms=(
-                (0.7, _e1(k.n, 1 + 0.4j)),))),
-            "b": k.symbol("b", PlaneWaveSum(n=k.n, terms=(
-                (0.5 - 0.2j, _e1(k.n, -0.6 + 0.8j)),))),
+            "a": k.symbol("a", plane_wave_sum(
+                [(0.7, _e1(k.n, 1 + 0.4j))], k.n)),
+            "b": k.symbol("b", plane_wave_sum(
+                [(0.5 - 0.2j, _e1(k.n, -0.6 + 0.8j))], k.n)),
         },
         h=False),
     "egorov": Suite(
@@ -413,7 +413,7 @@ SUITES = {
             "X_grid": k.grid("X_grid", -1.0, 1.0, 1.0, axes=2 * k.n),
             "symbols": k.symbols("symbols", [
                 _wave(k.n), _wave(k.n, 0.5 + 0.3j),
-                PlaneWaveSum(n=k.n, terms=((0.7, _e1(k.n)), (0.3, -_e1(k.n)))),
+                plane_wave_sum([(0.7, _e1(k.n)), (0.3, -_e1(k.n))], k.n),
             ]),
             "gaussians": k.gaussians("gaussians", [
                 GaussianTestFn(y0=np.zeros(k.n), sigma=1.0, p0=np.zeros(k.n),
@@ -473,8 +473,10 @@ def _directory(path: str) -> str:
 
 
 def _build_parser():
-    """The program's parser.  No option may be abbreviated, and the
-    program and each command have ``--help`` but no ``-h``."""
+    """The program's parser and its command parsers by name.  No option
+    may be abbreviated, and the program and each command have ``--help``
+    but no ``-h``.  The command and ``--config`` are checked after
+    parsing, so an unrecognized argument is the one reported."""
     flags = {"add_help": False, "allow_abbrev": False}
     parser = argparse.ArgumentParser(
         prog="btlab",
@@ -486,8 +488,7 @@ def _build_parser():
                         help="Show the version and exit.")
     parser.add_argument("--help", action="help",
                         help="Show this message and exit.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="COMMAND")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     commands = {}
     for name, doc, outdir in (
         ("space-info", "Derived geometry, constants and internal-identity "
@@ -497,8 +498,8 @@ def _build_parser():
     ):
         cmd = commands[name] = sub.add_parser(
             name, help=doc, description=doc, **flags)
-        cmd.add_argument("--config", dest="config_path", required=True,
-                         metavar="PATH", help="JSON config file.")
+        cmd.add_argument("--config", dest="config_path", metavar="PATH",
+                         help="JSON config file (required).")
         cmd.add_argument("--out", dest="outdir", default=outdir,
                          type=_directory, metavar="DIRECTORY",
                          help="CSV output directory.")
@@ -515,10 +516,10 @@ def _build_parser():
     for cmd in commands.values():
         cmd.add_argument("--help", action="help",
                          help="Show this message and exit.")
-    return parser
+    return parser, commands
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def main(argv=None, prog_name: str = "btlab"):
@@ -527,6 +528,11 @@ def main(argv=None, prog_name: str = "btlab"):
     parser is built once, for the console script's name, so usage lines
     name ``btlab`` whatever `prog_name` a caller passes."""
     args = _PARSER.parse_args(argv)
+    if args.command is None:
+        _PARSER.error("the following arguments are required: COMMAND")
+    if args.config_path is None:
+        _COMMANDS[args.command].error(
+            "the following arguments are required: --config")
     if args.command == "space-info":
         name, suite = "space-info", _SPACE_INFO
         echo = {"tol_residual": _TOL_RESIDUAL}

@@ -148,10 +148,10 @@ def phase_from_config(block) -> PhaseMatrices:
 
 def symbol_from_config(spec, n: int, name: str = "symbol") -> PlaneWaveSum:
     """Plane-wave sum from a list of flat terms
-    [re_c, im_c, re_l1, im_l1, ..., re_ln, im_ln]."""
+    [re_c, im_c, re_l1, im_l1, ..., re_ln, im_ln]: read as complex, each
+    row is the coefficient followed by the frequency."""
     if not isinstance(spec, (list, tuple)) or not spec:
         raise InvalidConfig(f"{name}: expected a nonempty list of terms")
-    terms = []
     for k, row in enumerate(spec):
         if not isinstance(row, (list, tuple)) or len(row) != 2 + 2 * n:
             raise InvalidConfig(
@@ -160,12 +160,8 @@ def symbol_from_config(spec, n: int, name: str = "symbol") -> PlaneWaveSum:
             )
         for v in row:
             _number(v, f"{name} term {k} entry")
-        c = complex(row[0], row[1])
-        lam = np.array(
-            [complex(row[2 + 2 * d], row[3 + 2 * d]) for d in range(n)]
-        )
-        terms.append((c, lam))
-    return PlaneWaveSum(n=n, terms=tuple(terms))
+    rows = np.array(spec, dtype=float).view(complex)
+    return PlaneWaveSum(n, rows[:, 0], rows[:, 1:])
 
 
 def gaussian_from_config(spec, n: int, name: str = "gaussian") -> GaussianTestFn:
@@ -185,7 +181,7 @@ def gaussian_from_config(spec, n: int, name: str = "gaussian") -> GaussianTestFn
 
 def _symbol_text(b: PlaneWaveSum) -> str:
     parts = []
-    for c, lam in b.terms:
+    for c, lam in zip(b.c.tolist(), b.lam.tolist()):
         lam_s = ";".join(f"{z.real:g}{z.imag:+g}j" for z in lam)
         parts.append(f"({c.real:g}{c.imag:+g}j)*e[{lam_s}]")
     return " + ".join(parts) if parts else "0"

@@ -258,8 +258,10 @@ def freq_image(ctx: SpaceContext, lam) -> np.ndarray:
 
 def freq_pairing(ctx: SpaceContext, lam, mu) -> np.ndarray:
     """freq_image(lam) . conj(freq_image(mu)), which is
-    <lam, (Phi''_XbarX)^-1 conj(mu)> since R^* R = Phi''_XbarX."""
-    return freq_image(ctx, lam) @ np.conj(freq_image(ctx, mu))
+    <lam, (Phi''_XbarX)^-1 conj(mu)> since R^* R = Phi''_XbarX.  lam is
+    one frequency or rows (T, n); mu one frequency, or rows (S, n) for
+    the (T, S) pairings of every row pair."""
+    return freq_image(ctx, lam) @ np.conj(freq_image(ctx, mu)).T
 
 
 def fock_phase(n: int, beta: float = 1.0) -> PhaseMatrices:

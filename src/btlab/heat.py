@@ -57,12 +57,10 @@ def heat_damping(ctx: SpaceContext, lam, t: float) -> np.ndarray:
 
 
 def heat_flow(ctx: SpaceContext, b, t: float) -> PlaneWaveSum:
-    """Flow b -> b_t, term by term on a plane-wave sum."""
+    """Flow b -> b_t: each coefficient of a plane-wave sum times the
+    damping of its frequency."""
     t = _check_time(t)
-    terms = tuple(
-        (c * complex(heat_damping(ctx, lam, t)), lam) for c, lam in b.terms
-    )
-    return PlaneWaveSum(n=b.n, terms=terms)
+    return PlaneWaveSum(b.n, b.c * heat_damping(ctx, b.lam, t), b.lam)
 
 
 def heat_flow_quadrature(ctx: SpaceContext, b, t: float, order: int = 40):
@@ -128,7 +126,7 @@ def sw_diagnostic(ctx: SpaceContext, b, lam_grid) -> np.ndarray:
     """
     lam = _as_points(lam_grid, ctx.n)
     g = sum(abs(c) * heat_damping(ctx, lam + lam_j, 1.0)
-            for c, lam_j in b.terms)
+            for c, lam_j in zip(b.c, b.lam))
     return g * heat_damping(ctx, lam, 1.0)
 
 
@@ -154,7 +152,7 @@ def sw_l1_box(ctx: SpaceContext, b, lo: float, hi: float,
     """
     axis = np.arange(lo, hi + step / 2, step)
     total = 0.0
-    for c, lam_j in b.terms:
+    for c, lam_j in zip(b.c, b.lam):
         mu_j = freq_image(ctx, lam_j)
         term = abs(c) * float(heat_damping(ctx, lam_j, 0.5))
         for a in (*mu_j.real, *mu_j.imag):
@@ -171,4 +169,4 @@ def sw_l1_exact(ctx: SpaceContext, b) -> float:
     jac = np.float64(4.0 * np.pi / ctx.h) ** ctx.n  # inf past float range
     jac = abs(np.linalg.det(ctx.R)) ** 2 * jac
     return float(jac * sum(abs(c) * heat_damping(ctx, lam, 0.5)
-                           for c, lam in b.terms))
+                           for c, lam in zip(b.c, b.lam)))

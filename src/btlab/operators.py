@@ -93,7 +93,7 @@ def _terms(ctx: SpaceContext, op):
                      for cd in c)
         return [(1.0, axes)], np.exp(-np.sum(np.abs(c) ** 2) / ctx.h)
     return [(c, tuple((0.0, complex(m), 0.0) for m in freq_image(ctx, lam)))
-            for c, lam in op.terms], None
+            for c, lam in zip(op.c, op.lam)], None
 
 
 def _product_sum(terms, idx: np.ndarray, gather, scale,
@@ -351,7 +351,7 @@ def bound_reports(ctx: SpaceContext, symbols, t_grid: Sequence[float],
             and abs(last - norms[0]) <= 1e-3 * max(abs(last), 1e-300)))
         rows = []
         for t in ts:
-            lhs = float(sum(abs(c) for c, _ in heat_flow(ctx, b, t).terms))
+            lhs = float(sum(map(abs, heat_flow(ctx, b, t).c.tolist())))
             rhs = table.m_norm * (1.0 + slack) / (2.0 * t - 1.0) ** ctx.n
             rows.append((t, lhs, rhs, rhs - lhs, lhs <= rhs))
         yield BoundReport(rows=tuple(rows), norm_table=table,
@@ -378,8 +378,9 @@ def diagonal_sum_check(ctx: SpaceContext, b, diag: np.ndarray,
 
     diag is the (d,) diagonal of the Toeplitz compression of b over
     `trunc` (its "diagonal" read-out); lhs sums it over |alpha| = k.  rhs
-    is sum_j c_j(1) L_k^(n-1)(x_j), with x_j = h|R^-T lam_j|^2/8 and
-    c_j(1) the coefficients of `heat_flow(ctx, b, 1)`: per axis the
+    is sum_j c_j(1) L_k^(n-1)(x_j), with c_j(1) the coefficients of
+    `heat_flow(ctx, b, 1)` and x_j = h|R^-T lam_j|^2/8 for its rows
+    lam_j, so a term the flow drops leaves both: per axis the
     diagonal is e^{-x_d} L_{alpha_d}(x_d), summed over |alpha| = k by the
     Laguerre addition formula.  At k = 0 rhs is b_1(0).  Returns [(lhs, rhs), ...].
     A k above trunc.N has no diagonal entry and is refused.
@@ -391,9 +392,9 @@ def diagonal_sum_check(ctx: SpaceContext, b, diag: np.ndarray,
     if np.shape(diag) != (len(trunc),):
         raise ValueError(f"expected the ({len(trunc)},) diagonal, got an "
                          f"array of shape {np.shape(diag)}")
-    c1 = [c for c, _ in heat_flow(ctx, b, 1.0).terms]
+    flowed = heat_flow(ctx, b, 1.0)
     x = np.array([ctx.h * np.sum(np.abs(freq_image(ctx, lam)) ** 2) / 8.0
-                  for _, lam in b.terms])
+                  for lam in flowed.lam])
     a = ctx.n - 1
     lag = [np.ones_like(x), 1.0 + a - x]  # L_k^(a)(x) by the recurrence
     for j in range(1, max(ks)):
@@ -401,7 +402,8 @@ def diagonal_sum_check(ctx: SpaceContext, b, diag: np.ndarray,
                    / (j + 1))
     block = trunc.count_through_degree
     return [(complex(np.sum(diag[block(k - 1):block(k)])),
-             complex(sum(c * L for c, L in zip(c1, lag[k])))) for k in ks]
+             complex(sum(c * L for c, L in zip(flowed.c, lag[k]))))
+            for k in ks]
 
 
 def _defect_norms(ctxs, a, b, trunc: MultiIndexSet, drop: int) -> list:
@@ -460,11 +462,9 @@ def _commute_exactly(ctx: SpaceContext, a, b) -> bool:
     is symmetric for every term pair: then T_a T_b - T_b T_a vanishes
     identically and so does {a, b}.  ||R^-1||_2^2 = ||(Phi''_XbarX)^-1||_2."""
     scale = 1e-12 * np.linalg.norm(ctx.Rinv, 2) ** 2
-    return all(
-        abs(freq_pairing(ctx, la, lb) - freq_pairing(ctx, lb, la))
-        <= scale * np.linalg.norm(la) * np.linalg.norm(lb)
-        for _, la in a.terms for _, lb in b.terms
-    )
+    skew = freq_pairing(ctx, a.lam, b.lam) - freq_pairing(ctx, b.lam, a.lam).T
+    return bool(np.all(np.abs(skew) <= scale * np.outer(
+        np.linalg.norm(a.lam, axis=1), np.linalg.norm(b.lam, axis=1))))
 
 
 def _fit_slope(hs: np.ndarray, rs: np.ndarray) -> float:

@@ -4,10 +4,14 @@ Two symbol variants exist.  Finite plane-wave sums
 
     b(X) = sum_j c_j exp(i Re<X, lambda_j>),   lambda_j in C^n,
 
-are the only symbols the calculus accepts: products, the bilinear form Q,
-the bracket, translation, heat flow, the sup norm and the pull-back to
-T*R^n (`cotangent_frequencies`) all act on the terms in closed form, so
-every operation the theorems need stays exact.
+are the only symbols the calculus accepts.  A `PlaneWaveSum` stores them
+as one coefficient vector c of shape (T,) and one array lam of shape
+(T, n) of frequency rows, canonical on construction, so the sum is an
+l^1 sequence over a finite set of frequencies.  Products, the bilinear
+form Q, the bracket, translation, heat flow, the sup norm and the
+pull-back to T*R^n (`cotangent_frequencies`) all act on those arrays in
+closed form, products and Q as broadcasts over the term pairs, so every
+operation the theorems need stays exact.
 The pairing <X, lambda> = sum X_d lambda_d is bilinear (no conjugation);
 Re<X, lambda> is real even for complex frequencies, so plane waves always
 have modulus one.  These sums are the building blocks of Sjostrand's
@@ -15,14 +19,13 @@ Wiener-type symbol algebra, the class the paper's estimates are stated in.
 
 Callable symbols are references only: they can be evaluated and
 heat-flowed by quadrature, which gives the closed forms an independent
-check.  Every operation of the calculus reads `terms`, which a
+check.  Every operation of the calculus reads `c` or `lam`, which a
 `CallableSymbol` refuses with UnsupportedSymbol.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable
 
 import numpy as np
@@ -60,34 +63,45 @@ def _freq(lam, n: int) -> np.ndarray:
     return lam
 
 
-def _canonicalize(terms, n: int):
-    merged: dict = {}
-    for c, lam in terms:
-        lam = _freq(lam, n)
-        key = tuple(zip(lam.real.tolist(), lam.imag.tolist()))
-        if key in merged:
-            merged[key] = (merged[key][0] + complex(c), lam)
-        else:
-            merged[key] = (complex(c), lam)
-    scale = max((abs(c) for c, _ in merged.values()), default=0.0)
-    kept = [
-        (key, c, lam)
-        for key, (c, lam) in merged.items()
-        if abs(c) > _DROP_TOL * scale
-    ]
-    kept.sort(key=lambda item: item[0])
-    return tuple((c, lam) for _, c, lam in kept)
-
-
 @dataclass(frozen=True)
 class PlaneWaveSum:
-    """Canonicalized finite sum of plane waves."""
+    """Canonical finite sum of plane waves: coefficients c of shape (T,)
+    and frequency rows lam of shape (T, n), both read-only.
+
+    Construction merges equal frequencies in term order (the coefficients
+    summed, the last row kept), drops the terms below _DROP_TOL of the
+    largest |c| and sorts the rows by (Re, Im) of each coordinate in turn.
+    """
 
     n: int
-    terms: tuple  # of (complex coefficient, frequency ndarray (n,))
+    c: np.ndarray
+    lam: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _canonicalize(self.terms, self.n))
+        c = np.asarray(self.c, dtype=complex).reshape(-1)
+        lam = np.ascontiguousarray(self.lam, dtype=complex)
+        if lam.shape != (c.size, self.n):
+            raise ValueError(f"{c.size} coefficients need frequency rows of"
+                             f" shape ({c.size}, {self.n}), got {lam.shape}")
+        merged = {}  # frequency key -> (summed coefficient, last row index)
+        keys = map(tuple, lam.view(float).tolist())
+        for k, (ck, key) in enumerate(zip(c.tolist(), keys)):
+            merged[key] = (merged[key][0] + ck, k) if key in merged else (ck, k)
+        tol = _DROP_TOL * max((abs(v) for v, _ in merged.values()), default=0)
+        kept = sorted((key, k) for key, (v, k) in merged.items()
+                      if abs(v) > tol)
+        c = np.array([merged[key][0] for key, _ in kept], dtype=complex)
+        lam = lam.take([k for _, k in kept], axis=0) if kept else lam[:0]
+        for name, arr in (("c", c), ("lam", lam)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+
+def _refused(self):
+    raise UnsupportedSymbol(
+        "the calculus needs plane-wave sums; callable symbols are"
+        " references only"
+    )
 
 
 @dataclass(frozen=True)
@@ -98,47 +112,43 @@ class CallableSymbol:
     n: int
     func: Callable
 
-    @property
-    def terms(self):
-        """Refused: only plane-wave sums have terms."""
-        raise UnsupportedSymbol(
-            "the calculus needs plane-wave sums; callable symbols are"
-            " references only"
-        )
+    c = lam = property(_refused, doc="Refused: only plane-wave sums have"
+                                     " coefficients and frequencies.")
 
 
 def plane_wave_sum(terms, n: int = 1) -> PlaneWaveSum:
-    return PlaneWaveSum(n=n, terms=tuple(terms))
+    """The plane-wave sum of the (coefficient, frequency) pairs `terms`."""
+    terms = list(terms)
+    lam = np.empty((len(terms), n), dtype=complex)
+    for k, (_, freq) in enumerate(terms):
+        lam[k] = _freq(freq, n)
+    return PlaneWaveSum(n, [c for c, _ in terms], lam)
 
 
 def constant_symbol(value, n: int = 1) -> PlaneWaveSum:
-    return PlaneWaveSum(n=n, terms=((value, np.zeros(n)),))
+    return PlaneWaveSum(n, [value], np.zeros((1, n)))
 
 
 def cosine_symbol(lam, n: int = 1) -> PlaneWaveSum:
     """cos(Re<X, lam>) as an exact two-term sum."""
     lam = _freq(lam, n)
-    return PlaneWaveSum(n=n, terms=((0.5, lam), (0.5, -lam)))
+    return PlaneWaveSum(n, [0.5, 0.5], [lam, -lam])
 
 
 def sine_symbol(lam, n: int = 1) -> PlaneWaveSum:
     """sin(Re<X, lam>) as an exact two-term sum."""
     lam = _freq(lam, n)
-    return PlaneWaveSum(n=n, terms=((-0.5j, lam), (0.5j, -lam)))
-
-
-def _pw_eval(b: PlaneWaveSum, X: np.ndarray) -> np.ndarray:
-    out = np.zeros(X.shape[:-1], dtype=complex)
-    for c, lam in b.terms:
-        out = out + c * np.exp(1j * np.real(X @ lam))
-    return out
+    return PlaneWaveSum(n, [-0.5j, 0.5j], [lam, -lam])
 
 
 def eval_symbol(b, X):
     """Pointwise values of a symbol; X batched with coordinates last."""
     X = _as_points(X, b.n)
     if isinstance(b, PlaneWaveSum):
-        return _pw_eval(b, X)
+        out = np.zeros(X.shape[:-1], dtype=complex)
+        for c, lam in zip(b.c, b.lam):
+            out = out + c * np.exp(1j * np.real(X @ lam))
+        return out
     vals = np.asarray(b.func(X), dtype=complex)
     if vals.shape != X.shape[:-1]:
         raise ValueError(
@@ -150,22 +160,22 @@ def eval_symbol(b, X):
     return vals
 
 
+def _pair_sum(a, b, c) -> PlaneWaveSum:
+    """sum_jk c[j, k] exp(i Re<X, lam_j + mu_k>) over the term pairs of a
+    (frequencies lam_j) and b (mu_k), a's index major."""
+    lam = a.lam[:, np.newaxis] + b.lam
+    return PlaneWaveSum(a.n, c.reshape(-1), lam.reshape(-1, a.n))
+
+
 def multiply(a, b):
     """Pointwise product."""
-    terms = [(ca * cb, la + lb)
-             for (ca, la), (cb, lb) in product(a.terms, b.terms)]
-    return PlaneWaveSum(n=a.n, terms=tuple(terms))
+    return _pair_sum(a, b, a.c[:, np.newaxis] * b.c)
 
 
 def translate(b, lam):
     """b(. + lam)."""
     lam = _freq(lam, b.n)
-    return PlaneWaveSum(
-        n=b.n,
-        terms=tuple(
-            (c * np.exp(1j * np.real(lam @ mu)), mu) for c, mu in b.terms
-        ),
-    )
+    return PlaneWaveSum(b.n, b.c * np.exp(1j * np.real(b.lam @ lam)), b.lam)
 
 
 def _denominator(a: float) -> int:
@@ -208,12 +218,11 @@ def _witnesses(b: PlaneWaveSum) -> np.ndarray:
     system.  Rows that depend on earlier ones hold wherever those do if any
     k aligns them, so X* solves the others, for the k of `_shifts`.
     """
-    if len(b.terms) < 2:
+    if len(b.c) < 2:
         return np.zeros((1, b.n), dtype=complex)
-    c1, l1 = b.terms[0]
-    dl = np.array([lam - l1 for _, lam in b.terms[1:]])
+    dl = b.lam[1:] - b.lam[0]
     rows = np.concatenate([dl.real, -dl.imag], axis=1)
-    rhs = np.array([np.angle(c1) - np.angle(c) for c, _ in b.terms[1:]])
+    rhs = np.angle(b.c[0]) - np.angle(b.c[1:])
     ranks = [np.linalg.matrix_rank(rows[:i + 1]) for i in range(len(rows))]
     keep = np.flatnonzero(np.diff(ranks, prepend=0))
     k = _shifts(rows, keep)
@@ -230,7 +239,7 @@ def sup_norm(b) -> tuple:
     damping) and a common shift of the lam_j (modulation) change neither
     the phases nor the differences lam_j - lam_1, so they keep X* a witness.
     """
-    value = float(sum(abs(c) for c, _ in b.terms))
+    value = float(sum(map(abs, b.c.tolist())))
     reached = np.max(np.abs(eval_symbol(b, _witnesses(b))))
     return value, bool(abs(reached - value) <= 1e-12 * value)
 
@@ -246,52 +255,41 @@ def q_form(ctx: SpaceContext, a, b):
     -1/4 <lam, G mubar> c d exp(i Re<X, lam+mu>) with G = (Phi''_XbarX)^-1,
     and <lam, G mubar> is `freq_pairing(ctx, lam, mu)`.
     """
-    terms = [(-0.25 * freq_pairing(ctx, la, lb) * ca * cb, la + lb)
-             for (ca, la), (cb, lb) in product(a.terms, b.terms)]
-    return PlaneWaveSum(n=ctx.n, terms=tuple(terms))
+    pair = freq_pairing(ctx, a.lam, b.lam)
+    return _pair_sum(a, b, -0.25 * pair * a.c[:, np.newaxis] * b.c)
 
 
 def poisson(ctx: SpaceContext, a, b):
     """Bracket {a, b} = i Q(a, b) - i Q(b, a)."""
     qab = q_form(ctx, a, b)
     qba = q_form(ctx, b, a)
-    terms = tuple((1j * c, lam) for c, lam in qab.terms) + tuple(
-        (-1j * c, lam) for c, lam in qba.terms
-    )
-    return PlaneWaveSum(n=ctx.n, terms=terms)
+    return PlaneWaveSum(ctx.n, np.concatenate([1j * qab.c, -1j * qba.c]),
+                        np.concatenate([qab.lam, qba.lam]))
 
 
 # ---------------------------------------------------------------------------
 # pull-back to the real cotangent bundle
 
 
-def cotangent_frequencies(ctx: SpaceContext, b) -> list:
-    """Pull b back to T*R^n: (c, p, q) per term, with
-    b(X(x, xi)) = sum c exp(i(<x, p> + <xi, q>)) at real (x, xi).
+def cotangent_frequencies(ctx: SpaceContext, lam) -> tuple:
+    """Pull frequency rows lam of shape (T, n) back to T*R^n: rows (p, q),
+    each of shape (T, n), with e^{i Re<X(x, xi), lam_t>} =
+    e^{i(<x, p_t> + <xi, q_t>)} at real (x, xi), so a term keeps its
+    coefficient.  The canonical maps are formed once for all rows.
 
-    The term (c, lam) polarizes to c exp((i/2)(<X, lam> + <Y, lambar>)),
-    holomorphic in (X, Y) and equal to b at Y = Xbar.  Y(X, theta) is the
-    unique point with theta = (2/i)(Phi''_XXbar Y + Phi''_XX X); on the
-    graph theta = Theta(X) of the weight it is Xbar.  The canonical map
-    kappa_T (x, xi) -> (X, Theta) = (P x + Q xi, B x + A X) lands on that
-    graph, so Y = G (Kx x + Kxi xi), G = (Phi''_XXbar)^-1, is linear too,
-    and the polarized exponent is i(<x, p> + <xi, q>); G^T lambar is
-    R^-1 conj(mu), mu = R^-T lam, as in `toeplitz_apply_weighted`.
+    The wave e^{i Re<X, lam>} polarizes to exp((i/2)(<X, lam> +
+    <Y, lambar>)), holomorphic in (X, Y) and equal to it at Y = Xbar.
+    Y(X, theta) is the unique point with theta = (2/i)(Phi''_XXbar Y +
+    Phi''_XX X); on the graph theta = Theta(X) of the weight it is Xbar.
+    The canonical map kappa_T (x, xi) -> (X, Theta) = (P x + Q xi,
+    B x + A X) lands on that graph, so Y = G (Kx x + Kxi xi),
+    G = (Phi''_XXbar)^-1, is linear too, and the polarized exponent is
+    i(<x, p> + <xi, q>); G^T lambar is R^-1 conj(mu), mu = R^-T lam, as
+    in `toeplitz_apply_weighted`.
     """
-    return _cotangent_terms(ctx, b.terms)
-
-
-def _cotangent_terms(ctx: SpaceContext, terms) -> list:
-    """(c, p, q) of `cotangent_frequencies` for each (c, lam) of `terms`,
-    in order, with kappa_affine and the maps Kx, Kxi formed once."""
     A, B = ctx.phase.A, ctx.phase.B
     P, Q = kappa_affine(ctx)
     Kx = 0.5j * (B + A @ P) - ctx.PhiXX @ P
     Kxi = 0.5j * (A @ Q) - ctx.PhiXX @ Q
-    out = []
-    for c, lam in terms:
-        lb = ctx.Rinv @ np.conj(freq_image(ctx, lam))  # G^T lambar
-        p = 0.5 * (P.T @ lam + Kx.T @ lb)
-        q = 0.5 * (Q.T @ lam + Kxi.T @ lb)
-        out.append((c, p, q))
-    return out
+    lb = np.conj(freq_image(ctx, lam)) @ ctx.Rinv.T  # rows G^T lambar
+    return 0.5 * (lam @ P + lb @ Kx), 0.5 * (lam @ Q + lb @ Kxi)

@@ -1,13 +1,15 @@
 """Independent references the tests compare the package against.
 
-None is on any verdict path: `real_weyl_planewave_apply` is the
-closed-form real-side Weyl operator that `bargmann._weyl_gaussian` folds
-into Gaussian parameters, `egorov_sides_per_term` evaluates both sides of
-the Egorov identity one transform per (symbol term, probe), as the check
-did before it stacked them, `wirtinger_fd` differentiates any function
-numerically, for checks of Q and the bracket, and `u_alpha_eval`
-evaluates the graded monomial basis of H_Phi pointwise in the unreduced
-X frame, which the compressions never do.
+None is on any verdict path: `canonical_terms` is the pair-by-pair
+canonical form that `symbols.PlaneWaveSum` builds on arrays,
+`real_weyl_planewave_apply` is the closed-form real-side Weyl operator
+that `bargmann._weyl_gaussian` folds into Gaussian parameters,
+`egorov_sides_per_term` evaluates both sides of the Egorov identity one
+transform per (symbol term, probe), as the check did before it stacked
+them, `wirtinger_fd` differentiates any function numerically, for checks
+of Q and the bracket, and `u_alpha_eval` evaluates the graded monomial
+basis of H_Phi pointwise in the unreduced X frame, which the
+compressions never do.
 """
 
 import math
@@ -21,6 +23,30 @@ from btlab.errors import UnsupportedSymbol
 from btlab.geometry import _as_points, _qform, freq_image, phi_weight
 from btlab.heat import heat_flow
 from btlab.symbols import cotangent_frequencies
+
+
+def canonical_terms(terms, n: int) -> tuple:
+    """The canonical form of the (coefficient, frequency) pairs `terms` on
+    C^n, one pair at a time: equal frequencies merged in term order (the
+    coefficients summed, the last frequency kept), terms at or below 1e-14
+    of the largest |c| dropped, the rest sorted by (Re, Im) of each
+    coordinate in turn.  Returns ((complex, ndarray (n,)), ...)."""
+    merged: dict = {}
+    for c, lam in terms:
+        lam = np.asarray(lam, dtype=complex).reshape(n)
+        key = tuple(zip(lam.real.tolist(), lam.imag.tolist()))
+        if key in merged:
+            merged[key] = (merged[key][0] + complex(c), lam)
+        else:
+            merged[key] = (complex(c), lam)
+    scale = max((abs(c) for c, _ in merged.values()), default=0.0)
+    kept = [
+        (key, c, lam)
+        for key, (c, lam) in merged.items()
+        if abs(c) > 1e-14 * scale
+    ]
+    kept.sort(key=lambda item: item[0])
+    return tuple((c, lam) for _, c, lam in kept)
 
 
 def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:
@@ -49,10 +75,11 @@ def egorov_sides_per_term(ctx, symbols, gaussians, X):
     lhs, rhs = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
     phi = phi_weight(ctx, X)
     for j, b in enumerate(symbols):
-        freqs = cotangent_frequencies(ctx, heat_flow(ctx, b, 0.5))
+        bt = heat_flow(ctx, b, 0.5)
+        freqs = list(zip(bt.c, *cotangent_frequencies(ctx, bt.lam)))
         for g, u in enumerate(gaussians):
             left = np.zeros(X.shape[0], dtype=complex)
-            for c, lam in b.terms:
+            for c, lam in zip(b.c, b.lam):
                 a = (0.25j * h) * (ctx.Rinv @ np.conj(freq_image(ctx, lam)))
                 Xa = X + a
                 expo = 0.5j * (Xa @ lam) + (

@@ -162,7 +162,8 @@ def test_gaussian_transform_closed_form_matches_quadrature(rule80, n, phase,
     # real plane wave on phase space), and a truly complex (p, q)
     b = plane_wave_sum([(0.7, _e1(n)), (0.3 - 0.2j, _e1(n, -0.8 + 0.1j))],
                        n=n)
-    freqs = cotangent_frequencies(ctx, heat_flow(ctx, b, 0.5))
+    bt = heat_flow(ctx, b, 0.5)
+    freqs = list(zip(bt.c, *cotangent_frequencies(ctx, bt.lam)))
     freqs.append((0.6 + 0.2j, np.full(n, 0.5 - 0.3j),
                   np.linspace(-0.4 + 0.2j, 0.3 - 0.1j, n)))
     for c, p, q in freqs:
@@ -399,6 +400,32 @@ def test_egorov_sides_match_per_term_transforms(phase, h, monkeypatch):
     assert not np.any(got[0][3]) and not np.any(got[1][3])
     zero = egorov_guillemin_check(ctx, symbols[3:4], gaussians, X)
     assert zero.shape == (1, 3) and not np.any(zero)
+
+
+@pytest.mark.parametrize("phase, h", [
+    (fock_phase(1, 1.0), 1.0), (random_phase(2, 7), 1.0),
+], ids=["fock", "seed7-n2"])
+def test_egorov_rows_equal_single_symbol_checks(phase, h):
+    """Each row of the check on several symbols is the check on that
+    symbol alone, also when the half-time flow damps one of its terms
+    below the drop tolerance of a plane-wave sum (lambda = 40): bit for
+    bit at n = 1, to rounding where stacked matrix products round
+    differently (n = 2)."""
+    ctx = build_context(phase, h)
+    n = ctx.n
+    symbols = [plane_wave_sum([(1.0, np.zeros(n)), (1.0, _e1(n, 40.0))], n),
+               plane_wave_sum([(1.0, _e1(n))], n),
+               plane_wave_sum([(0.7, _e1(n)), (0.3, -_e1(n))], n)]
+    gaussians = [GaussianTestFn(y0=np.zeros(n), sigma=1.0, p0=np.zeros(n)),
+                 GaussianTestFn(y0=np.full(n, 0.4), sigma=0.8,
+                                p0=np.full(n, 0.6), amp=0.9 + 0.4j)]
+    X = complex_box(-1.0, 1.0, 1.0, n)
+    rows = egorov_guillemin_check(ctx, symbols, gaussians, X)
+    assert np.max(rows) < 1e-12
+    for b, row in zip(symbols, rows, strict=True):
+        alone = egorov_guillemin_check(ctx, [b], gaussians, X)[0]
+        assert np.all(np.abs(row - alone) <= 1e-15), (row, alone)
+        assert n > 1 or np.array_equal(row, alone)
 
 
 def test_egorov_refuses_any_callable_before_quadrature(monkeypatch):

@@ -110,7 +110,7 @@ def test_phase_explicit_matrices():
 
 def test_symbol_and_gaussian_parsing():
     b = symbol_from_config([[0.5, 0.0, 1.0, 0.0], [0.5, 0.0, -1.0, 0.0]], 1)
-    assert len(b.terms) == 2
+    assert len(b.c) == 2
     with pytest.raises(InvalidConfig):
         symbol_from_config([[0.5, 0.0, 1.0]], 1)  # bad flat length
     with pytest.raises(InvalidConfig):
@@ -213,10 +213,14 @@ _REFUSED = {
                                "--threads", "x"],
     "threads zero": ["verify", "gram", "--config", "CFG", "--threads", "0"],
     "abbreviated option": ["verify", "gram", "--conf", "CFG"],
+    "short help": ["-h"],
     "out is a file": ["verify", "gram", "--config", "CFG", "--out", "FILE"],
     "space-info out is a file": ["space-info", "--config", "CFG",
                                  "--out", "FILE"],
 }
+# Refusals whose message must name the argument refused, not a required
+# one that the refused argument left missing.
+_UNRECOGNIZED = {"abbreviated option": "--conf", "short help": "-h"}
 # Help texts and the names each must show.
 _HELP = {
     "program help": (["--help"], ("space-info", "verify")),
@@ -246,6 +250,9 @@ def test_command_line_contract(tmp_path, monkeypatch, case):
     assert res.exception is None
     assert res.stderr and res.output == res.stderr
     assert not list(tmp_path.rglob("*.csv"))
+    if case in _UNRECOGNIZED:
+        assert (f"unrecognized arguments: {_UNRECOGNIZED[case]}"
+                in res.stderr), res.stderr
 
 
 @pytest.mark.parametrize("suite, extra", [
@@ -324,6 +331,17 @@ def test_verify_h_domain(tmp_path):
         ["verify", "gram", "--config", cfg, "--out", str(tmp_path)]
     )
     assert res.exit_code == 2
+
+
+def test_verify_diag_pairs_each_flowed_term_with_its_frequency(tmp_path):
+    """The t = 1 flow drops the lambda = -40 term, which sorts first: the
+    Laguerre side must drop its frequency too, not pair the next term's
+    coefficient with it, so every degree passes."""
+    cfg = _write(tmp_path, {"phase": {"preset": "fock"}, "h": 1.0,
+                            "symbols": [[[1, 0, -40, 0], [1, 0, 0, 0],
+                                         [1, 0, 1, 0]]]})
+    res = invoke(["verify", "diag", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
 
 
 def test_verify_diag_suite(tmp_path):
@@ -889,10 +907,27 @@ def test_verify_egorov_two_variables_passes_at_defaults(tmp_path,
     for n, h in ((1, 0.5), (2, 1.0)):
         code, errs = _egorov_errs(tmp_path, n, h)
         assert code == 0 and max(errs) <= 1e-12
-    monkeypatch.setattr(btlab.bargmann, "heat_flow", lambda ctx, b, t: b)
+    real = btlab.heat.heat_damping
+    monkeypatch.setattr(btlab.heat, "heat_damping",
+                        lambda ctx, lam, t: real(ctx, lam, 0.0))
     for n, h in ((1, 0.5), (2, 1.0)):
         code, errs = _egorov_errs(tmp_path, n, h)
         assert code == 1 and min(errs) > 1e-3
+
+
+def test_verify_egorov_symbols_keep_their_terms_through_the_flow(tmp_path):
+    """A term the half-time flow damps below the drop tolerance (lambda =
+    40 on Fock at h = 1) stays in the stacked term list on both sides, so
+    the next symbol's terms line up: every pair passes to rounding."""
+    cfg = _write(tmp_path, {"phase": {"preset": "fock"}, "h": 1.0,
+                            "symbols": [[[1, 0, 0, 0], [1, 0, 40, 0]],
+                                        [[1, 0, 1, 0]]]})
+    res = invoke(
+        ["verify", "egorov", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    errs = [float(row.split(",")[2]) for row in
+            (tmp_path / "egorov.csv").read_text().splitlines()[1:]]
+    assert len(errs) == 4 and max(errs) < 1e-12
 
 
 def test_verify_egorov_three_variables_passes_in_seconds(tmp_path,

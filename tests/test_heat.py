@@ -15,7 +15,6 @@ from btlab.heat import (
     sw_l1_exact,
 )
 from btlab.symbols import (
-    PlaneWaveSum,
     constant_symbol,
     cosine_symbol,
     eval_symbol,
@@ -50,9 +49,10 @@ def test_plane_wave_flow_damps_each_term(ex1):
     )
     bt = heat_flow(ex1, b, 0.6)
     ref = {
-        complex(l[0]): c * heat_damping(ex1, l, 0.6) for c, l in b.terms
+        complex(l[0]): c * heat_damping(ex1, l, 0.6)
+        for c, l in zip(b.c, b.lam)
     }
-    for c, lam in bt.terms:
+    for c, lam in zip(bt.c, bt.lam):
         assert abs(c - ref[complex(lam[0])]) < 1e-14
 
 
@@ -131,7 +131,7 @@ def test_sw_diagnostic_gaussian_profile(ex1):
 
 _ONE_PLUS_HALF_SIN = plane_wave_sum(
     [(1.0, np.zeros(1)), *((0.5 * c, lam) for c, lam in
-                           sine_symbol(1.0).terms)])
+                           zip(sine_symbol(1.0).c, sine_symbol(1.0).lam))])
 
 
 @pytest.mark.parametrize("phase, h", [
@@ -148,7 +148,7 @@ def test_sw_riemann_sums_approach_closed_form_l1(phase, h, b):
     ref = sum(
         abs(c) * jac * np.exp(-h * np.sum(np.abs(freq_image(ctx, lam)) ** 2)
                               / 16.0)
-        for c, lam in b.terms
+        for c, lam in zip(b.c, b.lam)
     )
     assert abs(sw_l1_exact(ctx, b) - ref) <= 1e-14 * ref
     devs = []
@@ -162,7 +162,8 @@ def test_sw_riemann_sums_approach_closed_form_l1(phase, h, b):
 
 @pytest.mark.parametrize("b", [
     constant_symbol(1.0), _ONE_PLUS_HALF_SIN,
-    plane_wave_sum([*sine_symbol(1.0).terms, *sine_symbol(2.0).terms]),
+    plane_wave_sum([*zip(sine_symbol(1.0).c, sine_symbol(1.0).lam),
+                    *zip(sine_symbol(2.0).c, sine_symbol(2.0).lam)]),
 ], ids=["one", "one_plus_half_sin", "sin_plus_sin2"])
 def test_sw_profile_dominates_box_samples(b):
     """The closed-form profile is never below the box-sampled one: the
@@ -172,8 +173,8 @@ def test_sw_profile_dominates_box_samples(b):
     X = complex_box(-6.0, 6.0, 0.5, 1)
     g = sw_diagnostic(ctx, b, lam)
     for k, shift in enumerate(lam):
-        moved = PlaneWaveSum(n=1, terms=tuple((c, mu + shift)
-                                              for c, mu in b.terms))
+        moved = plane_wave_sum([(c, mu + shift)
+                                for c, mu in zip(b.c, b.lam)], 1)
         old = np.max(np.abs(eval_symbol(heat_flow(ctx, moved, 1.0), X)))
         assert old * float(heat_damping(ctx, shift, 1.0)) <= g[k] * (
             1.0 + 1e-12)
@@ -188,7 +189,8 @@ def test_sw_profile_is_damped_term_sum(seed):
                         (0.3 - 0.2j, np.array([-0.4 + 0.3j, 0.1j])),
                         (0.25j, np.zeros(2))], n=2)
     lam = complex_box(-2.0, 2.0, 1.0, 2)
-    ref = sum(abs(c) * heat_damping(ctx, lam + lj, 1.0) for c, lj in b.terms)
+    ref = sum(abs(c) * heat_damping(ctx, lam + lj, 1.0)
+              for c, lj in zip(b.c, b.lam))
     ref = ref * heat_damping(ctx, lam, 1.0)
     assert np.max(np.abs(sw_diagnostic(ctx, b, lam) - ref)) < 1e-14
 

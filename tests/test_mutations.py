@@ -61,8 +61,7 @@ def _bracket_negated(monkeypatch):
 
     def negated(ctx, a, b):
         br = real(ctx, a, b)
-        return dataclasses.replace(
-            br, terms=tuple((-c, lam) for c, lam in br.terms))
+        return dataclasses.replace(br, c=-br.c)
 
     monkeypatch.setattr(btlab.operators, "poisson", negated)
 
@@ -72,8 +71,7 @@ def _q_form_scaled(monkeypatch):
 
     def scaled(ctx, a, b):
         q = real(ctx, a, b)
-        return dataclasses.replace(
-            q, terms=tuple((1.2 * c, lam) for c, lam in q.terms))
+        return dataclasses.replace(q, c=1.2 * q.c)
 
     monkeypatch.setattr(btlab.operators, "q_form", scaled)
 
@@ -81,8 +79,8 @@ def _q_form_scaled(monkeypatch):
 def _translate_conjugated(monkeypatch):
     def translate(b, lam):
         lam = np.asarray(lam, dtype=complex).reshape(b.n)
-        return dataclasses.replace(b, terms=tuple(
-            (c * np.exp(-1j * np.real(lam @ mu)), mu) for c, mu in b.terms))
+        return dataclasses.replace(
+            b, c=b.c * np.exp(-1j * np.real(b.lam @ lam)))
 
     monkeypatch.setattr(btlab.cli, "translate", translate)
 

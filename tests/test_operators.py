@@ -39,7 +39,6 @@ from btlab.operators import (
 from btlab.quadrature import complex_grid, gauss_hermite_rule
 from btlab.symbols import (
     CallableSymbol,
-    PlaneWaveSum,
     constant_symbol,
     cosine_symbol,
     eval_symbol,
@@ -205,10 +204,10 @@ def test_compressions_equal_one_op_builds(n, N):
     trunc = enumerate_multiindices(n, N)
     rng = np.random.default_rng(n)
     lam = 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    b = PlaneWaveSum(n=n, terms=tuple(
+    b = plane_wave_sum([
         (c, 0.8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-        for c in (1.0, 0.5 - 0.3j)))
-    ops = [PlaneWaveSum(n=n, terms=()), b, lam, -lam, translate(b, lam),
+        for c in (1.0, 0.5 - 0.3j)], n)
+    ops = [plane_wave_sum([], n), b, lam, -lam, translate(b, lam),
            cosine_symbol(lam, n), b, lam]
     mats = list(btlab.operators.compressions(ctx, trunc, ops))
     assert len(mats) == len(ops)
@@ -238,11 +237,11 @@ def test_compressions_leading_blocks_equal_sliced_full(n, N, band_entries,
     trunc = enumerate_multiindices(n, N)
     d = len(trunc)
     rng = np.random.default_rng(n)
-    b = PlaneWaveSum(n=n, terms=tuple(
+    b = plane_wave_sum([
         (c, 0.8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
-        for c in (1.0, 0.5 - 0.3j, -0.7j)))
+        for c in (1.0, 0.5 - 0.3j, -0.7j)], n)
     lam = 0.6 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    ops = [b, lam, PlaneWaveSum(n=n, terms=())]
+    ops = [b, lam, plane_wave_sum([], n)]
     full = list(btlab.operators.compressions(ctx, trunc, ops))
     if band_entries:
         monkeypatch.setattr(btlab.operators, "_BLOCK_ENTRIES", band_entries)
@@ -272,9 +271,9 @@ def _three_ops(n, seed):
     def z():
         return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    b = PlaneWaveSum(n=n, terms=tuple(
-        (c, 0.8 * z()) for c in (1.0, 0.5 - 0.3j, -0.7j)))
-    return [PlaneWaveSum(n=n, terms=()), b, 0.6 * z()], rng
+    b = plane_wave_sum([
+        (c, 0.8 * z()) for c in (1.0, 0.5 - 0.3j, -0.7j)], n)
+    return [plane_wave_sum([], n), b, 0.6 * z()], rng
 
 
 @pytest.mark.parametrize("n, N", [(1, 12), (2, 8), (3, 8)])
@@ -352,13 +351,13 @@ def test_composition_law_machine_precision():
         G = np.linalg.inv(ctx.PhiXXbar.conj())
         fac = np.exp((ctx.h / 8.0) * (la @ G @ np.conj(mu)))
         Ta = toeplitz_matrix(
-            ctx, PlaneWaveSum(n=1, terms=((1.0, la),)), trunc
+            ctx, plane_wave_sum([(1.0, la)], 1), trunc
         )
         Tb = toeplitz_matrix(
-            ctx, PlaneWaveSum(n=1, terms=((1.0, mu),)), trunc
+            ctx, plane_wave_sum([(1.0, mu)], 1), trunc
         )
         Tab = toeplitz_matrix(
-            ctx, PlaneWaveSum(n=1, terms=((1.0, la + mu),)), trunc
+            ctx, plane_wave_sum([(1.0, la + mu)], 1), trunc
         )
         dev = operator_norm((Ta @ Tb - fac * Tab)[:m, :m])
         assert dev < 1e-12
@@ -575,7 +574,7 @@ def test_axis_assembly_matches_tensor_grid(seed, h, N, data):
     terms = data.draw(st.lists(
         st.tuples(_z, _z.map(lambda z: np.array([2.0 * z]))),
         min_size=1, max_size=4))
-    b = PlaneWaveSum(n=1, terms=tuple(terms))
+    b = plane_wave_sum(terms, 1)
     lam = np.array([0.5 * data.draw(_z)])
     _assert_matches_tensor_grid(ctx, b, lam, enumerate_multiindices(1, N), 60)
 
@@ -590,8 +589,8 @@ def test_axis_assembly_matches_tensor_grid_two_variables(seed, h, N):
     def z(*shape):
         return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
 
-    b = PlaneWaveSum(n=2, terms=tuple(
-        (complex(c), 2.0 * lam) for c, lam in zip(z(3), z(3, 2))))
+    b = plane_wave_sum([
+        (complex(c), 2.0 * lam) for c, lam in zip(z(3), z(3, 2))], 2)
     _assert_matches_tensor_grid(ctx, b, 0.5 * z(2),
                                 enumerate_multiindices(2, N), 24)
 
@@ -608,7 +607,7 @@ def test_diagonal_sums_match_radial_moment_quadrature(n, seed, h, data):
     vec = st.lists(_z, min_size=n, max_size=n).map(np.array)
     terms = data.draw(st.lists(st.tuples(_z, vec.map(lambda v: 2.0 * v)),
                                min_size=1, max_size=3))
-    b = PlaneWaveSum(n=n, terms=tuple(terms))
+    b = plane_wave_sum(terms, n)
     trunc = enumerate_multiindices(n, 3)
     M = toeplitz_matrix(ctx, b, trunc)
     W, wt = complex_grid(rule, n, np.sqrt(h / 2.0))
@@ -635,8 +634,8 @@ def test_inner_block_products_match_full_products(n, seed):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     def wave_sum():
-        return PlaneWaveSum(n=n, terms=tuple(
-            (complex(c), 0.8 * lam) for c, lam in zip(z(2), z(2, n))))
+        return plane_wave_sum([
+            (complex(c), 0.8 * lam) for c, lam in zip(z(2), z(2, n))], n)
 
     N, inner = (10, 4) if n == 1 else (8, 4)
     trunc = enumerate_multiindices(n, N)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_dev
-from reference import wirtinger_fd
+from reference import canonical_terms, wirtinger_fd
 
 from btlab.bargmann import toeplitz_apply_weighted
 from btlab.basis import enumerate_multiindices
@@ -48,8 +48,8 @@ def _pair(h=0.7):
     ctx = build_context(random_phase(2, 11), h)
     la = np.array([0.8 + 0.3j, -0.4 + 0.1j])
     mu = np.array([-0.2 + 0.5j, 0.6 - 0.7j])
-    a = PlaneWaveSum(n=2, terms=((0.9 - 0.2j, la),))
-    b = PlaneWaveSum(n=2, terms=((0.4 + 0.6j, mu),))
+    a = plane_wave_sum([(0.9 - 0.2j, la)], 2)
+    b = plane_wave_sum([(0.4 + 0.6j, mu)], 2)
     return ctx, a, b
 
 
@@ -59,15 +59,43 @@ X0 = np.array([0.3 - 0.2j, -0.5 + 0.4j])
 def test_canonicalization_merges_and_sorts():
     lam = np.array([1.0 + 0.5j])
     b = plane_wave_sum([(0.3, lam), (0.2, -lam), (0.4, lam)], n=1)
-    assert len(b.terms) == 2
+    assert len(b.c) == 2
     coeffs = {
-        complex(l[0]): c for c, l in b.terms
+        complex(l[0]): c for c, l in zip(b.c, b.lam)
     }
     assert abs(coeffs[complex(lam[0])] - 0.7) < 1e-15
     assert abs(coeffs[complex(-lam[0])] - 0.2) < 1e-15
     # negligible coefficients disappear entirely
     tiny = plane_wave_sum([(1.0, lam), (1e-16, -lam)], n=1)
-    assert len(tiny.terms) == 1
+    assert len(tiny.c) == 1
+
+
+# Parts with repeats, signed zeros and, for coefficients, values at and
+# below the drop tolerance relative to the others.
+_FREQ_PART = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+_COEF_PART = st.one_of(st.sampled_from([0.0, -0.0, 1e-15, -1e-16, 1e-14]),
+                       st.floats(-2.0, 2.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n=st.integers(1, 3), data=st.data())
+def test_plane_wave_sum_is_the_pairwise_canonical_form(n, data):
+    """`plane_wave_sum` gives the coefficients and frequency rows of the
+    pair-by-pair canonical form, bit for bit (signs of zero included) and
+    in the same order, on lists with repeated frequencies, signed zeros,
+    coefficients below the drop tolerance and no terms at all."""
+    freq = st.lists(st.builds(complex, _FREQ_PART, _FREQ_PART),
+                    min_size=n, max_size=n).map(np.array)
+    terms = data.draw(st.lists(
+        st.tuples(st.builds(complex, _COEF_PART, _COEF_PART), freq),
+        max_size=8))
+    ref = canonical_terms(terms, n)
+    b = plane_wave_sum(terms, n)
+    want_c = np.array([c for c, _ in ref], dtype=complex)
+    want_lam = np.array([lam for _, lam in ref], dtype=complex).reshape(-1, n)
+    assert b.c.shape == want_c.shape and b.lam.shape == want_lam.shape
+    assert np.array_equal(b.c.view(np.int64), want_c.view(np.int64))
+    assert np.array_equal(b.lam.view(np.int64), want_lam.view(np.int64))
 
 
 def test_trigonometric_builders():
@@ -176,7 +204,8 @@ _LAM = np.array([0.4 - 0.9j, 0.2 + 0.3j])
 def test_calculus_refuses_callables(op):
     """Callable symbols are references only: every operation of the
     calculus refuses them instead of building a black-box result.  The
-    one refusal is `CallableSymbol.terms`, so it reaches every consumer."""
+    one refusal is `CallableSymbol.c` and `.lam`, so it reaches every
+    consumer."""
     ctx, a, _ = _pair()
     with pytest.raises(UnsupportedSymbol, match="plane-wave sums"):
         op(ctx, a)
@@ -186,7 +215,7 @@ def test_zero_sum_does_not_hide_a_callable():
     """Both factors' terms are read before any pair is formed, so a zero
     plane-wave sum (no terms) still meets the refusal."""
     ctx, _, _ = _pair()
-    zero = PlaneWaveSum(n=2, terms=())
+    zero = plane_wave_sum([], 2)
     for op in (lambda: multiply(zero, _REF), lambda: q_form(ctx, zero, _REF),
                lambda: poisson(ctx, zero, _REF)):
         with pytest.raises(UnsupportedSymbol, match="plane-wave sums"):
@@ -205,20 +234,20 @@ def test_cotangent_frequencies_reconstruct_symbol():
     for seed in (3, 11):
         ctx = build_context(random_phase(2, seed), 0.9)
         lam = np.array([0.5 - 0.7j, -0.3 + 0.2j])
-        b = PlaneWaveSum(n=2, terms=((1.1 + 0.4j, lam),))
-        freqs = cotangent_frequencies(ctx, b)
+        b = plane_wave_sum([(1.1 + 0.4j, lam)], 2)
+        ps, qs = cotangent_frequencies(ctx, b.lam)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((25, 2))
         xi = rng.standard_normal((25, 2))
         X, _ = kappa_T(ctx, x, xi)
         ref = eval_symbol(b, X)
         got = np.zeros(25, dtype=complex)
-        for c, p, q in freqs:
+        for c, p, q in zip(b.c, ps, qs):
             got = got + c * np.exp(1j * (x @ p + xi @ q))
         assert rel_dev(got, ref) < 1e-12
     with pytest.raises(UnsupportedSymbol):
         cotangent_frequencies(ctx, CallableSymbol(
-            n=2, func=lambda X: eval_symbol(b, X)))
+            n=2, func=lambda X: eval_symbol(b, X)).lam)
 
 
 _z = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
@@ -236,7 +265,7 @@ def test_sup_norm_bounds_every_sample(n, seed, h, t, data):
     vec = st.lists(_z, min_size=n, max_size=n).map(np.array)
     terms = data.draw(st.lists(st.tuples(_z, vec.map(lambda v: 2.0 * v)),
                                min_size=1, max_size=4))
-    b = PlaneWaveSum(n=n, terms=tuple(terms))
+    b = plane_wave_sum(terms, n)
     bt = heat_flow(ctx, b, t)
     value, attained = sup_norm(bt)
     X = complex_box(-3.0, 3.0, 0.25 if n == 1 else 0.5, n)
@@ -249,7 +278,8 @@ def test_sup_norm_bounds_every_sample(n, seed, h, t, data):
 def test_sup_norm_not_attained():
     """sin(Re X) + sin(2 Re X) peaks at 1.7602 (where 4 cos^2 + cos = 2),
     below sum |c_j| = 2: the value is then only an upper bound."""
-    b = plane_wave_sum([*sine_symbol(1.0).terms, *sine_symbol(2.0).terms])
+    b = plane_wave_sum([*zip(sine_symbol(1.0).c, sine_symbol(1.0).lam),
+                        *zip(sine_symbol(2.0).c, sine_symbol(2.0).lam)])
     value, attained = sup_norm(b)
     assert value == 2.0
     assert not attained
@@ -257,10 +287,9 @@ def test_sup_norm_not_attained():
     assert 1.7601 < grid < 1.7603
     # the defaults' symbols all attain their bound
     for sym in (cosine_symbol(1.0), plane_wave_sum(
-            [(1.0, np.zeros(1)), *((0.5 * c, lam) for c, lam
-                                   in sine_symbol(1.0).terms)])):
-        assert sup_norm(sym) == (float(sum(abs(c) for c, _ in sym.terms)),
-                                 True)
+            [(1.0, np.zeros(1)), *((0.5 * c, lam) for c, lam in zip(
+                sine_symbol(1.0).c, sine_symbol(1.0).lam))])):
+        assert sup_norm(sym) == (float(sum(abs(c) for c in sym.c)), True)
 
 
 def test_sup_norm_attained_modulo_2pi():
