@@ -83,11 +83,6 @@ class GaussianTestFn:
         )
         return self.amp * np.exp(expo)
 
-    def l1_norm(self) -> float:
-        return abs(self.amp) * (2.0 * np.pi * self.sigma ** 2) ** (
-            self.n / 2.0
-        )
-
 
 def _transform_kernel(ctx: SpaceContext, X: np.ndarray, rule: QuadratureRule):
     """Nodes y, kernel, weights and prefactor of the weighted transform at

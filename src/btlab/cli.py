@@ -4,22 +4,7 @@ Determinism contract: identical config means byte-identical CSV.  Two
 ingredients make that hold: BLAS/OpenMP pools are pinned to one thread
 before numpy is first imported (the package __init__ imports nothing, so
 this module runs first under the console entry point), and all assembly is
-serial: each suite that reads compressions stacks the distinct one-axis
-factors of all of them in a fixed order (first use), runs one closed-form
-recurrence over them (``deformation`` over the factors of every h), and
-builds one read-out per compression at a time in the order the suite
-reads them,
-each only what its checks read: a leading block (``weyl`` and
-``deformation`` read most of theirs on an inner degree block), the
-diagonal (``diag``'s symbols), the deviation max|T_1 - I| (``diag``'s
-T_1, reduced over fixed row bands, so no d x d T_1 is held), or the
-action on a block of columns (``weyl``'s T_b, applied one axis at a time
-in a fixed order, or through the matrix when that is smaller, a choice
-fixed by n, N and the inner degree); ``gram`` reads the scalar
-prefactor of its closed form G = prefactor x I, builds no matrix and
-runs no recurrence; ``deformation`` takes the spectral norms of all its
-defects in one batched call, and ``egorov`` evaluates two closed-form
-transforms per Gaussian probe, each for every symbol term at once.
+serial, in an order fixed by the config alone (see `operators`).
 ``--threads`` is accepted, validated and echoed, and ``verify --order``
 is still parsed, but neither reaches anything below this module (no
 suite reads a quadrature order), so they cannot change the work or a

@@ -3,8 +3,12 @@
 The generator is Delta = (1/2) <d_X, (Phi''_XbarX)^-1 d_Xbar>, so a plane
 wave exp(i Re<X, lam>) is an eigenfunction and the flow at time t multiplies
 its coefficient by exp(-t h |mu|^2 / 8) with mu = R^-T lam the frequency in
-the reduced frame (`geometry.freq_image`).  The same flow written as a
-Gaussian average and evaluated by Gauss-Hermite quadrature,
+the reduced frame (`geometry.freq_image`).  The closed forms read a
+plane-wave sum only as its arrays c and lam: the flow and the summability
+diagnostic (`sw_diagnostic`, `sw_l1_box`, `sw_l1_exact`) each damp all
+frequency rows in one `heat_damping` call, the diagnostic weighting them
+by |c|.  The same flow written as a Gaussian average and evaluated by
+Gauss-Hermite quadrature,
 
     b_t(X) = pi^-n sum_k w_k b(X - R^-1 V_k),   V = sqrt(t h / 2)(s1 + i s2),
 
@@ -39,7 +43,7 @@ __all__ = [
 
 # Most points a box may hold: all K^(2n) of an egorov `X_grid` (729 at the
 # n = 3 default), or the K points of one axis of the `sw` lambda_grid, which
-# `sw_l1_box` sums one axis at a time (65 at the default finest step).
+# `sw_l1_box` sums per term and axis (65 at the default finest step).
 MAX_BOX_POINTS = 20_000_000
 
 
@@ -125,8 +129,7 @@ def sw_diagnostic(ctx: SpaceContext, b, lam_grid) -> np.ndarray:
     the membership diagnostic for the symbol class behind the norm bounds.
     """
     lam = _as_points(lam_grid, ctx.n)
-    g = sum(abs(c) * heat_damping(ctx, lam + lam_j, 1.0)
-            for c, lam_j in zip(b.c, b.lam))
+    g = heat_damping(ctx, lam[..., np.newaxis, :] + b.lam, 1.0) @ np.abs(b.c)
     return g * heat_damping(ctx, lam, 1.0)
 
 
@@ -144,20 +147,18 @@ def sw_l1_box(ctx: SpaceContext, b, lo: float, hi: float,
     Completing the square, term j of the profile is
     exp(-h |mu_j|^2 / 16) prod_k exp(-h (x_k + a_jk / 2)^2 / 4) over the
     2n real coordinates x_k of mu and a_jk of mu_j, so the sum over the
-    K^(2n) box points is a product of 2n sums of K points each: O(terms *
-    2n * K) work and O(K) memory at any n.  The box is the one
-    `complex_box(lo, hi, step, n)` walks, and the sum equals
-    `sw_l1(sw_diagnostic(ctx, b, mu_box @ ctx.R), step, n)` times
-    |det R|^2 up to rounding.
+    K^(2n) box points is a product of 2n sums of K points each, taken for
+    every term and axis at once: O(T 2n K) work and memory for T terms at
+    any n.  The box is the one `complex_box(lo, hi, step, n)` walks, and
+    the sum equals `sw_l1(sw_diagnostic(ctx, b, mu_box @ ctx.R), step, n)`
+    times |det R|^2 up to rounding.
     """
     axis = np.arange(lo, hi + step / 2, step)
-    total = 0.0
-    for c, lam_j in zip(b.c, b.lam):
-        mu_j = freq_image(ctx, lam_j)
-        term = abs(c) * float(heat_damping(ctx, lam_j, 0.5))
-        for a in (*mu_j.real, *mu_j.imag):
-            term *= np.sum(np.exp(-ctx.h * (axis + a / 2.0) ** 2 / 4.0))
-        total += term
+    mu = freq_image(ctx, b.lam)
+    a = np.concatenate([mu.real, mu.imag], axis=1)[..., np.newaxis]
+    sums = np.sum(np.exp(-ctx.h * (axis + a / 2.0) ** 2 / 4.0), axis=-1)
+    weights = np.abs(b.c) * heat_damping(ctx, b.lam, 0.5)
+    total = weights @ np.prod(sums, axis=1)
     jac = abs(np.linalg.det(ctx.R)) ** 2
     return float(total * jac * np.float64(step) ** (2 * ctx.n))
 
@@ -168,5 +169,4 @@ def sw_l1_exact(ctx: SpaceContext, b) -> float:
     factor is the heat damping at t = 1/2."""
     jac = np.float64(4.0 * np.pi / ctx.h) ** ctx.n  # inf past float range
     jac = abs(np.linalg.det(ctx.R)) ** 2 * jac
-    return float(jac * sum(abs(c) * heat_damping(ctx, lam, 0.5)
-                           for c, lam in zip(b.c, b.lam)))
+    return float(jac * (heat_damping(ctx, b.lam, 0.5) @ np.abs(b.c)))

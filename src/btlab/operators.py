@@ -9,13 +9,15 @@ orthonormal monomial basis v_alpha of the standard Fock space, and
     weyl       M[beta, alpha] = e^{-|c|^2/h} <v_b, e^{(2/h)<W, cbar>}
                                 v_a(W - c)>,   c = R lambda,
 
-in the Fock inner product.  Toeplitz symbols are plane-wave sums, so for
-both kinds every factor splits over the coordinates of W and the matrix
-is a product of exact one-axis matrices (`basis.axis_matrices`); callable
-symbols are refused.  `compressions` is the one path from operators to
-matrices: it assembles any mix of both kinds from one stacked one-axis
-recurrence over their distinct factors and yields one read-out per
-operator, one at a time, each only what its caller reads: a leading
+in the Fock inner product.  Toeplitz symbols are plane-wave sums, so both
+kinds are one form: a list of terms, each a coefficient times a tensor
+product of one-axis factors (a translation is one term, of coefficient
+e^{-|c|^2/h}), and the matrix is the same sum of entrywise products of
+exact one-axis matrices (`basis.axis_matrices`); callable symbols are
+refused.  `compressions` is the one path from operators to matrices: it
+assembles any mix of both kinds from one stacked one-axis recurrence
+over their distinct factors and yields one read-out per operator, one
+at a time, each only what its caller reads: a leading
 block, the diagonal, the deviation max|M - I|, or the action V -> M V,
 which runs one matmul per axis of the (N+1)^n coefficient cube and forms
 no d x d matrix unless that is the smaller of the two; the checks below
@@ -83,26 +85,24 @@ _BLOCK_ENTRIES = 1 << 18
 
 def _terms(ctx: SpaceContext, op):
     """The terms (c, axes) of op, one factor (shift, mu, nu) per coordinate
-    in axes, and the scale applied after their sum.  A plane-wave term
-    c e^{i Re<X, lam>} is c prod_d e^{i Re(W_d mu_d)} with mu = R^-T lam;
-    a translation by lam has the shift W - c and the weight
-    e^{(2/h)<W, cbar>}, c = R lam, and the scale e^{-|c|^2/h}."""
+    in axes.  A plane-wave term c e^{i Re<X, lam>} is c prod_d
+    e^{i Re(W_d mu_d)} with mu = R^-T lam; a translation by lam is the one
+    term of coefficient e^{-|c|^2/h}, c = R lam, whose factors have the
+    shift W - c and the weight e^{(2/h)<W, cbar>}."""
     if isinstance(op, np.ndarray):
         c = ctx.R @ np.asarray(op, dtype=complex).reshape(ctx.n)
         axes = tuple((complex(cd), 0.0, (2.0 / ctx.h) * complex(np.conj(cd)))
                      for cd in c)
-        return [(1.0, axes)], np.exp(-np.sum(np.abs(c) ** 2) / ctx.h)
-    return [(c, tuple((0.0, complex(m), 0.0) for m in freq_image(ctx, lam)))
-            for c, lam in zip(op.c, op.lam)], None
+        return [(np.exp(-np.sum(np.abs(c) ** 2) / ctx.h), axes)]
+    return [(c, tuple((0.0, m, 0.0) for m in mu))
+            for c, mu in zip(op.c, freq_image(ctx, op.lam).tolist())]
 
 
-def _product_sum(terms, idx: np.ndarray, gather, scale,
-                 shape) -> np.ndarray:
-    """scale * sum_t c_t prod_d gather(rows_t[d], idx[d]) for (c_t, rows_t)
-    in `terms`, of the given shape.  The first term is written straight
-    into the result, and each product keeps the operand order
-    c_t * A_1 * A_2 ..., which fixes its rounding; the scale, if not None,
-    multiplies the finished sum.  Every entry is computed on its own, so
+def _product_sum(terms, idx: np.ndarray, gather, shape) -> np.ndarray:
+    """sum_t c_t prod_d gather(rows_t[d], idx[d]) for (c_t, rows_t) in
+    `terms`, of the given shape.  The first term is written straight into
+    the result, and each product keeps the operand order c_t * A_1 * A_2
+    ..., which fixes its rounding.  Every entry is computed on its own, so
     any gather of the same entries gives them bit for bit."""
     out = None
     for c, factors in terms:
@@ -116,12 +116,10 @@ def _product_sum(terms, idx: np.ndarray, gather, scale,
             out += block
     if out is None:  # no terms: the zero operator
         out = np.zeros(shape, dtype=complex)
-    if scale is not None:
-        out *= scale
     return out
 
 
-def _bands(stack: np.ndarray, idx: np.ndarray, terms, scale, shape):
+def _bands(stack: np.ndarray, idx: np.ndarray, terms, shape):
     """Yield (r, M[r, :cols]) for consecutive row slices r that cover the
     leading (rows, cols) = `shape` block of the matrix M of the terms over
     the graded indices (`_product_sum` of stack[f] gathered on the index
@@ -136,40 +134,37 @@ def _bands(stack: np.ndarray, idx: np.ndarray, terms, scale, shape):
         yield r, _product_sum(
             terms, idx,
             lambda f, col: stack[f].take(col[r], 0).take(col[:cols], 1),
-            scale, (r.stop - r.start, cols))
+            (r.stop - r.start, cols))
 
 
-def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms, scale,
-               shape) -> np.ndarray:
+def _dense_sum(stack: np.ndarray, idx: np.ndarray, terms, shape) -> np.ndarray:
     """The leading (rows, cols) = `shape` block of the matrix, filled from
     `_bands`, so it is the full matrix sliced to `shape` bit for bit."""
     out = np.empty(shape, dtype=complex)
-    for r, band in _bands(stack, idx, terms, scale, shape):
+    for r, band in _bands(stack, idx, terms, shape):
         out[r] = band
     return out
 
 
-def _identity_deviation(stack: np.ndarray, idx: np.ndarray, terms,
-                        scale) -> float:
+def _identity_deviation(stack: np.ndarray, idx: np.ndarray, terms) -> float:
     """max|M - I| over the full (d, d) matrix, taken band by band from
     `_bands`, so M is never held whole.  np.max keeps a NaN entry."""
     d = idx.shape[1]
     peaks = []
-    for r, band in _bands(stack, idx, terms, scale, (d, d)):
+    for r, band in _bands(stack, idx, terms, (d, d)):
         band.flat[r.start::d + 1] -= 1.0  # the entries (i, i), i in r
         peaks.append(np.max(np.abs(band)))
     return float(np.max(peaks))
 
 
-def _diagonal_sum(stack: np.ndarray, idx: np.ndarray, terms,
-                  scale) -> np.ndarray:
+def _diagonal_sum(stack: np.ndarray, idx: np.ndarray, terms) -> np.ndarray:
     """The (d,) diagonal of the full `_dense_sum` matrix, from the same
     products, so it equals np.diag of that matrix bit for bit."""
     return _product_sum(terms, idx, lambda f, col: stack[f][col, col],
-                        scale, (idx.shape[1],))
+                        (idx.shape[1],))
 
 
-def _applier(stack: np.ndarray, idx: np.ndarray, terms, scale):
+def _applier(stack: np.ndarray, idx: np.ndarray, terms):
     """V -> M V for the full (d, d) matrix M of `_dense_sum`, without M.
 
     Each term's matrix is the Kronecker product of its one-axis factors
@@ -191,7 +186,7 @@ def _applier(stack: np.ndarray, idx: np.ndarray, terms, scale):
         k = V.shape[1]
         if side ** n * k > d * d:
             if dense is None:
-                dense = _dense_sum(stack, idx, terms, scale, (d, d))
+                dense = _dense_sum(stack, idx, terms, (d, d))
             return dense @ V
         buf = np.zeros((side ** n, k), dtype=complex)
         buf[flat] = V
@@ -208,8 +203,6 @@ def _applier(stack: np.ndarray, idx: np.ndarray, terms, scale):
                 out += block
         if out is None:
             out = np.zeros((d, k), dtype=complex)
-        if scale is not None:
-            out *= scale
         return out
 
     return apply
@@ -218,7 +211,9 @@ def _applier(stack: np.ndarray, idx: np.ndarray, terms, scale):
 def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops, reads=None):
     """Yield the compression of each op over `trunc` in turn: the Toeplitz
     compression of a plane-wave sum, or the translation unitary of a
-    displacement given as an array lam of shape (n,).
+    displacement given as an array lam of shape (n,).  Each op is read
+    only as its term list (`_terms`), coefficients over one-axis factors,
+    so both kinds take the same read-outs.
 
     `reads`, if given, says per op which read-out of its d x d matrix M
     is yielded:
@@ -243,29 +238,29 @@ def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops, reads=None):
     """
     pairs = (zip(itertools.repeat(ctx), ops) if isinstance(ctx, SpaceContext)
              else zip(ctx, ops, strict=True))
-    built = [(c.h, *_terms(c, op)) for c, op in pairs]
+    built = [(c.h, _terms(c, op)) for c, op in pairs]
     d = len(trunc)
     if reads is None:
         reads = [(d, d)] * len(built)
     rows = {}
-    for h, terms, _ in built:
+    for h, terms in built:
         for _, axes in terms:
             for factor in axes:
                 rows.setdefault((h, factor), len(rows))
     stack = basis.axis_matrices([h for h, _ in rows], trunc.N,
                                 [factor for _, factor in rows])
     idx = np.array(trunc.indices).T
-    for (h, terms, scale), read in zip(built, reads, strict=True):
+    for (h, terms), read in zip(built, reads, strict=True):
         terms = [(c, [rows[h, factor] for factor in axes])
                  for c, axes in terms]
         if read == "diagonal":
-            yield _diagonal_sum(stack, idx, terms, scale)
+            yield _diagonal_sum(stack, idx, terms)
         elif read == "identity":
-            yield _identity_deviation(stack, idx, terms, scale)
+            yield _identity_deviation(stack, idx, terms)
         elif read == "apply":
-            yield _applier(stack, idx, terms, scale)
+            yield _applier(stack, idx, terms)
         else:
-            yield _dense_sum(stack, idx, terms, scale, read)
+            yield _dense_sum(stack, idx, terms, read)
 
 
 def toeplitz_matrix(ctx: SpaceContext, b,
@@ -393,8 +388,7 @@ def diagonal_sum_check(ctx: SpaceContext, b, diag: np.ndarray,
         raise ValueError(f"expected the ({len(trunc)},) diagonal, got an "
                          f"array of shape {np.shape(diag)}")
     flowed = heat_flow(ctx, b, 1.0)
-    x = np.array([ctx.h * np.sum(np.abs(freq_image(ctx, lam)) ** 2) / 8.0
-                  for lam in flowed.lam])
+    x = ctx.h * np.sum(np.abs(freq_image(ctx, flowed.lam)) ** 2, axis=1) / 8.0
     a = ctx.n - 1
     lag = [np.ones_like(x), 1.0 + a - x]  # L_k^(a)(x) by the recurrence
     for j in range(1, max(ks)):
@@ -402,7 +396,7 @@ def diagonal_sum_check(ctx: SpaceContext, b, diag: np.ndarray,
                    / (j + 1))
     block = trunc.count_through_degree
     return [(complex(np.sum(diag[block(k - 1):block(k)])),
-             complex(sum(c * L for c, L in zip(flowed.c, lag[k]))))
+             complex(flowed.c @ lag[k]))
             for k in ks]
 
 

@@ -145,10 +145,7 @@ def eval_symbol(b, X):
     """Pointwise values of a symbol; X batched with coordinates last."""
     X = _as_points(X, b.n)
     if isinstance(b, PlaneWaveSum):
-        out = np.zeros(X.shape[:-1], dtype=complex)
-        for c, lam in zip(b.c, b.lam):
-            out = out + c * np.exp(1j * np.real(X @ lam))
-        return out
+        return np.exp(1j * np.real(X @ b.lam.T)) @ b.c
     vals = np.asarray(b.func(X), dtype=complex)
     if vals.shape != X.shape[:-1]:
         raise ValueError(

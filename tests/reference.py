@@ -1,7 +1,11 @@
 """Independent references the tests compare the package against.
 
 None is on any verdict path: `canonical_terms` is the pair-by-pair
-canonical form that `symbols.PlaneWaveSum` builds on arrays,
+canonical form that `symbols.PlaneWaveSum` builds on arrays; the
+`*_per_term` functions walk a plane-wave sum one term at a time where
+`symbols.eval_symbol`, `heat.sw_diagnostic`, `heat.sw_l1_box`,
+`heat.sw_l1_exact` and the right-hand side of
+`operators.diagonal_sum_check` read its arrays at once;
 `real_weyl_planewave_apply` is the closed-form real-side Weyl operator
 that `bargmann._weyl_gaussian` folds into Gaussian parameters,
 `egorov_sides_per_term` evaluates both sides of the Egorov identity one
@@ -21,7 +25,7 @@ from btlab.bargmann import (
 )
 from btlab.errors import UnsupportedSymbol
 from btlab.geometry import _as_points, _qform, freq_image, phi_weight
-from btlab.heat import heat_flow
+from btlab.heat import heat_damping, heat_flow
 from btlab.symbols import cotangent_frequencies
 
 
@@ -47,6 +51,61 @@ def canonical_terms(terms, n: int) -> tuple:
     ]
     kept.sort(key=lambda item: item[0])
     return tuple((c, lam) for _, c, lam in kept)
+
+
+def eval_symbol_per_term(b, X):
+    """`symbols.eval_symbol` of a plane-wave sum, one term at a time."""
+    X = _as_points(X, b.n)
+    out = np.zeros(X.shape[:-1], dtype=complex)
+    for c, lam in zip(b.c, b.lam):
+        out = out + c * np.exp(1j * np.real(X @ lam))
+    return out
+
+
+def sw_diagnostic_per_term(ctx, b, lam_grid):
+    """`heat.sw_diagnostic`, one damping call per term."""
+    lam = _as_points(lam_grid, ctx.n)
+    g = sum(abs(c) * heat_damping(ctx, lam + lam_j, 1.0)
+            for c, lam_j in zip(b.c, b.lam))
+    return g * heat_damping(ctx, lam, 1.0)
+
+
+def sw_l1_box_per_term(ctx, b, lo, hi, step):
+    """`heat.sw_l1_box`, the 2n axis sums of one term at a time."""
+    axis = np.arange(lo, hi + step / 2, step)
+    total = 0.0
+    for c, lam_j in zip(b.c, b.lam):
+        mu_j = freq_image(ctx, lam_j)
+        term = abs(c) * float(heat_damping(ctx, lam_j, 0.5))
+        for a in (*mu_j.real, *mu_j.imag):
+            term *= np.sum(np.exp(-ctx.h * (axis + a / 2.0) ** 2 / 4.0))
+        total += term
+    jac = abs(np.linalg.det(ctx.R)) ** 2
+    return float(total * jac * np.float64(step) ** (2 * ctx.n))
+
+
+def sw_l1_exact_per_term(ctx, b):
+    """`heat.sw_l1_exact`, one damping call per term."""
+    jac = np.float64(4.0 * np.pi / ctx.h) ** ctx.n  # inf past float range
+    jac = abs(np.linalg.det(ctx.R)) ** 2 * jac
+    return float(jac * sum(abs(c) * heat_damping(ctx, lam, 0.5)
+                           for c, lam in zip(b.c, b.lam)))
+
+
+def diagonal_sum_rhs_per_term(ctx, b, ks):
+    """The right-hand sides sum_j c_j(1) L_k^(n-1)(x_j) of
+    `operators.diagonal_sum_check` for each k in ks, one frequency image
+    and one product per term."""
+    flowed = heat_flow(ctx, b, 1.0)
+    x = np.array([ctx.h * np.sum(np.abs(freq_image(ctx, lam)) ** 2) / 8.0
+                  for lam in flowed.lam])
+    a = ctx.n - 1
+    lag = [np.ones_like(x), 1.0 + a - x]  # L_k^(a)(x) by the recurrence
+    for j in range(1, max(ks)):
+        lag.append(((2 * j + 1 + a - x) * lag[j] - (j + a) * lag[j - 1])
+                   / (j + 1))
+    return [complex(sum(c * L for c, L in zip(flowed.c, lag[k])))
+            for k in ks]
 
 
 def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:

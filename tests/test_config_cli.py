@@ -367,9 +367,9 @@ def _record_built(monkeypatch):
     real = btlab.operators.compressions
     real_dense = btlab.operators._dense_sum
 
-    def dense(stack, idx, terms, scale, shape):
+    def dense(stack, idx, terms, shape):
         built_dense.append(shape)
-        return real_dense(stack, idx, terms, scale, shape)
+        return real_dense(stack, idx, terms, shape)
 
     def recorded(ctx, trunc, ops, reads=None):
         ops = list(ops)
@@ -501,7 +501,9 @@ def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
 
 
 # sha256 of the CSV of a default run: deformation's stacked recurrence and
-# batched norms, and egorov's stacked transforms, keep these bytes
+# batched norms, and egorov's stacked transforms, keep these bytes, and
+# the array forms of the sw sums and the diag right-hand side keep those
+# of the default one-wave symbols
 CSV_DIGESTS = {
     ("deformation", "fock"):
         "920177eca3d794a105e0764b8468f726f61c9b4a018ccbdbbf8accc1f8a0fcf1",
@@ -511,11 +513,38 @@ CSV_DIGESTS = {
         "e7ca25009d247aa8baef4ae775b79ef1e63279087c2f3595b31b4233f02dabe8",
     ("egorov", "fock"):
         "98180d4132c82bf1d8428b97491d71571a788845bf5f18a0a5e5c3d39fb15832",
+    ("gram", "fock"):
+        "3ff7abc7dbe956cbfd2d497313f6a3abc38ec3dc93b49a6e978fcf035755c53d",
+    ("gram", "seed7"):
+        "3ff7abc7dbe956cbfd2d497313f6a3abc38ec3dc93b49a6e978fcf035755c53d",
+    ("weyl", "fock"):
+        "e22c715e19e81882f7af055490aef3cd82b317624bc48038e2ba35b761560630",
+    ("weyl", "seed7"):
+        "a94e427bb047c9a731dfc82af2a41eb60538dfc15fa7b64f2c5c9f0a419f9689",
+    # a translation's weight e^{-|c|^2/h} is the coefficient of its one
+    # term, so at n = 2 it multiplies before the second axis's factor
+    ("weyl", "seed7-n2"):
+        "82f6139159f6a5c5a538f970c40e59a1255ed623c747ed3c143f029c331f60e6",
+    ("bound", "fock"):
+        "bbc948ea29f338bdc84cd1372cd9128bf6251ba9206ff1ae7abdc1c413f30c23",
+    ("bound", "seed7"):
+        "8a28026c90fa9bceb4b1c1d42d87f06d5b8de95219398b47d58db44207066caf",
+    ("diag", "fock"):
+        "2e9d1748ca269a1ba1bea64f2b32e29972e9018981ef4a7134cf65a634395821",
+    ("diag", "seed7"):
+        "a30cc871fffb0e358ca0651a50d1dc08f2812d9571a300c62443ddde36b49672",
+    ("sw", "fock"):
+        "a6e82fb8bee63a4eca2339971adc52cf7b1aa8ee863dd63ff0414cf410524acb",
+    ("sw", "seed7"):
+        "e5e138c1c8d666e5d9ec6a310c117e471289c63dd25b9990e4b07893946f6142",
 }
 DIGEST_CONFIGS = {
     "fock": FOCK,
     "seed7": {"phase": {"seed": 7, "n": 1}, "h": 0.5},
-    "seed7-n2": {"phase": {"seed": 7, "n": 2}, "h": 1.0},
+    # weyl needs lambda_list at n = 2; deformation does not read it
+    "seed7-n2": {"phase": {"seed": 7, "n": 2}, "h": 1.0,
+                 "lambda_list": [[[1.0, 0.0], [0.0, 0.0]],
+                                 [[0.0, 0.0], [0.6, 0.8]]]},
 }
 
 

@@ -85,6 +85,20 @@ def _translate_conjugated(monkeypatch):
     monkeypatch.setattr(btlab.cli, "translate", translate)
 
 
+def _translation_weight_scaled(monkeypatch):
+    # the coefficient e^{-|c|^2/h} of a translation's one term
+    real = btlab.operators._terms
+
+    def terms(ctx, op):
+        out = real(ctx, op)
+        if isinstance(op, np.ndarray):
+            (c, axes), = out
+            out = [(1.01 * c, axes)]
+        return out
+
+    monkeypatch.setattr(btlab.operators, "_terms", terms)
+
+
 def _compression_scaled(monkeypatch):
     real = btlab.basis.axis_matrices
     monkeypatch.setattr(btlab.basis, "axis_matrices",
@@ -122,6 +136,7 @@ MUTATIONS = {
     "bracket_negated": (_bracket_negated, {"deformation"}),
     "q_form_x1.2": (_q_form_scaled, {"deformation"}),
     "translate_conjugated": (_translate_conjugated, {"weyl"}),
+    "translation_weight_x1.01": (_translation_weight_scaled, {"weyl"}),
     # every one-axis factor, so every compression, scaled: the inner blocks
     # weyl and deformation build must still see an assembly error
     "compression_x0.97": (_compression_scaled,
@@ -144,6 +159,7 @@ SEED7_N2 = {"phase": {"seed": 7, "n": 2}, "h": 1.0,
 N2_CAUGHT = {
     "none": set(),
     "translate_conjugated": {"weyl"},
+    "translation_weight_x1.01": {"weyl"},
     # 0.97 per axis scales each compression's norm by 0.9409 at n = 2,
     # which bound's 2% slack no longer covers
     "compression_x0.97": {"weyl", "diag", "deformation", "bound"},

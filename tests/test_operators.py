@@ -228,8 +228,8 @@ def test_compressions_leading_blocks_equal_sliced_full(n, N, band_entries,
                                                        monkeypatch):
     """A requested (rows, cols) block is the full matrix F sliced to
     [:rows, :cols] bit for bit, for every block shape up to (d, d): on a
-    multi-term plane-wave sum, a translation (whose scale multiplies the
-    finished block) and the zero operator.  "identity" is max|F - I| bit
+    multi-term plane-wave sum, a translation (one term, whose coefficient
+    e^{-|c|^2/h} is not 1) and the zero operator.  "identity" is max|F - I| bit
     for bit, and "apply" past its buffer size, where it forms F, returns
     F V exactly.  All of it holds with row bands of at most 5 entries
     (uneven, some of one row) as with the default bands."""
@@ -265,7 +265,8 @@ def test_compressions_leading_blocks_equal_sliced_full(n, N, band_entries,
 
 def _three_ops(n, seed):
     """A zero symbol, a three-term plane-wave sum with complex frequencies
-    and a translation (whose scale e^{-|c|^2/h} is not 1) on C^n."""
+    and a translation (one term, whose coefficient e^{-|c|^2/h} is not 1)
+    on C^n."""
     rng = np.random.default_rng(seed)
 
     def z():
@@ -318,9 +319,9 @@ def test_apply_forms_the_matrix_once_past_its_size(monkeypatch):
     built = []
     real = btlab.operators._dense_sum
 
-    def recorded(stack, idx, terms, scale, shape):
+    def recorded(stack, idx, terms, shape):
         built.append(shape)
-        return real(stack, idx, terms, scale, shape)
+        return real(stack, idx, terms, shape)
 
     monkeypatch.setattr(btlab.operators, "_dense_sum", recorded)
     applies = btlab.operators.compressions(ctx, trunc, ops,

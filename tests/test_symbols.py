@@ -6,13 +6,23 @@ two complex variables; the two computations share nothing but the context
 object.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_dev
-from reference import canonical_terms, wirtinger_fd
+from reference import (
+    canonical_terms,
+    diagonal_sum_rhs_per_term,
+    eval_symbol_per_term,
+    sw_diagnostic_per_term,
+    sw_l1_box_per_term,
+    sw_l1_exact_per_term,
+    wirtinger_fd,
+)
 
 from btlab.bargmann import toeplitz_apply_weighted
 from btlab.basis import enumerate_multiindices
@@ -273,6 +283,49 @@ def test_sup_norm_bounds_every_sample(n, seed, h, t, data):
     if attained:
         reached = np.max(np.abs(eval_symbol(bt, _witnesses(b))))
         assert abs(reached - value) <= 1e-12 * value
+
+
+def _agree(got, ref, floor):
+    """|got - ref| <= 1e-13 max(|ref|, floor) entry by entry: relative,
+    with the absolute floor where the terms cancel to (near) zero."""
+    err = np.abs(np.asarray(got) - ref)
+    assert np.all(err <= 1e-13 * np.maximum(np.abs(ref), floor)), err
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(n=st.integers(1, 3), seed=st.integers(0, 40),
+       h=st.sampled_from([0.5, 1.0]), data=st.data())
+def test_array_forms_match_their_per_term_references(n, seed, h, data):
+    """`eval_symbol`, `sw_diagnostic`, `sw_l1_box`, `sw_l1_exact` and the
+    right-hand side of `diagonal_sum_check` read a sum's arrays at once;
+    each matches its term-by-term reference in `tests/reference.py` to
+    1e-13 relative, on sums of 0 to 6 terms whose frequencies repeat
+    (and merge) and on the zero sum.  The floor of the evaluation is
+    sum |c_j|, and that of the degree-k diagonal sum C(k+n-1, k) sum |c_j|,
+    which bounds sum |c_j(1) L_k^(n-1)(x_j)| since c_j(1) = c_j e^{-x_j};
+    the sw terms are all positive and need none."""
+    ctx = build_context(random_phase(n, seed), h)
+    vec = st.lists(_z, min_size=n, max_size=n).map(lambda v: 2.0 * np.array(v))
+    pool = data.draw(st.lists(vec, min_size=1, max_size=6))
+    terms = data.draw(st.lists(st.tuples(_z, st.sampled_from(pool)),
+                               max_size=6))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((3, 4, n)) + 1j * rng.standard_normal((3, 4, n))
+    lam = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    trunc = enumerate_multiindices(n, 4)
+    ks = list(range(5))
+    for b in (plane_wave_sum(terms, n), plane_wave_sum([], n)):
+        scale = float(np.sum(np.abs(b.c)))
+        _agree(eval_symbol(b, X), eval_symbol_per_term(b, X), scale)
+        _agree(sw_diagnostic(ctx, b, lam), sw_diagnostic_per_term(ctx, b, lam),
+               0.0)
+        _agree(sw_l1_box(ctx, b, -4.0, 4.0, 0.5),
+               sw_l1_box_per_term(ctx, b, -4.0, 4.0, 0.5), 0.0)
+        _agree(sw_l1_exact(ctx, b), sw_l1_exact_per_term(ctx, b), 0.0)
+        rhs = [r for _, r in diagonal_sum_check(
+            ctx, b, np.zeros(len(trunc)), trunc, ks)]
+        _agree(rhs, diagonal_sum_rhs_per_term(ctx, b, ks),
+               [math.comb(k + n - 1, k) * scale for k in ks])
 
 
 def test_sup_norm_not_attained():
