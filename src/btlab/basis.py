@@ -17,11 +17,11 @@ pi^-n e^{-|z|^2} L(dz).
 The weight, the monomials, plane waves and phase-space translations all
 factor over the coordinates of W, so plane-wave Toeplitz and Weyl
 compressions are entrywise products of exact (N+1) x (N+1) one-axis
-matrices (`axis_matrices`, from the Berger-Coburn composition law): no
-compression integrates anything.  `operators.compressions` assembles them;
-the Gram matrix is the identity times a closed-form prefactor.
-`weighted_pair_sum` on a Gauss-Hermite tensor grid is the reference they
-are tested against.
+matrices (`axis_matrices`, from the Berger-Coburn composition law) of
+three seeds each: no compression integrates anything.
+`operators.compressions` assembles them; the Gram matrix is the identity
+times a closed-form prefactor.  `weighted_pair_sum` on a Gauss-Hermite
+tensor grid is the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -133,44 +133,35 @@ def weighted_pair_sum(
     return out
 
 
-def axis_matrices(h, N: int, factors) -> np.ndarray:
-    """A[f, b, a] = <v_b, e^{i Re(w mu) + nu w} v_a(w - shift)> in the Fock
-    inner product, degrees 0..N of one variable w = r z, r = sqrt(h/2), for
-    each factor f = (shift, mu, nu): shape (len(factors), N+1, N+1).  h is
-    one value for all factors or a sequence of one per factor, so factors
-    at several h share the recurrence.
+def axis_matrices(N: int, seeds) -> np.ndarray:
+    """A[f, b, a] = <v_b, e^{alpha z + beta conj(z)} v_a(z - s)> in the Fock
+    inner product of one variable z, degrees 0..N, for each row
+    f = (alpha, gamma, w) of the (F, 3) array `seeds`, gamma = beta - s and
+    w = e^{alpha beta} (`operators._terms` forms them): shape (F, N+1, N+1).
 
-    With alpha = (i mu/2 + nu) r and beta = (i/2) conj(mu) r the factor is
-    e^{alpha z + beta conj(z)}, and the projection turns e^{beta conj(z)}
-    into translation by beta (Berger-Coburn).  So column 0 is
-    e^{alpha beta} alpha^b / sqrt(b!) and column a+1 is (Z + gamma)
-    A[:, a] / sqrt(a+1), gamma = beta - shift/r, Z v_b = sqrt(b+1) v_{b+1}:
-    exact on the truncation.  That recurrence cancels terms of size about
-    e^{|shift|^2/h}, so A is built along its diagonals instead,
-    A[a+m, a] = e^{alpha beta} alpha^m sqrt(a!/(a+m)!) L_a^(m)(-alpha gamma)
+    The projection turns e^{beta conj(z)} into translation by beta
+    (Berger-Coburn).  So column 0 is w alpha^b / sqrt(b!) and column a+1
+    is (Z + gamma) A[:, a] / sqrt(a+1), Z v_b = sqrt(b+1) v_{b+1}: exact
+    on the truncation.  That recurrence cancels terms of size about
+    e^{|s|^2/2}, so A is built along its diagonals instead,
+    A[a+m, a] = w alpha^m sqrt(a!/(a+m)!) L_a^(m)(-alpha gamma)
     and A[a, a+m] the same with gamma for alpha, by the Laguerre recurrence
     in a rescaled to keep every value O(1).  One (N+1)-step recurrence runs
-    over the whole stack; the per-factor scalars are formed one factor at a
-    time, so every slice is bit-identical to a one-factor call.
+    over the whole stack, elementwise in f, so every slice is bit-identical
+    to a one-row call.
     """
-    k = len(factors)
-    hs = np.broadcast_to(np.asarray(h, dtype=float), (k,))
-    start = np.empty((k, 2, 1), dtype=complex)  # alpha, gamma
-    scale = np.empty((k, 1, 1), dtype=complex)  # e^{alpha beta}
-    ag = np.empty((k, 1, 1), dtype=complex)  # alpha gamma
-    for f, ((shift, mu, nu), hf) in enumerate(zip(factors, hs)):
-        r = math.sqrt(hf / 2.0)
-        alpha = (0.5j * mu + nu) * r
-        beta = 0.5j * np.conj(mu) * r
-        gamma = beta - shift / r
-        start[f, :, 0] = alpha, gamma
-        scale[f] = np.exp(alpha * beta)
-        ag[f] = alpha * gamma
+    seeds = np.asarray(seeds, dtype=complex)
+    start, w = seeds[:, :2, None], seeds[:, 2:, None]  # (alpha, gamma), w
+    al, ga = start[:, :1], start[:, 1:]
+    # alpha gamma by parts, rounded as a scalar complex product is (numpy's
+    # vector loop fuses a multiply-add, which moves the last bit)
+    ag = ((al.real * ga.real - al.imag * ga.imag)
+          + 1j * (al.real * ga.imag + al.imag * ga.real))
     m = np.arange(N + 1)
-    # F_0[f][z][m] = e^{alpha beta} z^m / sqrt(m!) for z = alpha, gamma
-    F = scale * np.cumprod(np.concatenate(
-        (np.ones((k, 2, 1)), start / np.sqrt(m[1:])), axis=2), axis=2)
-    A = np.empty((k, N + 1, N + 1), dtype=complex)
+    # F_0[f][z][m] = w z^m / sqrt(m!) for z = alpha, gamma
+    F = w * np.cumprod(np.concatenate(
+        (np.ones_like(start), start / np.sqrt(m[1:])), axis=2), axis=2)
+    A = np.empty((len(seeds), N + 1, N + 1), dtype=complex)
     prev = back = 0.0
     for a in range(N + 1):
         A[:, a:, a] = F[:, 0, :N + 1 - a]  # A[a+m, a]

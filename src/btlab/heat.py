@@ -148,15 +148,17 @@ def sw_l1_box(ctx: SpaceContext, b, lo: float, hi: float,
     exp(-h |mu_j|^2 / 16) prod_k exp(-h (x_k + a_jk / 2)^2 / 4) over the
     2n real coordinates x_k of mu and a_jk of mu_j, so the sum over the
     K^(2n) box points is a product of 2n sums of K points each, taken for
-    every term and axis at once: O(T 2n K) work and memory for T terms at
-    any n.  The box is the one `complex_box(lo, hi, step, n)` walks, and
-    the sum equals `sw_l1(sw_diagnostic(ctx, b, mu_box @ ctx.R), step, n)`
-    times |det R|^2 up to rounding.
+    every term and axis at once: O(T 2n K) work for T terms at any n, in
+    chunks of 2^16 points (one at every default) to bound the temporaries.
+    The box is the one `complex_box(lo, hi, step, n)` walks, and the sum
+    equals `sw_l1(sw_diagnostic(ctx, b, mu_box @ ctx.R), step, n)` times
+    |det R|^2 up to rounding.
     """
     axis = np.arange(lo, hi + step / 2, step)
     mu = freq_image(ctx, b.lam)
     a = np.concatenate([mu.real, mu.imag], axis=1)[..., np.newaxis]
-    sums = np.sum(np.exp(-ctx.h * (axis + a / 2.0) ** 2 / 4.0), axis=-1)
+    sums = sum(np.sum(np.exp(-ctx.h * (x + a / 2.0) ** 2 / 4.0), axis=-1)
+               for x in np.split(axis, range(1 << 16, axis.size, 1 << 16)))
     weights = np.abs(b.c) * heat_damping(ctx, b.lam, 0.5)
     total = weights @ np.prod(sums, axis=1)
     jac = abs(np.linalg.det(ctx.R)) ** 2

@@ -10,14 +10,14 @@ orthonormal monomial basis v_alpha of the standard Fock space, and
                                 v_a(W - c)>,   c = R lambda,
 
 in the Fock inner product.  Toeplitz symbols are plane-wave sums, so both
-kinds are one form: a list of terms, each a coefficient times a tensor
-product of one-axis factors (a translation is one term, of coefficient
-e^{-|c|^2/h}), and the matrix is the same sum of entrywise products of
-exact one-axis matrices (`basis.axis_matrices`); callable symbols are
-refused.  `compressions` is the one path from operators to matrices: it
-assembles any mix of both kinds from one stacked one-axis recurrence
-over their distinct factors and yields one read-out per operator, one
-at a time, each only what its caller reads: a leading
+kinds are one form: coefficients times tensor products of one-axis
+factors (a translation is one term, of coefficient e^{-|c|^2/h}), each
+factor given by three seeds (`_terms`), and the matrix is the same sum
+of entrywise products of exact one-axis matrices (`basis.axis_matrices`);
+callable symbols are refused.  `compressions` is the one path from
+operators to matrices: it assembles any mix of both kinds from one
+one-axis recurrence over all their seeds and yields one read-out per
+operator, one at a time, each only what its caller reads: a leading
 block, the diagonal, the deviation max|M - I|, or the action V -> M V,
 which runs one matmul per axis of the (N+1)^n coefficient cube and forms
 no d x d matrix unless that is the smaller of the two; the checks below
@@ -84,18 +84,26 @@ _BLOCK_ENTRIES = 1 << 18
 
 
 def _terms(ctx: SpaceContext, op):
-    """The terms (c, axes) of op, one factor (shift, mu, nu) per coordinate
-    in axes.  A plane-wave term c e^{i Re<X, lam>} is c prod_d
-    e^{i Re(W_d mu_d)} with mu = R^-T lam; a translation by lam is the one
-    term of coefficient e^{-|c|^2/h}, c = R lam, whose factors have the
-    shift W - c and the weight e^{(2/h)<W, cbar>}."""
+    """The coefficients (T,) and seeds (T, n, 3) of op: term t is coef[t]
+    times the product over d of the one-axis factors of seeds[t, d]
+    (`basis.axis_matrices`) in z = W/r, r = sqrt(h/2).  A plane-wave term
+    c e^{i Re<X, lam>}, mu = R^-T lam, has alpha = (i/2) mu_d r,
+    gamma = (i/2) conj(mu_d) r and w = e^{alpha gamma}; a translation by
+    lam is one term of coefficient e^{-|c|^2/h}, c = R lam, with
+    alpha = (2/h) conj(c_d) r, gamma = -c_d/r and w = 1."""
+    r = np.sqrt(ctx.h / 2.0)
     if isinstance(op, np.ndarray):
-        c = ctx.R @ np.asarray(op, dtype=complex).reshape(ctx.n)
-        axes = tuple((complex(cd), 0.0, (2.0 / ctx.h) * complex(np.conj(cd)))
-                     for cd in c)
-        return [(np.exp(-np.sum(np.abs(c) ** 2) / ctx.h), axes)]
-    return [(c, tuple((0.0, m, 0.0) for m in mu))
-            for c, mu in zip(op.c, freq_image(ctx, op.lam).tolist())]
+        c = (ctx.R @ np.asarray(op, dtype=complex).reshape(ctx.n))[None]
+        coef = np.exp(-np.sum(np.abs(c) ** 2, axis=1) / ctx.h)
+        # -c/r part by part: numpy's complex division rounds 1/r first
+        seeds = ((2.0 / ctx.h) * np.conj(c) * r,
+                 (c.view(float) / -r).view(complex), np.ones(c.shape))
+    else:
+        alpha = (0.5j * r) * freq_image(ctx, op.lam)
+        # gamma = -conj(alpha), so alpha gamma = -|alpha|^2
+        coef, seeds = op.c, (alpha, -alpha.conj(), np.exp(
+            -(alpha.real ** 2 + alpha.imag ** 2), dtype=complex))
+    return coef, np.array(seeds).transpose(1, 2, 0)
 
 
 def _product_sum(terms, idx: np.ndarray, gather, shape) -> np.ndarray:
@@ -230,29 +238,23 @@ def compressions(ctx: SpaceContext, trunc: MultiIndexSet, ops, reads=None):
                     its one-axis factors act on (see `_applier`).
     The default is the full (d, d) for every op.  `ctx` is one space
     context for every op, or a sequence of one per op (a sweep's contexts
-    at several h).  Equal factors at equal h are shared across all the
-    ops, so one `basis.axis_matrices` call serves them all.  Each read-out
-    is built only when asked for and this generator keeps none it has
-    yielded, so a caller that drops one before taking the next holds one
-    at a time.
+    at several h).  The seeds of every op form one array, so one
+    `basis.axis_matrices` call serves them all.  Each read-out is built
+    only when asked for and this generator keeps none it has yielded, so
+    a caller that drops one before taking the next holds one at a time.
     """
     pairs = (zip(itertools.repeat(ctx), ops) if isinstance(ctx, SpaceContext)
              else zip(ctx, ops, strict=True))
-    built = [(c.h, _terms(c, op)) for c, op in pairs]
+    built = [_terms(c, op) for c, op in pairs]
     d = len(trunc)
     if reads is None:
         reads = [(d, d)] * len(built)
-    rows = {}
-    for h, terms in built:
-        for _, axes in terms:
-            for factor in axes:
-                rows.setdefault((h, factor), len(rows))
-    stack = basis.axis_matrices([h for h, _ in rows], trunc.N,
-                                [factor for _, factor in rows])
+    stack = basis.axis_matrices(trunc.N, np.concatenate(
+        [np.empty((0, 3))] + [seeds.reshape(-1, 3) for _, seeds in built]))
     idx = np.array(trunc.indices).T
-    for (h, terms), read in zip(built, reads, strict=True):
-        terms = [(c, [rows[h, factor] for factor in axes])
-                 for c, axes in terms]
+    rows = itertools.count()  # stack rows, in seed order
+    for (coef, _), read in zip(built, reads, strict=True):
+        terms = [(c, [next(rows) for _ in range(trunc.n)]) for c in coef]
         if read == "diagonal":
             yield _diagonal_sum(stack, idx, terms)
         elif read == "identity":
@@ -476,7 +478,7 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
     is validated and its geometry derived once, after every h has been
     checked, and each h gets a copy of that context.  The h-independent
     symbols are built once, one `basis.axis_matrices` recurrence serves
-    every (h, factor) and one batched norm call takes every h's two
+    every h and one batched norm call takes every h's two
     defect norms (`_defect_norms`); each residual equals
     `deformation_residuals` at its h bit for bit.  `commuting` names the
     pairs whose commutator residual has no h^2 term to fit (see

@@ -6,6 +6,8 @@ canonical form that `symbols.PlaneWaveSum` builds on arrays; the
 `symbols.eval_symbol`, `heat.sw_diagnostic`, `heat.sw_l1_box`,
 `heat.sw_l1_exact` and the right-hand side of
 `operators.diagonal_sum_check` read its arrays at once;
+`factor_seeds` maps a physical one-axis factor to the recurrence seeds
+that `operators._terms` forms for whole operators at once;
 `real_weyl_planewave_apply` is the closed-form real-side Weyl operator
 that `bargmann._weyl_gaussian` folds into Gaussian parameters,
 `egorov_sides_per_term` evaluates both sides of the Egorov identity one
@@ -106,6 +108,20 @@ def diagonal_sum_rhs_per_term(ctx, b, ks):
                    / (j + 1))
     return [complex(sum(c * L for c, L in zip(flowed.c, lag[k])))
             for k in ks]
+
+
+def factor_seeds(h, shift, mu, nu):
+    """The seeds (alpha, gamma, w) of `basis.axis_matrices` for the
+    one-axis factor e^{i Re(x mu) + nu x} v(x - shift) of x = r z,
+    r = sqrt(h/2), in Python scalars: it is e^{alpha z + beta conj(z)}
+    v(z - shift/r) with alpha = (i mu/2 + nu) r and beta = (i/2) conj(mu)
+    r, so gamma = beta - shift/r and w = e^{alpha beta}.  A plane wave's
+    factor is (0, mu_d, 0), a translation's (c_d, 0, (2/h) conj(c_d))."""
+    r = math.sqrt(h / 2.0)
+    alpha = (0.5j * mu + nu) * r
+    beta = 0.5j * np.conj(mu) * r
+    return complex(alpha), complex(beta - shift / r), complex(
+        np.exp(alpha * beta))
 
 
 def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from reference import u_alpha_eval
+from reference import factor_seeds, u_alpha_eval
 
 from btlab.basis import (
     MAX_BASIS,
@@ -137,7 +137,8 @@ def test_multiindex_count_is_bounded():
 
 def _mixed_batch(h):
     """A zero factor, Toeplitz and general factors, Weyl factors with
-    |shift|/r up to 5, and duplicates of some of them."""
+    |shift|/r up to 5, and duplicates of some of them, as physical
+    factors (shift, mu, nu)."""
     r = math.sqrt(h / 2.0)
     toeplitz = [(0.0, mu, 0.0) for mu in (1.4 - 0.6j, -0.3 + 2.0j, 2.0)]
     weyl = [(s, 0.0, (2.0 / h) * np.conj(s))
@@ -147,27 +148,32 @@ def _mixed_batch(h):
     return factors + factors[::3]
 
 
+def _seeds(h, factors):
+    return np.array([factor_seeds(h, *factor) for factor in factors])
+
+
 @pytest.mark.parametrize("h, N", [(1.0, 0), (0.5, 12), (0.1, 24)])
 def test_stacked_recurrence_equals_single_factors(h, N):
     """One recurrence over a mixed stack gives, slice by slice, the same
-    bits as running it on each factor alone."""
-    batch = _mixed_batch(h)
-    stack = axis_matrices(h, N, batch)
-    assert stack.shape == (len(batch), N + 1, N + 1)
-    for A, factor in zip(stack, batch):
-        assert np.array_equal(A, axis_matrices(h, N, [factor])[0])
+    bits as running it on each seed row alone."""
+    seeds = _seeds(h, _mixed_batch(h))
+    stack = axis_matrices(N, seeds)
+    assert stack.shape == (len(seeds), N + 1, N + 1)
+    for A, row in zip(stack, seeds):
+        assert np.array_equal(A, axis_matrices(N, row[np.newaxis])[0])
     assert np.array_equal(stack[0], np.eye(N + 1))
 
 
 def test_stack_over_several_h_equals_one_h_at_a_time():
-    """With one h per factor, each slice is the one-h, one-factor run bit
-    for bit, so a sweep over h can share a single recurrence."""
+    """Seeds formed at several h share one stack, and each slice is the
+    one-row run bit for bit, so a sweep over h needs a single recurrence."""
     N = 16
-    runs = [(h, factor) for h in (0.4, 0.2, 0.1) for factor in _mixed_batch(h)]
-    stack = axis_matrices([h for h, _ in runs], N, [f for _, f in runs])
-    assert stack.shape == (len(runs), N + 1, N + 1)
-    for A, (h, factor) in zip(stack, runs):
-        assert np.array_equal(A, axis_matrices(h, N, [factor])[0])
+    seeds = np.concatenate([_seeds(h, _mixed_batch(h))
+                            for h in (0.4, 0.2, 0.1)])
+    stack = axis_matrices(N, seeds)
+    assert stack.shape == (len(seeds), N + 1, N + 1)
+    for A, row in zip(stack, seeds):
+        assert np.array_equal(A, axis_matrices(N, row[np.newaxis])[0])
 
 
 @pytest.mark.parametrize("h, shift, mu, nu", [
@@ -184,7 +190,7 @@ def test_axis_matrix_obeys_composition_recurrence(h, shift, mu, nu):
     N = 12
     batch = _mixed_batch(h)
     batch.insert(4, (shift, mu, nu))
-    A = axis_matrices(h, N, batch)[4]
+    A = axis_matrices(N, _seeds(h, batch))[4]
     r = math.sqrt(h / 2.0)
     alpha, beta = (0.5j * mu + nu) * r, 0.5j * np.conj(mu) * r
     b = np.arange(N + 1)

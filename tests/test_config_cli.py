@@ -474,23 +474,23 @@ def test_verify_bound_holds_one_matrix_at_a_time(tmp_path, monkeypatch):
 def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
     """diag, weyl, bound and deformation each run one `axis_matrices`
     recurrence for all their compressions, deformation's over all its h,
-    and gram, a closed form, none; equal factors at equal h are shared, so
-    weyl's translated symbols reuse T_b's frequency and the five
-    deformation compressions of each of the five h stack only the
-    frequencies lambda_a, lambda_b and lambda_a + lambda_b of the default
-    one-wave pair."""
+    and gram, a closed form, none.  The stack holds one seed row per term
+    and axis of each compression: weyl's one-wave T_b and, per lambda, two
+    translations and a translated T_b; bound's three default symbols hold
+    7 terms; deformation's five one-term compressions at each of its five
+    h."""
     stacks = []
     real = btlab.basis.axis_matrices
 
-    def counted(h, N, factors):
-        stacks.append(len(factors))
-        return real(h, N, factors)
+    def counted(N, seeds):
+        stacks.append(len(seeds))
+        return real(N, seeds)
 
     monkeypatch.setattr(btlab.basis, "axis_matrices", counted)
     cfg = _write(tmp_path, FOCK)
-    # factors per stack: the n = 1 defaults of each suite
-    expected = {"gram": [], "diag": [4], "weyl": [1 + 2 * 4],
-                "bound": [4], "deformation": [3 * 5]}
+    # seed rows per stack: the n = 1 defaults of each suite
+    expected = {"gram": [], "diag": [4], "weyl": [1 + 3 * 4],
+                "bound": [7], "deformation": [5 * 5]}
     for suite, sizes in expected.items():
         stacks.clear()
         res = invoke(

@@ -1,6 +1,7 @@
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +58,12 @@ def test_cli_start_leaves_numpy_polynomial_unloaded():
     assert _fresh(code.replace(
         "print(", "btlab.quadrature.gauss_hermite_rule(4); print(")) \
         == ["True", "False"]
+
+
+def test_readme_python_block_runs():
+    """The README's Python API example runs as written in a new
+    interpreter, so a changed signature cannot leave it stale."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    assert len(blocks) == 1
+    _fresh(blocks[0])

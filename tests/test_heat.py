@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import rel_dev
+from reference import sw_l1_box_per_term
 
 from btlab.geometry import build_context, fock_phase, freq_image, random_phase
 from btlab.heat import (
+    box_size,
     complex_box,
     heat_damping,
     heat_flow,
@@ -213,6 +217,28 @@ def test_sw_l1_box_matches_brute_force_sum(n, lo, hi, step):
              * abs(np.linalg.det(ctx.R)) ** 2)
     got = sw_l1_box(ctx, b, lo, hi, step)
     assert abs(got - brute) <= 1e-13 * brute
+
+
+def test_sw_l1_box_sums_long_axes_in_bounded_memory():
+    """A three-term sum on 2,000,001 points per axis (seed-7 n = 1,
+    h = 0.5) is summed in chunks: its traced peak stays under 32 MiB,
+    where one (T, 2n, K) temporary alone takes 96 MB, and it agrees with
+    the unchunked per-term sums to 1e-12 relative."""
+    ctx = build_context(random_phase(1, 7), 0.5)
+    b = plane_wave_sum([(0.6, np.array([0.5])),
+                        (0.3 - 0.2j, np.array([-0.4 + 0.3j])),
+                        (0.25j, np.zeros(1))], n=1)
+    lo, hi, step = -10.0, 10.0, 1e-5
+    assert box_size(lo, hi, step, 1) == 2_000_001
+    tracemalloc.start()
+    try:
+        got = sw_l1_box(ctx, b, lo, hi, step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    ref = sw_l1_box_per_term(ctx, b, lo, hi, step)
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_sw_l1_box_constant_symbol_is_phase_independent():

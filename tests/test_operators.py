@@ -19,12 +19,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rel_dev
+from reference import factor_seeds
 
 import btlab.operators
 from btlab.basis import enumerate_multiindices, weighted_pair_sum
 from btlab.cli import Report, _weyl
 from btlab.errors import InvalidConfig, UnsupportedSymbol
-from btlab.geometry import build_context, fock_phase, heat_phase, random_phase
+from btlab.geometry import (
+    build_context,
+    fock_phase,
+    freq_image,
+    heat_phase,
+    random_phase,
+)
 from btlab.heat import heat_flow
 from btlab.operators import (
     bound_report,
@@ -542,6 +549,35 @@ def test_sweep_derives_the_geometry_once(monkeypatch):
 
 
 _z = st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(1, 3), seed=st.integers(0, 40), h=st.floats(0.05, 1.0),
+       data=st.data())
+def test_term_seeds_match_physical_factors(n, seed, h, data):
+    """`_terms` forms, for a whole plane-wave sum (0 to 6 terms) or
+    translation at once, the seeds that `factor_seeds` gives each physical
+    factor one scalar at a time: (0, mu_d, 0) per term and axis with
+    mu = R^-T lam, and (c_d, 0, (2/h) conj(c_d)) for the translation by
+    lam, c = R lam, whose one term carries e^{-|c|^2/h}."""
+    ctx = build_context(random_phase(n, seed), h)
+    vec = st.lists(_z, min_size=n, max_size=n).map(lambda v: 2.0 * np.array(v))
+    b = plane_wave_sum(data.draw(st.lists(st.tuples(_z, vec), max_size=6)), n)
+    lam = data.draw(vec)
+    c = ctx.R @ lam
+    cases = [
+        (b, b.c, [[(0.0, m, 0.0) for m in mu]
+                  for mu in freq_image(ctx, b.lam).tolist()]),
+        (lam, [np.exp(-np.sum(np.abs(c) ** 2) / h)],
+         [[(cd, 0.0, (2.0 / h) * np.conj(cd)) for cd in c.tolist()]]),
+    ]
+    for op, coef_ref, factors in cases:
+        coef, seeds = btlab.operators._terms(ctx, op)
+        ref = np.array([[factor_seeds(h, *f) for f in axes]
+                        for axes in factors]).reshape(-1, n, 3)
+        assert seeds.shape == ref.shape
+        assert np.all(np.abs(seeds - ref) <= 1e-15 * np.abs(ref))
+        assert np.all(np.abs(coef - coef_ref) <= 1e-15 * np.abs(coef_ref))
 
 
 def _assert_matches_tensor_grid(ctx, b, lam, trunc, order):
