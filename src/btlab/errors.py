@@ -22,7 +22,8 @@ class NonPositiveCI(PhaseValidationError):
 
 
 class IllConditionedPhase(PhaseValidationError):
-    """A derived matrix is too ill-conditioned to invert reliably."""
+    """A derived matrix is too ill-conditioned to invert reliably, or
+    det B, det C_I or a derived field overflows a float."""
 
 
 class OrderOutOfRange(BtlabError):

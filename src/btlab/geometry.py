@@ -35,7 +35,6 @@ __all__ = [
     "psi",
     "phase_phi",
     "kappa_T",
-    "kappa_affine",
     "theta_on_lambda",
     "freq_image",
     "freq_pairing",
@@ -99,23 +98,24 @@ class PhaseMatrices:
         object.__setattr__(self, "C", _as_matrix(self.C, self.n))
 
 
-def validate_phase(phase: PhaseMatrices) -> np.ndarray:
-    """Check admissibility; return C_I on success."""
+def validate_phase(phase: PhaseMatrices):
+    """Check admissibility; return C_I, det B and C_I's eigh pairs (ew, ev)."""
     A, B, C, n = phase.A, phase.B, phase.C, phase.n
     if not np.array_equal(A, A.T):
         raise NonSymmetricPhase("A is not symmetric as stored")
     if not np.array_equal(C, C.T):
         raise NonSymmetricPhase("C is not symmetric as stored")
-    scale = max(1.0, float(np.max(np.abs(B)))) ** n
-    if abs(np.linalg.det(B)) <= 1e-12 * scale:
+    detB = np.linalg.det(B)
+    # |det B| <= 1e-12 max(1, max|B|)^n in n-th roots, where none overflows
+    big = max(1.0, float(np.max(np.abs(B))))
+    if abs(detB) ** (1 / n) <= 1e-12 ** (1 / n) * big:
         raise SingularB("det B vanishes relative to the scale of B")
     CI = ((C - C.conj()) / 2j).real
-    eigvals = np.linalg.eigvalsh(CI)
-    if eigvals.min() <= 1e-10:
-        raise NonPositiveCI(
-            f"C_I must be positive definite; min eigenvalue {eigvals.min():.3e}"
-        )
-    return CI
+    ew, ev = np.linalg.eigh(CI)
+    if ew[0] <= 1e-10:
+        raise NonPositiveCI(f"C_I must be positive definite; "
+                            f"min eigenvalue {ew[0]:.3e}")
+    return CI, detB, ew, ev
 
 
 @dataclass(frozen=True)
@@ -133,20 +133,20 @@ class SpaceContext:
     Rinv: np.ndarray
     Cphi: float
     CPhi: float
+    P: np.ndarray  # X = P x + Q xi under kappa_T
+    Q: np.ndarray
     n: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", self.phase.n)
 
 
-def _inv_sqrt(M: np.ndarray) -> np.ndarray:
-    """Principal inverse square root of a real SPD matrix."""
-    ew, ev = np.linalg.eigh(M)
+def _inv_sqrt(ew: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Principal inverse square root of the SPD matrix of eigh pairs ew, ev."""
     return (ev / np.sqrt(ew)) @ ev.T
 
 
-def _check_cond(name: str, M: np.ndarray):
-    c = np.linalg.cond(M)
+def _check_cond(name: str, c: float):
     if not np.isfinite(c) or c > _COND_LIMIT:
         raise IllConditionedPhase(f"{name} has condition number {c:.3e}")
 
@@ -157,36 +157,44 @@ def _check_h(h: float):
         raise ValueError(f"h must lie in (0, 1], got {h}")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused
 def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     """Derive all geometric fields of an admissible phase.
 
     Raises the phase validation errors for inadmissible data,
-    IllConditionedPhase when B, C_I or R has condition number above 1e12,
-    and ValueError for h outside (0, 1].  The identities tying the derived
+    IllConditionedPhase when B, C_I or R has condition number above 1e12
+    or when det B, det C_I or a derived field overflows a float, and
+    ValueError for h outside (0, 1].  The identities tying the derived
     fields together (R^*R = conj Phi''_XbarX, C_Phi from det Phi''_XbarX)
     are not re-checked here: `space-info` and `gram` check them.
     """
     _check_h(h)
-    CI = validate_phase(phase)
-    A, B, n = phase.A, phase.B, phase.n
-    _check_cond("B", B)
-    _check_cond("C_I", CI)
-    CIinvsqrt = _inv_sqrt(CI)
+    CI, detB, ew, ev = validate_phase(phase)
+    A, B, C, n = phase.A, phase.B, phase.C, phase.n
+    _check_cond("B", np.linalg.cond(B))
+    _check_cond("C_I", ew[-1] / ew[0])
+    CIinvsqrt = _inv_sqrt(ew, ev)
     CIinv = CIinvsqrt @ CIinvsqrt
     PhiXXbar = B @ CIinv @ B.conj().T / 4
     PhiXX = -B @ CIinv @ B.T / 4 - A / 2j
     R = CIinvsqrt @ B.T / 2
-    _check_cond("R", R)
+    _check_cond("R", np.linalg.cond(R))
     Rinv = np.linalg.inv(R)
-    detB = np.linalg.det(B)
     detCI = np.linalg.det(CI)
     Cphi = float(2 ** (-n / 2) * np.pi ** (-3 * n / 4)
                  * abs(detB) * detCI ** (-0.25))
     CPhi = float((2 / np.pi) ** n * np.linalg.det(PhiXXbar).real)
+    Q = -np.linalg.inv(B.T)  # canonical transform X = -B^-T (C x + xi)
+    P = Q @ C
+    for name, v in (("det B", detB), ("det C_I", detCI), ("P", P), ("Q", Q),
+                    ("Phi''_XbarX", PhiXXbar), ("Phi''_XX", PhiXX),
+                    ("R^-1", Rinv), ("C_phi", Cphi), ("C_Phi", CPhi)):
+        if not np.all(np.isfinite(v)):
+            raise IllConditionedPhase(f"{name} overflows a float")
     return SpaceContext(
         phase=phase, h=float(h), CI=CI, CIinv=CIinv, CIinvsqrt=CIinvsqrt,
         PhiXXbar=PhiXXbar, PhiXX=PhiXX, R=R, Rinv=Rinv,
-        Cphi=Cphi, CPhi=CPhi,
+        Cphi=Cphi, CPhi=CPhi, P=P, Q=Q,
     )
 
 
@@ -232,16 +240,9 @@ def kappa_T(ctx: SpaceContext, x, xi):
     """
     x = _as_points(x, ctx.n)
     xi = _as_points(xi, ctx.n)
-    P, Q = kappa_affine(ctx)
-    X = x @ P.T + xi @ Q.T
+    X = x @ ctx.P.T + xi @ ctx.Q.T
     Theta = x @ ctx.phase.B.T + X @ ctx.phase.A.T
     return X, Theta
-
-
-def kappa_affine(ctx: SpaceContext):
-    """Matrices (P, Q) with X = P x + Q xi under kappa_T."""
-    BTinv = np.linalg.inv(ctx.phase.B.T)
-    return -BTinv @ ctx.phase.C, -BTinv
 
 
 def theta_on_lambda(ctx: SpaceContext, X) -> np.ndarray:

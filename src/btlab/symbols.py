@@ -31,9 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFiniteSample, UnsupportedSymbol
-from .geometry import (
-    SpaceContext, _as_points, freq_image, freq_pairing, kappa_affine,
-)
+from .geometry import SpaceContext, _as_points, freq_image, freq_pairing
 
 __all__ = [
     "PlaneWaveSum",
@@ -284,8 +282,7 @@ def cotangent_frequencies(ctx: SpaceContext, lam) -> tuple:
     i(<x, p> + <xi, q>); G^T lambar is R^-1 conj(mu), mu = R^-T lam, as
     in `toeplitz_apply_weighted`.
     """
-    A, B = ctx.phase.A, ctx.phase.B
-    P, Q = kappa_affine(ctx)
+    A, B, P, Q = ctx.phase.A, ctx.phase.B, ctx.P, ctx.Q
     Kx = 0.5j * (B + A @ P) - ctx.PhiXX @ P
     Kxi = 0.5j * (A @ Q) - ctx.PhiXX @ Q
     lb = np.conj(freq_image(ctx, lam)) @ ctx.Rinv.T  # rows G^T lambar

@@ -764,14 +764,68 @@ def test_verify_sw_checks_closed_form_l1(tmp_path):
     assert f"exact {2.0 * np.pi:.6e}" in res.output
 
 
-def _cli_child(*args):
-    """Run the CLI in a new interpreter, where a RuntimeWarning prints as it
-    would for a user instead of raising as it does under pytest."""
+def _child(*argv):
+    """Run the interpreter on argv in a new process that imports this
+    btlab, where a RuntimeWarning prints as it would for a user instead of
+    raising as it does under pytest."""
     src = str(Path(btlab.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-m", "btlab.cli", *args],
+    return subprocess.run([sys.executable, *argv],
                           env=env, capture_output=True, text=True, timeout=60)
+
+
+def _cli_child(*args):
+    """Run the CLI in a new interpreter (see `_child`)."""
+    return _child("-m", "btlab.cli", *args)
+
+
+def test_commands_warn_nothing_in_dev_mode(tmp_path):
+    """All eight commands on seed-7 n = 2, run in one interpreter under
+    `-X dev -W error`, end with exit 0 or 1 and write nothing to stderr,
+    so no warning raised on an accepted phase reaches a user unseen."""
+    cfg = _write(tmp_path, {
+        "phase": {"seed": 7, "n": 2}, "h": 1.0,
+        "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]]})
+    commands = [["space-info"]] + [["verify", s] for s in btlab.cli.SUITES]
+    code = ("import json, sys, btlab.cli\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        btlab.cli.main(argv + sys.argv[2:])\n"
+            "    except SystemExit as exc:\n"
+            "        codes.append(exc.code)\n"
+            "print(*codes)\n")
+    res = _child("-X", "dev", "-W", "error", "-c", code, json.dumps(commands),
+                 "--config", cfg, "--out", str(tmp_path))
+    assert res.stderr == ""
+    codes = res.stdout.splitlines()[-1].split()
+    assert len(codes) == len(commands) and set(codes) <= {"0", "1"}, codes
+
+
+# Phases whose det B or a derived field overflows a float, by the field
+# each refusal names: det B = 1e400 at n = 2, and Phi''_XbarX = B^2/8 with
+# B = 1e300 at n = 1.
+_OVERFLOWING = {
+    "det B": {"n": 2, "A": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]],
+              "B": [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]],
+              "C": [[[0, 2], [0, 0]], [[0, 0], [0, 2]]]},
+    "Phi''_XbarX": {"n": 1, "A": [[[0, 1]]], "B": [[[1e300, 0]]],
+                    "C": [[[0, 2]]]},
+}
+
+
+@pytest.mark.parametrize("field", list(_OVERFLOWING))
+def test_overflowing_phase_is_refused(tmp_path, field):
+    """Every command refuses a phase that overflows a float with exit 2
+    and one error line naming the field, not with a traceback or with
+    nan checks after a screen of warnings."""
+    cfg = _write(tmp_path, {"phase": _OVERFLOWING[field], "h": 1.0})
+    for argv in [["space-info"]] + [["verify", s] for s in btlab.cli.SUITES]:
+        res = invoke([*argv, "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert res.output == res.stderr == (
+            f"error: IllConditionedPhase: {field} overflows a float\n")
 
 
 def test_verify_sw_fails_an_overflowing_estimate(tmp_path):

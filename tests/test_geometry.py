@@ -1,5 +1,6 @@
 """Closed forms for the two worked examples and the admissibility guards."""
 
+import collections
 import hashlib
 import json
 
@@ -23,13 +24,13 @@ from btlab.geometry import (
     freq_pairing,
     heat_phase,
     kappa_T,
-    kappa_affine,
     phase_phi,
     phi_weight,
     psi,
     random_phase,
     theta_on_lambda,
 )
+from btlab.symbols import cotangent_frequencies
 
 
 def _cpoints(rng, npts, n, scale=3.0):
@@ -95,11 +96,42 @@ def test_kappa_graph_relation():
 
 
 def test_kappa_affine_consistency(ex1):
-    P, Q = kappa_affine(ex1)
-    x = np.array([[0.3]])
-    xi = np.array([[-1.2]])
-    X, _ = kappa_T(ex1, x, xi)
-    assert rel_dev(X, x @ P.T + xi @ Q.T) < 1e-14
+    """kappa_T meets its definition X = -B^-T (C x + xi), Theta = B x + A X,
+    solved here from B^T X = -(C x + xi) without the context's P and Q."""
+    rng = np.random.default_rng(5)
+    for ctx in (ex1, build_context(random_phase(2, 3), 0.8)):
+        A, B, C = ctx.phase.A, ctx.phase.B, ctx.phase.C
+        x = rng.standard_normal((20, ctx.n))
+        xi = rng.standard_normal((20, ctx.n))
+        X, Th = kappa_T(ctx, x, xi)
+        assert rel_dev(X, np.linalg.solve(B.T, -(C @ x.T + xi.T)).T) < 1e-14
+        assert rel_dev(Th, x @ B.T + X @ A.T) < 1e-14
+
+
+def test_context_factors_each_matrix_once(monkeypatch):
+    """One build_context takes one eigh of C_I (admissibility, cond C_I and
+    C_I^-1/2), one det each of B, C_I and Phi''_XbarX, the cond of B and R
+    and the inverses of R and B^T; the canonical maps then read P and Q
+    from the context and call numpy.linalg no more."""
+    phase = random_phase(2, 7)
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if callable(real) and not isinstance(real, type):
+            monkeypatch.setattr(np.linalg, name, counted(name, real))
+    ctx = build_context(phase, 1.0)
+    assert dict(calls) == {"eigh": 1, "det": 3, "cond": 2, "inv": 2}
+    calls.clear()
+    kappa_T(ctx, np.ones((3, 2)), np.ones((3, 2)))
+    cotangent_frequencies(ctx, np.array([[1.0, 0.0], [0.6j, 0.8]]))
+    assert not calls
 
 
 def test_exponent_square_completion():

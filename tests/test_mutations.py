@@ -36,7 +36,7 @@ COMMANDS = [["space-info"]] + [["verify", s] for s in SUITES]
 def _inv_sqrt_scaled(monkeypatch):
     real = btlab.geometry._inv_sqrt
     monkeypatch.setattr(btlab.geometry, "_inv_sqrt",
-                        lambda M: 1.001 * real(M))
+                        lambda ew, ev: 1.001 * real(ew, ev))
 
 
 def _cphi_scaled(monkeypatch):
@@ -185,6 +185,12 @@ SEED7_N2 = {"phase": {"seed": 7, "n": 2}, "h": 1.0,
                             [[0.0, 0.0], [0.6, 0.8]]]}
 N2_CAUGHT = {
     "none": set(),
+    "inv_sqrt_x1.001": {"space-info"},
+    "cphi_x1.001": {"space-info", "gram"},
+    # bound's inequality is one-sided, and a wrong heat rate passes it
+    "heat_rate_over_7": {"diag", "egorov"},
+    "bracket_negated": {"deformation"},
+    "q_form_x1.2": {"deformation"},
     "translate_conjugated": {"weyl"},
     "translation_weight_x1.01": {"weyl"},
     # 0.97 per axis scales each compression's norm by 0.9409 at n = 2,
