@@ -185,7 +185,10 @@ def _gram(ctx, p, out):
     # the truncation is still enumerated, which refuses N past MAX_BASIS
     enumerate_multiindices(ctx.n, p.N)
     dev = float(abs(_gram_prefactor(ctx) - 1.0))
-    out.le("gram max|G - I|", dev, p.tol_gram, row=[ctx.n, p.N])
+    # C_Phi and |det R|^2 round at about eps cond(R)^2; cond R is 1 at
+    # n = 1 and on Fock and heat phases
+    tol = p.tol_gram * float(np.linalg.cond(ctx.R)) ** 2
+    out.le("gram max|G - I|", dev, tol, row=[ctx.n, p.N])
 
 
 def _weyl(ctx, p, out):

@@ -17,6 +17,7 @@ A frequency lam enters every plane-wave formula only through mu = R^-T lam
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,12 +51,18 @@ MAX_RANDOM_N = 5
 # n = 5 are 4.9 MB.
 _MAX_DRAW_BATCH = 4096
 MAX_N = 64  # largest n of any phase a config names; suites cap n far below
+# Results each memoized constructor keeps per process.  Phases and
+# contexts are read-only values, so every caller can share one, and a
+# process running several commands on one config draws and derives once.
+_MEMO_SIZE = 16
 
 
 def _as_matrix(M, n: int) -> np.ndarray:
-    M = np.asarray(M, dtype=complex)
+    """A read-only complex copy of M, so the caller's array stays theirs."""
+    M = np.array(M, dtype=complex)
     if M.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got shape {M.shape}")
+    M.setflags(write=False)
     return M
 
 
@@ -78,13 +85,15 @@ def _qform(X, M, Y):
     return np.einsum("...i,ij,...j->...", X, M, Y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseMatrices:
     """Admissible phase data (A, B, C) in dimension n.
 
     Invariants (checked by :func:`validate_phase` / :func:`build_context`):
     A and C symmetric as stored, det B bounded away from zero relative to the
-    scale of B, and C_I = (C - conj(C))/2i positive definite.
+    scale of B, and C_I = (C - conj(C))/2i positive definite.  The matrices
+    are read-only copies, and a phase equals and hashes as itself only, so
+    it keys the context memo of :func:`build_context`.
     """
 
     n: int
@@ -120,7 +129,8 @@ def validate_phase(phase: PhaseMatrices):
 
 @dataclass(frozen=True)
 class SpaceContext:
-    """Immutable bundle of one phase, one value of h and all derived fields."""
+    """Immutable bundle of one phase, one value of h and all derived fields;
+    every array is read-only."""
 
     phase: PhaseMatrices
     h: float
@@ -157,6 +167,7 @@ def _check_h(h: float):
         raise ValueError(f"h must lie in (0, 1], got {h}")
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is refused
 def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     """Derive all geometric fields of an admissible phase.
@@ -166,7 +177,8 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     or when det B, det C_I or a derived field overflows a float, and
     ValueError for h outside (0, 1].  The identities tying the derived
     fields together (R^*R = conj Phi''_XbarX, C_Phi from det Phi''_XbarX)
-    are not re-checked here: `space-info` and `gram` check them.
+    are not re-checked here: `space-info` and `gram` check them.  Memoized
+    per (phase, h); a refused phase is not kept, so it raises every time.
     """
     _check_h(h)
     CI, detB, ew, ev = validate_phase(phase)
@@ -191,6 +203,8 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
                     ("R^-1", Rinv), ("C_phi", Cphi), ("C_Phi", CPhi)):
         if not np.all(np.isfinite(v)):
             raise IllConditionedPhase(f"{name} overflows a float")
+    for M in (CI, CIinv, CIinvsqrt, PhiXXbar, PhiXX, R, Rinv, P, Q):
+        M.setflags(write=False)
     return SpaceContext(
         phase=phase, h=float(h), CI=CI, CIinv=CIinv, CIinvsqrt=CIinvsqrt,
         PhiXXbar=PhiXXbar, PhiXX=PhiXX, R=R, Rinv=Rinv,
@@ -265,18 +279,21 @@ def freq_pairing(ctx: SpaceContext, lam, mu) -> np.ndarray:
     return freq_image(ctx, lam) @ np.conj(freq_image(ctx, mu)).T
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def fock_phase(n: int, beta: float = 1.0) -> PhaseMatrices:
     """Fock-model phase (A, B, C) = (i beta, -2i beta, 2i beta) x identity."""
     eye = np.eye(n)
     return PhaseMatrices(n, 1j * beta * eye, -2j * beta * eye, 2j * beta * eye)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def heat_phase(n: int) -> PhaseMatrices:
     """Heat-kernel-transform phase (A, B, C) = (i, -i, i) x identity."""
     eye = np.eye(n)
     return PhaseMatrices(n, 1j * eye, -1j * eye, 1j * eye)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def random_phase(n: int, seed: int) -> PhaseMatrices:
     """Seeded random admissible phase with moderate conditioning.
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: quadrature rules and the two worked example spaces,
-and `invoke`, which runs the command line in-process."""
+"""Shared fixtures: a fresh phase and context memo for every test,
+quadrature rules and the two worked example spaces, and `invoke`, which
+runs the command line in-process."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,8 +10,21 @@ import numpy as np
 import pytest
 
 import btlab.cli
-from btlab.geometry import build_context, fock_phase, heat_phase
+from btlab.geometry import build_context, fock_phase, heat_phase, random_phase
 from btlab.quadrature import gauss_hermite_rule
+
+
+def clear_memos():
+    """Empty the phase and context memos, as a new process starts."""
+    for memo in (fock_phase, heat_phase, random_phase, build_context):
+        memo.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_memos():
+    """Start each test with empty memos, so no test reads a context built
+    before its own monkeypatch (or under another test's)."""
+    clear_memos()
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import invoke
+from conftest import clear_memos, invoke
 
 import btlab.bargmann
 import btlab.basis
@@ -1064,25 +1064,53 @@ def test_csv_bytes_independent_of_threads(tmp_path):
 
 
 def test_csv_bytes_independent_of_invocation_order(tmp_path):
-    """All seven suites on two n = 1 spaces, run twice in one process (the
-    second time in reverse order), write the same CSV bytes: no assembly
-    state carries over from one invocation to the next."""
+    """space-info and all seven suites on two n = 1 spaces, run three times
+    in one process (forward, in reverse order, and with the phase and
+    context memos emptied before each command as in a new process), write
+    the same CSV bytes: no assembly state carries over from one invocation
+    to the next, and a memoized phase or context is the one a new process
+    would build."""
     cfgs = {
         "fock": _write(tmp_path, FOCK, "fock.json"),
         "seeded": _write(tmp_path, {"phase": {"seed": 7, "n": 1}, "h": 0.5},
                          "seeded.json"),
     }
-    runs = [(space, suite) for suite in btlab.cli.SUITES for space in cfgs]
-    for tag, order in (("first", runs), ("second", runs[::-1])):
-        for space, suite in order:
-            res = invoke([
-                "verify", suite, "--config", cfgs[space],
-                "--out", str(tmp_path / tag / space)])
+    commands = [["space-info"]] + [["verify", s] for s in btlab.cli.SUITES]
+    runs = [(space, cmd) for cmd in commands for space in cfgs]
+    for tag, order in (("first", runs), ("second", runs[::-1]),
+                       ("fresh", runs)):
+        for space, cmd in order:
+            if tag == "fresh":
+                clear_memos()
+            res = invoke([*cmd, "--config", cfgs[space],
+                          "--out", str(tmp_path / tag / space)])
             assert res.exit_code == 0, res.output
-    for space, suite in runs:
-        name = f"{space}/{suite}.csv"
+    for space, cmd in runs:
+        name = f"{space}/{cmd[-1].replace('-', '_')}.csv"
         first = (tmp_path / "first" / name).read_bytes()
-        assert first == (tmp_path / "second" / name).read_bytes(), name
+        for tag in ("second", "fresh"):
+            assert first == (tmp_path / tag / name).read_bytes(), (tag, name)
+
+
+def test_commands_on_one_config_share_phase_and_context(tmp_path,
+                                                        monkeypatch):
+    """Two commands in one process on one seeded config draw the phase
+    once and derive its context once."""
+    real, draws = np.random.default_rng, []
+
+    def counted(*args):
+        draws.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 1}, "h": 0.5})
+    for suite in ("gram", "bound"):
+        res = invoke(["verify", suite, "--config", cfg,
+                      "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+    assert draws == [(7,)]
+    info = build_context.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_default_symbols_attain_their_sup(tmp_path):

@@ -17,6 +17,7 @@ from btlab.errors import (
     SingularB,
 )
 from btlab.geometry import (
+    _MEMO_SIZE,
     PhaseMatrices,
     build_context,
     fock_phase,
@@ -132,6 +133,36 @@ def test_context_factors_each_matrix_once(monkeypatch):
     kappa_T(ctx, np.ones((3, 2)), np.ones((3, 2)))
     cotangent_frequencies(ctx, np.array([[1.0, 0.0], [0.6j, 0.8]]))
     assert not calls
+
+
+def test_phase_and_context_arrays_are_read_only():
+    """Every caller in a process shares one phase and one context, so an
+    in-place write to any of their arrays raises, while the array a caller
+    passed into PhaseMatrices stays the caller's to write."""
+    A = np.zeros((2, 2), dtype=complex)
+    own = PhaseMatrices(2, A, -2j * np.eye(2), 2j * np.eye(2))
+    A[0, 1] = 1.0
+    assert own.A[0, 1] == 0
+    for phase in (own, fock_phase(1), heat_phase(2), random_phase(2, 7)):
+        ctx = build_context(phase, 0.5)
+        arrays = [v for obj in (phase, ctx) for v in vars(obj).values()
+                  if isinstance(v, np.ndarray)]
+        assert len(arrays) == 12
+        for M in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                M[...] = 0
+
+
+def test_memos_are_bounded():
+    """The context memo keeps at most _MEMO_SIZE entries, and evicts the
+    least recently used one first."""
+    phase = fock_phase(1)
+    first = build_context(phase, 1.0)
+    for k in range(3 * _MEMO_SIZE):
+        build_context(phase, 1.0 / (k + 2))
+        assert build_context.cache_info().currsize <= _MEMO_SIZE
+    assert build_context.cache_info().currsize == _MEMO_SIZE
+    assert build_context(phase, 1.0) is not first
 
 
 def test_exponent_square_completion():
@@ -257,12 +288,17 @@ def test_admits_phase_with_rounding_in_the_derived_constants(tmp_path):
     """A phase that is admissible and conditioned below 1e12 builds, even
     though its two forms of C_Phi differ by about 1e-12 relative (1.35e-12
     on a 2-vCPU x86-64 VM); space-info checks them at its own tolerance
-    and passes."""
-    build_context(phase_from_config(ANISOTROPIC), 1.0)
+    and passes, and gram at tol_gram cond(R)^2 (cond R = 100.5), the
+    threshold its CSV records."""
+    ctx = build_context(phase_from_config(ANISOTROPIC), 1.0)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"phase": ANISOTROPIC, "h": 1.0}))
-    res = invoke(["space-info", "--config", str(cfg)])
-    assert res.exit_code == 0, res.output
+    for cmd in (["space-info"], ["verify", "gram"]):
+        res = invoke([*cmd, "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+    row = (tmp_path / "gram.csv").read_text().splitlines()[1].split(",")
+    assert float(row[3]) == pytest.approx(1e-12 * np.linalg.cond(ctx.R) ** 2,
+                                          rel=1e-10)
 
 
 def _random_phase_one_at_a_time(n, seed):
