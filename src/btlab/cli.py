@@ -15,7 +15,7 @@ at import so a call pays only for parsing.  The report is one write to
 stdout; an error is one line on stderr (usage errors are argparse's
 usage and message lines there).
 
-Exit codes: 0 all checks pass, 1 at least one check fails, 2 invalid input.
+Exit codes: 0 all checks pass, 1 a check fails, 2 unusable input or output.
 """
 
 import os
@@ -77,21 +77,23 @@ class Report:
         self.rows = []
         self.ok = True
 
-    def add(self, name: str, passed: bool, detail: str = ""):
+    def check(self, name: str, passed, detail: str = "", row=None, tail=()):
+        """Record one check: its [PASS]/[FAIL] line, its share of `ok` and,
+        with `row`, the CSV row [*row, passed, *tail].  Returns the verdict."""
+        passed = bool(passed)
         self.ok = self.ok and passed
         tag = "PASS" if passed else "FAIL"
-        self.lines.append(
-            f"[{tag}] {name}" + (f": {detail}" if detail else "")
-        )
+        self.lines.append(f"[{tag}] {name}" + (detail and f": {detail}"))
+        if row is not None:
+            self.rows.append([*row, passed, *tail])
+        return passed
 
     def le(self, name: str, value: float, threshold: float, row=None):
-        """Check value <= threshold; with `row`, also append the CSV row
+        """Check value <= threshold; with `row`, the CSV row is
         [*row, value, threshold, passed]."""
-        if row is not None:
-            self.rows.append([*row, value, threshold, value <= threshold])
-        self.add(
-            name, bool(value <= threshold), f"{value:.3e} <= {threshold:.3e}"
-        )
+        return self.check(
+            name, value <= threshold, f"{value:.3e} <= {threshold:.3e}",
+            None if row is None else [*row, value, threshold])
 
     def warn(self, text: str):
         self.lines.append(f"[WARN] {text}")
@@ -214,11 +216,10 @@ def _weyl(ctx, p, out):
                                       drop=trunc.N - inner, Ts=next(mats))
         del Wp
         lam_s = vector_text(lam)
-        out.le(f"unitarity lambda={lam_s}", unit, tol)
-        out.le(f"adjoint lambda={lam_s}", adj, tol)
-        out.le(f"conjugation lambda={lam_s}", conj, tol)
-        out.rows.append([lam_s, unit, adj, conj, tol,
-                         max(unit, adj, conj) <= tol])
+        passed = all([out.le(f"unitarity lambda={lam_s}", unit, tol),
+                      out.le(f"adjoint lambda={lam_s}", adj, tol),
+                      out.le(f"conjugation lambda={lam_s}", conj, tol)])
+        out.rows.append([lam_s, unit, adj, conj, tol, passed])
 
 
 def _bound(ctx, p, out):
@@ -231,13 +232,10 @@ def _bound(ctx, p, out):
             out.warn(f"{label}: sup not attained, lhs_sup is the upper bound"
                      " sum |c_j|")
         for t, lhs, rhs, margin, passed in rep.rows:
-            out.add(
-                f"bound {label} t={t:g}", passed,
-                f"sup|b_t| {lhs:.6e} <= {rhs:.6e}",
-            )
-            out.rows.append([label, t, lhs, rhs, margin,
-                             rep.norm_table.m_norm, rep.norm_table.converged,
-                             passed, note])
+            out.check(f"bound {label} t={t:g}", passed,
+                      f"sup|b_t| {lhs:.6e} <= {rhs:.6e}",
+                      row=[label, t, lhs, rhs, margin, rep.norm_table.m_norm,
+                           rep.norm_table.converged], tail=[note])
         if not rep.norm_table.converged:
             out.warn(f"{label}: norm schedule not Cauchy-converged")
 
@@ -265,16 +263,15 @@ def _deformation(phase, p, out):
     res = deformation_sweep(phase, p.a, p.b, p.h_list, p.N, drop=p.drop)
     for name, slope in (("r1", res.slope1), ("r2", res.slope2)):
         if name == "r2" and res.commuting:
-            out.add("slope r2", True, "a and b commute exactly; residual is"
-                    " truncation leakage")
+            out.check("slope r2", True, "a and b commute exactly; residual"
+                      " is truncation leakage")
         elif np.isnan(slope):
-            out.add(f"slope {name}", True,
-                    "residuals at floor, fit undefined (degenerate)")
+            out.check(f"slope {name}", True,
+                      "residuals at floor, fit undefined (degenerate)")
         else:
-            out.add(f"slope {name} >= {p.slope_min:g}",
-                    bool(slope >= p.slope_min), f"fitted {slope:.4f}")
-    out.rows += [[h, r1, r2, res.slope1, res.slope2]
-                 for h, r1, r2 in res.rows]
+            out.check(f"slope {name} >= {p.slope_min:g}",
+                      slope >= p.slope_min, f"fitted {slope:.4f}")
+    out.rows += [[h, r1, r2, res.slope1, res.slope2] for h, r1, r2 in res.rows]
 
 
 def _egorov(ctx, p, out):
@@ -290,29 +287,27 @@ def _sw(ctx, p, out):
     lo, hi, steps = p.lambda_grid
     if not sup_norm(p.b)[1]:
         out.warn("sup of b not attained: the profile is an upper bound")
-    prev = None
-    delta = float("nan")
+    rows, l1 = [], None
     for step in steps:
-        l1 = sw_l1_box(ctx, p.b, lo, hi, float(step))
+        prev, l1 = l1, sw_l1_box(ctx, p.b, lo, hi, float(step))
+        delta = float("nan")
         if prev is not None:  # equal estimates (a zero symbol) agree exactly,
             same = l1 == prev and math.isfinite(l1)  # but inf == inf does not
             delta = 0.0 if same else abs(l1 - prev) / abs(l1)
-        out.rows.append([float(step), l1, delta, math.isfinite(l1)])
-        prev = l1
-    finite = all(row[-1] for row in out.rows)  # each row's isfinite
-    converged = finite and bool(len(steps) < 2 or delta <= p.rel_tol)
-    out.rows[-1][-1] = converged
-    out.add(
-        f"sw refinement rel_delta <= {p.rel_tol:g}", converged,
-        f"final estimate {prev:.6e}, last delta {delta:.3e}"
+        rows.append([float(step), l1, delta, math.isfinite(l1)])
+    finite = all(row[-1] for row in rows)  # each row's isfinite
+    out.rows += rows[:-1]  # the last row's verdict is the refinement check
+    out.check(
+        f"sw refinement rel_delta <= {p.rel_tol:g}",
+        finite and (len(steps) < 2 or delta <= p.rel_tol),
+        f"final estimate {l1:.6e}, last delta {delta:.3e}"
         + ("" if finite else "; an estimate overflows a float"),
-    )
+        row=rows[-1][:-1])
     exact = sw_l1_exact(ctx, p.b)
-    dev = abs(prev - exact) / exact if exact else abs(prev)
-    out.add(f"sw closed-form L1 rel_dev <= {p.rel_tol:g}",
-            bool(dev <= p.rel_tol),
-            f"exact {exact:.6e}, rel dev {dev:.3e}"
-            + ("" if math.isfinite(exact) else "; it overflows a float"))
+    dev = abs(l1 - exact) / exact if exact else abs(l1)
+    out.check(f"sw closed-form L1 rel_dev <= {p.rel_tol:g}", dev <= p.rel_tol,
+              f"exact {exact:.6e}, rel dev {dev:.3e}"
+              + ("" if math.isfinite(exact) else "; it overflows a float"))
 
 
 @dataclass(frozen=True)
@@ -425,8 +420,8 @@ SUITES = {
 def _run(name: str, suite: Suite, config_path, outdir, echo: dict):
     """Read the config, build the phase and context, run the suite body,
     write `<name>.csv` into `outdir` (skipped when None) and print the
-    report with the effective config.  Exits 2 on unusable input, else
-    0 when every check passes and 1 otherwise."""
+    report with the effective config.  Exits 2 on unusable input or an
+    unwritable `outdir`, else 0 when every check passes and 1 otherwise."""
     try:
         keys = ConfigReader(load_config(config_path))
         phase = keys.phase()
@@ -439,7 +434,7 @@ def _run(name: str, suite: Suite, config_path, outdir, echo: dict):
         if outdir is not None:
             csv_path = _write_csv(outdir, name.replace("-", "_") + ".csv",
                                   suite.header, out.rows)
-    except (BtlabError, ValueError) as exc:
+    except (BtlabError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         sys.exit(2)
     eff = {**echo, "n": phase.n, **keys.echo}

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -253,6 +254,38 @@ def test_command_line_contract(tmp_path, monkeypatch, case):
     if case in _UNRECOGNIZED:
         assert (f"unrecognized arguments: {_UNRECOGNIZED[case]}"
                 in res.stderr), res.stderr
+
+
+# Output directories that pass the --out check but cannot take the CSV,
+# with "FILE" for an existing file and "DIR" for a directory that holds a
+# directory named gram.csv, and the error each raises.  Not in _REFUSED:
+# that directory would match its search for a written CSV.
+_UNWRITABLE = {
+    "verify out under a file": (["verify", "gram"], "FILE/sub",
+                                "NotADirectoryError"),
+    "verify csv is a directory": (["verify", "gram"], "DIR",
+                                  "IsADirectoryError"),
+    "space-info out under a file": (["space-info"], "FILE/sub",
+                                    "NotADirectoryError"),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNWRITABLE))
+def test_unwritable_output_exits_2(tmp_path, case):
+    """A CSV that cannot be written is unusable input, not a failed
+    check: exit 2 with one error line on stderr and nothing on stdout,
+    since the report is printed only after the write."""
+    argv, out, error = _UNWRITABLE[case]
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "dir" / "gram.csv").mkdir(parents=True)
+    out = out.replace("FILE", str(tmp_path / "taken")).replace(
+        "DIR", str(tmp_path / "dir"))
+    res = invoke([*argv, "--config", _write(tmp_path, FOCK), "--out", out])
+    assert res.exit_code == 2, res.output
+    assert res.exception is None
+    assert res.output == res.stderr
+    assert len(res.stderr.splitlines()) == 1
+    assert res.stderr.startswith(f"error: {error}: "), res.stderr
 
 
 @pytest.mark.parametrize("suite, extra", [
@@ -537,6 +570,16 @@ CSV_DIGESTS = {
         "a6e82fb8bee63a4eca2339971adc52cf7b1aa8ee863dd63ff0414cf410524acb",
     ("sw", "seed7"):
         "e5e138c1c8d666e5d9ec6a310c117e471289c63dd25b9990e4b07893946f6142",
+    ("space-info", "fock"):
+        "836e8b34856a2e9beec925f3b230d9e7fdb634538b34f90c11c81bb50d03ea8f",
+    ("space-info", "seed7"):
+        "268f58a0487681ebffc1a5580f0313e8163189fb1dea206a6f99f57da35df125",
+    ("space-info", "seed7-n2"):
+        "dad268324c0274e0c0a4745ce4157a927fde591b0d938a49652fd7b3d869d9e2",
+    ("egorov", "seed7"):
+        "4c0d6bdd7ba93cf76269e9653cd39e9fcd4122d0101e1eb90897eddc4af6b742",
+    ("egorov", "seed7-n2"):
+        "a32e7c1db81362c09a5252087059778ad61351d8e37fe9efb59ecf3e837a0916",
 }
 DIGEST_CONFIGS = {
     "fock": FOCK,
@@ -548,14 +591,86 @@ DIGEST_CONFIGS = {
 }
 
 
+def _pinned_run(command, config, tmp_path):
+    """Run `command` at its defaults on DIGEST_CONFIGS[config]; it must
+    pass.  Returns its report less the csv: line, and its CSV bytes."""
+    cfg = _write(tmp_path, DIGEST_CONFIGS[config])
+    argv = ["space-info"] if command == "space-info" else ["verify", command]
+    res = invoke([*argv, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert res.stderr == ""
+    report = "".join(line for line in res.output.splitlines(keepends=True)
+                     if not line.startswith("csv: "))
+    stem = command.replace("-", "_")
+    return report, (tmp_path / f"{stem}.csv").read_bytes()
+
+
 @pytest.mark.parametrize("suite, config", list(CSV_DIGESTS))
 def test_verify_csv_bytes_are_pinned(suite, config, tmp_path):
-    cfg = _write(tmp_path, DIGEST_CONFIGS[config])
-    res = invoke(
-        ["verify", suite, "--config", cfg, "--out", str(tmp_path)])
-    assert res.exit_code == 0, res.output
-    digest = hashlib.sha256((tmp_path / f"{suite}.csv").read_bytes())
-    assert digest.hexdigest() == CSV_DIGESTS[suite, config]
+    csv = _pinned_run(suite, config, tmp_path)[1]
+    assert hashlib.sha256(csv).hexdigest() == CSV_DIGESTS[suite, config]
+
+
+# sha256 of the report of a default run, less its csv: line (the one line
+# that names the output directory): the config echo, every [PASS]/[FAIL]
+# and [WARN] line with its numbers, and the result line
+REPORT_DIGESTS = {
+    ("space-info", "fock"):
+        "eee67d9dffb0597dc65eba9e436b817859741970a877867cd5e48c5d03a7d870",
+    ("gram", "fock"):
+        "66996425316a834d12b8996df3451b4974b7ad3612e3019a2daf7b7e3583a381",
+    ("weyl", "fock"):
+        "535839ceebea112135e264cb12db7f7c707af7655864c3f04959d10b359766f1",
+    ("bound", "fock"):
+        "0aa9db1ba4b7465cb028b90dd1d4c78b5ec292f5558fe544c61587dd2ed10ae9",
+    ("diag", "fock"):
+        "364aeda2369833c92d62cf57d95144f1c666df22978c1bfd7c0b104b1a34e14e",
+    ("deformation", "fock"):
+        "c0da9f74d4591a5bbee09ba60c673c07cd31b71c6d4bf86ce18e1883c01ab1dd",
+    ("egorov", "fock"):
+        "39942d1856281260fe4ce098d3e1eae6aad2a6acd99950103b60d52fa4e4469f",
+    ("sw", "fock"):
+        "07c94e41d1464ccd7d7b01f9ea40ea41adeef6f63627034e15edc00c0f59ad19",
+    ("space-info", "seed7"):
+        "791909b57eddcd375d5b08f692c593f1e640d3a14e5ee90a860e20930a3c197d",
+    ("gram", "seed7"):
+        "5b67cbe4b1c842c274a55417ec8e3aaa4433040609986792943cc06a31b47792",
+    ("weyl", "seed7"):
+        "54b111bbb088043e30e3dfd62b1f6b35a9ac022752f4434ebd6385d20c05417e",
+    ("bound", "seed7"):
+        "3fbe0977bb4e64027efc63d3203b6139ddf463bfbd6b7aa88ca8e689f26e1e27",
+    ("diag", "seed7"):
+        "bb9d2d064142cf7b7d47b7e700ed88c70ad56ba1a8c1822afed9730e4aee3832",
+    ("deformation", "seed7"):
+        "f78213fe982a8f0a5add8f684a9d1ff696e6e0e86bfd011a72e810a6bc580f46",
+    ("egorov", "seed7"):
+        "894f3c11dcd1bb422929c9104d1e8bba750d643f8b2a834c553c6e877185ff0a",
+    ("sw", "seed7"):
+        "53b4c3a2c8614119207266a4c1816fe4dfddc2e3d53b7ff5ae8e71440a22b878",
+    ("space-info", "seed7-n2"):
+        "02c0448a380b6fb5456904d9afd146a7c3363e57b45e463e91103935dd435401",
+    ("gram", "seed7-n2"):
+        "d6d7c7e5bf6c6cd2dd6ed55f6bd844742c2f31ea00873eef42adb5e0600b454b",
+    ("weyl", "seed7-n2"):
+        "463d2ad12ec301d61a15e91f80599881e9e28ff71231aff2232fa9fa05e46856",
+    ("bound", "seed7-n2"):
+        "ec97ad349e24225ee25205eb0cfbfa6d9f8887d66647884d3d9a3ff31cef72b9",
+    ("diag", "seed7-n2"):
+        "8bf1cdaa77b05c3878ece6a33248b200bcaf09b038a3593027380061e561723f",
+    ("deformation", "seed7-n2"):
+        "694d2fe796c1270456c5cf2e441093d8133c4737255c42a52d436341bd77feff",
+    ("egorov", "seed7-n2"):
+        "7fa69020513aa29c912cd09e1700c48b13dc7d640205223d2023bff0652b0390",
+    ("sw", "seed7-n2"):
+        "c7d19d63d88b4640ab4527f6b93ef2f0ab006e48ddcf584b2ac4c21c94c2e60c",
+}
+
+
+@pytest.mark.parametrize("command, config", list(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(command, config, tmp_path):
+    report = _pinned_run(command, config, tmp_path)[0]
+    digest = hashlib.sha256(report.encode())
+    assert digest.hexdigest() == REPORT_DIGESTS[command, config]
 
 
 def test_verify_bound_searches_witnesses_once_per_symbol(tmp_path,
@@ -899,6 +1014,47 @@ def test_verify_bound_csv_agrees_with_report(tmp_path):
     rows = (tmp_path / "bound.csv").read_text().splitlines()
     assert len(rows) == 13
     assert all(r.split(",")[7] == "true" for r in rows[1:])
+
+
+# Inputs at which some checks fail on the seed-7 n = 1 space at h = 0.5,
+# where every default passes.  bound's t = 1 row of b1 fails once its norm
+# is read at N = 2.
+_TIGHT = {
+    "gram": {"tol_gram": 0},
+    "weyl": {"tol_weyl": 1e-15},
+    "bound": {"n_schedule": [1, 2]},
+    "diag": {"tol_diag": 0},
+    "egorov": {"tol_egorov": 1e-16},
+    "sw": {"rel_tol": 1e-5},
+}
+
+
+@pytest.mark.parametrize("suite", list(_TIGHT))
+def test_passed_cells_are_the_report_verdicts(tmp_path, suite):
+    """The rows whose `passed` is false are exactly those of the [FAIL]
+    lines: a weyl row fails when any of its lambda's three lines does, sw's
+    last row carries the refinement verdict and its earlier rows their
+    isfinite, and sw's closed-form check has no row.  Every row has as
+    many cells as the header."""
+    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 1}, "h": 0.5,
+                            **_TIGHT[suite]})
+    res = invoke(["verify", suite, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 1, res.output
+    verdicts = [line.startswith("[PASS]")
+                for line in res.output.splitlines()
+                if line.startswith(("[PASS]", "[FAIL]"))]
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / f"{suite}.csv").read_text().splitlines()]
+    assert all(len(row) == len(header) for row in rows)
+    if suite == "weyl":
+        verdicts = [all(verdicts[i:i + 3])
+                    for i in range(0, len(verdicts), 3)]
+    elif suite == "sw":  # the default lambda_grid has three steps
+        verdicts = [math.isfinite(float(row[1])) for row in rows[:2]] + [
+            verdicts[0]]
+    cells = [row[header.index("passed")] for row in rows]
+    assert cells == ["true" if v else "false" for v in verdicts]
+    assert "false" in cells
 
 
 def test_verify_deformation_names_commuting_pair(tmp_path):
