@@ -279,8 +279,9 @@ def weyl_unitary_matrix(ctx: SpaceContext, lam,
 
 
 def operator_norm(M: np.ndarray) -> float:
-    """Largest singular value of the compression."""
-    return float(np.linalg.norm(M, 2))
+    """Largest singular value of the compression, LAPACK's first: the
+    float np.linalg.norm(M, 2) gives, without that wrapper's call cost."""
+    return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
 @dataclass(frozen=True)
@@ -409,9 +410,9 @@ def _defect_norms(ctxs, a, b, trunc: MultiIndexSet, drop: int) -> list:
     T_ab, T_q and the bracket do not depend on h and are built once.  The
     five compressions at every h share one stacked recurrence; T_a and
     T_b are built in full, since their products sum over every index, and
-    T_ab, T_q and the bracket's only on the m x m block.  The defects of
-    as many h as fit in _BLOCK_ENTRIES entries (every h at the n <= 2
-    defaults) go to one batched norm call."""
+    T_ab, T_q and the bracket's only on the m x m block.  Each defect goes
+    to `operator_norm` as it is formed, so one h's matrices are held at a
+    time."""
     m = trunc.count_through_degree(max(trunc.N - drop, 0))
     d = len(trunc)
     ops = [a, b, multiply(a, b), q_form(ctxs[0], a, b),
@@ -419,22 +420,17 @@ def _defect_norms(ctxs, a, b, trunc: MultiIndexSet, drop: int) -> list:
     mats = compressions([ctx for ctx in ctxs for _ in ops], trunc,
                         ops * len(ctxs),
                         reads=([(d, d)] * 2 + [(m, m)] * 3) * len(ctxs))
-    per = max(1, _BLOCK_ENTRIES // (2 * m * m))  # h values per norm call
     norms = []
-    for start in range(0, len(ctxs), per):
-        group = ctxs[start:start + per]
-        defects = np.empty((2 * len(group), m, m), dtype=complex)
-        for k, ctx in enumerate(group):
-            Ta, Tb, Tab, Tq, Tpb = (next(mats) for _ in ops)
-            ab = Ta[:m] @ Tb[:, :m]
-            d1, d2 = defects[2 * k], defects[2 * k + 1]
-            np.subtract(ab, Tab, out=d1)  # ab - Tab + (h/2) Tq
-            d1 += (ctx.h / 2.0) * Tq
-            np.subtract(ab, Tb[:m] @ Ta[:, :m], out=d2)  # - (ih/2) {a, b}
-            d2 -= (0.5j * ctx.h) * Tpb
-            del Ta, Tb, Tab, Tq, Tpb, ab  # before the next h's are built
-        norms.extend(np.linalg.norm(defects, 2, axis=(1, 2)).tolist())
-    return list(zip(norms[::2], norms[1::2]))
+    for ctx in ctxs:
+        Ta, Tb, Tab, Tq, Tpb = (next(mats) for _ in ops)
+        ab = Ta[:m] @ Tb[:, :m]
+        d1 = ab - Tab  # + (h/2) Tq
+        d1 += (ctx.h / 2.0) * Tq
+        d2 = ab - Tb[:m] @ Ta[:, :m]  # - (ih/2) {a, b}
+        d2 -= (0.5j * ctx.h) * Tpb
+        norms.append((operator_norm(d1), operator_norm(d2)))
+        del Ta, Tb, Tab, Tq, Tpb, ab, d1, d2  # before the next h's are built
+    return norms
 
 
 def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
@@ -478,11 +474,10 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
     is validated and its geometry derived once, after every h has been
     checked, and each h gets a copy of that context.  The h-independent
     symbols are built once, one `basis.axis_matrices` recurrence serves
-    every h and one batched norm call takes every h's two
-    defect norms (`_defect_norms`); each residual equals
-    `deformation_residuals` at its h bit for bit.  `commuting` names the
-    pairs whose commutator residual has no h^2 term to fit (see
-    `_commute_exactly`).
+    every h, and each h's two defect norms are taken by `operator_norm`
+    (`_defect_norms`); each residual equals `deformation_residuals` at
+    its h bit for bit.  `commuting` names the pairs whose commutator
+    residual has no h^2 term to fit (see `_commute_exactly`).
     """
     hs = [float(h) for h in h_list]
     if len(hs) < 4 or any(x <= y for x, y in zip(hs, hs[1:])):

@@ -533,10 +533,8 @@ def test_verify_suites_run_one_stacked_recurrence(tmp_path, monkeypatch):
         assert stacks == sizes, suite
 
 
-# sha256 of the CSV of a default run: deformation's stacked recurrence and
-# batched norms, and egorov's stacked transforms, keep these bytes, and
-# the array forms of the sw sums and the diag right-hand side keep those
-# of the default one-wave symbols
+# sha256 of the CSV of a default run of space-info and each suite on the
+# DIGEST_CONFIGS: a change that keeps every float keeps these bytes
 CSV_DIGESTS = {
     ("deformation", "fock"):
         "920177eca3d794a105e0764b8468f726f61c9b4a018ccbdbbf8accc1f8a0fcf1",
@@ -580,24 +578,81 @@ CSV_DIGESTS = {
         "4c0d6bdd7ba93cf76269e9653cd39e9fcd4122d0101e1eb90897eddc4af6b742",
     ("egorov", "seed7-n2"):
         "a32e7c1db81362c09a5252087059778ad61351d8e37fe9efb59ecf3e837a0916",
+    ("space-info", "heat"):
+        "495e93528462b3070de20349c002f0bd97918e47ab8b8ae1c112e5b810771133",
+    ("gram", "heat"):
+        "54bc9d25b851fb821b00145290470290a6a2e159a7a7f2f9574bcc47990b742f",
+    ("weyl", "heat"):
+        "1531bd9aaa0e7e734298e65c5c6e0c9a11a8b1386bdc2dd1ea647c70d5fa17d1",
+    ("bound", "heat"):
+        "bbc948ea29f338bdc84cd1372cd9128bf6251ba9206ff1ae7abdc1c413f30c23",
+    ("diag", "heat"):
+        "8efc6339e7df495aeef7b31894f9745a3d0064161d14a88ed9049d06e50a0c43",
+    ("deformation", "heat"):
+        "800d8dbe6e7bcff4be9e54de36ee3754adaf8281d79b8cde9eee5935dc3215e3",
+    ("egorov", "heat"):
+        "5cb2c8953be373206bae152302c49d0268f65cdcdd8acfe6bc1718900f692bad",
+    ("sw", "heat"):
+        "7e79a065393165e015fa66fbca052697b7d28ce192640390dbbcfc6a5c5a3496",
+    ("space-info", "seed3"):
+        "2746443f68d5387037f0a4b0b1f4ea58419d166f7c942f73ffcdac6bc63da118",
+    ("gram", "seed3"):
+        "a04982e048c2e2b0a66f8cdbdc6eefe9ceecafbf6a5f443c0afddabb2eb58c7f",
+    ("weyl", "seed3"):
+        "e4f9e8b0bcddb5e05cb5eaddbf218860e06b6fd5d43f71901837132e6e05185d",
+    ("bound", "seed3"):
+        "85f053958f1dbbf947e953e3b8a547ba2aa81bed876bd22e5c678e7a43e05274",
+    ("diag", "seed3"):
+        "cd8bbcf4577e63d758bf0ddb557eab63f56cea79c712f2b69190e9ac45a5f48c",
+    ("deformation", "seed3"):
+        "4b43083deb98e3fc992e17bb478b096184d535c4c141d94b50f899884e304507",
+    ("egorov", "seed3"):
+        "dc55d3555af49f83032a52dcb706c74311e01af4c40a7c734ab9b79b87afd072",
+    ("sw", "seed3"):
+        "e2c29ffb4238ceeed4c7b77f183f722af524c859e26ac2d2f9b7bc1d409a87bf",
+    ("space-info", "seed1-n2"):
+        "782f5363e92c4c454083f99c0855345f44cfd8f3e3dfd9dc3169587a61dbc9a8",
+    ("gram", "seed1-n2"):
+        "35e1e77305b044ce2181cac25f3e5e06a3b2deb2b5f2b9b6eec25f1005378e00",
+    ("weyl", "seed1-n2"):
+        "30b4541062d67eaaefdcb0f6c13d4f264137670f135069f69a8d67eeccfdcbda",
+    ("bound", "seed1-n2"):
+        "8c818803c5bf877847fe6c7e04ef779f3ce6fdcfd67fde16e5f4ba0c4e326e4c",
+    ("diag", "seed1-n2"):
+        "662135fd8a50dc9ce3698dee01cc7c52dccd4cb61fb94f52b8057a8b1c65c876",
+    ("deformation", "seed1-n2"):
+        "ac15304dc799defe815e1e28c6b8fe9486e163e3ddf59ca4741b986ca5e46478",
+    ("egorov", "seed1-n2"):
+        "3f36f73c16a02a926d53c08bb1493005c9d02c57216d54ae5943bf4f1bddd861",
+    ("sw", "seed1-n2"):
+        "8b61a12039b714eae10462a3fa124c235d9ec7783e782fb478daf9d6113d6fa7",
 }
+# weyl needs lambda_list at n = 2; the other suites do not read it
+_N2_LAMBDAS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]]
 DIGEST_CONFIGS = {
     "fock": FOCK,
+    "heat": {"phase": {"preset": "heat"}, "h": 0.5},
     "seed7": {"phase": {"seed": 7, "n": 1}, "h": 0.5},
-    # weyl needs lambda_list at n = 2; deformation does not read it
+    "seed3": {"phase": {"seed": 3, "n": 1}, "h": 0.5},
     "seed7-n2": {"phase": {"seed": 7, "n": 2}, "h": 1.0,
-                 "lambda_list": [[[1.0, 0.0], [0.0, 0.0]],
-                                 [[0.0, 0.0], [0.6, 0.8]]]},
+                 "lambda_list": _N2_LAMBDAS},
+    "seed1-n2": {"phase": {"seed": 1, "n": 2}, "h": 0.5,
+                 "lambda_list": _N2_LAMBDAS},
 }
+# a pinned run that fails a check: weyl's default N = 24 does not resolve
+# seed-1 n = 2 at h = 0.5 (ROADMAP items 6 and 11)
+PINNED_EXITS = {("weyl", "seed1-n2"): 1}
 
 
 def _pinned_run(command, config, tmp_path):
     """Run `command` at its defaults on DIGEST_CONFIGS[config]; it must
-    pass.  Returns its report less the csv: line, and its CSV bytes."""
+    exit with its PINNED_EXITS code, 0 by default.  Returns its report
+    less the csv: line, and its CSV bytes."""
     cfg = _write(tmp_path, DIGEST_CONFIGS[config])
     argv = ["space-info"] if command == "space-info" else ["verify", command]
     res = invoke([*argv, "--config", cfg, "--out", str(tmp_path)])
-    assert res.exit_code == 0, res.output
+    assert res.exit_code == PINNED_EXITS.get((command, config), 0), res.output
+    assert res.exception is None
     assert res.stderr == ""
     report = "".join(line for line in res.output.splitlines(keepends=True)
                      if not line.startswith("csv: "))
@@ -663,6 +718,54 @@ REPORT_DIGESTS = {
         "7fa69020513aa29c912cd09e1700c48b13dc7d640205223d2023bff0652b0390",
     ("sw", "seed7-n2"):
         "c7d19d63d88b4640ab4527f6b93ef2f0ab006e48ddcf584b2ac4c21c94c2e60c",
+    ("space-info", "heat"):
+        "75d28a3379972c09a97ca6c3583f973abe1e4de931f101668960d46974a2f633",
+    ("gram", "heat"):
+        "29cce6299a1edc3058060d70c32595677a80bc8643649a3d52f24ef34c6a37fa",
+    ("weyl", "heat"):
+        "76a1430a4481c964628421d5f3b9deb536fa5bc97cd532299b2aff626c4908a9",
+    ("bound", "heat"):
+        "0a99977c350900c3b4658419c08e0a752eedcebb07d438ce9d9dd6ea021c6680",
+    ("diag", "heat"):
+        "d44a8092b9cf52e059b1af71ae5d2933782a5708f7a919c848e66669060566a5",
+    ("deformation", "heat"):
+        "c39bd7d34b210f2e64b1787b846d0c648c6e8ce1341f1362ce2b5d649122303d",
+    ("egorov", "heat"):
+        "f5a4bde873f19ae040fd2ffedb0a072cdf237fc2b2921a7c22bef681a3340ae2",
+    ("sw", "heat"):
+        "b88bfd829dd96d10ebdc339417a4c3682a5c49af4494f446a30d92310f760e81",
+    ("space-info", "seed3"):
+        "672785af7608483eeeb894134f68245df8e5f152d24fc71faf0755c9b6f82771",
+    ("gram", "seed3"):
+        "a30f27d1ed6c1a95412fcd12a0fdda5ad2382a8cb3cc6117c5a7643057aa0a44",
+    ("weyl", "seed3"):
+        "ea1a3b90ca755bc6f77a9f9eccb9d8f31c337fce9cf2df1e51e36a2da4a55a13",
+    ("bound", "seed3"):
+        "fddd0a19f14a781ee84b9a0f1fc759dc865483c437a28d638adbd123b389e748",
+    ("diag", "seed3"):
+        "ed856967ee8e91036313098dc8138f269c82b49baf36fb4697327712e7278632",
+    ("deformation", "seed3"):
+        "1e8e40016f66241a254c8845ac3cae7fee4db0ad82febc58c9327a9d9fb57ebf",
+    ("egorov", "seed3"):
+        "4671f0c2513ff5307b03d33ebc671cf4af6f3a595d6bdb3c0631d5fee941cc04",
+    ("sw", "seed3"):
+        "a417736d8262d2e9422baa4d1316fac982284e621c99fdc728b9212e2e3050f1",
+    ("space-info", "seed1-n2"):
+        "d810e316db34ff340ea69f6ec7eb15a96fc52621fb2fa41d6fdf695bb37c46ae",
+    ("gram", "seed1-n2"):
+        "b27a9ed9abcca05b1e95b9a6486f2094206d43e00d099bb47d660e68a7c8bf42",
+    ("weyl", "seed1-n2"):
+        "1ebb19c476f1547de40c8440c9fb031a769b5f63ffb4a1525582fbbaa87af0b8",
+    ("bound", "seed1-n2"):
+        "a44c193cc947034c70dcf01cdb4cf2adf12d9a8fac46bcb6b640c9fa133ac8eb",
+    ("diag", "seed1-n2"):
+        "cdedfb7d153883b56e027849718145e9099f6d9b14ee901297ad65c3dfef6bf7",
+    ("deformation", "seed1-n2"):
+        "40068cfc923624b8c688d13718fd3ca2f431f1a81fd62f57cd39f547b5e510c0",
+    ("egorov", "seed1-n2"):
+        "984d5ae5d5a84a960a46c4ff3a2953c9d2c23d7cc8ff8acdec218eb2bd7f6e8d",
+    ("sw", "seed1-n2"):
+        "f8b03f6f1f066224bd38c227aff681f60d2df144118e3cdd9ed81efbc0f59d0b",
 }
 
 
@@ -971,6 +1074,20 @@ def test_verify_sw_fails_an_overflowing_exact_integral(tmp_path):
     assert "[FAIL] sw closed-form L1" in res.stdout
     assert "exact inf" in res.stdout and "overflows a float" in res.stdout
     assert (tmp_path / "sw.csv").exists()
+
+
+@pytest.mark.parametrize("suite, h", [("weyl", 1e-12), ("egorov", 1e-30)])
+def test_values_past_the_float_range_fail_their_checks(suite, h, tmp_path):
+    """On Fock at these h the one-axis recurrence (weyl) and the Bargmann
+    transforms (egorov) pass the float range: the inf or NaN values fail
+    their checks, with no numpy warning (an error under this suite's
+    filterwarnings) on stderr and no exception."""
+    cfg = _write(tmp_path, dict(FOCK, h=h))
+    res = invoke(["verify", suite, "--config", cfg, "--out", str(tmp_path)])
+    assert res.exception is None
+    assert res.exit_code == 1, res.output
+    assert "[FAIL] " in res.output
+    assert res.stderr == ""
 
 
 def test_phase_dimension_is_bounded_before_allocation(tmp_path):

@@ -457,30 +457,26 @@ def test_sweep_generic_complex_pair_is_quadratic():
     assert 1.8 < res.slope2 < 2.3
 
 
-def test_sweep_norms_split_across_calls_keep_every_bit(monkeypatch):
-    """All defects of a sweep go to one batched norm call when they fit in
-    _BLOCK_ENTRIES entries, else in groups of h that fit; one h per call
-    (as at n = 3 defaults) gives the same residuals bit for bit."""
+def test_sweep_takes_each_defect_norm_through_operator_norm(monkeypatch):
+    """A sweep takes every spectral norm through `operator_norm`, one call
+    per defect: two per h, each on the m x m block.  Each norm is
+    np.linalg.norm(M, 2) bit for bit."""
     phase = random_phase(2, 7)
     a = plane_wave_sum([(0.7, np.array([1.0 + 0.4j, 0.3]))], n=2)
     b = plane_wave_sum([(0.5 - 0.2j, np.array([-0.6 + 0.8j, 0.0]))], n=2)
-    hs = [0.4, 0.3, 0.2, 0.1]
-    stacks = []
-    real = np.linalg.norm
+    defects = []
+    real = btlab.operators.operator_norm
 
-    def counted(x, *args, **kwargs):
-        if np.ndim(x) == 3:
-            stacks.append(np.shape(x))
-        return real(x, *args, **kwargs)
+    def counted(M):
+        defects.append(M.copy())
+        return real(M)
 
-    monkeypatch.setattr(btlab.operators.np.linalg, "norm", counted)
-    whole = deformation_sweep(phase, a, b, hs, 8)
-    assert stacks == [(8, 15, 15)]  # m = 15 indices through degree 4
-    stacks.clear()
-    monkeypatch.setattr(btlab.operators, "_BLOCK_ENTRIES", 1)
-    split = deformation_sweep(phase, a, b, hs, 8)
-    assert stacks == [(2, 15, 15)] * 4
-    assert split.rows == whole.rows
+    monkeypatch.setattr(btlab.operators, "operator_norm", counted)
+    res = deformation_sweep(phase, a, b, [0.4, 0.3, 0.2, 0.1], 8)
+    # m = 15 indices through degree 4
+    assert [M.shape for M in defects] == [(15, 15)] * 8
+    assert [r for row in res.rows for r in row[1:]] == [
+        np.linalg.norm(M, 2) for M in defects]
 
 
 def _cos_sin(n):
