@@ -264,11 +264,13 @@ def _diag(ctx, p, out):
 
 def _deformation(phase, p, out):
     res = deformation_sweep(phase, p.a, p.b, p.h_list, p.N, drop=p.drop)
-    for name, slope in (("r1", res.slope1), ("r2", res.slope2)):
+    for k, (name, slope) in enumerate((("r1", res.slope1),
+                                       ("r2", res.slope2)), 1):
+        finite = all(math.isfinite(row[k]) for row in res.rows)
         if name == "r2" and res.commuting:
             out.check("slope r2", True, "a and b commute exactly; residual"
                       " is truncation leakage")
-        elif np.isnan(slope):
+        elif np.isnan(slope) and finite:
             out.check(f"slope {name}", True,
                       "residuals at floor, fit undefined (degenerate)")
         else:

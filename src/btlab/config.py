@@ -6,7 +6,8 @@ four forms, each with n <= `geometry.MAX_N` (64):
 
     {"preset": "fock", "beta": 1.0}      built-in diagonal model
     {"preset": "heat"}                   built-in degenerate-weight model
-    {"n": 1, "seed": 7}                  seeded random admissible phase
+    {"n": 1, "seed": 7}                  seeded random phase, admissible
+                                         by construction at every n
     {"n": 1, "A": [[[0,1]]], "B": [[[0,-2]]], "C": [[[0,2]]]}
 
 Numbers must be finite JSON numbers: booleans and strings are refused.

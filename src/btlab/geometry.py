@@ -45,11 +45,6 @@ __all__ = [
 ]
 
 _COND_LIMIT = 1e12
-# Largest n `random_phase` draws for; see its docstring.
-MAX_RANDOM_N = 5
-# Most draws `random_phase` tests at once: 4096 x 6 x 5 x 5 normals at
-# n = 5 are 4.9 MB.
-_MAX_DRAW_BATCH = 4096
 MAX_N = 64  # largest n of any phase a config names; suites cap n far below
 # Results each memoized constructor keeps per process.  Phases and
 # contexts are read-only values, so every caller can share one, and a
@@ -295,38 +290,27 @@ def heat_phase(n: int) -> PhaseMatrices:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def random_phase(n: int, seed: int) -> PhaseMatrices:
-    """Seeded random admissible phase with moderate conditioning.
+    """Seeded random phase, admissible by construction.
 
-    C_I = L L^T + I/2 is positive definite and A, C are symmetric by
-    construction; the draw is rejection-sampled until |det B| >= 0.3,
-    cond(B) <= 8 and the eigenvalues of the derived Phi''_XXbar sit in
-    [0.2, 3.0].  The acceptance rate falls fast with n: some seeds need
-    60,000 draws at n = 5, and seed 7 finds none in 400,000 at n = 6, so
-    n >= 6 is refused with ValueError before the first draw.  Draws come
-    in batches from one normal stream and are tested together; the first
-    that passes is the one a draw-at-a-time loop would return.
+    One `numpy.random.default_rng(seed)` stream gives, in this order, the
+    eight normal n x n matrices S, T, S_c, G, U', U'', V', V'' (one draw
+    of shape (8, n, n)), then e uniform on [1, 4]^n and eta uniform on
+    [0.2, 3]^n.  A = ((S + S^T) + i (T + T^T))/4 and Re C = (S_c +
+    S_c^T)/4.  O, U and V are the Q factors of G, U' + iU'' and V' + iV'',
+    so O is real orthogonal and U, V are unitary.  Then Im C = C_I =
+    O diag(e) O^T, symmetrized as stored, H = U diag(eta) U^* and
+    B = 2 H^1/2 V C_I^1/2, so that Phi''_XbarX = B C_I^-1 B^*/4 = H has
+    the eigenvalues eta, cond B <= sqrt(15 * 4) < 7.75 and |det B| >=
+    (2 sqrt(0.2))^n.  Every n <= `MAX_N` draws once.
     """
-    if n > MAX_RANDOM_N:
-        raise ValueError(f"random phases are drawn for n <= {MAX_RANDOM_N}, "
-                         f"got n = {n}")
     rng = np.random.default_rng(seed)
-    k = 8
-    while True:
-        # per draw, in stream order: S, T, Re B, Im B, Sc, L
-        draws = rng.normal(size=(k, 6, n, n))
-        B = draws[:, 2] + 1j * draws[:, 3]
-        keep = np.flatnonzero((np.abs(np.linalg.det(B)) >= 0.3)
-                              & (np.linalg.cond(B) <= 8))
-        L = draws[keep, 5]
-        ew, ev = np.linalg.eigh(L @ L.swapaxes(1, 2) + 0.5 * np.eye(n))
-        CIinvsqrt = (ev / np.sqrt(ew)[:, None, :]) @ ev.swapaxes(1, 2)
-        Bk = B[keep]
-        ew = np.linalg.eigvalsh(
-            Bk @ (CIinvsqrt @ CIinvsqrt) @ Bk.conj().swapaxes(1, 2) / 4)
-        keep = keep[(ew.min(axis=1) >= 0.2) & (ew.max(axis=1) <= 3)]
-        if keep.size:
-            S, T, Br, Bi, Sc, L = draws[keep[0]]
-            A = 0.5 * ((S + S.T) / 2 + 1j * (T + T.T) / 2)
-            C = 0.5 * (Sc + Sc.T) / 2 + 1j * (L @ L.T + 0.5 * np.eye(n))
-            return PhaseMatrices(n, A, Br + 1j * Bi, C)
-        k = min(2 * k, _MAX_DRAW_BATCH)
+    S, T, Sc, G, Ur, Ui, Vr, Vi = rng.normal(size=(8, n, n))
+    e = rng.uniform(1.0, 4.0, size=n)
+    eta = rng.uniform(0.2, 3.0, size=n)
+    O = np.linalg.qr(G)[0]
+    U, V = np.linalg.qr(np.stack([Ur + 1j * Ui, Vr + 1j * Vi]))[0]
+    CI = (O * e) @ O.T
+    B = 2.0 * ((U * np.sqrt(eta)) @ U.conj().T) @ V @ ((O * np.sqrt(e)) @ O.T)
+    A = 0.5 * ((S + S.T) / 2 + 1j * (T + T.T) / 2)
+    C = 0.5 * (Sc + Sc.T) / 2 + 1j * (CI + CI.T) / 2
+    return PhaseMatrices(n, A, B, C)

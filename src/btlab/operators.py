@@ -280,7 +280,10 @@ def weyl_unitary_matrix(ctx: SpaceContext, lam,
 
 def operator_norm(M: np.ndarray) -> float:
     """Largest singular value of the compression, LAPACK's first: the
-    float np.linalg.norm(M, 2) gives, without that wrapper's call cost."""
+    float np.linalg.norm(M, 2) gives, without that wrapper's call cost.
+    NaN when an entry is not finite, where the SVD would not converge."""
+    if not np.all(np.isfinite(M)):
+        return float("nan")
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
@@ -460,8 +463,9 @@ def _commute_exactly(ctx: SpaceContext, a, b) -> bool:
 
 
 def _fit_slope(hs: np.ndarray, rs: np.ndarray) -> float:
-    # residuals at rounding floor carry no scaling information
-    if np.max(rs) < 1e-10:
+    # residuals at rounding floor, or not finite, carry no scaling
+    # information
+    if not np.all(np.isfinite(rs)) or np.max(rs) < 1e-10:
         return float("nan")
     return float(np.polyfit(np.log(hs), np.log(rs), 1)[0])
 

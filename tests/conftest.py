@@ -9,14 +9,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from reference import legacy_random_phase
+
 import btlab.cli
 from btlab.geometry import build_context, fock_phase, heat_phase, random_phase
 from btlab.quadrature import gauss_hermite_rule
 
 
 def clear_memos():
-    """Empty the phase and context memos, as a new process starts."""
-    for memo in (fock_phase, heat_phase, random_phase, build_context):
+    """Empty the phase and context memos, as a new process starts, and the
+    memo of the fixture phases."""
+    for memo in (fock_phase, heat_phase, random_phase, legacy_random_phase,
+                 build_context):
         memo.cache_clear()
 
 

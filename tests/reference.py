@@ -16,9 +16,15 @@ them, `wirtinger_fd` differentiates any function numerically, for checks
 of Q and the bracket, and `u_alpha_eval` evaluates the graded monomial
 basis of H_Phi pointwise in the unreduced X frame, which the
 compressions never do.
+
+`legacy_random_phase` is the rejection sampler that gave the seeded
+phases before they were built by construction; the tests draw their
+fixture phases from it, and `legacy_phase_block` writes one as the
+explicit config block that reproduces it bit for bit.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +32,9 @@ from btlab.bargmann import (
     GaussianTestFn, _gaussian_transform, gaussian_transform_weighted,
 )
 from btlab.errors import UnsupportedSymbol
-from btlab.geometry import _as_points, _qform, freq_image, phi_weight
+from btlab.geometry import (
+    PhaseMatrices, _as_points, _qform, freq_image, phi_weight,
+)
 from btlab.heat import heat_damping, heat_flow
 from btlab.symbols import cotangent_frequencies
 
@@ -210,3 +218,58 @@ def u_alpha_eval(ctx, alpha, X):
             mono = mono * W[..., d] ** a
     gauss = np.exp(_qform(X, ctx.PhiXX, X) / ctx.h)
     return math.exp(_log_norm(ctx, alpha)) * mono * gauss
+
+
+# Largest n `legacy_random_phase` draws for; see its docstring.
+MAX_RANDOM_N = 5
+# Most draws `legacy_random_phase` tests at once: 4096 x 6 x 5 x 5
+# normals at n = 5 are 4.9 MB.
+_MAX_DRAW_BATCH = 4096
+
+
+@lru_cache(maxsize=16)
+def legacy_random_phase(n: int, seed: int) -> PhaseMatrices:
+    """Seeded random admissible phase with moderate conditioning.
+
+    C_I = L L^T + I/2 is positive definite and A, C are symmetric by
+    construction; the draw is rejection-sampled until |det B| >= 0.3,
+    cond(B) <= 8 and the eigenvalues of the derived Phi''_XXbar sit in
+    [0.2, 3.0].  The acceptance rate falls fast with n: some seeds need
+    60,000 draws at n = 5, and seed 7 finds none in 400,000 at n = 6, so
+    n >= 6 is refused with ValueError before the first draw.  Draws come
+    in batches from one normal stream and are tested together; the first
+    that passes is the one a draw-at-a-time loop would return.
+    """
+    if n > MAX_RANDOM_N:
+        raise ValueError(f"random phases are drawn for n <= {MAX_RANDOM_N}, "
+                         f"got n = {n}")
+    rng = np.random.default_rng(seed)
+    k = 8
+    while True:
+        # per draw, in stream order: S, T, Re B, Im B, Sc, L
+        draws = rng.normal(size=(k, 6, n, n))
+        B = draws[:, 2] + 1j * draws[:, 3]
+        keep = np.flatnonzero((np.abs(np.linalg.det(B)) >= 0.3)
+                              & (np.linalg.cond(B) <= 8))
+        L = draws[keep, 5]
+        ew, ev = np.linalg.eigh(L @ L.swapaxes(1, 2) + 0.5 * np.eye(n))
+        CIinvsqrt = (ev / np.sqrt(ew)[:, None, :]) @ ev.swapaxes(1, 2)
+        Bk = B[keep]
+        ew = np.linalg.eigvalsh(
+            Bk @ (CIinvsqrt @ CIinvsqrt) @ Bk.conj().swapaxes(1, 2) / 4)
+        keep = keep[(ew.min(axis=1) >= 0.2) & (ew.max(axis=1) <= 3)]
+        if keep.size:
+            S, T, Br, Bi, Sc, L = draws[keep[0]]
+            A = 0.5 * ((S + S.T) / 2 + 1j * (T + T.T) / 2)
+            C = 0.5 * (Sc + Sc.T) / 2 + 1j * (L @ L.T + 0.5 * np.eye(n))
+            return PhaseMatrices(n, A, Br + 1j * Bi, C)
+        k = min(2 * k, _MAX_DRAW_BATCH)
+
+
+def legacy_phase_block(n: int, seed: int) -> dict:
+    """The explicit config phase block {"n", "A", "B", "C"} of
+    `legacy_random_phase(n, seed)`: JSON writes each float as its shortest
+    repr, so the block parses back to the same bits."""
+    phase = legacy_random_phase(n, seed)
+    return {"n": n, **{k: np.stack([M.real, M.imag], axis=-1).tolist()
+                       for k, M in zip("ABC", (phase.A, phase.B, phase.C))}}

@@ -15,6 +15,8 @@ import time
 import numpy as np
 
 from conftest import invoke, rel_dev
+# the fixture phases: the seeded draw of earlier releases (see reference)
+from reference import legacy_random_phase as random_phase
 
 from btlab.bargmann import GaussianTestFn, egorov_guillemin_check
 from btlab.basis import enumerate_multiindices, gram_matrix
@@ -25,7 +27,6 @@ from btlab.geometry import (
     kappa_T,
     phi_weight,
     psi,
-    random_phase,
 )
 from btlab.heat import (
     complex_box,

@@ -19,6 +19,8 @@ from reference import (
     u_alpha_eval,
     wirtinger_fd,
 )
+# the fixture phases: the seeded draw of earlier releases (see reference)
+from reference import legacy_random_phase as random_phase
 
 import btlab.bargmann
 from btlab.bargmann import (
@@ -38,7 +40,6 @@ from btlab.geometry import (
     fock_phase,
     heat_phase,
     phi_weight,
-    random_phase,
 )
 from btlab.heat import complex_box, heat_flow
 from btlab.quadrature import gauss_hermite_rule

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from reference import factor_seeds, u_alpha_eval
+# the fixture phases: the seeded draw of earlier releases (see reference)
+from reference import legacy_random_phase as random_phase
 
 from btlab.basis import (
     MAX_BASIS,
@@ -14,7 +16,7 @@ from btlab.basis import (
     monomial_table,
 )
 from btlab.errors import InvalidConfig
-from btlab.geometry import build_context, fock_phase, heat_phase, random_phase
+from btlab.geometry import build_context, fock_phase, heat_phase
 
 
 def test_multiindex_enumeration_nested():

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import clear_memos, invoke
+from reference import legacy_phase_block
 
 import btlab.bargmann
 import btlab.basis
@@ -627,20 +628,22 @@ CSV_DIGESTS = {
     ("sw", "seed1-n2"):
         "8b61a12039b714eae10462a3fa124c235d9ec7783e782fb478daf9d6113d6fa7",
 }
-# weyl needs lambda_list at n = 2; the other suites do not read it
+# weyl needs lambda_list at n = 2; the other suites do not read it.  The
+# seeded configs give the legacy phases as explicit blocks, so their pins
+# do not move with the seeded draw.
 _N2_LAMBDAS = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]]
 DIGEST_CONFIGS = {
     "fock": FOCK,
     "heat": {"phase": {"preset": "heat"}, "h": 0.5},
-    "seed7": {"phase": {"seed": 7, "n": 1}, "h": 0.5},
-    "seed3": {"phase": {"seed": 3, "n": 1}, "h": 0.5},
-    "seed7-n2": {"phase": {"seed": 7, "n": 2}, "h": 1.0,
+    "seed7": {"phase": legacy_phase_block(1, 7), "h": 0.5},
+    "seed3": {"phase": legacy_phase_block(1, 3), "h": 0.5},
+    "seed7-n2": {"phase": legacy_phase_block(2, 7), "h": 1.0,
                  "lambda_list": _N2_LAMBDAS},
-    "seed1-n2": {"phase": {"seed": 1, "n": 2}, "h": 0.5,
+    "seed1-n2": {"phase": legacy_phase_block(2, 1), "h": 0.5,
                  "lambda_list": _N2_LAMBDAS},
 }
 # a pinned run that fails a check: weyl's default N = 24 does not resolve
-# seed-1 n = 2 at h = 0.5 (ROADMAP items 6 and 11)
+# the legacy seed-1 n = 2 phase at h = 0.5 (ROADMAP items 6 and 11)
 PINNED_EXITS = {("weyl", "seed1-n2"): 1}
 
 
@@ -687,37 +690,37 @@ REPORT_DIGESTS = {
     ("sw", "fock"):
         "07c94e41d1464ccd7d7b01f9ea40ea41adeef6f63627034e15edc00c0f59ad19",
     ("space-info", "seed7"):
-        "791909b57eddcd375d5b08f692c593f1e640d3a14e5ee90a860e20930a3c197d",
+        "dd97575cfdce976b0b2ee50125e84975a8d64f7e50c306c3510b1039434575c0",
     ("gram", "seed7"):
-        "5b67cbe4b1c842c274a55417ec8e3aaa4433040609986792943cc06a31b47792",
+        "f0f591028498ab6756acd19802c9e08277fdfa13efe3016b5720ad6df22e6071",
     ("weyl", "seed7"):
-        "54b111bbb088043e30e3dfd62b1f6b35a9ac022752f4434ebd6385d20c05417e",
+        "e1b44490428cf7baa57134cd1346238081e0e260372a032e186e28f6e5f2d6f7",
     ("bound", "seed7"):
-        "3fbe0977bb4e64027efc63d3203b6139ddf463bfbd6b7aa88ca8e689f26e1e27",
+        "1a29ef40b3ff3c9bd7258baec56b340ef529b45a6c587cfa2c9867149842a005",
     ("diag", "seed7"):
-        "bb9d2d064142cf7b7d47b7e700ed88c70ad56ba1a8c1822afed9730e4aee3832",
+        "38a7c1f4011bbadba938afbd400d3804274787b2ae52085fbfe47089324f32f4",
     ("deformation", "seed7"):
-        "f78213fe982a8f0a5add8f684a9d1ff696e6e0e86bfd011a72e810a6bc580f46",
+        "a59d145177347fb4697875601fd22551ae8a009221a8efc14a5308482673cb60",
     ("egorov", "seed7"):
-        "894f3c11dcd1bb422929c9104d1e8bba750d643f8b2a834c553c6e877185ff0a",
+        "175206cb29fdd81602b88b962973a28ece4feadbac289536b48838299da288c7",
     ("sw", "seed7"):
-        "53b4c3a2c8614119207266a4c1816fe4dfddc2e3d53b7ff5ae8e71440a22b878",
+        "4211979e8ab23cd5134f7d9337e7be52398b13627a55cd16352a50e774108b41",
     ("space-info", "seed7-n2"):
-        "02c0448a380b6fb5456904d9afd146a7c3363e57b45e463e91103935dd435401",
+        "c1c23d4d6283d3042a788794e92abc7967d8e9fa7165bd8d318d58366ee5d519",
     ("gram", "seed7-n2"):
-        "d6d7c7e5bf6c6cd2dd6ed55f6bd844742c2f31ea00873eef42adb5e0600b454b",
+        "29e603603715ac6e133a3e83df54cc9d4fdacff0b9bef1d344b4652bd93efcef",
     ("weyl", "seed7-n2"):
-        "463d2ad12ec301d61a15e91f80599881e9e28ff71231aff2232fa9fa05e46856",
+        "7ca62fe88f8db00a006e93f5f378609c127cc679460ff5e35c4f88542071ed3c",
     ("bound", "seed7-n2"):
-        "ec97ad349e24225ee25205eb0cfbfa6d9f8887d66647884d3d9a3ff31cef72b9",
+        "0695faf8353fce85352e40f0603a88e1eba808ed8371cebb1889022e9adad3d9",
     ("diag", "seed7-n2"):
-        "8bf1cdaa77b05c3878ece6a33248b200bcaf09b038a3593027380061e561723f",
+        "c9e98073b2be19103c0892ed47868f345914ee1236e472b5f2ba6c0e82e84621",
     ("deformation", "seed7-n2"):
-        "694d2fe796c1270456c5cf2e441093d8133c4737255c42a52d436341bd77feff",
+        "8d837443cb84ed9ad41f3190f3cfdac9800ef02d6632f982823f11ba67bdbe5a",
     ("egorov", "seed7-n2"):
-        "7fa69020513aa29c912cd09e1700c48b13dc7d640205223d2023bff0652b0390",
+        "f93debe175de22f1e51658c42e35758c705a2698a478b59f44636ee0dee3d126",
     ("sw", "seed7-n2"):
-        "c7d19d63d88b4640ab4527f6b93ef2f0ab006e48ddcf584b2ac4c21c94c2e60c",
+        "a9bfc6095ed6efc1eb0381a03c206e7728f36bde2b05cde80b33b90c6499df37",
     ("space-info", "heat"):
         "75d28a3379972c09a97ca6c3583f973abe1e4de931f101668960d46974a2f633",
     ("gram", "heat"):
@@ -735,37 +738,37 @@ REPORT_DIGESTS = {
     ("sw", "heat"):
         "b88bfd829dd96d10ebdc339417a4c3682a5c49af4494f446a30d92310f760e81",
     ("space-info", "seed3"):
-        "672785af7608483eeeb894134f68245df8e5f152d24fc71faf0755c9b6f82771",
+        "3cd0ddc3eb7240329f54ee900454c8a6cf88538253fd34bd72a52d66148a0d47",
     ("gram", "seed3"):
-        "a30f27d1ed6c1a95412fcd12a0fdda5ad2382a8cb3cc6117c5a7643057aa0a44",
+        "9e29275da7648c593660886f0e554d545916b9dd2994b41dc535410643b3bec1",
     ("weyl", "seed3"):
-        "ea1a3b90ca755bc6f77a9f9eccb9d8f31c337fce9cf2df1e51e36a2da4a55a13",
+        "cf9f5c761d7de449b5eccc9e2602899a73ed589782c207acd60bde748466eb83",
     ("bound", "seed3"):
-        "fddd0a19f14a781ee84b9a0f1fc759dc865483c437a28d638adbd123b389e748",
+        "1b882bdf56752d95962c8b194eb16237ea6697d83537997dc807fe75641fde05",
     ("diag", "seed3"):
-        "ed856967ee8e91036313098dc8138f269c82b49baf36fb4697327712e7278632",
+        "e740a8aed4ec70ec590450fb77d61032e7df16fce6b6c7e77ed0df693ffe0011",
     ("deformation", "seed3"):
-        "1e8e40016f66241a254c8845ac3cae7fee4db0ad82febc58c9327a9d9fb57ebf",
+        "bcecb66b26d7556bd3111bedad2ea4204ea8e897843e7ac6689ca1d15cf416dc",
     ("egorov", "seed3"):
-        "4671f0c2513ff5307b03d33ebc671cf4af6f3a595d6bdb3c0631d5fee941cc04",
+        "7d542d2aca8c97686f938fed717d37aa28c60ca4290bded0ce153967fce372e6",
     ("sw", "seed3"):
-        "a417736d8262d2e9422baa4d1316fac982284e621c99fdc728b9212e2e3050f1",
+        "b53f3ef11862a46c12c648048e9beb1c05fbd14c66f58ad9dcb8d77e0b813de8",
     ("space-info", "seed1-n2"):
-        "d810e316db34ff340ea69f6ec7eb15a96fc52621fb2fa41d6fdf695bb37c46ae",
+        "7990ed1bb64a8ab5dc21e768fcb6673c4939d626685f2532f7ec8e2408151fcf",
     ("gram", "seed1-n2"):
-        "b27a9ed9abcca05b1e95b9a6486f2094206d43e00d099bb47d660e68a7c8bf42",
+        "97bbbc951f9f345d28296ed88100e6f6d46f0c95b5dcd88f7d78896dbbea6579",
     ("weyl", "seed1-n2"):
-        "1ebb19c476f1547de40c8440c9fb031a769b5f63ffb4a1525582fbbaa87af0b8",
+        "6d4f2bc6e1c67801b01dce5fe091c988c8cb6105fd8d70209fedec1be00dd4b1",
     ("bound", "seed1-n2"):
-        "a44c193cc947034c70dcf01cdb4cf2adf12d9a8fac46bcb6b640c9fa133ac8eb",
+        "c607172b3865922c0b7bec96b51e2aa44f857c050a51d0e691c9d7ad1c6201f7",
     ("diag", "seed1-n2"):
-        "cdedfb7d153883b56e027849718145e9099f6d9b14ee901297ad65c3dfef6bf7",
+        "15fd611f18b7bf41d6793ce8a1144c81c48509ee6d752b3335cd971a5ad986e6",
     ("deformation", "seed1-n2"):
-        "40068cfc923624b8c688d13718fd3ca2f431f1a81fd62f57cd39f547b5e510c0",
+        "13773ba3dc1e164ab90a3416c99e180c49c674926c99a93a04bc0bbb70ada8cb",
     ("egorov", "seed1-n2"):
-        "984d5ae5d5a84a960a46c4ff3a2953c9d2c23d7cc8ff8acdec218eb2bd7f6e8d",
+        "d381aeb9f23dede001054de62af4b14d0bbe6380b0d472eda4f11a3f96b1cb86",
     ("sw", "seed1-n2"):
-        "f8b03f6f1f066224bd38c227aff681f60d2df144118e3cdd9ed81efbc0f59d0b",
+        "ebe2c8a8d0360bce90a8bfc7d3f95202045b28908057d372fa840e9e48aa7bb3",
 }
 
 
@@ -803,7 +806,7 @@ def test_verify_weyl_holds_few_dense_matrices(tmp_path):
     (0.75 MB measured on x86-64), while forming T_b as a d x d matrix
     takes it to 3.65 MB."""
     path = _write(tmp_path, {
-        "phase": {"seed": 7, "n": 2}, "h": 1.0,
+        "phase": legacy_phase_block(2, 7), "h": 1.0,
         "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]],
     })
     argv = ["verify", "weyl", "--config", path, "--out", str(tmp_path)]
@@ -825,7 +828,7 @@ def test_verify_weyl_three_variables_stays_small(tmp_path):
     (263 MB when T_b was formed)."""
     z = [0.0, 0.0]
     path = _write(tmp_path, {
-        "phase": {"seed": 7, "n": 3}, "h": 1.0,
+        "phase": legacy_phase_block(3, 7), "h": 1.0,
         "lambda_list": [[[1.0, 0.0], z, z], [z, [0.6, 0.8], z]],
     })
     argv = ["verify", "weyl", "--config", path, "--out", str(tmp_path)]
@@ -869,7 +872,7 @@ def test_verify_two_variable_suites_build_no_grid(tmp_path, monkeypatch):
     building a single quadrature grid."""
     _no_quadrature(monkeypatch)
     cfg = _write(tmp_path, {
-        "phase": {"seed": 7, "n": 2}, "h": 1.0,
+        "phase": legacy_phase_block(2, 7), "h": 1.0,
         "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]],
     })
     for suite in ("gram", "weyl", "bound", "diag", "deformation"):
@@ -911,13 +914,13 @@ def test_verify_sw_refuses_oversized_box(tmp_path):
     cap counts the points of one axis: a step of 5e-7 puts 32,000,001 on
     each and is refused before the sum of the first step, 1.0, runs."""
     code, output, peak = _refused_small(
-        tmp_path, "sw", {"phase": {"seed": 7, "n": 3}, "h": 1.0})
+        tmp_path, "sw", {"phase": legacy_phase_block(3, 7), "h": 1.0})
     assert code == 0, output
     assert "[FAIL]" not in output
     assert peak < 5e6
     (tmp_path / "sw.csv").unlink()
     code, output, peak = _refused_small(tmp_path, "sw", {
-        "phase": {"seed": 7, "n": 1}, "h": 1.0,
+        "phase": legacy_phase_block(1, 7), "h": 1.0,
         "lambda_grid": {"steps": [1.0, 5e-7]}})
     assert code == 2, output
     assert "InvalidConfig" in output
@@ -931,24 +934,24 @@ def test_verify_sw_passes_at_defaults_on_random_phases(tmp_path):
     passes on seeds 0-9 at n = 1, h = 0.5 and seeds 0-4 at n = 2, h = 1."""
     for n, h, seeds in ((1, 0.5, range(10)), (2, 1.0, range(5))):
         for seed in seeds:
-            cfg = _write(tmp_path, {"phase": {"seed": seed, "n": n}, "h": h})
+            cfg = _write(tmp_path, {"phase": legacy_phase_block(n, seed),
+                                    "h": h})
             res = invoke(
                 ["verify", "sw", "--config", cfg, "--out",
                        str(tmp_path)])
             assert res.exit_code == 0, (n, seed, res.output)
 
 
-def test_verify_refuses_random_phase_above_five_variables(tmp_path):
-    """Rejection sampling finds no admissible n = 6 phase in practice, so
-    the seeded form refuses n >= 6 before the first draw."""
-    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 6}})
+def test_space_info_on_seeded_eight_variable_phase(tmp_path):
+    """A seeded phase is admissible by construction at every n, so
+    space-info on seed 7 at n = 8 draws it once and passes in under 1 s."""
+    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 8}})
     t0 = time.perf_counter()
-    res = invoke(
-        ["verify", "gram", "--config", cfg, "--out", str(tmp_path)])
+    res = invoke(["space-info", "--config", cfg, "--out", str(tmp_path)])
     assert time.perf_counter() - t0 < 1.0
-    assert res.exit_code == 2, res.output
-    assert "n <= 5" in res.output
-    assert not (tmp_path / "gram.csv").exists()
+    assert res.exit_code == 0, res.output
+    assert "[FAIL]" not in res.output
+    assert (tmp_path / "space_info.csv").exists()
 
 
 def test_verify_diag_refuses_k_above_truncation(tmp_path):
@@ -1003,7 +1006,7 @@ def test_commands_warn_nothing_in_dev_mode(tmp_path):
     `-X dev -W error`, end with exit 0 or 1 and write nothing to stderr,
     so no warning raised on an accepted phase reaches a user unseen."""
     cfg = _write(tmp_path, {
-        "phase": {"seed": 7, "n": 2}, "h": 1.0,
+        "phase": legacy_phase_block(2, 7), "h": 1.0,
         "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]]})
     commands = [["space-info"]] + [["verify", s] for s in btlab.cli.SUITES]
     code = ("import json, sys, btlab.cli\n"
@@ -1076,13 +1079,27 @@ def test_verify_sw_fails_an_overflowing_exact_integral(tmp_path):
     assert (tmp_path / "sw.csv").exists()
 
 
-@pytest.mark.parametrize("suite, h", [("weyl", 1e-12), ("egorov", 1e-30)])
-def test_values_past_the_float_range_fail_their_checks(suite, h, tmp_path):
-    """On Fock at these h the one-axis recurrence (weyl) and the Bargmann
-    transforms (egorov) pass the float range: the inf or NaN values fail
-    their checks, with no numpy warning (an error under this suite's
-    filterwarnings) on stderr and no exception."""
-    cfg = _write(tmp_path, dict(FOCK, h=h))
+_WAVE_1E6 = [[0.7, 0, 1e6, 0]]
+
+
+@pytest.mark.parametrize("suite, extra", [
+    pytest.param("weyl", {"h": 1e-12}, id="weyl-1e-12"),
+    pytest.param("egorov", {"h": 1e-30}, id="egorov-1e-30"),
+    pytest.param("deformation", {"a": _WAVE_1E6, "N": 100},
+                 id="deformation-wave-1e6"),
+    pytest.param("bound", {"symbols": [_WAVE_1E6], "n_schedule": [98, 100]},
+                 id="bound-wave-1e6"),
+])
+def test_values_past_the_float_range_fail_their_checks(suite, extra,
+                                                       tmp_path):
+    """On Fock the one-axis recurrence (weyl at h = 1e-12, and the
+    compressions of a wave of frequency 1e6 at N = 100) and the Bargmann
+    transforms (egorov at h = 1e-30) pass the float range: the inf or NaN
+    values fail their checks, a spectral norm of a matrix with such an
+    entry and a slope fitted to such a residual read NaN, with no numpy
+    warning (an error under this suite's filterwarnings) on stderr and no
+    exception."""
+    cfg = _write(tmp_path, {**FOCK, **extra})
     res = invoke(["verify", suite, "--config", cfg, "--out", str(tmp_path)])
     assert res.exception is None
     assert res.exit_code == 1, res.output
@@ -1122,7 +1139,7 @@ def test_verify_sw_zero_symbol(tmp_path):
 def test_verify_bound_csv_agrees_with_report(tmp_path):
     """A norm schedule that is not Cauchy-converged is only warned about:
     the CSV then holds no row that failed, as the report has no FAIL."""
-    cfg = _write(tmp_path, {"phase": {"seed": 3, "n": 1}, "h": 0.5})
+    cfg = _write(tmp_path, {"phase": legacy_phase_block(1, 3), "h": 0.5})
     res = invoke(
         ["verify", "bound", "--config", cfg, "--out", str(tmp_path)]
     )
@@ -1153,7 +1170,7 @@ def test_passed_cells_are_the_report_verdicts(tmp_path, suite):
     last row carries the refinement verdict and its earlier rows their
     isfinite, and sw's closed-form check has no row.  Every row has as
     many cells as the header."""
-    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": 1}, "h": 0.5,
+    cfg = _write(tmp_path, {"phase": legacy_phase_block(1, 7), "h": 0.5,
                             **_TIGHT[suite]})
     res = invoke(["verify", suite, "--config", cfg, "--out", str(tmp_path)])
     assert res.exit_code == 1, res.output
@@ -1244,7 +1261,7 @@ def _no_quadrature(monkeypatch):
 
 def _egorov_errs(tmp_path, n, h):
     """Exit code and max_rel_err column of `verify egorov` on seed 7."""
-    cfg = _write(tmp_path, {"phase": {"seed": 7, "n": n}, "h": h})
+    cfg = _write(tmp_path, {"phase": legacy_phase_block(n, 7), "h": h})
     res = invoke(
         ["verify", "egorov", "--config", cfg, "--out", str(tmp_path)])
     errs = [float(row.split(",")[2]) for row in
@@ -1300,7 +1317,7 @@ def test_verify_weyl_two_variables_passes_at_default_N(tmp_path):
     """At N = 16 the n = 2 translations leak ~4.5e-4 into the inner block;
     the default N = 24 makes the suite pass."""
     cfg = _write(tmp_path, {
-        "phase": {"seed": 7, "n": 2}, "h": 1.0,
+        "phase": legacy_phase_block(2, 7), "h": 1.0,
         "lambda_list": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.6, 0.8]]],
     })
     res = invoke(["verify", "weyl", "--config", cfg, "--out",
@@ -1345,7 +1362,8 @@ def test_csv_bytes_independent_of_invocation_order(tmp_path):
     would build."""
     cfgs = {
         "fock": _write(tmp_path, FOCK, "fock.json"),
-        "seeded": _write(tmp_path, {"phase": {"seed": 7, "n": 1}, "h": 0.5},
+        "seeded": _write(tmp_path,
+                         {"phase": legacy_phase_block(1, 7), "h": 0.5},
                          "seeded.json"),
     }
     commands = [["space-info"]] + [["verify", s] for s in btlab.cli.SUITES]
@@ -1390,8 +1408,8 @@ def test_default_symbols_attain_their_sup(tmp_path):
     """The default bound and sw symbols attain sum |c_j| at every t of the
     default grid, so neither suite flags an upper bound."""
     small = {k: v for k, v in SMALL.items() if k != "t_grid"}
-    for phase in ({"preset": "fock", "beta": 1.0}, {"seed": 7, "n": 1},
-                  {"seed": 7, "n": 2}):
+    for phase in ({"preset": "fock", "beta": 1.0}, legacy_phase_block(1, 7),
+                  legacy_phase_block(2, 7)):
         cfg = _write(tmp_path, dict(small, phase=phase, h=1.0))
         for suite in ("bound", "sw"):
             res = invoke(["verify", suite, "--config", cfg,

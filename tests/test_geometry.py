@@ -6,8 +6,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import invoke, rel_dev
+from reference import legacy_random_phase
 
 from btlab.config import phase_from_config
 from btlab.errors import (
@@ -76,7 +79,7 @@ def test_heat_example_closed_forms():
 def test_polarization_diagonal_is_weight():
     for seed in range(4):
         for n in (1, 2):
-            ctx = build_context(random_phase(n, seed), 0.5)
+            ctx = build_context(legacy_random_phase(n, seed), 0.5)
             rng = np.random.default_rng(100 + seed)
             X = _cpoints(rng, 40, n)
             assert rel_dev(psi(ctx, X, X.conj()), phi_weight(ctx, X)) < 1e-12
@@ -87,7 +90,7 @@ def test_kappa_graph_relation():
     for ctx in (
         build_context(fock_phase(1, 1.0), 1.0),
         build_context(heat_phase(1), 1.0),
-        build_context(random_phase(2, 3), 0.8),
+        build_context(legacy_random_phase(2, 3), 0.8),
     ):
         rng = np.random.default_rng(7)
         x = rng.standard_normal((50, ctx.n))
@@ -100,7 +103,7 @@ def test_kappa_affine_consistency(ex1):
     """kappa_T meets its definition X = -B^-T (C x + xi), Theta = B x + A X,
     solved here from B^T X = -(C x + xi) without the context's P and Q."""
     rng = np.random.default_rng(5)
-    for ctx in (ex1, build_context(random_phase(2, 3), 0.8)):
+    for ctx in (ex1, build_context(legacy_random_phase(2, 3), 0.8)):
         A, B, C = ctx.phase.A, ctx.phase.B, ctx.phase.C
         x = rng.standard_normal((20, ctx.n))
         xi = rng.standard_normal((20, ctx.n))
@@ -114,7 +117,7 @@ def test_context_factors_each_matrix_once(monkeypatch):
     C_I^-1/2), one det each of B, C_I and Phi''_XbarX, the cond of B and R
     and the inverses of R and B^T; the canonical maps then read P and Q
     from the context and call numpy.linalg no more."""
-    phase = random_phase(2, 7)
+    phase = legacy_random_phase(2, 7)
     calls = collections.Counter()
 
     def counted(name, real):
@@ -143,7 +146,8 @@ def test_phase_and_context_arrays_are_read_only():
     own = PhaseMatrices(2, A, -2j * np.eye(2), 2j * np.eye(2))
     A[0, 1] = 1.0
     assert own.A[0, 1] == 0
-    for phase in (own, fock_phase(1), heat_phase(2), random_phase(2, 7)):
+    for phase in (own, fock_phase(1), heat_phase(2),
+                  legacy_random_phase(2, 7)):
         ctx = build_context(phase, 0.5)
         arrays = [v for obj in (phase, ctx) for v in vars(obj).values()
                   if isinstance(v, np.ndarray)]
@@ -170,7 +174,7 @@ def test_exponent_square_completion():
     recentering y_c = -C_I^{-1} Im(B^T X); this is what keeps every
     transform integrand bounded by one."""
     for seed, n in ((0, 1), (5, 2)):
-        ctx = build_context(random_phase(n, seed), 0.6)
+        ctx = build_context(legacy_random_phase(n, seed), 0.6)
         rng = np.random.default_rng(20 + seed)
         X = _cpoints(rng, 30, n)
         y = 4.0 * (rng.random((30, n)) - 0.5)
@@ -190,7 +194,7 @@ def test_normalization_constants(ex1):
 def test_r_factorization():
     for seed in range(5):
         for n in (1, 2):
-            ctx = build_context(random_phase(n, seed), 1.0)
+            ctx = build_context(legacy_random_phase(n, seed), 1.0)
             dev = np.max(
                 np.abs(ctx.R.conj().T @ ctx.R - ctx.PhiXXbar.conj())
             )
@@ -213,7 +217,7 @@ def test_frame_map_matches_inverse_hessian_forms(n):
     replace: the pairing <lam, (Phi''_XbarX)^-1 conj(mu)>, the
     composition-law shift (ih/4) (Phi''_XXbar)^-T conj(lam), and
     G = (Phi''_XXbar)^-1 = conj(R^-1) R^-T of the cotangent pull-back."""
-    ctx = build_context(random_phase(n, 7), 0.7)
+    ctx = build_context(legacy_random_phase(n, 7), 0.7)
     rng = np.random.default_rng(n)
     lam, mu = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
 
@@ -301,55 +305,71 @@ def test_admits_phase_with_rounding_in_the_derived_constants(tmp_path):
                                           rel=1e-10)
 
 
-def _random_phase_one_at_a_time(n, seed):
-    """`random_phase` as a plain rejection loop: six normal draws per
-    candidate, each tested as soon as it is drawn."""
-    rng = np.random.default_rng(seed)
-    while True:
-        S = rng.normal(size=(n, n))
-        T = rng.normal(size=(n, n))
-        A = 0.5 * ((S + S.T) / 2 + 1j * (T + T.T) / 2)
-        B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        Sc = rng.normal(size=(n, n))
-        L = rng.normal(size=(n, n))
-        CI = L @ L.T + 0.5 * np.eye(n)
-        if abs(np.linalg.det(B)) < 0.3 or np.linalg.cond(B) > 8:
-            continue
-        ew, ev = np.linalg.eigh(CI)
-        CIinvsqrt = (ev / np.sqrt(ew)) @ ev.T
-        ew = np.linalg.eigvalsh(B @ (CIinvsqrt @ CIinvsqrt) @ B.conj().T / 4)
-        if ew.min() < 0.2 or ew.max() > 3.0:
-            continue
-        return A, B, 0.5 * (Sc + Sc.T) / 2 + 1j * CI
-
-
-# sha256 over the A, B, C bytes of random_phase(n, seed), seeds in order
+# sha256 over the A, B, C bytes of legacy_random_phase(n, seed), seeds in
+# order: the fixture phases of every test
 PHASE_DIGESTS = {
     (1, 30): "4248b2f4e044769e094503e8be0d2322ca6b3bc5dfa040d0943c9c6fa3969271",
     (2, 30): "ea64b41ab18dbd9d5050b16f33ce57428725ea877f41b664f6c47427e5065535",
     (3, 30): "f4a017901b0645807081a23fc48c4a6976a93c38bd24fbaea6b6fb8c9f2c2a15",
     (4, 10): "c99205d2c93f64e32603df8f816d35fad97d54139f69e9e357b85f517ee48d66",
 }
+# the same over random_phase(n, seed) for seeds 0-19: the phases of the
+# seeded config form
+CONSTRUCTED_DIGESTS = {
+    1: "5c629e10378bef836ae29015781cf8516f0c760d783e149326bcc88942703033",
+    2: "e77876175edbf16156a574535494faa4a2f2c684fe5ab60d2a44c457da5aaab6",
+    3: "cc0763e09e8ca61ccfcec951c593c18b355b9be9424d42860b4f5b3372499477",
+    4: "eb2ea0eff4e528fcbfe75819df4b7f5b39d5928760b64d1ffdd33822486058fa",
+    5: "2febeb87e9f29af2845c23ca95d29cd6768aaee21394fc68248be41b3c2af09f",
+    6: "86975a5f2bcb42c07f9b23f897c4dd1535dcb1f9e191cc49413239e6258da8df",
+    7: "25c9a5634f57962c1b9c4720ffa1d57bfb7087e4819cb98ee44ee066afc3351d",
+    8: "fc8cc60a47d6397e9ee35386f9c4edb29573eed83998059638655848952e59b4",
+}
+
+
+def _phase_digest(draw, n, seeds):
+    digest = hashlib.sha256()
+    for seed in range(seeds):
+        phase = draw(n, seed)
+        for M in (phase.A, phase.B, phase.C):
+            digest.update(M.tobytes())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("n, seeds", list(PHASE_DIGESTS))
 def test_random_phase_bytes_are_pinned(n, seeds):
-    """Every seeded config keeps its phase: seeds 0..seeds-1 hash to the
-    digest of the phases drawn one at a time."""
-    digest = hashlib.sha256()
-    for seed in range(seeds):
-        phase = random_phase(n, seed)
-        for M in (phase.A, phase.B, phase.C):
-            digest.update(M.tobytes())
-    assert digest.hexdigest() == PHASE_DIGESTS[n, seeds]
+    """Every test keeps its fixture phase: seeds 0..seeds-1 of the legacy
+    sampler hash to the digest of the phases it drew one at a time."""
+    digest = _phase_digest(legacy_random_phase, n, seeds)
+    assert digest == PHASE_DIGESTS[n, seeds]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_random_phase_equals_one_draw_at_a_time(n):
-    """Batched screening returns the draw the sequential loop returns, bit
-    for bit, so every seeded config keeps its phase."""
-    for seed in range(10):
-        phase = random_phase(n, seed)
-        ref = _random_phase_one_at_a_time(n, seed)
-        for got, want in zip((phase.A, phase.B, phase.C), ref):
-            assert np.array_equal(got, want), (n, seed)
+def _check_constructed(n, seed):
+    """random_phase(n, seed) is admissible by construction: A and C are
+    symmetric as stored, the context builds, cond B <= 8, |det B| >=
+    (2 sqrt(0.2))^n and the eigenvalues of Phi''_XbarX lie in [0.2, 3]."""
+    phase = random_phase(n, seed)
+    assert np.array_equal(phase.A, phase.A.T)
+    assert np.array_equal(phase.C, phase.C.T)
+    ctx = build_context(phase, 1.0)
+    assert np.linalg.cond(phase.B) <= 8
+    assert (abs(np.linalg.det(phase.B))
+            >= (2 * np.sqrt(0.2)) ** n * (1 - 1e-12))
+    ew = np.linalg.eigvalsh(ctx.PhiXXbar)
+    assert 0.2 * (1 - 1e-12) <= ew[0] and ew[-1] <= 3 * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("n", list(CONSTRUCTED_DIGESTS))
+def test_constructed_phase_bytes_are_pinned(n):
+    """Every seeded config keeps its phase: seeds 0-19 hash to the digest
+    of the draw order that `random_phase` documents, and each is
+    admissible with the constructed bounds."""
+    assert _phase_digest(random_phase, n, 20) == CONSTRUCTED_DIGESTS[n]
+    for seed in range(20):
+        _check_constructed(n, seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 63))
+def test_random_phase_is_admissible_by_construction(n, seed):
+    _check_constructed(n, seed)

@@ -5,8 +5,10 @@ import pytest
 
 from conftest import rel_dev
 from reference import sw_l1_box_per_term
+# the fixture phases: the seeded draw of earlier releases (see reference)
+from reference import legacy_random_phase as random_phase
 
-from btlab.geometry import build_context, fock_phase, freq_image, random_phase
+from btlab.geometry import build_context, fock_phase, freq_image
 from btlab.heat import (
     box_size,
     complex_box,

@@ -1,10 +1,11 @@
 """Planted bugs and the commands that catch them.
 
 Each case patches one function in-process, runs space-info and all seven
-verify suites on the Fock phase at h = 1 and on the seed-7 n = 1 phase at
-h = 0.5, and pins the exact set of commands that fail (exit 1).  No planted
-bug may turn into invalid input (exit 2): a wrong derived quantity must
-fail the suite that checks it, not every command.  A change that makes a
+verify suites on the Fock phase at h = 1 and on the legacy seed-7 n = 1
+phase (`reference.legacy_random_phase`) at h = 0.5, and pins the exact
+set of commands that fail (exit 1).  No planted bug may turn into
+invalid input (exit 2): a wrong derived quantity must fail the suite
+that checks it, not every command.  A change that makes a
 suite blind to one of these bugs fails here instead of passing silently.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import invoke
+from reference import legacy_phase_block
 
 import btlab.bargmann
 import btlab.basis
@@ -28,7 +30,7 @@ from btlab.cli import SUITES
 
 CONFIGS = {
     "fock": {"phase": {"preset": "fock"}, "h": 1.0},
-    "seed7": {"phase": {"seed": 7, "n": 1}, "h": 0.5},
+    "seed7": {"phase": legacy_phase_block(1, 7), "h": 0.5},
 }
 COMMANDS = [["space-info"]] + [["verify", s] for s in SUITES]
 
@@ -178,9 +180,9 @@ MUTATIONS = {
 }
 
 
-# The seed-7 phase at n = 2 with the benchmark's two lambda: there weyl
+# The legacy seed-7 phase at n = 2 with the benchmark's two lambda: there weyl
 # applies T_b through one matmul per axis rather than one in all.
-SEED7_N2 = {"phase": {"seed": 7, "n": 2}, "h": 1.0,
+SEED7_N2 = {"phase": legacy_phase_block(2, 7), "h": 1.0,
             "lambda_list": [[[1.0, 0.0], [0.0, 0.0]],
                             [[0.0, 0.0], [0.6, 0.8]]]}
 N2_CAUGHT = {

@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 
 from conftest import rel_dev
 from reference import factor_seeds
+# the fixture phases: the seeded draw of earlier releases (see reference)
+from reference import legacy_random_phase as random_phase
 
 import btlab.operators
 from btlab.basis import enumerate_multiindices, weighted_pair_sum
@@ -30,7 +32,6 @@ from btlab.geometry import (
     fock_phase,
     freq_image,
     heat_phase,
-    random_phase,
 )
 from btlab.heat import heat_flow
 from btlab.operators import (

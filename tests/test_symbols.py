@@ -23,6 +23,8 @@ from reference import (
     sw_l1_exact_per_term,
     wirtinger_fd,
 )
+# the fixture phases: the seeded draw of earlier releases (see reference)
+from reference import legacy_random_phase as random_phase
 
 from btlab.bargmann import toeplitz_apply_weighted
 from btlab.basis import enumerate_multiindices
@@ -35,7 +37,7 @@ from btlab.heat import (
     sw_l1_exact,
 )
 from btlab.operators import compressions, diagonal_sum_check
-from btlab.geometry import build_context, kappa_T, random_phase
+from btlab.geometry import build_context, kappa_T
 from btlab.symbols import (
     CallableSymbol,
     PlaneWaveSum,
