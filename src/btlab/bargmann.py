@@ -11,7 +11,7 @@ the test suite.
 
 Plane-wave Toeplitz operators need no kernel: the reproducing kernel turns
 the antiholomorphic half of a plane wave into a shift of the point
-(`toeplitz_apply_weighted`, checked against the projector quadrature).  The
+(`_kernel_shifts`, checked against the projector quadrature).  The
 Egorov check applies that to each Gaussian's closed-form transform; its
 right side is a sum of closed-form transforms too, since each real-side
 Weyl image of a Gaussian is a Gaussian (with complex dtype parameters).
@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import UnsupportedSymbol
 from .geometry import (
-    SpaceContext, _as_points, _qform, freq_image, phase_phi, phi_weight, psi,
+    SpaceContext, _as_points, _qform, freq_image, kappa_T, phase_phi,
+    phi_weight, psi,
 )
 from . import heat
 from .quadrature import QuadratureRule, _tensor_grid, complex_grid
@@ -39,9 +40,8 @@ from .symbols import cotangent_frequencies, eval_symbol
 __all__ = [
     "GaussianTestFn",
     "bargmann_transform_weighted",
-    "gaussian_transform_weighted",
     "projector_apply_weighted",
-    "toeplitz_apply_weighted",
+    "egorov_points",
     "egorov_guillemin_check",
 ]
 
@@ -122,12 +122,6 @@ def bargmann_transform_weighted(ctx: SpaceContext, u, X,
     return pref * ((K * u(y)) @ wt)
 
 
-def gaussian_transform_weighted(ctx: SpaceContext, u: GaussianTestFn,
-                                X) -> np.ndarray:
-    """e^{-Phi(X)/h} (Tu)(X) for a Gaussian u, in closed form."""
-    return _gaussian_transform(ctx, X, u.y0, u.sigma, u.p0, u.amp)
-
-
 def _gaussian_width(ctx: SpaceContext, sigma: float) -> tuple:
     """M^-1 and det(M)^(1/2) of M = I/sigma^2 - (i/h) C, the parts of the
     closed-form transform that depend on the probe's width alone.  The
@@ -189,8 +183,20 @@ def projector_apply_weighted(ctx: SpaceContext, fw, X,
 
 def _kernel_shifts(ctx: SpaceContext, lams: np.ndarray, X: np.ndarray):
     """The shifted points X + a_t, shape (T, ..., n), and the factors
-    exp(E_t), shape (T, ...), of `toeplitz_apply_weighted` for the
-    frequencies lams of shape (T, n), at the points X of shape (..., n)."""
+    exp(E_t), shape (T, ...), for the frequencies lams of shape (T, n) at
+    the points X of shape (..., n): with fw = e^{-Phi/h} f for f in the
+    space, e^{-Phi(X)/h} Pi(e^{i Re<., lam_t>} f)(X) = exp(E_t) fw(X + a_t).
+
+    A term e^{i Re<Y, lam>} is e^{(i/2)<Y, lam>} e^{(i/2)<Ybar, conj(lam)>};
+    with a = (ih/4) (Phi''_XXbar)^-T conj(lam) = (ih/4) R^-1 conj(mu),
+    mu = `freq_image(lam)`, the second half moves the kernel,
+    2 Psi(X, Ybar)/h + (i/2)<Ybar, conj(lam)> = 2 Psi(X + a, Ybar)/h
+    - (2<a, Phi''_XX X> + <a, Phi''_XX a>)/h, and Pi fixes the holomorphic
+    e^{(i/2)<Y, lam>} f.  So
+    E = (i/2)<X + a, lam> - (2<a, Phi''_XX X> + <a, Phi''_XX a>)/h
+    + (Phi(X + a) - Phi(X))/h: the Toeplitz composition law (Berger-Coburn,
+    Trans. AMS 301, 1987) for the weight Phi, with no quadrature.
+    """
     a = (0.25j * ctx.h) * (np.conj(freq_image(ctx, lams)) @ ctx.Rinv.T)
     a = a.reshape(a.shape[:1] + (1,) * (X.ndim - 1) + a.shape[1:])
     Xa = X + a
@@ -200,27 +206,6 @@ def _kernel_shifts(ctx: SpaceContext, lams: np.ndarray, X: np.ndarray):
         - 2.0 * np.sum(X * aPhi, axis=-1) - np.sum(a * aPhi, axis=-1)
     ) / ctx.h
     return Xa, np.exp(expo)
-
-
-def toeplitz_apply_weighted(ctx: SpaceContext, b, fw, X) -> np.ndarray:
-    """e^{-Phi(X)/h} Pi(b f)(X) for a plane-wave sum b, in closed form.
-
-    fw is X -> e^{-Phi(X)/h} f(X) for f in the weighted space.  A term
-    e^{i Re<Y, lam>} is e^{(i/2)<Y, lam>} e^{(i/2)<Ybar, conj(lam)>}; with
-    a = (ih/4) (Phi''_XXbar)^-T conj(lam) = (ih/4) R^-1 conj(mu), mu =
-    `freq_image(lam)`, the second half moves the kernel,
-    2 Psi(X, Ybar)/h + (i/2)<Ybar, conj(lam)> = 2 Psi(X + a, Ybar)/h
-    - (2<a, Phi''_XX X> + <a, Phi''_XX a>)/h, and Pi fixes the holomorphic
-    e^{(i/2)<Y, lam>} f.  So each term is c exp(E) fw(X + a) with
-    E = (i/2)<X + a, lam> - (2<a, Phi''_XX X> + <a, Phi''_XX a>)/h
-    + (Phi(X + a) - Phi(X))/h: the Toeplitz composition law (Berger-Coburn,
-    Trans. AMS 301, 1987) for the weight Phi, with no quadrature.  fw is
-    called once, on the stack of every term's shifted points.
-    """
-    X = _as_points(np.asarray(X, dtype=complex), ctx.n)
-    Xa, E = _kernel_shifts(ctx, b.lam, X)
-    c = b.c.reshape(b.c.shape + (1,) * (X.ndim - 1))
-    return np.sum(c * E * fw(Xa), axis=0)
 
 
 def _weyl_gaussian(h: float, c, p, q, u: GaussianTestFn) -> tuple:
@@ -272,22 +257,37 @@ def _egorov_sides(ctx: SpaceContext, symbols, gaussians, X) -> tuple:
     return lhs, rhs
 
 
+def egorov_points(ctx: SpaceContext, gaussians) -> np.ndarray:
+    """Points of C^n where the transform of each Gaussian probe lives:
+    X = kappa_T(y0 + sigma s, h p0 + sqrt(h) t) at (s, t) = 0 and at +-1
+    on each of the 2n real axes, 1 + 4n per probe, stacked in probe order.
+    The probe sits near (y0, h p0) in T*R^n, so its transform stays O(1)
+    near the image of that point at every h (the FBI picture of Sjostrand,
+    Asterisque 95, 1982), while on a fixed box it underflows."""
+    n = ctx.n
+    st = np.concatenate([np.zeros((1, 2 * n)), np.eye(2 * n), -np.eye(2 * n)])
+    return np.concatenate([
+        kappa_T(ctx, u.y0 + u.sigma * st[:, :n],
+                ctx.h * u.p0 + np.sqrt(ctx.h) * st[:, n:])[0]
+        for u in gaussians])
+
+
 def egorov_guillemin_check(ctx: SpaceContext, symbols, gaussians,
-                           X_grid) -> np.ndarray:
-    """Max relative deviation over X_grid, for every symbol b and Gaussian u,
-    between the two routes from (b, u) to a function on C^n: compressing
-    multiplication after transforming, versus transforming after applying
-    the matching real-side Weyl operator.  Returns an array of shape
-    (len(symbols), len(gaussians)).
+                           X) -> np.ndarray:
+    """Max relative deviation over the points X (`egorov_points` in the
+    suite), for every symbol b and Gaussian u, between the two routes from
+    (b, u) to a function on C^n: compressing multiplication after
+    transforming, versus transforming after applying the matching
+    real-side Weyl operator.  Returns shape (len(symbols), len(gaussians)).
 
     The real-side symbol is the pull-back to T*R^n of the half-time heat
     flow of b (`cotangent_frequencies`); each term is a plane wave in
     (x, xi) that maps u to a Gaussian (`_weyl_gaussian`).  The left side
-    is the composition law of `toeplitz_apply_weighted` on the closed-form
+    is the composition law of `_kernel_shifts` on the closed-form
     transform of u, the right side the sum of the terms' closed-form
     transforms.  Both are evaluated for all symbols at once, two
     transform evaluations per probe (`_egorov_sides`).
     """
-    lhs, rhs = _egorov_sides(ctx, tuple(symbols), tuple(gaussians), X_grid)
+    lhs, rhs = _egorov_sides(ctx, tuple(symbols), tuple(gaussians), X)
     return np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), axis=-1,
                   initial=0.0)

@@ -239,38 +239,30 @@ class ConfigReader:
         item = _count if integer else _number
         return self._read(key, default, lambda v, s: _items(v, s, item))
 
-    def grid(self, key: str, lo: float, hi: float, step, axes: int):
-        """Box {"lo", "hi", "step"} in C^n with hi > lo and step > 0, absent
-        fields taking the defaults and other fields refused.  A list default
-        `step` reads the field "steps" instead: a nonempty list of spacings,
-        kept as given.  A spacing that puts over MAX_BOX_POINTS points on
-        the first `axes` real axes of the box (2n for a box that is built
-        whole, 1 for one that is summed axis by axis) is refused.  Returns
-        (lo, hi, step)."""
+    def grid(self, key: str, lo: float, hi: float, steps: list):
+        """Box {"lo", "hi", "steps"} in C^n with hi > lo and a nonempty
+        list of spacings > 0, kept as given; absent fields take the
+        defaults and other fields are refused.  A spacing that puts over
+        MAX_BOX_POINTS points on one real axis of the box, which is summed
+        axis by axis, is refused.  Returns (lo, hi, steps)."""
         spec = self.cfg.get(key, {})
         if not isinstance(spec, dict):
             raise InvalidConfig(f"{key} must be an object")
-        _fields(spec, key, ("lo", "hi",
-                            "steps" if isinstance(step, list) else "step"))
+        _fields(spec, key, ("lo", "hi", "steps"))
         lo = float(_number(spec.get("lo", lo), f"{key}.lo"))
         hi = float(_number(spec.get("hi", hi), f"{key}.hi"))
         if not hi > lo:
             raise InvalidConfig(f"{key}: need hi > lo")
-        if isinstance(step, list):
-            step = _items(spec.get("steps", step), f"{key}.steps",
-                          lambda v, s: _number(v, s, 0, above=True))
-            self.echo[key] = f"lo={lo:g} hi={hi:g} steps={step}"
-        else:
-            step = float(_number(spec.get("step", step), f"{key}.step", 0,
-                                 above=True))
-            self.echo[key] = f"lo={lo:g} hi={hi:g} step={step:g}"
-        for s in step if isinstance(step, list) else [step]:
-            size = box_size(lo, hi, s, axes)
+        steps = _items(spec.get("steps", steps), f"{key}.steps",
+                       lambda v, s: _number(v, s, 0, above=True))
+        self.echo[key] = f"lo={lo:g} hi={hi:g} steps={steps}"
+        for s in steps:
+            size = box_size(lo, hi, s)
             if size > MAX_BOX_POINTS:
-                per = " per axis" if axes == 1 else ""
-                raise InvalidConfig(f"{key}: step {s} gives {size} points{per}"
-                                    f"; at most {MAX_BOX_POINTS} are supported")
-        return lo, hi, step
+                raise InvalidConfig(f"{key}: step {s} gives {size} points per"
+                                    f" axis; at most {MAX_BOX_POINTS} are "
+                                    "supported")
+        return lo, hi, steps
 
     def symbol(self, key: str, default: PlaneWaveSum) -> PlaneWaveSum:
         return self._read(key, default,

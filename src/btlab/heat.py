@@ -41,9 +41,8 @@ __all__ = [
     "complex_box",
 ]
 
-# Most points a box may hold: all K^(2n) of an egorov `X_grid` (729 at the
-# n = 3 default), or the K points of one axis of the `sw` lambda_grid, which
-# `sw_l1_box` sums per term and axis (65 at the default finest step).
+# Most points one real axis of the `sw` lambda_grid may hold: `sw_l1_box`
+# sums the box per term and axis (65 points at the default finest step).
 MAX_BOX_POINTS = 20_000_000
 
 
@@ -92,12 +91,11 @@ def heat_flow_quadrature(ctx: SpaceContext, b, t: float, order: int = 40):
     return CallableSymbol(n=ctx.n, func=val)
 
 
-def box_size(lo: float, hi: float, step: float, axes: int):
-    """Number of points on `axes` real axes of the box `complex_box`
-    walks (all of it at axes = 2n), counted without building any (inf
-    when the count per axis overflows a float)."""
+def box_size(lo: float, hi: float, step: float):
+    """Number of points on one real axis of the box `complex_box` walks,
+    counted without building any (inf when it overflows a float)."""
     per_axis = (hi + step / 2 - lo) / step
-    return math.ceil(per_axis) ** axes if per_axis < math.inf else math.inf
+    return math.ceil(per_axis) if per_axis < math.inf else math.inf
 
 
 def complex_box(lo: float, hi: float, step: float, n: int = 1) -> np.ndarray:

@@ -280,7 +280,7 @@ def cotangent_frequencies(ctx: SpaceContext, lam) -> tuple:
     B x + A X) lands on that graph, so Y = G (Kx x + Kxi xi),
     G = (Phi''_XXbar)^-1, is linear too, and the polarized exponent is
     i(<x, p> + <xi, q>); G^T lambar is R^-1 conj(mu), mu = R^-T lam, as
-    in `toeplitz_apply_weighted`.
+    in `bargmann._kernel_shifts`.
     """
     A, B, P, Q = ctx.phase.A, ctx.phase.B, ctx.P, ctx.Q
     Kx = 0.5j * (B + A @ P) - ctx.PhiXX @ P

@@ -12,10 +12,13 @@ that `operators._terms` forms for whole operators at once;
 that `bargmann._weyl_gaussian` folds into Gaussian parameters,
 `egorov_sides_per_term` evaluates both sides of the Egorov identity one
 transform per (symbol term, probe), as the check did before it stacked
-them, `wirtinger_fd` differentiates any function numerically, for checks
-of Q and the bracket, and `u_alpha_eval` evaluates the graded monomial
-basis of H_Phi pointwise in the unreduced X frame, which the
-compressions never do.
+them, `gaussian_transform_weighted` and `toeplitz_apply_weighted` are the
+closed-form transform of one Gaussian and the closed-form action of a
+plane-wave Toeplitz operator on any weighted function, which the Egorov
+check forms only stacked, `wirtinger_fd` differentiates any function
+numerically, for checks of Q and the bracket, and `u_alpha_eval`
+evaluates the graded monomial basis of H_Phi pointwise in the unreduced X
+frame, which the compressions never do.
 
 `legacy_random_phase` is the rejection sampler that gave the seeded
 phases before they were built by construction; the tests draw their
@@ -29,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from btlab.bargmann import (
-    GaussianTestFn, _gaussian_transform, gaussian_transform_weighted,
+    GaussianTestFn, _gaussian_transform, _kernel_shifts,
 )
 from btlab.errors import UnsupportedSymbol
 from btlab.geometry import (
@@ -144,6 +147,23 @@ def real_weyl_planewave_apply(h: float, p, q, u, x) -> np.ndarray:
     x = _as_points(np.asarray(x, dtype=complex), u.n)
     phase = np.exp(1j * (x @ p) + 0.5j * h * (q @ p))
     return phase * u(x + h * q)
+
+
+def gaussian_transform_weighted(ctx, u, X):
+    """e^{-Phi(X)/h} (Tu)(X) for a Gaussian u, in closed form."""
+    return _gaussian_transform(ctx, X, u.y0, u.sigma, u.p0, u.amp)
+
+
+def toeplitz_apply_weighted(ctx, b, fw, X):
+    """e^{-Phi(X)/h} Pi(b f)(X) for a plane-wave sum b, in closed form:
+    fw is X -> e^{-Phi(X)/h} f(X) for f in the weighted space, and each
+    term is c exp(E) fw(X + a) by the composition law of
+    `bargmann._kernel_shifts`.  fw is called once, on the stack of every
+    term's shifted points."""
+    X = _as_points(np.asarray(X, dtype=complex), ctx.n)
+    Xa, E = _kernel_shifts(ctx, b.lam, X)
+    c = b.c.reshape(b.c.shape + (1,) * (X.ndim - 1))
+    return np.sum(c * E * fw(Xa), axis=0)
 
 
 def egorov_sides_per_term(ctx, symbols, gaussians, X):

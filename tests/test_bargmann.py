@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from conftest import rel_dev
 from reference import (
     egorov_sides_per_term,
+    gaussian_transform_weighted,
     real_weyl_planewave_apply,
+    toeplitz_apply_weighted,
     u_alpha_eval,
     wirtinger_fd,
 )
@@ -30,10 +32,11 @@ from btlab.bargmann import (
     _weyl_gaussian,
     bargmann_transform_weighted,
     egorov_guillemin_check,
-    gaussian_transform_weighted,
+    egorov_points,
     projector_apply_weighted,
-    toeplitz_apply_weighted,
 )
+from btlab.cli import SUITES
+from btlab.config import ConfigReader
 from btlab.errors import UnsupportedSymbol
 from btlab.geometry import (
     build_context,
@@ -266,6 +269,26 @@ def test_egorov_identity_single_combination():
         egorov_guillemin_check(
             ctx, [CallableSymbol(n=1, func=lambda X: X[..., 0])], [u], X
         )
+
+
+@pytest.mark.parametrize("h", [1.0, 1e-2, 1e-4])
+@pytest.mark.parametrize("phase", [fock_phase(1), random_phase(1, 7)],
+                         ids=["fock", "seed7"])
+def test_egorov_points_are_live_for_each_probe(phase, h):
+    """Each default probe gets 1 + 4n points around kappa_T of its centre
+    (y0, h p0), and on every one of them the left side of every default
+    symbol is at least 1e-3 of its largest value there: no point is spent
+    where the transform has underflowed.  The box [-1, 1]^2 kept 3 of its
+    9 points live on Fock and 1 on seed 7 at h = 1e-4."""
+    keys = ConfigReader({"phase": {"preset": "fock"}})
+    keys.phase()
+    defaults = SUITES["egorov"].params(keys)
+    ctx = build_context(phase, h)
+    for u in defaults["gaussians"]:
+        X = egorov_points(ctx, [u])
+        assert X.shape == (5, 1)
+        lhs = np.abs(_egorov_sides(ctx, defaults["symbols"], [u], X)[0])
+        assert np.all(lhs >= 1e-3 * np.max(lhs, axis=-1, keepdims=True))
 
 
 def _toeplitz_gap(ctx, b, u, X, rule):

@@ -41,8 +41,7 @@ FOCK = {"phase": {"preset": "fock", "beta": 1.0}, "h": 1.0}
 # Every suite at a small size, along the lines of the benchmark smoke run.
 SMALL = dict(FOCK, N=4, n_schedule=[4, 6], t_grid=[1.0],
              h_list=[0.4, 0.3, 0.2, 0.1],
-             lambda_grid={"lo": -2.0, "hi": 2.0, "steps": [1.0, 0.5]},
-             X_grid={"lo": -1.0, "hi": 1.0, "step": 1.0})
+             lambda_grid={"lo": -2.0, "hi": 2.0, "steps": [1.0, 0.5]})
 
 
 def _write(tmp_path, cfg, name="cfg.json"):
@@ -298,11 +297,9 @@ def test_unwritable_output_exits_2(tmp_path, case):
     ("gram", {"N": True}),
     ("gram", {"h": True}),
     ("gram", {"tol_gram": "1e-3"}),
-    ("egorov", {"X_grid": {"step": 1e-4}}),
     ("sw", {"lambda_grid": {"lo": -1e308, "hi": 1e308}}),
     # objects refuse fields they do not read
     ("sw", {"lambda_grid": {"lo": -4, "hi": 4, "step": 0.5}}),
-    ("egorov", {"X_grid": {"steps": [0.5]}}),
     ("gram", {"phase": {"preset": "fock", "seed": 7, "n": 2}}),
     ("gram", {"phase": {"preset": "fock", "bta": 2.0}}),
     ("gram", {"phase": {"preset": "heat", "beta": 2.0}}),
@@ -544,7 +541,7 @@ CSV_DIGESTS = {
     ("deformation", "seed7-n2"):
         "e7ca25009d247aa8baef4ae775b79ef1e63279087c2f3595b31b4233f02dabe8",
     ("egorov", "fock"):
-        "98180d4132c82bf1d8428b97491d71571a788845bf5f18a0a5e5c3d39fb15832",
+        "4533c2889634c169570f5d34333f267b7cac6601c090e76af48aa7fafd244c0f",
     ("gram", "fock"):
         "3ff7abc7dbe956cbfd2d497313f6a3abc38ec3dc93b49a6e978fcf035755c53d",
     ("gram", "seed7"):
@@ -576,9 +573,9 @@ CSV_DIGESTS = {
     ("space-info", "seed7-n2"):
         "dad268324c0274e0c0a4745ce4157a927fde591b0d938a49652fd7b3d869d9e2",
     ("egorov", "seed7"):
-        "4c0d6bdd7ba93cf76269e9653cd39e9fcd4122d0101e1eb90897eddc4af6b742",
+        "859b66c699f26cc89baf4699c6bb935ae5f6ba9e38cb0b6509ef80a057ae9eb1",
     ("egorov", "seed7-n2"):
-        "a32e7c1db81362c09a5252087059778ad61351d8e37fe9efb59ecf3e837a0916",
+        "850277cbb5c912599402a9e6a5bd5df8b105962d451e1408e57b78dfcc1089bd",
     ("space-info", "heat"):
         "495e93528462b3070de20349c002f0bd97918e47ab8b8ae1c112e5b810771133",
     ("gram", "heat"):
@@ -592,7 +589,7 @@ CSV_DIGESTS = {
     ("deformation", "heat"):
         "800d8dbe6e7bcff4be9e54de36ee3754adaf8281d79b8cde9eee5935dc3215e3",
     ("egorov", "heat"):
-        "5cb2c8953be373206bae152302c49d0268f65cdcdd8acfe6bc1718900f692bad",
+        "9bcc5f8e6f2c6dce45ba5e627d3abf3378951dfaae2dd44ef7ab62617581d179",
     ("sw", "heat"):
         "7e79a065393165e015fa66fbca052697b7d28ce192640390dbbcfc6a5c5a3496",
     ("space-info", "seed3"):
@@ -608,7 +605,7 @@ CSV_DIGESTS = {
     ("deformation", "seed3"):
         "4b43083deb98e3fc992e17bb478b096184d535c4c141d94b50f899884e304507",
     ("egorov", "seed3"):
-        "dc55d3555af49f83032a52dcb706c74311e01af4c40a7c734ab9b79b87afd072",
+        "9a356080ac2ff3b6e17ba70cadd1038ade27572f94855ae9b526b371d771f640",
     ("sw", "seed3"):
         "e2c29ffb4238ceeed4c7b77f183f722af524c859e26ac2d2f9b7bc1d409a87bf",
     ("space-info", "seed1-n2"):
@@ -624,7 +621,7 @@ CSV_DIGESTS = {
     ("deformation", "seed1-n2"):
         "ac15304dc799defe815e1e28c6b8fe9486e163e3ddf59ca4741b986ca5e46478",
     ("egorov", "seed1-n2"):
-        "3f36f73c16a02a926d53c08bb1493005c9d02c57216d54ae5943bf4f1bddd861",
+        "c1fddd6ae04d36911467daec89344570eb8751c379820495e3a8221ba988b289",
     ("sw", "seed1-n2"):
         "8b61a12039b714eae10462a3fa124c235d9ec7783e782fb478daf9d6113d6fa7",
 }
@@ -686,7 +683,7 @@ REPORT_DIGESTS = {
     ("deformation", "fock"):
         "c0da9f74d4591a5bbee09ba60c673c07cd31b71c6d4bf86ce18e1883c01ab1dd",
     ("egorov", "fock"):
-        "39942d1856281260fe4ce098d3e1eae6aad2a6acd99950103b60d52fa4e4469f",
+        "afa09d1d811e553215e7f870712c27e5198a01a09e5dd030c81df68c2756be1a",
     ("sw", "fock"):
         "07c94e41d1464ccd7d7b01f9ea40ea41adeef6f63627034e15edc00c0f59ad19",
     ("space-info", "seed7"):
@@ -702,7 +699,7 @@ REPORT_DIGESTS = {
     ("deformation", "seed7"):
         "a59d145177347fb4697875601fd22551ae8a009221a8efc14a5308482673cb60",
     ("egorov", "seed7"):
-        "175206cb29fdd81602b88b962973a28ece4feadbac289536b48838299da288c7",
+        "051f21d06d39480c69288d80865f293de5183341e4cb4c333956315c1d1914e3",
     ("sw", "seed7"):
         "4211979e8ab23cd5134f7d9337e7be52398b13627a55cd16352a50e774108b41",
     ("space-info", "seed7-n2"):
@@ -718,7 +715,7 @@ REPORT_DIGESTS = {
     ("deformation", "seed7-n2"):
         "8d837443cb84ed9ad41f3190f3cfdac9800ef02d6632f982823f11ba67bdbe5a",
     ("egorov", "seed7-n2"):
-        "f93debe175de22f1e51658c42e35758c705a2698a478b59f44636ee0dee3d126",
+        "8013ce43b8694380f3c0e679f3dd86638a5c69271992f50f9efdd498fcc59fc8",
     ("sw", "seed7-n2"):
         "a9bfc6095ed6efc1eb0381a03c206e7728f36bde2b05cde80b33b90c6499df37",
     ("space-info", "heat"):
@@ -734,7 +731,7 @@ REPORT_DIGESTS = {
     ("deformation", "heat"):
         "c39bd7d34b210f2e64b1787b846d0c648c6e8ce1341f1362ce2b5d649122303d",
     ("egorov", "heat"):
-        "f5a4bde873f19ae040fd2ffedb0a072cdf237fc2b2921a7c22bef681a3340ae2",
+        "06e4248bdae3217e968fc5219d714d45e057134b752b1085c074a0e9fbee2f85",
     ("sw", "heat"):
         "b88bfd829dd96d10ebdc339417a4c3682a5c49af4494f446a30d92310f760e81",
     ("space-info", "seed3"):
@@ -750,7 +747,7 @@ REPORT_DIGESTS = {
     ("deformation", "seed3"):
         "bcecb66b26d7556bd3111bedad2ea4204ea8e897843e7ac6689ca1d15cf416dc",
     ("egorov", "seed3"):
-        "7d542d2aca8c97686f938fed717d37aa28c60ca4290bded0ce153967fce372e6",
+        "e8a53e4f574c3bca0c4e763c715ee1e351c198ca5a7477cf8c370bfc99705070",
     ("sw", "seed3"):
         "b53f3ef11862a46c12c648048e9beb1c05fbd14c66f58ad9dcb8d77e0b813de8",
     ("space-info", "seed1-n2"):
@@ -766,7 +763,7 @@ REPORT_DIGESTS = {
     ("deformation", "seed1-n2"):
         "13773ba3dc1e164ab90a3416c99e180c49c674926c99a93a04bc0bbb70ada8cb",
     ("egorov", "seed1-n2"):
-        "d381aeb9f23dede001054de62af4b14d0bbe6380b0d472eda4f11a3f96b1cb86",
+        "03a0c2dd87ee84ab0cfadebc291f1405e72875b3512d9894e0704b59fe703855",
     ("sw", "seed1-n2"):
         "ebe2c8a8d0360bce90a8bfc7d3f95202045b28908057d372fa840e9e48aa7bb3",
 }
@@ -1305,12 +1302,56 @@ def test_verify_egorov_symbols_keep_their_terms_through_the_flow(tmp_path):
 
 def test_verify_egorov_three_variables_passes_in_seconds(tmp_path,
                                                          monkeypatch):
-    """n = 3 defaults (729 X points, 6 pairs) pass with no quadrature."""
+    """n = 3 defaults (26 X points, 6 pairs) pass with no quadrature."""
     _no_quadrature(monkeypatch)
     t0 = time.perf_counter()
     code, errs = _egorov_errs(tmp_path, 3, 1.0)
     assert time.perf_counter() - t0 < 5.0
     assert code == 0 and max(errs) <= 1e-12
+
+
+@pytest.mark.parametrize("phase", [
+    lambda n: {"preset": "fock", "n": n},
+    lambda n: {"seed": 7, "n": n},
+], ids=["fock", "seed7"])
+def test_verify_egorov_passes_at_every_dimension(tmp_path, phase):
+    """Each probe is checked on 1 + 4n points around its phase-space
+    centre, so defaults pass at n = 1..8, each run in well under 1 s (a
+    box of 3^(2n) points took 6.7 s at n = 6 and was refused at n = 8)."""
+    for n in range(1, 9):
+        cfg = _write(tmp_path, {"phase": phase(n), "h": 1.0})
+        t0 = time.perf_counter()
+        res = invoke(
+            ["verify", "egorov", "--config", cfg, "--out", str(tmp_path)])
+        assert time.perf_counter() - t0 < 1.0, n
+        assert res.exit_code == 0, res.output
+
+
+def test_verify_egorov_eight_variables_stays_small(tmp_path):
+    """Fock n = 8 defaults evaluate 66 points per term and probe: the
+    traced peak of the run stays under 2 MB (0.43 MB measured on x86-64;
+    a box of 3^16 points would need 43 million)."""
+    path = _write(tmp_path, {"phase": {"preset": "fock", "n": 8}, "h": 1.0})
+    argv = ["verify", "egorov", "--config", path, "--out", str(tmp_path)]
+    invoke(argv)  # first use: imports and caches
+    tracemalloc.start()
+    try:
+        res = invoke(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exit_code == 0, res.output
+    assert peak < 2e6
+
+
+def test_verify_egorov_ignores_a_point_box(tmp_path):
+    """The points come from the probes, so an `X_grid` key is an unread
+    top-level key: ignored, not echoed, even at a spacing a box could not
+    hold."""
+    cfg = _write(tmp_path, {**FOCK, "X_grid": {"step": 1e-4}})
+    res = invoke(["verify", "egorov", "--config", cfg, "--out", str(tmp_path)])
+    assert res.exit_code == 0, res.output
+    assert "X_grid" not in res.output
 
 
 def test_verify_weyl_two_variables_passes_at_default_N(tmp_path):

@@ -231,7 +231,7 @@ def test_sw_l1_box_sums_long_axes_in_bounded_memory():
                         (0.3 - 0.2j, np.array([-0.4 + 0.3j])),
                         (0.25j, np.zeros(1))], n=1)
     lo, hi, step = -10.0, 10.0, 1e-5
-    assert box_size(lo, hi, step, 1) == 2_000_001
+    assert box_size(lo, hi, step) == 2_000_001
     tracemalloc.start()
     try:
         got = sw_l1_box(ctx, b, lo, hi, step)

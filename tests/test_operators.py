@@ -580,11 +580,17 @@ def test_term_seeds_match_physical_factors(n, seed, h, data):
 def _assert_matches_tensor_grid(ctx, b, lam, trunc, order):
     """Plane-wave Toeplitz and Weyl matrices from the one-axis recurrence
     equal the same Fock inner products by quadrature on the order^(2n)
-    tensor grid, to 1e-12 relative; `order` must converge the grid."""
+    tensor grid, to 1e-12 relative; `order` must converge the grid.
+
+    Below that, an absolute floor of the smallest normal float: where the
+    coefficients sit near it (a drawn 2.2e-309j, or 2.2e-308), the grid's
+    products of weights and values round on the subnormal grid, so the
+    reference itself is good only to about 1e-310 there."""
     n, h = ctx.n, ctx.h
 
     def close(got, ref):
-        return np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        return (np.max(np.abs(got - ref))
+                <= 1e-12 * np.max(np.abs(ref)) + np.finfo(float).tiny)
 
     W, wt = complex_grid(gauss_hermite_rule(order), n, np.sqrt(h / 2.0))
     ref = weighted_pair_sum(trunc, h, W, W,

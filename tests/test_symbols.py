@@ -26,7 +26,7 @@ from reference import (
 # the fixture phases: the seeded draw of earlier releases (see reference)
 from reference import legacy_random_phase as random_phase
 
-from btlab.bargmann import toeplitz_apply_weighted
+from btlab.bargmann import GaussianTestFn, egorov_guillemin_check
 from btlab.basis import enumerate_multiindices
 from btlab.errors import NonFiniteSample, UnsupportedSymbol
 from btlab.heat import (
@@ -204,15 +204,15 @@ _LAM = np.array([0.4 - 0.9j, 0.2 + 0.3j])
     lambda ctx, a: sw_diagnostic(ctx, _REF, _LAM),
     lambda ctx, a: sw_l1_box(ctx, _REF, -1.0, 1.0, 1.0),
     lambda ctx, a: sw_l1_exact(ctx, _REF),
-    lambda ctx, a: toeplitz_apply_weighted(
-        ctx, _REF, lambda Y: np.ones(Y.shape[:-1]), _LAM),
+    lambda ctx, a: egorov_guillemin_check(
+        ctx, [_REF], [GaussianTestFn(np.zeros(2), 1.0, np.zeros(2))], _LAM),
     lambda ctx, a: diagonal_sum_check(
         ctx, _REF, np.ones(6), enumerate_multiindices(2, 2), [0, 1]),
     lambda ctx, a: next(compressions(
         ctx, enumerate_multiindices(2, 2), [a, _REF])),
 ], ids=["multiply", "translate", "q_form", "poisson", "heat_flow",
         "sup_norm", "sw_diagnostic", "sw_l1_box", "sw_l1_exact",
-        "toeplitz_apply_weighted", "diagonal_sum_check", "compressions"])
+        "egorov_guillemin_check", "diagonal_sum_check", "compressions"])
 def test_calculus_refuses_callables(op):
     """Callable symbols are references only: every operation of the
     calculus refuses them instead of building a black-box result.  The
