@@ -12,7 +12,9 @@ and the file says so.
 Each row runs in a fresh interpreter that starts `time.perf_counter`
 just before `import btlab.cli`, calls `btlab.cli.main(argv)` in-process
 and reads `ru_maxrss` of its own process at the end, so the wall time
-leaves out interpreter start and the peak RSS includes numpy.  The file
+leaves out interpreter start and the peak RSS includes numpy.  The row's
+`import_s` is the part of `wall_s` up to the end of `import btlab.cli`
+(numpy included); `wall_s - import_s` is the command itself.  The file
 also records the machine, Python, numpy, the `*_NUM_THREADS` settings
 (the CLI pins each unset one to 1) and the commit.  Standard library
 only; run it from any directory.
@@ -44,6 +46,7 @@ t0 = time.perf_counter()
 import io, json, resource, sys
 from contextlib import redirect_stderr, redirect_stdout
 import btlab.cli
+imported = time.perf_counter() - t0
 buf, code = io.StringIO(), 0
 try:
     with redirect_stdout(buf), redirect_stderr(buf):
@@ -53,7 +56,8 @@ except SystemExit as e:
 wall = time.perf_counter() - t0
 kb = 1 if sys.platform == "darwin" else 1024  # ru_maxrss unit in bytes
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * kb / 2 ** 20
-print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": rss,
+print(json.dumps({"exit": code, "wall_s": wall, "import_s": imported,
+                  "peak_rss_mb": rss,
                   "failed_checks": buf.getvalue().count("[FAIL]")}))
 """
 
@@ -73,7 +77,8 @@ def config(command: str, n: int, phase=None) -> dict:
 def run_row(command: str, n: int, phase=None) -> dict:
     """Run one command on `config(command, n, phase)` in a fresh
     interpreter; returns the row: the inputs, the exit code, the wall
-    time, the peak RSS and the number of [FAIL] lines."""
+    time and its import part, the peak RSS and the number of [FAIL]
+    lines."""
     cfg = config(command, n, phase)
     argv = ["space-info"] if command == "space-info" else ["verify", command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -130,7 +135,8 @@ def main(argv=None):
         "commit": sha,
         "dirty": bool(_git("status", "--porcelain", "--", "src")),
         "timing": "wall from before `import btlab.cli` to the end of "
-                  "`main`, one fresh interpreter per row; peak RSS is "
+                  "`main`, and import from before `import btlab.cli` to "
+                  "its end, one fresh interpreter per row; peak RSS is "
                   "ru_maxrss of that interpreter",
         **environment(),
         "skipped": SKIPPED,

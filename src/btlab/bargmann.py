@@ -24,14 +24,12 @@ probe's M^-1 and det(M)^(1/2); each symbol then sums its range of terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UnsupportedSymbol
 from .geometry import (
-    SpaceContext, _as_points, _qform, freq_image, kappa_T, phase_phi,
-    phi_weight, psi,
+    SpaceContext, _as_points, _qform, _Record, freq_image, kappa_T,
+    phase_phi, phi_weight, psi,
 )
 from . import heat
 from .quadrature import QuadratureRule, _tensor_grid, complex_grid
@@ -46,30 +44,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaussianTestFn:
+class GaussianTestFn(_Record):
     """amp * exp(i p0 . y) * exp(-|y - y0|^2 / (2 sigma^2)) on R^n.
 
     The same closed form serves as the analytic continuation, so complex
     arguments (needed by shifted Weyl factors) are legal.
     """
 
-    y0: np.ndarray
-    sigma: float
-    p0: np.ndarray
-    amp: complex = 1.0
-
-    def __post_init__(self):
+    def __init__(self, y0, sigma: float, p0, amp: complex = 1.0):
         y0, p0 = (np.atleast_1d(np.asarray(v, dtype=complex))
-                  for v in (self.y0, self.p0))
+                  for v in (y0, p0))
         if (y0.shape != p0.shape or y0.ndim != 1 or np.any(y0.imag)
                 or np.any(p0.imag)):
             raise ValueError("center and modulation must be real n-vectors")
-        if not self.sigma > 0:
+        if not sigma > 0:
             raise ValueError("width must be positive")
-        object.__setattr__(self, "y0", y0.real.copy())
-        object.__setattr__(self, "p0", p0.real.copy())
-        object.__setattr__(self, "amp", complex(self.amp))
+        vars(self).update(y0=y0.real.copy(), sigma=sigma, p0=p0.real.copy(),
+                          amp=complex(amp))
 
     @property
     def n(self) -> int:

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfig
-from .geometry import SpaceContext
+from .geometry import SpaceContext, _Record
 
 __all__ = [
     "MultiIndexSet",
@@ -52,13 +51,11 @@ _CHUNK = 16384
 MAX_BASIS = 4096
 
 
-@dataclass(frozen=True)
-class MultiIndexSet:
+class MultiIndexSet(_Record):
     """All multi-indices alpha in N_0^n with |alpha| <= N, graded-lex order."""
 
-    n: int
-    N: int
-    indices: tuple
+    def __init__(self, n: int, N: int, indices: tuple):
+        vars(self).update(n=n, N=N, indices=indices)
 
     def __len__(self):
         return len(self.indices)

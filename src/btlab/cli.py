@@ -35,10 +35,9 @@ for _var in (
 import argparse  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
-from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
-from typing import Callable  # noqa: E402
+from typing import Callable, NamedTuple  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -318,8 +317,7 @@ def _sw(ctx, p, out):
               + ("" if math.isfinite(exact) else "; it overflows a float"))
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """One report: its CSV header line and whether it reads the top-level
     h (then `body` gets the space context, otherwise the phase).  `params`
     reads the suite's own keys from a ConfigReader; `body(ctx, p, out)`

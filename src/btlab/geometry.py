@@ -16,7 +16,6 @@ A frequency lam enters every plane-wave formula only through mu = R^-T lam
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -80,8 +79,25 @@ def _qform(X, M, Y):
     return np.einsum("...i,ij,...j->...", X, M, Y)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseMatrices:
+class _Record:
+    """Read-only record.  Each instance keeps exactly its `__init__`
+    arguments, by the same names, in its `__dict__` (which `__init__`
+    fills through `vars(self)`); assigning or deleting an attribute raises
+    AttributeError, and a record equals and hashes as itself only."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def replace(self, **changes):
+        """A new record from this one's arguments with `changes` applied;
+        `__init__` runs again, so the copy is validated as any record is."""
+        return type(self)(**{**vars(self), **changes})
+
+
+class PhaseMatrices(_Record):
     """Admissible phase data (A, B, C) in dimension n.
 
     Invariants (checked by :func:`validate_phase` / :func:`build_context`):
@@ -91,15 +107,9 @@ class PhaseMatrices:
     it keys the context memo of :func:`build_context`.
     """
 
-    n: int
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "A", _as_matrix(self.A, self.n))
-        object.__setattr__(self, "B", _as_matrix(self.B, self.n))
-        object.__setattr__(self, "C", _as_matrix(self.C, self.n))
+    def __init__(self, n: int, A, B, C):
+        vars(self).update(n=n, A=_as_matrix(A, n), B=_as_matrix(B, n),
+                          C=_as_matrix(C, n))
 
 
 def validate_phase(phase: PhaseMatrices):
@@ -122,28 +132,23 @@ def validate_phase(phase: PhaseMatrices):
     return CI, detB, ew, ev
 
 
-@dataclass(frozen=True)
-class SpaceContext:
+class SpaceContext(_Record):
     """Immutable bundle of one phase, one value of h and all derived fields;
-    every array is read-only."""
+    every array is read-only.  P and Q give X = P x + Q xi under kappa_T."""
 
-    phase: PhaseMatrices
-    h: float
-    CI: np.ndarray
-    CIinv: np.ndarray
-    CIinvsqrt: np.ndarray
-    PhiXXbar: np.ndarray
-    PhiXX: np.ndarray
-    R: np.ndarray
-    Rinv: np.ndarray
-    Cphi: float
-    CPhi: float
-    P: np.ndarray  # X = P x + Q xi under kappa_T
-    Q: np.ndarray
-    n: int = field(init=False)
+    def __init__(self, phase: PhaseMatrices, h: float, CI: np.ndarray,
+                 CIinv: np.ndarray, CIinvsqrt: np.ndarray,
+                 PhiXXbar: np.ndarray, PhiXX: np.ndarray, R: np.ndarray,
+                 Rinv: np.ndarray, Cphi: float, CPhi: float, P: np.ndarray,
+                 Q: np.ndarray):
+        vars(self).update(
+            phase=phase, h=h, CI=CI, CIinv=CIinv, CIinvsqrt=CIinvsqrt,
+            PhiXXbar=PhiXXbar, PhiXX=PhiXX, R=R, Rinv=Rinv, Cphi=Cphi,
+            CPhi=CPhi, P=P, Q=Q)
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", self.phase.n)
+    @property
+    def n(self) -> int:
+        return self.phase.n
 
 
 def _inv_sqrt(ew: np.ndarray, ev: np.ndarray) -> np.ndarray:

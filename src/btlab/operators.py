@@ -42,8 +42,7 @@ only as its action on those columns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -287,8 +286,7 @@ def operator_norm(M: np.ndarray) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-@dataclass(frozen=True)
-class NormTable:
+class NormTable(NamedTuple):
     m_norm: float
     converged: bool
 
@@ -311,8 +309,7 @@ def weyl_conjugation_check(ctx: SpaceContext, b, lam, W: np.ndarray,
     return float(np.max(np.abs(Wi.conj().T @ Tb(Wi) - Ts[:m, :m])))
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     rows: tuple  # of (t, lhs, rhs, margin, passed)
     norm_table: NormTable
     passed: bool
@@ -444,8 +441,7 @@ def deformation_residuals(ctx: SpaceContext, a, b, trunc: MultiIndexSet,
     return _defect_norms([ctx], a, b, trunc, drop)[0]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: tuple  # of (h, r1, r2)
     slope1: float
     slope2: float
@@ -493,7 +489,7 @@ def deformation_sweep(phase: PhaseMatrices, a, b, h_list: Sequence[float],
     base = build_context(phase, hs[0])
     trunc = enumerate_multiindices(base.n, N)
     rows = [(h, r1, r2) for h, (r1, r2) in zip(hs, _defect_norms(
-        [replace(base, h=h) for h in hs], a, b, trunc, drop))]
+        [base.replace(h=h) for h in hs], a, b, trunc, drop))]
     arr = np.asarray(rows, dtype=float)
     return SweepResult(
         rows=tuple(rows),

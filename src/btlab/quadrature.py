@@ -16,7 +16,7 @@ and thread counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """One-dimensional Gauss-Hermite rule for the weight exp(-s^2)."""
 
     order: int

@@ -25,13 +25,14 @@ check.  Every operation of the calculus reads `c` or `lam`, which a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonFiniteSample, UnsupportedSymbol
-from .geometry import SpaceContext, _as_points, freq_image, freq_pairing
+from .geometry import (
+    SpaceContext, _as_points, _Record, freq_image, freq_pairing,
+)
 
 __all__ = [
     "PlaneWaveSum",
@@ -61,8 +62,7 @@ def _freq(lam, n: int) -> np.ndarray:
     return lam
 
 
-@dataclass(frozen=True)
-class PlaneWaveSum:
+class PlaneWaveSum(_Record):
     """Canonical finite sum of plane waves: coefficients c of shape (T,)
     and frequency rows lam of shape (T, n), both read-only.
 
@@ -71,16 +71,12 @@ class PlaneWaveSum:
     largest |c| and sorts the rows by (Re, Im) of each coordinate in turn.
     """
 
-    n: int
-    c: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=complex).reshape(-1)
-        lam = np.ascontiguousarray(self.lam, dtype=complex)
-        if lam.shape != (c.size, self.n):
+    def __init__(self, n: int, c, lam):
+        c = np.asarray(c, dtype=complex).reshape(-1)
+        lam = np.ascontiguousarray(lam, dtype=complex)
+        if lam.shape != (c.size, n):
             raise ValueError(f"{c.size} coefficients need frequency rows of"
-                             f" shape ({c.size}, {self.n}), got {lam.shape}")
+                             f" shape ({c.size}, {n}), got {lam.shape}")
         merged = {}  # frequency key -> (summed coefficient, last row index)
         keys = map(tuple, lam.view(float).tolist())
         for k, (ck, key) in enumerate(zip(c.tolist(), keys)):
@@ -90,9 +86,9 @@ class PlaneWaveSum:
                       if abs(v) > tol)
         c = np.array([merged[key][0] for key, _ in kept], dtype=complex)
         lam = lam.take([k for _, k in kept], axis=0) if kept else lam[:0]
-        for name, arr in (("c", c), ("lam", lam)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        c.setflags(write=False)
+        lam.setflags(write=False)
+        vars(self).update(n=n, c=c, lam=lam)
 
 
 def _refused(self):
@@ -102,13 +98,12 @@ def _refused(self):
     )
 
 
-@dataclass(frozen=True)
-class CallableSymbol:
+class CallableSymbol(_Record):
     """Black-box reference symbol.  `func` maps points of shape (..., n) to
     values of shape (...)."""
 
-    n: int
-    func: Callable
+    def __init__(self, n: int, func: Callable):
+        vars(self).update(n=n, func=func)
 
     c = lam = property(_refused, doc="Refused: only plane-wave sums have"
                                      " coefficients and frequencies.")

@@ -5,8 +5,6 @@ integrands decay like Gaussians, so those references are good far beyond
 the asserted tolerances.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,7 +111,7 @@ def test_transform_isometry():
         ctx = build_context(phase, h)
         assert abs(inner(ctx, u, u) - ref_uu) < 1e-12
         assert abs(inner(ctx, u, v) - ref_uv) < 1e-12
-        bad = dataclasses.replace(ctx, Cphi=1.001 * ctx.Cphi)
+        bad = ctx.replace(Cphi=1.001 * ctx.Cphi)
         assert abs(inner(bad, u, u) - ref_uu) > 1e-3
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -120,7 +119,7 @@ def test_gram_sees_normalization_and_reduction(n):
     """A context whose C_Phi and R do not belong to its phase fails the
     Gram check: C_Phi doubled and R tripled scale G by 2 / 9^n."""
     ctx = build_context(random_phase(n, 7), 1.0)
-    bad = dataclasses.replace(ctx, CPhi=2 * ctx.CPhi, R=3 * ctx.R)
+    bad = ctx.replace(CPhi=2 * ctx.CPhi, R=3 * ctx.R)
     trunc = enumerate_multiindices(n, 4)
     eye = np.eye(len(trunc))
     assert np.max(np.abs(gram_matrix(ctx, trunc) - eye)) < 1e-10

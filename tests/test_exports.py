@@ -51,13 +51,17 @@ def test_cli_start_leaves_numpy_polynomial_unloaded():
     """No suite builds a Gauss-Hermite rule, so `gauss_hermite_rule`
     imports its nodes only when called and a CLI start skips loading
     numpy.polynomial.  The command line is parsed by the standard library,
-    so click is never loaded either."""
+    so click is never loaded either.  The records generate no code, so
+    neither dataclasses nor copy is loaded, and numpy.random loads only
+    when a phase is drawn."""
+    unloaded = ("numpy.polynomial", "click", "dataclasses", "copy",
+                "numpy.random")
     code = ("import sys, btlab.cli; "
-            "print('numpy.polynomial' in sys.modules, 'click' in sys.modules)")
-    assert _fresh(code) == ["False", "False"]
+            f"print(*(m in sys.modules for m in {unloaded!r}))")
+    assert _fresh(code) == ["False"] * 5
     assert _fresh(code.replace(
         "print(", "btlab.quadrature.gauss_hermite_rule(4); print(")) \
-        == ["True", "False"]
+        == ["True"] + ["False"] * 4
 
 
 def test_readme_python_block_runs():

@@ -9,7 +9,6 @@ that checks it, not every command.  A change that makes a
 suite blind to one of these bugs fails here instead of passing silently.
 """
 
-import dataclasses
 import inspect
 import json
 
@@ -46,7 +45,7 @@ def _cphi_scaled(monkeypatch):
 
     def build(phase, h):
         ctx = real(phase, h)
-        return dataclasses.replace(ctx, CPhi=1.001 * ctx.CPhi)
+        return ctx.replace(CPhi=1.001 * ctx.CPhi)
 
     monkeypatch.setattr(btlab.cli, "build_context", build)
 
@@ -64,7 +63,7 @@ def _bracket_negated(monkeypatch):
 
     def negated(ctx, a, b):
         br = real(ctx, a, b)
-        return dataclasses.replace(br, c=-br.c)
+        return br.replace(c=-br.c)
 
     monkeypatch.setattr(btlab.operators, "poisson", negated)
 
@@ -74,7 +73,7 @@ def _q_form_scaled(monkeypatch):
 
     def scaled(ctx, a, b):
         q = real(ctx, a, b)
-        return dataclasses.replace(q, c=1.2 * q.c)
+        return q.replace(c=1.2 * q.c)
 
     monkeypatch.setattr(btlab.operators, "q_form", scaled)
 
@@ -82,8 +81,7 @@ def _q_form_scaled(monkeypatch):
 def _translate_conjugated(monkeypatch):
     def translate(b, lam):
         lam = np.asarray(lam, dtype=complex).reshape(b.n)
-        return dataclasses.replace(
-            b, c=b.c * np.exp(-1j * np.real(b.lam @ lam)))
+        return b.replace(c=b.c * np.exp(-1j * np.real(b.lam @ lam)))
 
     monkeypatch.setattr(btlab.cli, "translate", translate)
 
