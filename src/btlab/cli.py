@@ -140,6 +140,14 @@ def _wave(n: int, z=1.0) -> PlaneWaveSum:
     return plane_wave_sum([(1.0, _e1(n, z))], n)
 
 
+def _probe_points(rows: int, n: int) -> np.ndarray:
+    """A fixed (rows, n) table of generic reals in [-2, 2), any n: the
+    golden-ratio sequence 4 frac(k / phi) - 2 at k = 1, 2, ... in row-major
+    order, so no two entries are equal or on a lattice."""
+    k = np.arange(1, rows * n + 1, dtype=float).reshape(rows, n)
+    return 4.0 * np.modf(k * 0.6180339887498949)[0] - 2.0
+
+
 def _space_info(ctx, p, out):
     tol = _TOL_RESIDUAL
     dev_r = float(np.max(np.abs(
@@ -148,16 +156,12 @@ def _space_info(ctx, p, out):
     alt = ((2 * np.pi) ** (-ctx.n) * abs(np.linalg.det(ctx.phase.B)) ** 2
            / np.linalg.det(ctx.CI))
     dev_c = abs(ctx.CPhi - alt) / abs(alt)
-    rng = np.random.default_rng(20240811)
-    X = rng.standard_normal((12, ctx.n)) + 1j * rng.standard_normal(
-        (12, ctx.n)
-    )
+    probe = _probe_points(36, ctx.n)
+    X = probe[:12] + 1j * probe[12:24]
     dev_phi = float(np.max(np.abs(
         psi(ctx, X, np.conj(X)) - phi_weight(ctx, X)
     )))
-    x = rng.standard_normal((6, ctx.n))
-    xi = rng.standard_normal((6, ctx.n))
-    Xk, Theta = kappa_T(ctx, x, xi)
+    Xk, Theta = kappa_T(ctx, probe[24:30], probe[30:])
     dev_k = float(np.max(np.abs(Theta - theta_on_lambda(ctx, Xk))))
 
     out.le("R*R matches mixed Hessian", dev_r, tol)

@@ -5,23 +5,19 @@ class BtlabError(Exception):
     """Base class for all btlab errors."""
 
 
-class PhaseValidationError(BtlabError):
-    """A phase triple (A, B, C) fails an admissibility condition."""
-
-
-class NonSymmetricPhase(PhaseValidationError):
+class NonSymmetricPhase(BtlabError):
     """A or C is not symmetric as stored."""
 
 
-class SingularB(PhaseValidationError):
+class SingularB(BtlabError):
     """det B vanishes (or is negligible against the scale of B)."""
 
 
-class NonPositiveCI(PhaseValidationError):
+class NonPositiveCI(BtlabError):
     """C_I = (C - conj(C))/2i is not positive definite."""
 
 
-class IllConditionedPhase(PhaseValidationError):
+class IllConditionedPhase(BtlabError):
     """A derived matrix is too ill-conditioned to invert reliably, or
     det B, det C_I or a derived field overflows a float."""
 

@@ -100,7 +100,7 @@ class _Record:
 class PhaseMatrices(_Record):
     """Admissible phase data (A, B, C) in dimension n.
 
-    Invariants (checked by :func:`validate_phase` / :func:`build_context`):
+    Invariants (checked by :func:`build_context`):
     A and C symmetric as stored, det B bounded away from zero relative to the
     scale of B, and C_I = (C - conj(C))/2i positive definite.  The matrices
     are read-only copies, and a phase equals and hashes as itself only, so
@@ -110,26 +110,6 @@ class PhaseMatrices(_Record):
     def __init__(self, n: int, A, B, C):
         vars(self).update(n=n, A=_as_matrix(A, n), B=_as_matrix(B, n),
                           C=_as_matrix(C, n))
-
-
-def validate_phase(phase: PhaseMatrices):
-    """Check admissibility; return C_I, det B and C_I's eigh pairs (ew, ev)."""
-    A, B, C, n = phase.A, phase.B, phase.C, phase.n
-    if not np.array_equal(A, A.T):
-        raise NonSymmetricPhase("A is not symmetric as stored")
-    if not np.array_equal(C, C.T):
-        raise NonSymmetricPhase("C is not symmetric as stored")
-    detB = np.linalg.det(B)
-    # |det B| <= 1e-12 max(1, max|B|)^n in n-th roots, where none overflows
-    big = max(1.0, float(np.max(np.abs(B))))
-    if abs(detB) ** (1 / n) <= 1e-12 ** (1 / n) * big:
-        raise SingularB("det B vanishes relative to the scale of B")
-    CI = ((C - C.conj()) / 2j).real
-    ew, ev = np.linalg.eigh(CI)
-    if ew[0] <= 1e-10:
-        raise NonPositiveCI(f"C_I must be positive definite; "
-                            f"min eigenvalue {ew[0]:.3e}")
-    return CI, detB, ew, ev
 
 
 class SpaceContext(_Record):
@@ -161,6 +141,32 @@ def _check_cond(name: str, c: float):
         raise IllConditionedPhase(f"{name} has condition number {c:.3e}")
 
 
+def _norm1(M: np.ndarray) -> float:
+    """The 1-norm of M, its largest column sum of moduli."""
+    return float(np.max(np.sum(np.abs(M), axis=0)))
+
+
+def _check_inverse(name: str, M: np.ndarray, kappa1: float):
+    """Refuse M when its condition number kappa_2 exceeds _COND_LIMIT.
+
+    kappa1 = ||M||_1 ||M^-1||_1 is read off the inverse the caller formed,
+    and kappa_2 <= n kappa_1, so an M with n kappa1 below half the limit
+    (the half covers the rounding of the inverse) is admitted without an
+    SVD.  Any other M, a NaN kappa1 included, is settled by
+    np.linalg.cond, so a refusal and its message are those of the SVD."""
+    if not M.shape[0] * kappa1 < _COND_LIMIT / 2:
+        _check_cond(name, np.linalg.cond(M))
+
+
+def _inverse(M: np.ndarray) -> np.ndarray:
+    """M^-1, or all NaN when LAPACK finds M exactly singular, which leaves
+    the refusal to `_check_inverse`."""
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return np.full(M.shape, np.nan, dtype=complex)
+
+
 def _check_h(h: float):
     """Refuse a semiclassical parameter outside (0, 1] with ValueError."""
     if not 0.0 < h <= 1.0:
@@ -172,31 +178,48 @@ def _check_h(h: float):
 def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     """Derive all geometric fields of an admissible phase.
 
-    Raises the phase validation errors for inadmissible data,
-    IllConditionedPhase when B, C_I or R has condition number above 1e12
-    or when det B, det C_I or a derived field overflows a float, and
-    ValueError for h outside (0, 1].  The identities tying the derived
-    fields together (R^*R = conj Phi''_XbarX, C_Phi from det Phi''_XbarX)
-    are not re-checked here: `space-info` and `gram` check them.  Memoized
-    per (phase, h); a refused phase is not kept, so it raises every time.
+    Raises NonSymmetricPhase, SingularB or NonPositiveCI for inadmissible
+    data, IllConditionedPhase when B, C_I or R has condition number above
+    1e12 or when det B, det C_I or a derived field overflows a float, and
+    ValueError for h outside (0, 1].  B and R are cleared on the 1-norm
+    bound of `_check_inverse`, from the inverses the context keeps, and
+    only a phase near the limit takes an SVD.  The identities tying the
+    derived fields together (R^*R = conj Phi''_XbarX, C_Phi from det
+    Phi''_XbarX) are not re-checked here: `space-info` and `gram` check
+    them.  Memoized per (phase, h); a refused phase is not kept, so it
+    raises every time.
     """
     _check_h(h)
-    CI, detB, ew, ev = validate_phase(phase)
     A, B, C, n = phase.A, phase.B, phase.C, phase.n
-    _check_cond("B", np.linalg.cond(B))
+    if not np.array_equal(A, A.T):
+        raise NonSymmetricPhase("A is not symmetric as stored")
+    if not np.array_equal(C, C.T):
+        raise NonSymmetricPhase("C is not symmetric as stored")
+    detB = np.linalg.det(B)
+    # |det B| <= 1e-12 max(1, max|B|)^n in n-th roots, where none overflows
+    big = max(1.0, float(np.max(np.abs(B))))
+    if abs(detB) ** (1 / n) <= 1e-12 ** (1 / n) * big:
+        raise SingularB("det B vanishes relative to the scale of B")
+    CI = ((C - C.conj()) / 2j).real
+    ew, ev = np.linalg.eigh(CI)
+    if ew[0] <= 1e-10:
+        raise NonPositiveCI(f"C_I must be positive definite; "
+                            f"min eigenvalue {ew[0]:.3e}")
+    Q = -_inverse(B.T)  # canonical transform X = -B^-T (C x + xi)
+    # ||B^-1||_1 is the largest row sum of B^-T
+    _check_inverse("B", B, _norm1(B) * _norm1(Q.T))
     _check_cond("C_I", ew[-1] / ew[0])
     CIinvsqrt = _inv_sqrt(ew, ev)
     CIinv = CIinvsqrt @ CIinvsqrt
     PhiXXbar = B @ CIinv @ B.conj().T / 4
     PhiXX = -B @ CIinv @ B.T / 4 - A / 2j
     R = CIinvsqrt @ B.T / 2
-    _check_cond("R", np.linalg.cond(R))
-    Rinv = np.linalg.inv(R)
+    Rinv = _inverse(R)
+    _check_inverse("R", R, _norm1(R) * _norm1(Rinv))
     detCI = np.linalg.det(CI)
     Cphi = float(2 ** (-n / 2) * np.pi ** (-3 * n / 4)
                  * abs(detB) * detCI ** (-0.25))
     CPhi = float((2 / np.pi) ** n * np.linalg.det(PhiXXbar).real)
-    Q = -np.linalg.inv(B.T)  # canonical transform X = -B^-T (C x + xi)
     P = Q @ C
     for name, v in (("det B", detB), ("det C_I", detCI), ("P", P), ("Q", Q),
                     ("Phi''_XbarX", PhiXXbar), ("Phi''_XX", PhiXX),

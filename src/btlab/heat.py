@@ -38,7 +38,6 @@ __all__ = [
     "sw_l1_box",
     "sw_l1_exact",
     "box_size",
-    "complex_box",
 ]
 
 # Most points one real axis of the `sw` lambda_grid may hold: `sw_l1_box`
@@ -92,24 +91,11 @@ def heat_flow_quadrature(ctx: SpaceContext, b, t: float, order: int = 40):
 
 
 def box_size(lo: float, hi: float, step: float):
-    """Number of points on one real axis of the box `complex_box` walks,
+    """Number of points on one real axis of the box [lo, hi] of spacing
+    `step` that `sw_l1_box` sums, np.arange(lo, hi + step / 2, step),
     counted without building any (inf when it overflows a float)."""
     per_axis = (hi + step / 2 - lo) / step
     return math.ceil(per_axis) if per_axis < math.inf else math.inf
-
-
-def complex_box(lo: float, hi: float, step: float, n: int = 1) -> np.ndarray:
-    """Complex points of C^n from the real box [lo, hi]^(2n) with spacing
-    `step`, lexicographic over (Re z_1, ..., Re z_n, Im z_1, ..., Im z_n).
-
-    The array is allocated once and each coordinate is filled by
-    broadcasting one axis, so its size is the only memory it takes."""
-    axis = np.arange(lo, hi + step / 2, step)
-    pts = np.empty((axis.size,) * (2 * n) + (n,), dtype=complex)
-    for d in range(n):
-        pts.real[..., d] = axis.reshape((-1,) + (1,) * (2 * n - 1 - d))
-        pts.imag[..., d] = axis.reshape((-1,) + (1,) * (n - 1 - d))
-    return pts.reshape(-1, n)
 
 
 def sw_diagnostic(ctx: SpaceContext, b, lam_grid) -> np.ndarray:
@@ -148,9 +134,10 @@ def sw_l1_box(ctx: SpaceContext, b, lo: float, hi: float,
     K^(2n) box points is a product of 2n sums of K points each, taken for
     every term and axis at once: O(T 2n K) work for T terms at any n, in
     chunks of 2^16 points (one at every default) to bound the temporaries.
-    The box is the one `complex_box(lo, hi, step, n)` walks, and the sum
-    equals `sw_l1(sw_diagnostic(ctx, b, mu_box @ ctx.R), step, n)` times
-    |det R|^2 up to rounding.
+    Each real axis holds the `box_size(lo, hi, step)` points of
+    np.arange(lo, hi + step / 2, step), and the sum equals
+    `sw_l1(sw_diagnostic(ctx, b, mu_box @ ctx.R), step, n)` times |det R|^2
+    up to rounding, mu_box the K^(2n) points of the box.
     """
     axis = np.arange(lo, hi + step / 2, step)
     mu = freq_image(ctx, b.lam)

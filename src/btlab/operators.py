@@ -178,14 +178,18 @@ def _applier(stack: np.ndarray, idx: np.ndarray, terms):
     restricted to the graded rows and columns, so M V embeds V's rows at
     their row-major positions in an (N+1)^n x k buffer, applies one factor
     per axis (a matmul over that axis of the buffer viewed as
-    ((N+1)^axis, N+1, rest)) and gathers the graded rows back.  The buffer
-    is used only when it is no larger than M itself,
+    ((N+1)^axis, N+1, rest)) and gathers the graded rows back.  V is
+    taken in column blocks, so the buffer and each per-axis product hold
+    at most _BLOCK_ENTRIES entries (at least one column), and each term
+    fills a buffer of its own, which its first product frees.  Buffers
+    are used only when one for all of V would be no larger than M itself,
     (N+1)^n k <= d^2; otherwise M is formed once, on first need, and
     multiplied.  Sums run in another order than in M V, so the two agree
     to rounding, not bit for bit."""
     n, d = idx.shape
     side = stack.shape[-1]
     flat = np.ravel_multi_index(idx, (side,) * n)
+    step = max(1, _BLOCK_ENTRIES // side ** n)  # columns per block
     dense = None
 
     def apply(V: np.ndarray) -> np.ndarray:
@@ -195,21 +199,20 @@ def _applier(stack: np.ndarray, idx: np.ndarray, terms):
             if dense is None:
                 dense = _dense_sum(stack, idx, terms, (d, d))
             return dense @ V
-        buf = np.zeros((side ** n, k), dtype=complex)
-        buf[flat] = V
-        out = None
-        for c, factors in terms:
-            X = buf
-            for axis, f in enumerate(factors):
-                X = np.matmul(stack[f], X.reshape(side ** axis, side, -1))
-            block = X.reshape(-1, k)[flat]
-            block *= c
-            if out is None:
-                out = block
-            else:
-                out += block
-        if out is None:
-            out = np.zeros((d, k), dtype=complex)
+        out = np.zeros((d, k), dtype=complex)
+        for start in range(0, k, step):
+            r = slice(start, min(start + step, k))
+            for t, (c, factors) in enumerate(terms):
+                X = np.zeros((side ** n, r.stop - start), dtype=complex)
+                X[flat] = V[:, r]
+                for axis, f in enumerate(factors):
+                    X = np.matmul(stack[f], X.reshape(side ** axis, side, -1))
+                block = X.reshape(side ** n, -1)[flat]
+                block *= c
+                if t == 0:
+                    out[:, r] = block
+                else:
+                    out[:, r] += block
         return out
 
     return apply

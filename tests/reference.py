@@ -20,6 +20,9 @@ numerically, for checks of Q and the bracket, and `u_alpha_eval`
 evaluates the graded monomial basis of H_Phi pointwise in the unreduced X
 frame, which the compressions never do.
 
+`complex_box` lists the points of a real box in C^n, the box that
+`heat.sw_l1_box` sums one real axis at a time and the tests sample on.
+
 `legacy_random_phase` is the rejection sampler that gave the seeded
 phases before they were built by construction; the tests draw their
 fixture phases from it, and `legacy_phase_block` writes one as the
@@ -119,6 +122,20 @@ def diagonal_sum_rhs_per_term(ctx, b, ks):
                    / (j + 1))
     return [complex(sum(c * L for c, L in zip(flowed.c, lag[k])))
             for k in ks]
+
+
+def complex_box(lo: float, hi: float, step: float, n: int = 1) -> np.ndarray:
+    """Complex points of C^n from the real box [lo, hi]^(2n) with spacing
+    `step`, lexicographic over (Re z_1, ..., Re z_n, Im z_1, ..., Im z_n).
+
+    The array is allocated once and each coordinate is filled by
+    broadcasting one axis, so its size is the only memory it takes."""
+    axis = np.arange(lo, hi + step / 2, step)
+    pts = np.empty((axis.size,) * (2 * n) + (n,), dtype=complex)
+    for d in range(n):
+        pts.real[..., d] = axis.reshape((-1,) + (1,) * (2 * n - 1 - d))
+        pts.imag[..., d] = axis.reshape((-1,) + (1,) * (n - 1 - d))
+    return pts.reshape(-1, n)
 
 
 def factor_seeds(h, shift, mu, nu):

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from conftest import invoke, rel_dev
+from reference import complex_box
 # the fixture phases: the seeded draw of earlier releases (see reference)
 from reference import legacy_random_phase as random_phase
 
@@ -29,7 +30,6 @@ from btlab.geometry import (
     psi,
 )
 from btlab.heat import (
-    complex_box,
     heat_flow,
     heat_flow_quadrature,
     sw_diagnostic,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import rel_dev
 from reference import (
+    complex_box,
     egorov_sides_per_term,
     gaussian_transform_weighted,
     real_weyl_planewave_apply,
@@ -42,7 +43,7 @@ from btlab.geometry import (
     heat_phase,
     phi_weight,
 )
-from btlab.heat import complex_box, heat_flow
+from btlab.heat import heat_flow
 from btlab.quadrature import gauss_hermite_rule
 from btlab.symbols import (
     CallableSymbol,

@@ -64,6 +64,51 @@ def test_cli_start_leaves_numpy_polynomial_unloaded():
         == ["True"] + ["False"] * 4
 
 
+def _fresh_fock_run(tmp_path, argv: list, report: str) -> list:
+    """`btlab <argv>` on the Fock preset in a new interpreter, with every
+    numpy.linalg SVD counted (each runs one of its `svd*` gufuncs; cond,
+    norm(M, 2), pinv and matrix_rank included); prints the exit code, the
+    SVD count and then the words `report` prints."""
+    cfg = tmp_path / "fock.json"
+    cfg.write_text('{"phase": {"preset": "fock"}, "h": 1.0}')
+    argv = [*argv, "--config", str(cfg), "--out", str(tmp_path)]
+    return _fresh(f"""
+import contextlib, io, sys
+from numpy.linalg import _umath_linalg as gufuncs
+import btlab.cli
+svds = []
+def counted(real):
+    def call(*args, **kwargs):
+        svds.append(1)
+        return real(*args, **kwargs)
+    return call
+for name in dir(gufuncs):
+    if name.startswith("svd"):
+        setattr(gufuncs, name, counted(getattr(gufuncs, name)))
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        btlab.cli.main({argv!r})
+    except SystemExit as exc:
+        code = exc.code
+print(code, len(svds), {report})""")
+
+
+def test_fock_space_info_leaves_numpy_random_unloaded(tmp_path):
+    """space-info probes its identities on a fixed table of points, and a
+    preset phase draws nothing, so numpy.random (with hashlib, hmac and
+    secrets) is never imported."""
+    assert _fresh_fock_run(tmp_path, ["space-info"],
+                           "'numpy.random' in sys.modules") \
+        == ["0", "0", "False"]
+
+
+def test_fock_egorov_takes_no_svd(tmp_path):
+    """egorov reads no singular value, and its context clears B and R on
+    the 1-norm bound, so a fresh run makes no SVD at all."""
+    assert _fresh_fock_run(tmp_path, ["verify", "egorov"], "''") \
+        == ["0", "0"]
+
+
 def test_readme_python_block_runs():
     """The README's Python API example runs as written in a new
     interpreter, so a changed signature cannot leave it stale."""

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import invoke, rel_dev
 from reference import legacy_random_phase
 
+from btlab import geometry
 from btlab.config import phase_from_config
 from btlab.errors import (
     IllConditionedPhase,
@@ -112,12 +113,8 @@ def test_kappa_affine_consistency(ex1):
         assert rel_dev(Th, x @ B.T + X @ A.T) < 1e-14
 
 
-def test_context_factors_each_matrix_once(monkeypatch):
-    """One build_context takes one eigh of C_I (admissibility, cond C_I and
-    C_I^-1/2), one det each of B, C_I and Phi''_XbarX, the cond of B and R
-    and the inverses of R and B^T; the canonical maps then read P and Q
-    from the context and call numpy.linalg no more."""
-    phase = legacy_random_phase(2, 7)
+def _count_linalg(monkeypatch) -> collections.Counter:
+    """Count each call of a numpy.linalg function from here on."""
     calls = collections.Counter()
 
     def counted(name, real):
@@ -130,8 +127,19 @@ def test_context_factors_each_matrix_once(monkeypatch):
         real = getattr(np.linalg, name)
         if callable(real) and not isinstance(real, type):
             monkeypatch.setattr(np.linalg, name, counted(name, real))
+    return calls
+
+
+def test_context_factors_each_matrix_once(monkeypatch):
+    """One build_context takes one eigh of C_I (admissibility, cond C_I and
+    C_I^-1/2), one det each of B, C_I and Phi''_XbarX and the inverses of
+    R and B^T, which also clear B and R of ill-conditioning without an
+    SVD; the canonical maps then read P and Q from the context and call
+    numpy.linalg no more."""
+    phase = legacy_random_phase(2, 7)
+    calls = _count_linalg(monkeypatch)
     ctx = build_context(phase, 1.0)
-    assert dict(calls) == {"eigh": 1, "det": 3, "cond": 2, "inv": 2}
+    assert dict(calls) == {"eigh": 1, "det": 3, "inv": 2}
     calls.clear()
     kappa_T(ctx, np.ones((3, 2)), np.ones((3, 2)))
     cotangent_frequencies(ctx, np.array([[1.0, 0.0], [0.6j, 0.8]]))
@@ -268,6 +276,50 @@ def test_rejects_ill_conditioned_ci():
     C = 1j * np.diag([1.0e3, 1.1e-10])
     with pytest.raises(IllConditionedPhase):
         build_context(PhaseMatrices(2, A, B, C), 1.0)
+
+
+# C_I = I, so R = B^T / 2 has the conditioning of B; each B below has
+# kappa_2 = 4 / eps and n kappa_1 = 8 / eps to leading order
+_NEAR_SINGULAR = [[1.0, 1.0], [1.0, 1.0 + 1e-11]]  # kappa_2 4.0e11
+_TOO_SINGULAR = [[1.0, 1.0], [1.0, 1.0 + 2e-12]]  # kappa_2 2.0e12
+
+
+def test_conditioning_past_the_bound_is_settled_by_the_svd(monkeypatch):
+    """A B or R whose n kappa_1 reaches half of 1e12 goes through
+    np.linalg.cond: below 1e12 it is admitted, and above it the phase is
+    refused with the SVD's condition number, as before the bound."""
+    Z = np.zeros((2, 2))
+    calls = _count_linalg(monkeypatch)
+    ctx = build_context(PhaseMatrices(2, Z, _NEAR_SINGULAR, 1j * np.eye(2)),
+                        1.0)
+    assert calls["cond"] == 2  # B, then R
+    assert np.linalg.cond(ctx.R) < 1e12
+    calls.clear()
+    with pytest.raises(IllConditionedPhase,
+                       match=r"^B has condition number 2\.000e\+12$"):
+        build_context(PhaseMatrices(2, Z, _TOO_SINGULAR, 1j * np.eye(2)),
+                      1.0)
+    assert calls["cond"] == 1
+    calls.clear()
+    # kappa(B) = 1e8 clears on the bound; R = diag(1e9^1/2, 1e-8) / 2
+    with pytest.raises(IllConditionedPhase,
+                       match=r"^R has condition number 3\.162e\+12$"):
+        build_context(PhaseMatrices(2, Z, np.diag([1.0, 1e-8]),
+                                    1j * np.diag([1e-9, 1.0])), 1.0)
+    assert calls["cond"] == 1
+
+
+def test_an_inverse_that_fails_is_refused_as_ill_conditioned():
+    """An exactly singular matrix has an all-NaN `_inverse`, so its
+    kappa_1 is NaN and the SVD refuses it, as IllConditionedPhase and not
+    numpy's LinAlgError."""
+    Z = np.zeros((2, 2))
+    inv = geometry._inverse(Z)
+    assert np.all(np.isnan(inv))
+    with np.errstate(all="ignore"), pytest.raises(
+            IllConditionedPhase, match="^R has condition number inf$"):
+        geometry._check_inverse("R", Z, geometry._norm1(Z)
+                                * geometry._norm1(inv))
 
 
 def test_h_domain():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import rel_dev
-from reference import sw_l1_box_per_term
+from reference import complex_box, sw_l1_box_per_term
 # the fixture phases: the seeded draw of earlier releases (see reference)
 from reference import legacy_random_phase as random_phase
 
 from btlab.geometry import build_context, fock_phase, freq_image
 from btlab.heat import (
     box_size,
-    complex_box,
     heat_damping,
     heat_flow,
     heat_flow_quadrature,

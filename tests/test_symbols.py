@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import rel_dev
 from reference import (
     canonical_terms,
+    complex_box,
     diagonal_sum_rhs_per_term,
     eval_symbol_per_term,
     sw_diagnostic_per_term,
@@ -30,7 +31,6 @@ from btlab.bargmann import GaussianTestFn, egorov_guillemin_check
 from btlab.basis import enumerate_multiindices
 from btlab.errors import NonFiniteSample, UnsupportedSymbol
 from btlab.heat import (
-    complex_box,
     heat_flow,
     sw_diagnostic,
     sw_l1_box,
