@@ -146,15 +146,16 @@ def _norm1(M: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(M), axis=0)))
 
 
-def _check_inverse(name: str, M: np.ndarray, kappa1: float):
+def _check_inverse(name: str, M: np.ndarray, inv_norm1: float):
     """Refuse M when its condition number kappa_2 exceeds _COND_LIMIT.
 
-    kappa1 = ||M||_1 ||M^-1||_1 is read off the inverse the caller formed,
-    and kappa_2 <= n kappa_1, so an M with n kappa1 below half the limit
-    (the half covers the rounding of the inverse) is admitted without an
-    SVD.  Any other M, a NaN kappa1 included, is settled by
-    np.linalg.cond, so a refusal and its message are those of the SVD."""
-    if not M.shape[0] * kappa1 < _COND_LIMIT / 2:
+    inv_norm1 = ||M^-1||_1 is read off the inverse the caller formed, and
+    kappa_2 <= n kappa_1 = n ||M||_1 ||M^-1||_1, so an M with n kappa_1
+    below half the limit (the half covers the rounding of the inverse) is
+    admitted without an SVD.  Any other M, a NaN inv_norm1 included, is
+    settled by np.linalg.cond, so a refusal and its message are those of
+    the SVD."""
+    if not M.shape[0] * _norm1(M) * inv_norm1 < _COND_LIMIT / 2:
         _check_cond(name, np.linalg.cond(M))
 
 
@@ -206,8 +207,7 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
         raise NonPositiveCI(f"C_I must be positive definite; "
                             f"min eigenvalue {ew[0]:.3e}")
     Q = -_inverse(B.T)  # canonical transform X = -B^-T (C x + xi)
-    # ||B^-1||_1 is the largest row sum of B^-T
-    _check_inverse("B", B, _norm1(B) * _norm1(Q.T))
+    _check_inverse("B", B, _norm1(Q.T))  # ||B^-1||_1 = ||B^-T||_inf
     _check_cond("C_I", ew[-1] / ew[0])
     CIinvsqrt = _inv_sqrt(ew, ev)
     CIinv = CIinvsqrt @ CIinvsqrt
@@ -215,7 +215,7 @@ def build_context(phase: PhaseMatrices, h: float) -> SpaceContext:
     PhiXX = -B @ CIinv @ B.T / 4 - A / 2j
     R = CIinvsqrt @ B.T / 2
     Rinv = _inverse(R)
-    _check_inverse("R", R, _norm1(R) * _norm1(Rinv))
+    _check_inverse("R", R, _norm1(Rinv))
     detCI = np.linalg.det(CI)
     Cphi = float(2 ** (-n / 2) * np.pi ** (-3 * n / 4)
                  * abs(detB) * detCI ** (-0.25))

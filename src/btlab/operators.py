@@ -202,17 +202,14 @@ def _applier(stack: np.ndarray, idx: np.ndarray, terms):
         out = np.zeros((d, k), dtype=complex)
         for start in range(0, k, step):
             r = slice(start, min(start + step, k))
-            for t, (c, factors) in enumerate(terms):
+            for c, factors in terms:
                 X = np.zeros((side ** n, r.stop - start), dtype=complex)
                 X[flat] = V[:, r]
                 for axis, f in enumerate(factors):
                     X = np.matmul(stack[f], X.reshape(side ** axis, side, -1))
                 block = X.reshape(side ** n, -1)[flat]
                 block *= c
-                if t == 0:
-                    out[:, r] = block
-                else:
-                    out[:, r] += block
+                out[:, r] += block
         return out
 
     return apply

@@ -311,15 +311,14 @@ def test_conditioning_past_the_bound_is_settled_by_the_svd(monkeypatch):
 
 def test_an_inverse_that_fails_is_refused_as_ill_conditioned():
     """An exactly singular matrix has an all-NaN `_inverse`, so its
-    kappa_1 is NaN and the SVD refuses it, as IllConditionedPhase and not
-    numpy's LinAlgError."""
+    ||M^-1||_1 is NaN and the SVD refuses it, as IllConditionedPhase and
+    not numpy's LinAlgError."""
     Z = np.zeros((2, 2))
     inv = geometry._inverse(Z)
     assert np.all(np.isnan(inv))
     with np.errstate(all="ignore"), pytest.raises(
             IllConditionedPhase, match="^R has condition number inf$"):
-        geometry._check_inverse("R", Z, geometry._norm1(Z)
-                                * geometry._norm1(inv))
+        geometry._check_inverse("R", Z, geometry._norm1(inv))
 
 
 def test_h_domain():
